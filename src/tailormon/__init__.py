@@ -34,7 +34,6 @@ from .corrcore import (
     EigenSystem,
     TrainingSummary,
     eigensystem,
-    eigvec_asymptotic_cov,
     estimate_training,
     nearest_pd_correlation,
     random_correlation,
@@ -76,15 +75,12 @@ from .mixmonitor import (
     lag_extend,
     lag_extend_matrix,
     mixture_statistic,
-    monitor_step,
     project_observation,
     restore_monitor_model,
-    run_monitor,
     stream_llr,
 )
 from .tailor import (
     ProjectionSelection,
-    estimate_argmax_probabilities,
     identity_selection,
     manual_selection,
     max_variance_selection,
@@ -92,5 +88,3 @@ from .tailor import (
     select_axes,
     tailor,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

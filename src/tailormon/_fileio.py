@@ -1,8 +1,8 @@
 """File formats: CSV matrices/streams and versioned JSON artifacts.
 
 CSV convention: rows are time steps, columns are streams, one optional
-header row; missing or non-numeric values are a hard error. JSON
-artifacts carry a ``schema`` tag, the tool version and the fully
+header row; missing, non-numeric or non-finite values are a hard error.
+JSON artifacts carry a ``schema`` tag, the tool version and the fully
 resolved configuration, and are dumped with sorted keys so reruns are
 byte-identical.
 """
@@ -60,8 +60,8 @@ def iter_csv_rows(fobj, path: str = "<stream>"):
             width = len(row)
         elif len(row) != width:
             raise ConfigError(f"{path}:{line_no}: expected {width} columns, got {len(row)}")
-        if any(math.isnan(v) for v in row):
-            raise ConfigError(f"{path}:{line_no}: missing value (NaN)")
+        if not all(math.isfinite(v) for v in row):
+            raise ConfigError(f"{path}:{line_no}: non-finite value (NaN or infinity)")
         yield np.asarray(row, dtype=float)
 
 

@@ -3,11 +3,8 @@
 The windowed mixture-GLR scan dominates the runtime of calibration and
 delay experiments, so it ships both as a Cython extension and as a
 pure-numpy fallback with the same contract. The compiled kernel is used
-when importable; set ``TAILORMON_PURE_PYTHON=1`` to force the fallback
-(used by the benchmark and the cross-kernel tests).
+whenever it was built and imports.
 """
-
-import os
 
 from ._scan_py import mixture_terms, scan_step as scan_step_python
 
@@ -16,7 +13,7 @@ try:
 except ImportError:
     scan_step_compiled = None
 
-USING_COMPILED = scan_step_compiled is not None and not os.environ.get("TAILORMON_PURE_PYTHON")
+USING_COMPILED = scan_step_compiled is not None
 
 scan_step = scan_step_compiled if USING_COMPILED else scan_step_python
 

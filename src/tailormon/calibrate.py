@@ -185,10 +185,22 @@ def _block_replicate(args):
 
 
 def default_threads() -> int:
+    """Worker count from ``TAILORMON_THREADS`` (default 1); a bad value is a ConfigError."""
+    value = os.environ.get("TAILORMON_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("TAILORMON_THREADS", "1")))
+        threads = int(value)
     except ValueError:
-        return 1
+        raise ConfigError(f"TAILORMON_THREADS must be an integer, got {value!r}") from None
+    if threads < 1:
+        raise ConfigError(f"TAILORMON_THREADS must be at least 1, got {threads}")
+    return threads
+
+
+def clopper_pearson(hits: int, total: int) -> tuple[float, float]:
+    """Two-sided 95% Clopper-Pearson interval for a binomial proportion."""
+    lo = float(beta_dist.ppf(0.025, hits, total - hits + 1)) if hits > 0 else 0.0
+    hi = float(beta_dist.ppf(0.975, hits + 1, total - hits)) if hits < total else 1.0
+    return lo, hi
 
 
 def calibrate_threshold(
@@ -215,6 +227,8 @@ def calibrate_threshold(
         rng = np.random.default_rng(cfg.seed)
     if threads is None:
         threads = default_threads()
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     m_raw = x.shape[0]
     n_raw = cfg.n + model.lag
     seeds = rng.bit_generator.seed_seq.spawn(cfg.replicates)
@@ -245,13 +259,10 @@ def calibrate_threshold(
         maxima = np.fromiter((worker(j) for j in jobs), dtype=float, count=cfg.replicates)
 
     b, exceed = threshold_from_maxima(maxima, cfg.alpha, cfg.confidence)
-    phat = exceed / cfg.replicates
-    lo = float(beta_dist.ppf(0.025, exceed, cfg.replicates - exceed + 1)) if exceed > 0 else 0.0
-    hi = float(beta_dist.ppf(0.975, exceed + 1, cfg.replicates - exceed))
     return CalibrationResult(
         threshold=b,
-        pfa_estimate=phat,
-        pfa_ci=(lo, hi),
+        pfa_estimate=exceed / cfg.replicates,
+        pfa_ci=clopper_pearson(exceed, cfg.replicates),
         exceedances=exceed,
         replicate_maxima=maxima,
         mode=cfg.mode,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
@@ -58,9 +57,6 @@ def _hellinger_arrays(m1, s1, m2, s2):
     bc = np.sqrt(2.0 * s1 * s2 / ssum) * np.exp(-0.25 * np.square(np.asarray(m1) - np.asarray(m2)) / ssum)
     # rounding can push 1 - bc to -1e-17 when p ~ q
     return np.sqrt(np.maximum(1.0 - bc, 0.0))
-
-
-Divergence = Callable[[NormalParams, NormalParams], float]
 
 
 @dataclass(frozen=True)
@@ -266,23 +262,7 @@ def apply_change(base: CorrelationMatrix, sc: ChangeScenario, pd_floor: float = 
     off-diagonal entries and run the nearest-PD repair, which leaves
     already-valid results untouched.
     """
-    d = base.dim
-    aff = np.asarray(sc.affected, dtype=int)
-    if aff.max() >= d:
-        raise DimensionMismatch("scenario indices exceed the matrix dimension")
-    mu = np.zeros(d)
-    if sc.ctype == MEAN:
-        mu[aff] = np.asarray(sc.mean_sizes, dtype=float)
-        return PostChangeParams(mean=mu, cov=base.values)
-    if sc.ctype == VARIANCE:
-        scale = np.ones(d)
-        scale[aff] = np.asarray(sc.sdev_factors, dtype=float)
-        return PostChangeParams(mean=mu, cov=base.values * np.outer(scale, scale))
-    r = np.array(base.values)
-    for (p, q), a in sc.corr_factors.items():
-        r[p, q] = r[q, p] = a * r[p, q]
-    repaired = nearest_pd_correlation(r, eps=pd_floor)
-    return PostChangeParams(mean=mu, cov=repaired.values)
+    return apply_change_lagged(base, sc, base.dim, 0, pd_floor)
 
 
 def apply_change_lagged(
@@ -306,7 +286,7 @@ def apply_change_lagged(
     aff = np.asarray(sc.affected, dtype=int)
     if aff.max() >= raw_dim:
         raise DimensionMismatch("scenario indices exceed the raw dimension")
-    blocks = np.arange(lag + 1) * raw_dim
+    blocks = range(0, d_ext, raw_dim)  # Python ints keep the index arithmetic cheap
     mu = np.zeros(d_ext)
     if sc.ctype == MEAN:
         sizes = np.asarray(sc.mean_sizes, dtype=float)
@@ -331,13 +311,12 @@ def projection_sensitivities(
     es: EigenSystem,
     post: PostChangeParams,
     pd_floor: float = PD_FLOOR,
-    divergence: Divergence | None = None,
 ) -> np.ndarray:
     """Sensitivity of every principal-axis projection to a given change.
 
     Projection j is N(0, lam_j) before the change and
     N(v_j' mu1, v_j' Sigma1 v_j) after it; the sensitivity is the
-    divergence between the two (Hellinger distance by default).
+    Hellinger distance between the two.
     """
     if es.dim != post.dim:
         raise DimensionMismatch("eigensystem and post-change parameters disagree in dimension")
@@ -347,11 +326,4 @@ def projection_sensitivities(
     vec = es.vectors
     proj_means = vec.T @ post.mean
     proj_vars = np.einsum("ij,ij->j", vec, post.cov @ vec)
-    if divergence is None:
-        return _hellinger_arrays(0.0, np.sqrt(lam), proj_means, np.sqrt(proj_vars))
-    return np.array(
-        [
-            divergence(NormalParams(0.0, float(np.sqrt(lam[j]))), NormalParams(float(proj_means[j]), float(np.sqrt(proj_vars[j]))))
-            for j in range(es.dim)
-        ]
-    )
+    return _hellinger_arrays(0.0, np.sqrt(lam), proj_means, np.sqrt(proj_vars))

@@ -20,7 +20,6 @@ from .calibrate import (
     PARAMETRIC,
     CalibrationConfig,
     calibrate_threshold,
-    default_threads,
 )
 from .changemodel import ChangeDistributionSpec
 from .corrcore import estimate_training
@@ -160,7 +159,7 @@ def calibrate_cmd(
             seed=seed,
         )
         model = restore_monitor_model(summary, sel, tr_sum, tr_ssq, p0=p0, window=window, lag=lag)
-        result = calibrate_threshold(model, data, cfg, threads=threads if threads else default_threads())
+        result = calibrate_threshold(model, data, cfg, threads=threads)
         config = {
             "training": training,
             "selection": selection,
@@ -261,7 +260,7 @@ def simulate_cmd(grid, out, manifest, threads):
     def body():
         doc = _fileio.load_json(grid)
         _fileio.expect_schema(doc, _fileio.GRID_SCHEMA, grid)
-        rows, failures = simulate_grid(doc, threads=threads if threads else default_threads())
+        rows, failures = simulate_grid(doc, threads=threads)
         _fileio.save_results_csv(out, rows)
         manifest_path = manifest if manifest else out + ".manifest.json"
         if failures:

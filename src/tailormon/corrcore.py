@@ -26,8 +26,8 @@ from .errors import (
     DegenerateCorrelation,
     DegenerateSpectrum,
     DimensionMismatch,
+    NoConvergence,
 )
-from .errors import NoConvergence
 
 SYMMETRY_TOL = 1e-10
 ORTHO_TOL = 1e-8
@@ -319,32 +319,3 @@ def nearest_pd_correlation(sym, eps: float = 1e-8, max_iter: int = 100) -> Corre
         if _valid(work):
             return CorrelationMatrix(work)
     raise NoConvergence(f"nearest-PD repair did not converge in {max_iter} iterations")
-
-
-def eigvec_asymptotic_cov(es: EigenSystem, j: int, n: int, gap_tol: float = 1e-10) -> np.ndarray:
-    """Asymptotic sampling covariance of the j-th sample eigenvector.
-
-    For a sample of size ``n`` the j-th eigenvector is asymptotically
-    normal around the population eigenvector with covariance
-
-        (lam_j / n) * sum_{l != j} lam_l / (lam_j - lam_l)**2 * v_j v_j^T,
-
-    valid only when all eigenvalues are pairwise distinct.
-
-    Raises
-    ------
-    DegenerateSpectrum
-        If any adjacent eigenvalue gap is at most ``gap_tol``.
-    """
-    lam = es.values
-    d = lam.shape[0]
-    if not 0 <= j < d:
-        raise DimensionMismatch(f"axis index {j} out of range for dimension {d}")
-    if n < 1:
-        raise ValueError("sample count n must be positive")
-    if d > 1 and np.min(-np.diff(lam)) <= gap_tol:
-        raise DegenerateSpectrum("eigenvalues are not pairwise distinct")
-    others = np.delete(lam, j)
-    factor = lam[j] / n * np.sum(others / (lam[j] - others) ** 2)
-    v = es.vectors[:, j]
-    return factor * np.outer(v, v)

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
+from .calibrate import CalibrationConfig, calibrate_threshold, clopper_pearson
 from .changemodel import (
     CHANGE_TYPES,
     MEAN,
@@ -279,9 +279,7 @@ def estimate_pfa(outcomes, n: int, min_trials: int = 100) -> PfaEstimate:
         raise ConfigError(f"need at least {min_trials} replicates, got {len(outcomes)}")
     hits = sum(1 for o in outcomes if o.alarm_time is not None and o.alarm_time <= n)
     total = len(outcomes)
-    lo = float(beta_dist.ppf(0.025, hits, total - hits + 1)) if hits > 0 else 0.0
-    hi = float(beta_dist.ppf(0.975, hits + 1, total - hits)) if hits < total else 1.0
-    return PfaEstimate(proportion=hits / total, ci=(lo, hi), n_alarms=hits, n_trials=total)
+    return PfaEstimate(proportion=hits / total, ci=clopper_pearson(hits, total), n_alarms=hits, n_trials=total)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +463,6 @@ def simulate_grid(cfg: dict, *, threads: int | None = None, progress=None) -> tu
     clean run); on a cell failure the remaining cells still run. Shares
     one training set, selection and calibrated threshold per detector.
     """
-    from .calibrate import CalibrationConfig, calibrate_threshold
-
     seed = int(cfg.get("seed", 0))
     dim = int(cfg["dim"])
     m = int(cfg["m"])

@@ -335,6 +335,14 @@ class MonitorModel:
         return replace(self, threshold=float(threshold))
 
 
+def _projector(training: TrainingSummary, selection: ProjectionSelection, pd_floor: float) -> np.ndarray:
+    """D x J matrix mapping centred observations to standardized projections."""
+    lam = np.asarray(selection.eigenvalues, dtype=float)
+    if np.any(lam <= pd_floor):
+        raise ZeroEigenvalue("a selected eigenvalue is at or below the PD floor")
+    return selection.eigenvectors / training.sdev[:, None] / np.sqrt(lam)[None, :]
+
+
 def build_monitor_model(
     training: TrainingSummary,
     selection: ProjectionSelection,
@@ -352,26 +360,23 @@ def build_monitor_model(
     estimated from; their standardized projections seed the per-stream
     training sufficient statistics.
     """
-    lam = np.asarray(selection.eigenvalues, dtype=float)
-    if np.any(lam <= pd_floor):
-        raise ZeroEigenvalue("a selected eigenvalue is at or below the PD floor")
+    projector = _projector(training, selection, pd_floor)
     x = np.asarray(training_data, dtype=float)
     if x.shape != (training.m, training.dim):
         raise DimensionMismatch("training data shape does not match the training summary")
-    projector = selection.eigenvectors / training.sdev[:, None] / np.sqrt(lam)[None, :]
     z = (x - training.mean) @ projector
-    return MonitorModel(
-        training=training,
-        selection=selection,
-        p0=float(p0),
-        window=int(window),
-        lag=int(lag),
-        threshold=float(threshold),
-        training_projections=z,
-        projector=projector,
-        train_sum=z.sum(axis=0),
-        train_sumsq=(z * z).sum(axis=0),
+    model = restore_monitor_model(
+        training,
+        selection,
+        z.sum(axis=0),
+        (z * z).sum(axis=0),
+        p0=p0,
+        window=window,
+        lag=lag,
+        threshold=threshold,
+        pd_floor=pd_floor,
     )
+    return replace(model, training_projections=z)
 
 
 def restore_monitor_model(
@@ -387,10 +392,6 @@ def restore_monitor_model(
     pd_floor: float = PD_FLOOR,
 ) -> MonitorModel:
     """Rebuild a monitor model from serialized artifacts (no raw training rows)."""
-    lam = np.asarray(selection.eigenvalues, dtype=float)
-    if np.any(lam <= pd_floor):
-        raise ZeroEigenvalue("a selected eigenvalue is at or below the PD floor")
-    projector = selection.eigenvectors / training.sdev[:, None] / np.sqrt(lam)[None, :]
     return MonitorModel(
         training=training,
         selection=selection,
@@ -399,7 +400,7 @@ def restore_monitor_model(
         lag=int(lag),
         threshold=float(threshold),
         training_projections=None,
-        projector=projector,
+        projector=_projector(training, selection, pd_floor),
         train_sum=np.asarray(train_sum, dtype=float).copy(),
         train_sumsq=np.asarray(train_sumsq, dtype=float).copy(),
     )
@@ -453,6 +454,12 @@ class Monitor:
             raise DimensionMismatch(
                 f"expected a raw vector of dimension {self.model.raw_dim}, got shape {x.shape}"
             )
+        # one inf or NaN would poison the running sums for good. The sum is
+        # non-finite when any entry is, and costs less than testing each
+        # entry; it also overflows for entries near the float limit, whose
+        # squares the running sums could not hold either.
+        if not math.isfinite(x.sum()):
+            raise ValueError("observation contains a non-finite value")
         self._t_raw += 1
         lag = self.model.lag
         if lag > 0:
@@ -508,13 +515,3 @@ class Monitor:
             trace=tuple(trace),
             warnings=self.total_warnings,
         )
-
-
-def monitor_step(monitor: Monitor, x) -> StepResult:
-    """Function form of :meth:`Monitor.step`."""
-    return monitor.step(x)
-
-
-def run_monitor(model: MonitorModel, stream, **kwargs) -> MonitorRun:
-    """Run a fresh monitor over a stream; see :meth:`Monitor.run`."""
-    return Monitor(model).run(stream, **kwargs)

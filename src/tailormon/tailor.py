@@ -17,7 +17,6 @@ import numpy as np
 from .changemodel import (
     CHANGE_TYPES,
     ChangeDistributionSpec,
-    Divergence,
     apply_change,
     apply_change_lagged,
     projection_sensitivities,
@@ -92,40 +91,25 @@ def _as_correlation(base) -> CorrelationMatrix:
     return CorrelationMatrix(base)
 
 
-def estimate_argmax_probabilities(
-    base,
-    spec: ChangeDistributionSpec,
-    draws: int,
-    rng: np.random.Generator,
-    divergence: Divergence | None = None,
-    raw_dim: int | None = None,
-    lag: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+def _argmax_mc(base: CorrelationMatrix, es: EigenSystem, spec, draws, rng, raw_dim, lag):
     """Monte Carlo estimate of each axis's argmax probability.
 
     For each of ``draws`` sampled changes, the most sensitive projection
     gets one indicator count; the estimates are the normalized counts.
-    Also returns the Monte Carlo mean sensitivity of every axis. Ties in
-    the argmax (probability zero under continuous change sizes) resolve
-    to the lowest axis index.
+    Also returns the Monte Carlo mean sensitivity of every axis and the
+    per-change-type breakdown of both. Ties in the argmax (probability
+    zero under continuous change sizes) resolve to the lowest axis index.
 
     With ``lag > 0``, ``base`` is a lag-extended correlation matrix of
     dimension ``raw_dim * (lag + 1)``; scenarios are sampled on the raw
     streams and duplicated across the stacked blocks.
     """
-    phat, hbar, _ = _argmax_mc(base, spec, draws, rng, divergence, raw_dim, lag, by_type=False)
-    return phat, hbar
-
-
-def _argmax_mc(base, spec, draws, rng, divergence, raw_dim, lag, by_type: bool):
-    base = _as_correlation(base)
     if draws < 1:
         raise ValueError("draws must be at least 1")
     if lag < 0:
         raise ValueError("lag must be non-negative")
     if lag > 0 and (raw_dim is None or base.dim != raw_dim * (lag + 1)):
         raise DimensionMismatch("lag > 0 needs raw_dim with base.dim == raw_dim * (lag + 1)")
-    es = eigensystem(base)
     d = base.dim
     counts = np.zeros(d)
     hsum = np.zeros(d)
@@ -146,27 +130,22 @@ def _argmax_mc(base, spec, draws, rng, divergence, raw_dim, lag, by_type: bool):
             post = apply_change_lagged(base, sc, raw_dim, lag)
         else:
             post = apply_change(base, sc)
-        h = projection_sensitivities(es, post, divergence=divergence)
+        h = projection_sensitivities(es, post)
         j = int(np.argmax(h))
         counts[j] += 1.0
         hsum += h
-        if by_type:
-            type_counts[sc.ctype][j] += 1.0
-            type_hsum[sc.ctype] += h
-            type_draws[sc.ctype] += 1
-    phat = counts / draws
-    hbar = hsum / draws
-    breakdown = None
-    if by_type:
-        breakdown = {
-            c: {
-                "draws": type_draws[c],
-                "argmax_contribution": (type_counts[c] / draws).tolist(),
-                "mean_sensitivity": (type_hsum[c] / type_draws[c]).tolist() if type_draws[c] else None,
-            }
-            for c in CHANGE_TYPES
+        type_counts[sc.ctype][j] += 1.0
+        type_hsum[sc.ctype] += h
+        type_draws[sc.ctype] += 1
+    breakdown = {
+        c: {
+            "draws": type_draws[c],
+            "argmax_contribution": (type_counts[c] / draws).tolist(),
+            "mean_sensitivity": (type_hsum[c] / type_draws[c]).tolist() if type_draws[c] else None,
         }
-    return phat, hbar, breakdown
+        for c in CHANGE_TYPES
+    }
+    return counts / draws, hsum / draws, breakdown
 
 
 def select_axes(argmax_probs, cutoff: float) -> tuple[int, ...]:
@@ -197,7 +176,6 @@ def tailor(
     cutoff: float,
     draws: int = 10_000,
     rng: np.random.Generator | None = None,
-    divergence: Divergence | None = None,
     raw_dim: int | None = None,
     lag: int = 0,
 ) -> ProjectionSelection:
@@ -210,9 +188,9 @@ def tailor(
     base = _as_correlation(base)
     if rng is None:
         rng = np.random.default_rng()
-    phat, hbar, breakdown = _argmax_mc(base, spec, draws, rng, divergence, raw_dim, lag, by_type=True)
-    indices = select_axes(phat, cutoff)
     es = eigensystem(base)
+    phat, hbar, breakdown = _argmax_mc(base, es, spec, draws, rng, raw_dim, lag)
+    indices = select_axes(phat, cutoff)
     idx = np.asarray(indices, dtype=int)
     return ProjectionSelection(
         indices=indices,

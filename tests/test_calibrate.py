@@ -19,6 +19,7 @@ from tailormon import (
     replicate_maximum,
     threshold_from_maxima,
 )
+from tailormon.calibrate import default_threads
 
 
 def fitted_model(dim=6, m=90, n_axes=2, window=30, seed=0):
@@ -187,3 +188,23 @@ class TestCalibrateThreshold:
         # alpha and horizon imply an average run length of about n / alpha
         cfg = CalibrationConfig(alpha=0.01, n=100, confidence=0.95, replicates=500)
         assert cfg.n / cfg.alpha == pytest.approx(1e4)
+
+    def test_zero_threads_rejected(self):
+        model, train, _ = fitted_model()
+        cfg = CalibrationConfig(alpha=0.05, n=20, confidence=0.5, replicates=300, seed=15)
+        with pytest.raises(ConfigError, match="threads"):
+            calibrate_threshold(model, train, cfg, threads=0)
+
+
+class TestDefaultThreads:
+    def test_environment_read(self, monkeypatch):
+        monkeypatch.delenv("TAILORMON_THREADS", raising=False)
+        assert default_threads() == 1
+        monkeypatch.setenv("TAILORMON_THREADS", "3")
+        assert default_threads() == 3
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-2"])
+    def test_bad_value_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("TAILORMON_THREADS", value)
+        with pytest.raises(ConfigError, match="TAILORMON_THREADS"):
+            default_threads()

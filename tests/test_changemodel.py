@@ -226,9 +226,3 @@ class TestProjectionSensitivities:
         assert h[1] ** 2 == pytest.approx(1.0 - math.exp(-0.5 / 4.0), abs=1e-12)
         assert h[1] > h[0]
 
-    def test_custom_divergence_seam(self):
-        base = corr2(0.3)
-        es = eigensystem(base)
-        post = PostChangeParams(mean=np.array([0.5, 0.0]), cov=base.values)
-        flat = projection_sensitivities(es, post, divergence=lambda p, q: 1.0)
-        assert np.array_equal(flat, np.ones(2))

@@ -136,6 +136,21 @@ class TestCalibrateCommand:
         assert doc["block_len"] == 25
         assert doc["mode"] == "block_bootstrap"
 
+    def test_bad_thread_count_exit_2(self, workdir, tmp_path):
+        root, _ = workdir
+        args = [
+            "calibrate", root / "training.csv", root / "selection.json",
+            "--alpha", 0.05, "--n", 40, "--confidence", 0.9,
+            "--replicates", 400, "--out", tmp_path / "c.json",
+        ]
+        res = invoke(*args, "--threads", "0")
+        assert res.exit_code == 2, res.output
+        assert json.loads(res.stderr.strip().splitlines()[-1])["error"] == "ConfigError"
+        res = CliRunner().invoke(main, [str(a) for a in args], env={"TAILORMON_THREADS": "many"})
+        assert res.exit_code == 2, res.output
+        assert "TAILORMON_THREADS" in res.stderr
+        assert not (tmp_path / "c.json").exists()
+
     def test_dimension_mismatch_exit_2(self, workdir, tmp_path):
         root, _ = workdir
         bad = tmp_path / "bad.csv"
@@ -214,6 +229,16 @@ class TestMonitorCommand:
         res = invoke("monitor", bad, root / "selection.json", root / "calibration.json", "--out", tmp_path / "o.jsonl")
         assert res.exit_code == 2
 
+    def test_infinite_value_exit_2(self, workdir, tmp_path):
+        root, _ = workdir
+        bad = tmp_path / "inf.csv"
+        bad.write_text("0.1,0.2\n0.3,inf\n0.5,0.6\n")
+        res = invoke("monitor", bad, root / "selection.json", root / "calibration.json", "--out", tmp_path / "o.jsonl")
+        assert res.exit_code == 2
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert "non-finite" in err["message"]
+
     def test_continue_flag_keeps_monitoring_past_alarm(self, workdir, tmp_path):
         root, _ = workdir
         stream = self.make_stream(workdir, tmp_path, shift=5.0, steps=30)
@@ -281,6 +306,26 @@ class TestSimulateCommand:
         header = outs[0].decode().splitlines()[0]
         assert header.startswith("detector,parameter,change_type")
         assert len(outs[0].decode().splitlines()) == 3
+
+    def test_zero_threads_exit_2(self, tmp_path):
+        grid = {
+            "schema": "tailormon/grid@1",
+            "dim": 3,
+            "m": 40,
+            "n": 20,
+            "window": 10,
+            "alpha": 0.05,
+            "confidence": 0.5,
+            "replicates_boot": 100,
+            "trial_replicates": 10,
+            "detectors": [{"kind": "minpca", "n_axes": 1}],
+            "cells": [{"ctype": "h0"}],
+        }
+        gpath = tmp_path / "grid.json"
+        gpath.write_text(json.dumps(grid))
+        res = invoke("simulate", gpath, "--threads", "0", "--out", tmp_path / "r.csv")
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "r.csv").exists()
 
     def test_invalid_grid_exit_2(self, tmp_path):
         gpath = tmp_path / "grid.json"

@@ -5,10 +5,8 @@ from tailormon import (
     ConstantColumn,
     CorrelationMatrix,
     DegenerateCorrelation,
-    DegenerateSpectrum,
     DimensionMismatch,
     eigensystem,
-    eigvec_asymptotic_cov,
     estimate_training,
     nearest_pd_correlation,
     random_correlation,
@@ -187,25 +185,3 @@ class TestNearestPdCorrelation:
     def test_rejects_asymmetric(self):
         with pytest.raises(DimensionMismatch):
             nearest_pd_correlation(np.array([[1.0, 0.5], [0.1, 1.0]]))
-
-
-class TestEigvecAsymptoticCov:
-    def test_two_dim_closed_form(self):
-        es = eigensystem(corr2(0.5))
-        gamma = eigvec_asymptotic_cov(es, 0, 100)
-        # (1.5 / 100) * (0.5 / 1.0**2) = 0.0075 times v1 v1'
-        expected = 0.0075 * np.outer(es.vectors[:, 0], es.vectors[:, 0])
-        assert np.allclose(gamma, expected, atol=1e-15)
-        assert np.allclose(gamma, gamma.T)
-
-    def test_vanishes_with_sample_size(self):
-        es = eigensystem(corr2(0.3))
-        g1 = eigvec_asymptotic_cov(es, 1, 100)
-        g2 = eigvec_asymptotic_cov(es, 1, 100_000_000)
-        assert np.abs(g2).max() == pytest.approx(np.abs(g1).max() * 1e-6, rel=1e-12)
-        assert np.abs(g2).max() < 1e-7
-
-    def test_repeated_eigenvalues_rejected(self):
-        es = eigensystem(CorrelationMatrix(np.eye(3)))
-        with pytest.raises(DegenerateSpectrum):
-            eigvec_asymptotic_cov(es, 0, 50)

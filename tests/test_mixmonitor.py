@@ -23,7 +23,6 @@ from tailormon import (
     mixture_statistic,
     project_observation,
     random_correlation,
-    run_monitor,
     stream_llr,
 )
 
@@ -406,8 +405,26 @@ class TestLaggedMonitor:
         assert all(r.argmax_k >= lag for r in results if r.argmax_k is not None)
 
 
-def test_run_monitor_function_form():
-    model, _, chol, rng = make_model(threshold=1e308)
-    stream = rng.standard_normal((20, model.raw_dim)) @ chol.T
-    run = run_monitor(model, stream)
-    assert run.censored
+@pytest.mark.parametrize("lag", [0, 2])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_row_rejected_before_state_changes(lag, bad):
+    # a rejected row must leave the lag history, the ring buffer and the
+    # running sums as they were, so the monitor carries on exactly like
+    # one that never saw it
+    rng = np.random.default_rng(31)
+    ext = lag_extend_matrix(rng.standard_normal((150, 3)), lag)
+    summary = estimate_training(ext)
+    sel = min_variance_selection(eigensystem(summary.corr), 2)
+    model = build_monitor_model(summary, sel, ext, window=20, lag=lag)
+    clean, probed = Monitor(model), Monitor(model)
+    rows = rng.standard_normal((40, 3))
+    rows[25:] += 3.0
+    for i, x in enumerate(rows):
+        if i in (0, 6, 30):
+            poisoned = x.copy()
+            poisoned[1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                probed.step(poisoned)
+        assert probed.step(x) == clean.step(x)
+    assert probed.t == clean.t == 40
+    assert probed.total_warnings == clean.total_warnings

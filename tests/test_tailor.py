@@ -5,7 +5,6 @@ from tailormon import (
     ChangeDistributionSpec,
     CorrelationMatrix,
     DegenerateCorrelation,
-    estimate_argmax_probabilities,
     identity_selection,
     max_variance_selection,
     min_variance_selection,
@@ -61,7 +60,8 @@ class TestSelectAxes:
 class TestEstimateArgmaxProbabilities:
     def test_probabilities_partition(self):
         base = random_correlation(7, 0.5, np.random.default_rng(2))
-        phat, hbar = estimate_argmax_probabilities(base, ChangeDistributionSpec(), 500, np.random.default_rng(3))
+        sel = tailor(base, ChangeDistributionSpec(), 0.9, 500, np.random.default_rng(3))
+        phat, hbar = sel.argmax_probs, sel.mean_sensitivity
         assert phat.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(phat >= 0.0)
         assert np.all((hbar >= 0.0) & (hbar <= 1.0))
@@ -69,8 +69,8 @@ class TestEstimateArgmaxProbabilities:
     def test_bivariate_mean_changes_concentrate_on_least_varying(self):
         # at D=2 sparsity is forced to 1, so a single mean changes and the
         # least varying projection is always the argmax
-        phat, _ = estimate_argmax_probabilities(corr2(0.5), MEAN_ONLY, 10_000, np.random.default_rng(4))
-        assert phat[1] == 1.0
+        sel = tailor(corr2(0.5), MEAN_ONLY, 0.9, 10_000, np.random.default_rng(4))
+        assert sel.argmax_probs[1] == 1.0
 
 
 class TestTailor:
