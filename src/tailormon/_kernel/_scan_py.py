@@ -1,27 +1,38 @@
-"""Pure-numpy fallback for the windowed mixture-GLR scan.
+"""Pure-numpy windowed mixture-GLR scans.
 
-Same contract as the compiled kernel in ``_scan_cy.pyx``; see
-``tailormon._kernel`` for how one of the two is selected at import.
+``scan_step`` scans one monitoring step and has the same contract as the
+compiled kernel in ``_scan_cy.pyx``; see ``tailormon._kernel`` for how
+one of the two is selected at import. ``scan_trace`` scans every step of
+a trace known in full, with ``scan_step``'s floating-point operations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# (t, n2, J) cells per block of ``scan_trace``. A block holds about a
+# dozen float64 temporaries of this size, so the budget bounds the scan's
+# extra memory; fewer, larger blocks save numpy calls.
+TRACE_BLOCK_CELLS = 4096
+
 
 def mixture_terms(x: np.ndarray, p0: float) -> np.ndarray:
     """log(1 - p0 + p0 * exp(x)) evaluated without overflow.
 
     For x > 0 the identity x + log(p0 + (1 - p0) * exp(-x)) is used, so
-    p0 = 1 reduces to x exactly.
+    p0 = 1 reduces to x exactly. Each form is evaluated only where it
+    applies; statistics are mostly positive, so the x <= 0 form is rare.
     """
     x = np.asarray(x, dtype=float)
     pos = x > 0.0
-    out = np.empty_like(x)
-    xp = np.where(pos, x, 0.0)
-    out[pos] = (x + np.log(p0 + (1.0 - p0) * np.exp(-xp)))[pos]
-    xn = np.where(pos, 0.0, x)
-    out[~pos] = np.log1p(p0 * np.expm1(xn))[~pos]
+    if p0 == 1.0:
+        out = x.copy(order="K")
+    else:
+        out = np.empty_like(x)
+        xp = x[pos]
+        out[pos] = xp + np.log(p0 + (1.0 - p0) * np.exp(-xp))
+    neg = ~pos
+    out[neg] = np.log1p(p0 * np.expm1(x[neg]))
     return out
 
 
@@ -98,3 +109,144 @@ def scan_step(
     lam = mixture_terms(x, p0).sum(axis=1)
     idx = int(np.argmax(lam))  # first max, so the smallest k wins ties
     return float(lam[idx]), kmin + idx, clamped
+
+
+def _block_end(t0: int, T: int, J: int, window: int) -> int:
+    """End (exclusive) of the block of steps starting at t0.
+
+    The block grows while its (steps, longest segment - 1, J) rectangle
+    stays within TRACE_BLOCK_CELLS; it holds at least one step.
+    """
+    cap = window + 1
+    t1 = t0 + 1
+    while t1 <= T and (t1 + 1 - t0) * (min(t1, cap) - 1) * J <= TRACE_BLOCK_CELLS:
+        t1 += 1
+    return t1
+
+
+def scan_trace(
+    z: np.ndarray,
+    train_sum: np.ndarray,
+    train_sumsq: np.ndarray,
+    m: int,
+    window: int,
+    p0: float,
+    h: np.ndarray,
+    var_floor: float,
+    threshold: float | None = None,
+):
+    """Scan every step of a known trace, bit for bit as ``scan_step`` would.
+
+    Steps are processed in blocks of about TRACE_BLOCK_CELLS (t, n2, J)
+    cells, where n2 = t - k is the post-change segment length. Each block
+    evaluates only the admissible cells (2 <= n2 <= min(t, window + 1))
+    and repeats ``scan_step``'s operations in the same order: the running
+    totals use ``StreamStats.append``'s Kahan steps, the segment sums are
+    cumulative sums over the reversed window, the two-point segment uses
+    its exact variance, and the mixture sum runs over a contiguous J axis.
+
+    Parameters
+    ----------
+    z : (T, J) array
+        Projections at monitoring times 1..T.
+    train_sum, train_sumsq, m, p0, var_floor
+        As for ``scan_step``.
+    window : int
+        Window length w; segments are at most w + 1 long.
+    h : array
+        h[a] = ``mixmonitor._h(a)`` for 2 <= a <= m + T.
+    threshold : float, optional
+        Stop after the first block in which a statistic reaches it.
+
+    Returns
+    -------
+    (stat, argmax_k) : ((T',) float array, (T',) int array)
+        For t = 1..T', the statistic and smallest maximizing k that
+        ``scan_step`` returns at time t; t = 1 has no candidate and
+        reports -inf and -1. T' = T unless the scan stopped early.
+    """
+    z = np.ascontiguousarray(z, dtype=float)
+    T, J = z.shape
+    stat = np.full(T, -np.inf)
+    argmax_k = np.full(T, -1, dtype=np.int64)
+    cap = window + 1
+    total = np.zeros((2, J))
+    comp = np.zeros((2, J))
+    train = np.stack([train_sum, train_sumsq])
+
+    done = 0  # steps summed into the running totals
+    t0 = 2  # no candidate at t = 1
+    while t0 <= T:
+        t1 = _block_end(t0, T, J, window)
+        B = t1 - t0
+        run = np.empty((B, 2, J))
+        fresh = z[done:t1 - 1]
+        for t, v in enumerate(np.stack([fresh, fresh * fresh], axis=1), start=done + 1):
+            y = v - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+            if t >= t0:
+                run[t - t0] = s
+        done = t1 - 1
+        ts = np.arange(t0, t1)
+        tot = train + run
+        tot_sum, tot_ssq = tot[:, 0], tot[:, 1]
+        nT = (m + ts).astype(float)[:, None]
+        var_t = np.maximum((tot_ssq - tot_sum * tot_sum / nT) / nT, var_floor)
+        log_t = nT * np.log(var_t)
+
+        L = min(t1 - 1, cap)  # longest admissible segment in the block
+        # rev[b, i] = z at time ts[b] - i; times before 1 fall in
+        # inadmissible cells only, and repeat time 1
+        rev = z[np.maximum(ts[:, None] - 1 - np.arange(L), 0)]
+        n2_row = np.arange(2, L + 1)
+        adm = n2_row[None, :] <= np.minimum(ts, cap)[:, None]  # (B, L - 1)
+        bi, ri = np.nonzero(adm)
+        sum2 = np.cumsum(rev, axis=1)[:, 1:][adm]
+        ssq2 = np.cumsum(rev * rev, axis=1)[:, 1:][adm]
+        n2i = n2_row[ri]
+        n2 = n2i.astype(float)[:, None]
+        n1 = nT[bi] - n2
+        # scan_step's formulas, computed in place to keep the block's
+        # memory small; every operation and its order are the same
+        sum1 = tot_sum[bi]
+        sum1 -= sum2
+        var_1 = tot_ssq[bi]
+        var_1 -= ssq2  # ssq1
+        sum1 *= sum1
+        sum1 /= n1
+        var_1 -= sum1
+        var_1 /= n1  # (ssq1 - sum1 * sum1 / n1) / n1
+        np.maximum(var_1, var_floor, out=var_1)
+        var_2 = ssq2
+        np.multiply(sum2, sum2, out=sum1)
+        sum1 /= n2
+        var_2 -= sum1
+        var_2 /= n2  # (ssq2 - sum2 * sum2 / n2) / n2
+        # the two-point segment is cancellation-prone in prefix form; its
+        # exact variance is ((a - b) / 2)^2
+        var_2[ri == 0] = 0.25 * np.square(rev[:, 0] - rev[:, 1])
+        np.maximum(var_2, var_floor, out=var_2)
+        np.log(var_1, out=var_1)
+        var_1 *= n1
+        np.log(var_2, out=var_2)
+        var_2 *= n2
+        llr = log_t[bi]
+        llr -= var_1
+        llr -= var_2
+        llr *= 0.5  # 0.5 * (nT * log(var_t) - n1 * log(var_1) - n2 * log(var_2))
+        tc = ts[bi]
+        cvals = 0.5 * (h[m + tc - n2i] + h[n2i] - h[m + tc])
+        llr /= cvals[:, None]
+        lam = np.full(adm.shape, -np.inf)
+        lam[adm] = mixture_terms(llr, p0).sum(axis=1)
+        # the largest n2 is the smallest k, which wins ties
+        best = L - 2 - np.argmax(lam[:, ::-1], axis=1)
+        block_stat = lam[np.arange(B), best]
+        stat[t0 - 1:t1 - 1] = block_stat
+        argmax_k[t0 - 1:t1 - 1] = ts - 2 - best
+        if threshold is not None and np.any(block_stat >= threshold):
+            return stat[:t1 - 1], argmax_k[:t1 - 1]
+        t0 = t1
+    return stat, argmax_k

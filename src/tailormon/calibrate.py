@@ -8,7 +8,10 @@ eigensystem (capturing estimation uncertainty), reuses the original axis
 indices, and records the maximum statistic of a synthetic monitoring run;
 a single pass over replicates therefore serves every candidate threshold,
 and the threshold is read off as a confidence-adjusted upper quantile of
-the recorded maxima.
+the recorded maxima. The synthetic monitoring rows are drawn up front,
+so each replicate scans them as one trace (``mixmonitor.trace_stats``)
+rather than step by step; the statistics are the same bit for bit as
+``Monitor.step`` with the numpy kernel.
 
 Thresholds are conditional on the exact training set, window and axis
 set; recalibrate whenever any of those change.
@@ -26,7 +29,7 @@ from scipy.stats import beta as beta_dist
 
 from .corrcore import estimate_training, eigensystem
 from .errors import ConfigError, DimensionMismatch, InsufficientReplicates
-from .mixmonitor import Monitor, MonitorModel, build_monitor_model, lag_extend_matrix
+from .mixmonitor import MonitorModel, build_monitor_model, lag_extend_matrix, trace_stats
 from .tailor import identity_selection, manual_selection
 
 PARAMETRIC = "parametric_normal"
@@ -110,9 +113,9 @@ def replicate_maximum(model: MonitorModel, train_synth, monitor_synth) -> float:
     """Maximum statistic of one null replicate.
 
     Re-estimates the training summary and eigensystem from the synthetic
-    training rows, keeps the original axis indices, and runs the monitor
-    over the synthetic rows, returning the largest statistic over all
-    steps and candidates.
+    training rows, keeps the original axis indices, and scans the
+    synthetic monitoring rows as one trace, returning the largest
+    statistic over all steps and candidates.
     """
     lag = model.lag
     ext = lag_extend_matrix(np.asarray(train_synth, dtype=float), lag)
@@ -130,13 +133,8 @@ def replicate_maximum(model: MonitorModel, train_synth, monitor_synth) -> float:
         lag=lag,
         threshold=math.inf,
     )
-    monitor = Monitor(replica)
-    best = -math.inf
-    for row in np.asarray(monitor_synth, dtype=float):
-        res = monitor.step(row)
-        if res.stat > best:
-            best = res.stat
-    return best
+    stat, _ = trace_stats(replica, monitor_synth)
+    return float(stat.max(initial=-math.inf))
 
 
 def threshold_from_maxima(maxima, alpha: float, confidence: float) -> tuple[float, int]:
@@ -169,19 +167,32 @@ def threshold_from_maxima(maxima, alpha: float, confidence: float) -> tuple[floa
     return float(b), int(np.sum(maxima >= b))
 
 
-def _parametric_replicate(args):
-    model, mean, chol, m_raw, n_raw, seed_seq = args
+def _parametric_replicate(model, mean, chol, m_raw, n_raw, seed_seq):
     rng = np.random.default_rng(seed_seq)
     draws = mean + rng.standard_normal((m_raw + n_raw, mean.shape[0])) @ chol.T
     return replicate_maximum(model, draws[:m_raw], draws[m_raw:])
 
 
-def _block_replicate(args):
-    model, training_raw, block_len, m_raw, n_raw, seed_seq = args
+def _block_replicate(model, training_raw, block_len, m_raw, n_raw, seed_seq):
     rng = np.random.default_rng(seed_seq)
     train = block_bootstrap_sample(training_raw, block_len, m_raw, rng)
     mon = block_bootstrap_sample(training_raw, block_len, n_raw, rng)
     return replicate_maximum(model, train, mon)
+
+
+# (replicate function, its arguments before the seed) in a pool worker
+_worker_job = None
+
+
+def _init_worker(replicate, shared):
+    """Pool initializer: receive the model and sampling inputs once per worker."""
+    global _worker_job
+    _worker_job = (replicate, shared)
+
+
+def _worker_replicate(seed_seq):
+    replicate, shared = _worker_job
+    return replicate(*shared, seed_seq)
 
 
 def default_threads() -> int:
@@ -193,6 +204,15 @@ def default_threads() -> int:
         raise ConfigError(f"TAILORMON_THREADS must be an integer, got {value!r}") from None
     if threads < 1:
         raise ConfigError(f"TAILORMON_THREADS must be at least 1, got {threads}")
+    return threads
+
+
+def resolve_threads(threads: int | None) -> int:
+    """``threads``, or ``default_threads()`` when it is None; a count below 1 is a ConfigError."""
+    if threads is None:
+        threads = default_threads()
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     return threads
 
 
@@ -225,10 +245,7 @@ def calibrate_threshold(
         raise DimensionMismatch("training data does not match the model's raw dimension")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    if threads is None:
-        threads = default_threads()
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
+    threads = resolve_threads(threads)
     m_raw = x.shape[0]
     n_raw = cfg.n + model.lag
     seeds = rng.bit_generator.seed_seq.spawn(cfg.replicates)
@@ -239,24 +256,25 @@ def calibrate_threshold(
             block_len = max(25, 2 * model.lag + 2)
         if block_len > m_raw:
             raise ConfigError(f"block_len {block_len} exceeds the training length {m_raw}")
-        jobs = [(model, x, block_len, m_raw, n_raw, s) for s in seeds]
-        worker = _block_replicate
+        replicate = _block_replicate
+        shared = (model, x, block_len, m_raw, n_raw)
     else:
         summary = estimate_training(x)
         chol = np.linalg.cholesky(summary.covariance())
-        jobs = [(model, summary.mean, chol, m_raw, n_raw, s) for s in seeds]
-        worker = _parametric_replicate
+        replicate = _parametric_replicate
+        shared = (model, summary.mean, chol, m_raw, n_raw)
         block_len = None
 
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # jobs carry only their seed; the shared inputs reach each worker once
+        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker, initargs=(replicate, shared)) as pool:
             maxima = np.fromiter(
-                pool.map(worker, jobs, chunksize=max(1, cfg.replicates // (8 * threads))),
+                pool.map(_worker_replicate, seeds, chunksize=max(1, cfg.replicates // (8 * threads))),
                 dtype=float,
                 count=cfg.replicates,
             )
     else:
-        maxima = np.fromiter((worker(j) for j in jobs), dtype=float, count=cfg.replicates)
+        maxima = np.fromiter((replicate(*shared, s) for s in seeds), dtype=float, count=cfg.replicates)
 
     b, exceed = threshold_from_maxima(maxima, cfg.alpha, cfg.confidence)
     return CalibrationResult(

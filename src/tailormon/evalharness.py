@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrate import CalibrationConfig, calibrate_threshold, clopper_pearson
+from .calibrate import CalibrationConfig, calibrate_threshold, clopper_pearson, resolve_threads
 from .changemodel import (
     CHANGE_TYPES,
     MEAN,
@@ -29,7 +29,7 @@ from .changemodel import (
 )
 from .corrcore import CorrelationMatrix, eigensystem, estimate_training, random_correlation
 from .errors import ConfigError, TooFewDetections
-from .mixmonitor import Monitor, MonitorModel, build_monitor_model
+from .mixmonitor import MonitorModel, build_monitor_model, trace_stats
 from .tailor import (
     identity_selection,
     max_variance_selection,
@@ -195,18 +195,28 @@ def run_prepared_trial(
     horizon: int,
     rng: np.random.Generator,
 ) -> TrialOutcome:
-    """Monitor one synthetic stream with an already fitted and thresholded model."""
+    """Monitor one synthetic stream with an already fitted and thresholded model.
+
+    The stream is drawn in full up front, so it is scanned as one trace;
+    the alarm time is the first step whose statistic reaches the
+    threshold, as ``Monitor.run`` would report it.
+    """
     chol0 = np.linalg.cholesky(base.values)
     zeros = np.zeros(base.dim)
     if scenario is None:
         stream = gaussian_rows(rng, horizon, zeros, chol0)
     else:
         post = apply_change(base, scenario)
-        pre = gaussian_rows(rng, kappa, zeros, chol0)
-        after = gaussian_rows(rng, horizon - kappa, post.mean, np.linalg.cholesky(post.cov))
-        stream = np.vstack([pre, after])
-    run = Monitor(model).run(stream, collect_trace=False)
-    return TrialOutcome(alarm_time=run.alarm_time, kappa=kappa, horizon=horizon)
+        stream = np.vstack(
+            [
+                gaussian_rows(rng, kappa, zeros, chol0),
+                gaussian_rows(rng, horizon - kappa, post.mean, np.linalg.cholesky(post.cov)),
+            ]
+        )
+    stat, _ = trace_stats(model, stream, model.threshold)
+    hits = np.flatnonzero(stat >= model.threshold)
+    alarm_time = int(hits[0]) + 1 if hits.size else None
+    return TrialOutcome(alarm_time=alarm_time, kappa=kappa, horizon=horizon)
 
 
 def run_trial(spec: TrialSpec, threshold: float) -> TrialOutcome:
@@ -463,6 +473,7 @@ def simulate_grid(cfg: dict, *, threads: int | None = None, progress=None) -> tu
     clean run); on a cell failure the remaining cells still run. Shares
     one training set, selection and calibrated threshold per detector.
     """
+    threads = resolve_threads(threads)
     seed = int(cfg.get("seed", 0))
     dim = int(cfg["dim"])
     m = int(cfg["m"])

@@ -81,6 +81,11 @@ class _BartlettTable:
         grown[n:] = _h(np.arange(n, new_n))
         self._values = grown
 
+    def upto(self, amax: int) -> np.ndarray:
+        """The table, valid for segment lengths 2..amax."""
+        self._ensure(amax)
+        return self._values
+
     def cvals(self, m: int, t: int, kmin: int) -> np.ndarray:
         """C(k, t) for k = kmin..t-2."""
         self._ensure(m + t)
@@ -420,6 +425,42 @@ def project_observation(model: MonitorModel, x) -> np.ndarray:
     return (x - model.training.mean) @ model.projector
 
 
+def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Step statistics of a stream known in full, as ``Monitor.step`` would report them.
+
+    Lag-extends the raw rows, projects each one as ``project_observation``
+    does and scans the whole trace with ``_kernel.scan_trace``. Returns
+    (stat, argmax_k) in raw time: entry i is raw step i + 1, with -inf
+    and -1 where no candidate exists. With ``threshold`` the scan may stop
+    after the block of steps where a statistic first reaches it, so the
+    arrays can be shorter than the stream. Matches ``Monitor.step`` bit
+    for bit when the numpy step kernel is active.
+    """
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2 or x.shape[1] != model.raw_dim:
+        raise DimensionMismatch(f"expected rows of dimension {model.raw_dim}, got shape {x.shape}")
+    if not np.isfinite(x.sum(axis=1)).all():
+        raise ValueError("observation contains a non-finite value")
+    lag = model.lag
+    n_raw = x.shape[0]
+    stat = np.full(n_raw, -math.inf)
+    argmax_k = np.full(n_raw, -1, dtype=np.int64)
+    if n_raw <= lag:
+        return stat, argmax_k
+    ext = x if lag == 0 else lag_extend_matrix(x, lag)
+    # one vector-matrix product per row, the product project_observation
+    # makes; a single matrix product sums in another order
+    z = np.matmul((ext - model.training.mean)[:, None, :], model.projector)[:, 0]
+    h = _BartlettTable().upto(model.m + z.shape[0])
+    s, k = _kernel.scan_trace(
+        z, model.train_sum, model.train_sumsq, model.m, model.window, model.p0, h, VAR_FLOOR, threshold
+    )
+    end = lag + s.shape[0]
+    stat[lag:end] = s
+    argmax_k[lag:end] = np.where(k >= 0, k + lag, -1)
+    return stat[:end], argmax_k[:end]
+
+
 class Monitor:
     """Single-writer streaming monitor over a frozen model."""
 
@@ -463,7 +504,8 @@ class Monitor:
         self._t_raw += 1
         lag = self.model.lag
         if lag > 0:
-            self._raw_history.append(x)
+            # a copy: callers may refill one buffer for every row
+            self._raw_history.append(x.copy())
             if len(self._raw_history) < lag + 1:
                 return StepResult(t=self._t_raw, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
             xe = np.concatenate(self._raw_history)

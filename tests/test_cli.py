@@ -327,6 +327,33 @@ class TestSimulateCommand:
         assert res.exit_code == 2, res.output
         assert not (tmp_path / "r.csv").exists()
 
+    def test_bad_thread_count_exit_2_without_calibration(self, tmp_path):
+        # every detector carries a fixed threshold, so no calibration runs
+        grid = {
+            "schema": "tailormon/grid@1",
+            "dim": 3,
+            "m": 40,
+            "n": 20,
+            "window": 10,
+            "alpha": 0.05,
+            "confidence": 0.5,
+            "trial_replicates": 10,
+            "detectors": [{"kind": "minpca", "n_axes": 1, "threshold": 50.0}],
+            "cells": [{"ctype": "h0"}],
+        }
+        gpath = tmp_path / "grid.json"
+        gpath.write_text(json.dumps(grid))
+        out = tmp_path / "r.csv"
+        res = invoke("simulate", gpath, "--threads", "0", "--out", out)
+        assert res.exit_code == 2, res.output
+        res = CliRunner().invoke(
+            main, ["simulate", str(gpath), "--out", str(out)], env={"TAILORMON_THREADS": "bogus"}
+        )
+        assert res.exit_code == 2, res.output
+        assert "TAILORMON_THREADS" in res.stderr
+        assert not out.exists()
+        assert invoke("simulate", gpath, "--out", out).exit_code == 0
+
     def test_invalid_grid_exit_2(self, tmp_path):
         gpath = tmp_path / "grid.json"
         gpath.write_text(json.dumps({"schema": "wrong"}))

@@ -428,3 +428,20 @@ def test_non_finite_row_rejected_before_state_changes(lag, bad):
         assert probed.step(x) == clean.step(x)
     assert probed.t == clean.t == 40
     assert probed.total_warnings == clean.total_warnings
+
+
+def test_lagged_monitor_copies_reused_row_buffer():
+    # a reader that refills one buffer per row must see the same statistics
+    # as one that hands over fresh rows
+    rng = np.random.default_rng(32)
+    ext = lag_extend_matrix(rng.standard_normal((150, 3)), 1)
+    summary = estimate_training(ext)
+    sel = min_variance_selection(eigensystem(summary.corr), 2)
+    model = build_monitor_model(summary, sel, ext, window=20, lag=1)
+    fresh, reused = Monitor(model), Monitor(model)
+    buf = np.empty(3)
+    rows = rng.standard_normal((40, 3))
+    rows[25:] += 2.0
+    for x in rows:
+        buf[:] = x
+        assert reused.step(buf) == fresh.step(x.copy())
