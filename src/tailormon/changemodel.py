@@ -6,16 +6,24 @@ change sizes. Applying a scenario to a pre-change correlation matrix
 yields explicit post-change parameters ``(mu1, Sigma1)``; the sensitivity
 of a principal-axis projection is the Hellinger distance between its
 marginal distribution before and after that change.
+
+Scenarios are sampled one at a time (``change_sampler``), in a fixed
+generator order. Applying and scoring work on stacks of changes of one
+type (``post_change_stack``, ``sensitivity_stack``), so the tailoring
+Monte Carlo handles a block of draws per numpy call; ``apply_change``,
+``apply_change_lagged`` and ``projection_sensitivities`` are their
+one-scenario cases and give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .corrcore import CorrelationMatrix, EigenSystem, nearest_pd_correlation
+from .corrcore import CorrelationMatrix, EigenSystem, nearest_pd_stack
 from .errors import DimensionMismatch, NoConvergence, ZeroEigenvalue
 
 MEAN = "mean"
@@ -150,6 +158,10 @@ class ChangeScenario:
         for ctype, has in populated.items():
             if (ctype == self.ctype) != has:
                 raise ValueError("exactly the size field of the sampled change type must be set")
+        if self.corr_factors is not None:
+            members = set(self.affected)
+            if any(not (p < q and p in members and q in members) for p, q in self.corr_factors):
+                raise ValueError("correlation factors must be keyed by affected pairs (p, q) with p < q")
 
     @property
     def sparsity(self) -> int:
@@ -196,6 +208,103 @@ def _draw_sdev_factors(spec: ChangeDistributionSpec, k: int, rng: np.random.Gene
     return rng.uniform(lo, hi)
 
 
+@lru_cache(maxsize=None)
+def _pair_index(k: int) -> tuple[np.ndarray, np.ndarray]:
+    # positions of the pairs of a sorted k-set in itertools.combinations
+    # order; read-only, since every caller shares the cached arrays
+    iu, ju = np.triu_indices(k, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def _draw_corr_factors(
+    spec: ChangeDistributionSpec, base_vals: np.ndarray, aff: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    iu, ju = _pair_index(aff.size)
+    rho = base_vals[aff[iu], aff[ju]]
+    lo, hi = spec.corr_factor_range
+    if spec.equal_across_dims:
+        for _ in range(_MAX_REDRAWS):
+            a = float(rng.uniform(lo, hi))
+            if (np.abs(a * rho) < 1.0).all():
+                return np.full(rho.size, a)
+        raise NoConvergence("could not draw an admissible shared correlation factor in 100 tries")
+    if not rho.size:
+        return rho
+    # One call draws the same values as one scalar call per pair. When a
+    # pair needs a redraw, the generator is rewound and the pairs are
+    # drawn one at a time, so the redraws consume the stream in order.
+    state = rng.bit_generator.state
+    factors = rng.uniform(lo, hi, size=rho.size)
+    if (np.abs(factors * rho) < 1.0).all():
+        return factors
+    rng.bit_generator.state = state
+    for i, r in enumerate(rho):
+        for _ in range(_MAX_REDRAWS):
+            a = float(rng.uniform(lo, hi))
+            if abs(a * r) < 1.0:
+                factors[i] = a
+                break
+        else:
+            p, q = aff[iu[i]], aff[ju[i]]
+            raise NoConvergence(f"could not draw an admissible correlation factor for pair ({p}, {q}) in 100 tries")
+    return factors
+
+
+def change_sampler(spec: ChangeDistributionSpec, base_vals: np.ndarray):
+    """Per-draw sampler of ``spec`` against a correlation matrix's values.
+
+    The returned ``draw(rng)`` gives one scenario as ``(type index,
+    affected, sizes)``: the draws of ``sample_change`` without building a
+    ``ChangeScenario``. ``type index`` points into ``CHANGE_TYPES``,
+    ``affected`` is sorted, and ``sizes`` holds mean shifts or sdev
+    factors per affected index, or correlation factors per affected pair
+    in ``itertools.combinations(affected, 2)`` order.
+    """
+    d = base_vals.shape[0]
+    kmax = spec.sparsity_max if spec.sparsity_max is not None else d // 2
+    kmax = max(1, min(kmax, d))
+    # the search Generator.choice(3, p=type_probs) makes, on its own
+    # normalized cumulative probabilities
+    cdf = np.cumsum(np.asarray(spec.type_probs, dtype=float))
+    cdf /= cdf[-1]
+    mean_lo, mean_hi = spec.mean_range
+
+    def draw(rng: np.random.Generator) -> tuple[int, np.ndarray, np.ndarray]:
+        t = int(np.searchsorted(cdf, rng.random(), side="right"))
+        k = int(rng.integers(1, kmax + 1))
+        aff = np.sort(rng.choice(d, size=k, replace=False))
+        if t == 0:
+            if spec.equal_across_dims:
+                return t, aff, np.full(k, rng.uniform(mean_lo, mean_hi))
+            return t, aff, rng.uniform(mean_lo, mean_hi, size=k)
+        if t == 1:
+            return t, aff, _draw_sdev_factors(spec, k, rng)
+        return t, aff, _draw_corr_factors(spec, base_vals, aff, rng)
+
+    return draw
+
+
+def stack_sizes(ctype: str, draws, raw_dim: int) -> np.ndarray:
+    """The ``post_change_stack`` sizes of sampled changes of one type.
+
+    ``draws`` holds ``(affected, sizes)`` pairs as ``change_sampler``
+    returns them.
+    """
+    if ctype == CORRELATION:
+        out = np.ones((len(draws), raw_dim, raw_dim))
+        for i, (aff, factors) in enumerate(draws):
+            iu, ju = _pair_index(aff.size)
+            p, q = aff[iu], aff[ju]
+            out[i, p, q] = factors
+            out[i, q, p] = factors
+        return out
+    out = np.zeros((len(draws), raw_dim)) if ctype == MEAN else np.ones((len(draws), raw_dim))
+    for i, (aff, sizes) in enumerate(draws):
+        out[i, aff] = sizes
+    return out
+
+
 def sample_change(
     spec: ChangeDistributionSpec, base: CorrelationMatrix, rng: np.random.Generator
 ) -> ChangeScenario:
@@ -207,50 +316,15 @@ def sample_change(
     ``equal_across_dims`` is set. Correlation factors that would push a
     scaled correlation outside (-1, 1) are redrawn, up to 100 times.
     """
-    d = base.dim
-    kmax = spec.sparsity_max if spec.sparsity_max is not None else d // 2
-    kmax = max(1, min(kmax, d))
-    ctype = CHANGE_TYPES[int(rng.choice(3, p=np.asarray(spec.type_probs, dtype=float)))]
-    k = int(rng.integers(1, kmax + 1))
-    affected = tuple(int(i) for i in np.sort(rng.choice(d, size=k, replace=False)))
-
+    t, aff, sizes = change_sampler(spec, base.values)(rng)
+    ctype = CHANGE_TYPES[t]
+    affected = tuple(int(i) for i in aff)
+    sizes = tuple(float(x) for x in sizes)
     if ctype == MEAN:
-        lo, hi = spec.mean_range
-        if spec.equal_across_dims:
-            sizes = np.full(k, rng.uniform(lo, hi))
-        else:
-            sizes = rng.uniform(lo, hi, size=k)
-        return ChangeScenario(ctype=ctype, affected=affected, mean_sizes=tuple(float(x) for x in sizes))
-
+        return ChangeScenario(ctype=ctype, affected=affected, mean_sizes=sizes)
     if ctype == VARIANCE:
-        factors = _draw_sdev_factors(spec, k, rng)
-        return ChangeScenario(ctype=ctype, affected=affected, sdev_factors=tuple(float(x) for x in factors))
-
-    pairs = list(combinations(affected, 2))
-    lo, hi = spec.corr_factor_range
-    base_vals = base.values
-    factors: dict[tuple[int, int], float] = {}
-    if spec.equal_across_dims:
-        for _ in range(_MAX_REDRAWS):
-            a = float(rng.uniform(lo, hi))
-            if all(abs(a * base_vals[p, q]) < 1.0 for p, q in pairs):
-                factors = {pq: a for pq in pairs}
-                break
-        else:
-            raise NoConvergence("could not draw an admissible shared correlation factor in 100 tries")
-    else:
-        for p, q in pairs:
-            rho = base_vals[p, q]
-            for _ in range(_MAX_REDRAWS):
-                a = float(rng.uniform(lo, hi))
-                if abs(a * rho) < 1.0:
-                    factors[(p, q)] = a
-                    break
-            else:
-                raise NoConvergence(
-                    f"could not draw an admissible correlation factor for pair ({p}, {q}) in 100 tries"
-                )
-    return ChangeScenario(ctype=ctype, affected=affected, corr_factors=factors)
+        return ChangeScenario(ctype=ctype, affected=affected, sdev_factors=sizes)
+    return ChangeScenario(ctype=ctype, affected=affected, corr_factors=dict(zip(combinations(affected, 2), sizes)))
 
 
 def apply_change(base: CorrelationMatrix, sc: ChangeScenario, pd_floor: float = PD_FLOOR) -> PostChangeParams:
@@ -263,6 +337,35 @@ def apply_change(base: CorrelationMatrix, sc: ChangeScenario, pd_floor: float = 
     already-valid results untouched.
     """
     return apply_change_lagged(base, sc, base.dim, 0, pd_floor)
+
+
+def post_change_stack(
+    base_ext: np.ndarray, ctype: str, sizes: np.ndarray, raw_dim: int, lag: int, pd_floor: float = PD_FLOOR
+) -> np.ndarray:
+    """Post-change mean vectors or covariance matrices of n changes of one type.
+
+    ``sizes`` describes the changes on the raw streams, one per row: an
+    (n, raw_dim) array of mean shifts (0 where unaffected) for mean
+    changes, of sdev factors (1 where unaffected) for variance changes,
+    and an (n, raw_dim, raw_dim) array of correlation factors (1 off the
+    changed pairs, set at both (p, q) and (q, p)) for correlation changes.
+    Each change is duplicated across the ``lag + 1`` stacked blocks of the
+    extended vector. Mean changes return the (n, D) post-change means
+    (the covariance stays ``base_ext``); the other two return the
+    (n, D, D) post-change covariances, with zero means.
+    """
+    if ctype == MEAN:
+        return np.tile(sizes, (1, lag + 1))
+    if ctype == VARIANCE:
+        scale = np.tile(sizes, (1, lag + 1))
+        return base_ext * (scale[:, :, None] * scale[:, None, :])
+    # factors act inside each diagonal block only, so the cross-lag
+    # blocks keep factor 1
+    factors = np.ones((sizes.shape[0],) + base_ext.shape)
+    for b in range(0, base_ext.shape[0], raw_dim):
+        factors[:, b:b + raw_dim, b:b + raw_dim] = sizes
+    factors *= base_ext
+    return nearest_pd_stack(factors, eps=pd_floor)
 
 
 def apply_change_lagged(
@@ -279,6 +382,7 @@ def apply_change_lagged(
     tiled, and correlation factors act on the matching pair inside each
     diagonal block (variance factors scale the cross-lag covariances of
     affected streams automatically through the congruence transform).
+    This is the one-scenario case of ``post_change_stack``.
     """
     d_ext = base_ext.dim
     if d_ext != raw_dim * (lag + 1):
@@ -286,25 +390,45 @@ def apply_change_lagged(
     aff = np.asarray(sc.affected, dtype=int)
     if aff.max() >= raw_dim:
         raise DimensionMismatch("scenario indices exceed the raw dimension")
-    blocks = range(0, d_ext, raw_dim)  # Python ints keep the index arithmetic cheap
-    mu = np.zeros(d_ext)
+    base = base_ext.values
     if sc.ctype == MEAN:
-        sizes = np.asarray(sc.mean_sizes, dtype=float)
-        for b in blocks:
-            mu[aff + b] = sizes
-        return PostChangeParams(mean=mu, cov=base_ext.values)
+        sizes = np.zeros((1, raw_dim))
+        sizes[0, aff] = sc.mean_sizes
+        return PostChangeParams(mean=post_change_stack(base, MEAN, sizes, raw_dim, lag)[0], cov=base)
     if sc.ctype == VARIANCE:
-        scale = np.ones(d_ext)
-        factors = np.asarray(sc.sdev_factors, dtype=float)
-        for b in blocks:
-            scale[aff + b] = factors
-        return PostChangeParams(mean=mu, cov=base_ext.values * np.outer(scale, scale))
-    r = np.array(base_ext.values)
-    for (p, q), a in sc.corr_factors.items():
-        for b in blocks:
-            r[p + b, q + b] = r[q + b, p + b] = a * r[p + b, q + b]
-    repaired = nearest_pd_correlation(r, eps=pd_floor)
-    return PostChangeParams(mean=mu, cov=repaired.values)
+        sizes = np.ones((1, raw_dim))
+        sizes[0, aff] = sc.sdev_factors
+    else:
+        sizes = np.ones((1, raw_dim, raw_dim))
+        for (p, q), a in sc.corr_factors.items():
+            sizes[0, p, q] = sizes[0, q, p] = a
+    return PostChangeParams(mean=np.zeros(d_ext), cov=post_change_stack(base, sc.ctype, sizes, raw_dim, lag, pd_floor)[0])
+
+
+def projected_means(vec: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Projections v_j' mu of n mean vectors, as an (n, D) array."""
+    # one vector-matrix product per row: the same sums as vec.T @ mu
+    return np.matmul(means[:, None, :], vec)[:, 0, :]
+
+
+def projected_variances(vec: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Projection variances v_j' Sigma v_j of n covariances, as an (n, D) array."""
+    return np.einsum("ij,nij->nj", vec, np.matmul(covs, vec))
+
+
+def sensitivity_stack(es: EigenSystem, proj_means, proj_vars, pd_floor: float = PD_FLOOR) -> np.ndarray:
+    """Hellinger sensitivities of every axis for n changes, as an (n, D) array.
+
+    ``proj_means`` and ``proj_vars`` are the post-change projection means
+    and variances (from ``projected_means`` and ``projected_variances``),
+    or anything that broadcasts against (n, D), such as 0.0 for changes
+    that keep the mean or one (D,) row for changes that keep the
+    covariance.
+    """
+    lam = es.values
+    if lam[-1] <= pd_floor:
+        raise ZeroEigenvalue(f"smallest eigenvalue {lam[-1]:.3e} is at or below the floor {pd_floor:.1e}")
+    return _hellinger_arrays(0.0, np.sqrt(lam), proj_means, np.sqrt(proj_vars))
 
 
 def projection_sensitivities(
@@ -316,14 +440,11 @@ def projection_sensitivities(
 
     Projection j is N(0, lam_j) before the change and
     N(v_j' mu1, v_j' Sigma1 v_j) after it; the sensitivity is the
-    Hellinger distance between the two.
+    Hellinger distance between the two. This is the one-change case of
+    ``sensitivity_stack``.
     """
     if es.dim != post.dim:
         raise DimensionMismatch("eigensystem and post-change parameters disagree in dimension")
-    lam = es.values
-    if lam[-1] <= pd_floor:
-        raise ZeroEigenvalue(f"smallest eigenvalue {lam[-1]:.3e} is at or below the floor {pd_floor:.1e}")
     vec = es.vectors
-    proj_means = vec.T @ post.mean
-    proj_vars = np.einsum("ij,ij->j", vec, post.cov @ vec)
-    return _hellinger_arrays(0.0, np.sqrt(lam), proj_means, np.sqrt(proj_vars))
+    h = sensitivity_stack(es, projected_means(vec, post.mean[None]), projected_variances(vec, post.cov[None]), pd_floor)
+    return h[0]

@@ -1,8 +1,10 @@
 """Correlation and eigensystem core.
 
 Training standardization, eigensystems of correlation matrices, random
-correlation generation through a partial-correlation vine, nearest-PD
-repair, and the asymptotic sampling covariance of eigenvectors.
+correlation generation through a partial-correlation vine, and the
+nearest-PD repair. The repair works on stacks of matrices, so the
+tailoring Monte Carlo repairs a whole block of correlation changes with
+stacked eigendecompositions; a single matrix is the stack of one.
 
 Conventions used throughout the package:
 
@@ -285,37 +287,82 @@ def nearest_pd_correlation(sym, eps: float = 1e-8, max_iter: int = 100) -> Corre
     renormalized to 1, alternating until both hold. Inputs that already
     satisfy every correlation-matrix invariant with smallest eigenvalue
     at least ``eps`` are returned unchanged, which makes the repair
-    idempotent.
+    idempotent. This is the one-matrix case of ``nearest_pd_stack``.
+    """
+    a = _as_square(sym, "input")
+    return CorrelationMatrix(nearest_pd_stack(a[None], eps, max_iter)[0])
+
+
+def _valid_stack(w: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which matrices of a stack are valid correlation matrices, and their
+    smallest eigenvalues (NaN where the cheaper checks already failed).
+
+    Valid means unit diagonal, off-diagonal entries strictly inside
+    (-1, 1) and smallest eigenvalue at least ``eps``.
+    """
+    n, d, _ = w.shape
+    ok = (np.diagonal(w, axis1=1, axis2=2) == 1.0).all(axis=1)
+    if d > 1:
+        off = w[:, ~np.eye(d, dtype=bool)]
+        ok &= ~(np.abs(off).max(axis=1) >= 1.0)
+    lam0 = np.full(n, np.nan)
+    cand = np.flatnonzero(ok)
+    if cand.size:
+        lam0[cand] = np.linalg.eigvalsh(w[cand])[:, 0]
+        ok[cand] = lam0[cand] >= eps
+    return ok, lam0
+
+
+def nearest_pd_stack(stack, eps: float = 1e-8, max_iter: int = 100) -> np.ndarray:
+    """Repair every matrix of an (n, D, D) stack into a valid correlation matrix.
+
+    Each matrix goes through exactly the iterations ``nearest_pd_correlation``
+    would give it alone: matrices that are already valid come back
+    unchanged, and the others are repaired together, with stacked
+    eigendecompositions over the shrinking subset that is still invalid.
+    The result also passes the ``CorrelationMatrix`` invariants.
+
+    Raises
+    ------
+    NoConvergence
+        If some matrix is still invalid after ``max_iter`` iterations.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    a = _as_square(sym, "input")
-    if np.abs(a - a.T).max() > SYMMETRY_TOL:
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"stack must have shape (n, D, D), got {a.shape}")
+    d = a.shape[1]
+    at = a.transpose(0, 2, 1)
+    if np.abs(a - at).max() > SYMMETRY_TOL:
         raise DimensionMismatch("input must be symmetric")
-
-    def _valid(w: np.ndarray) -> bool:
-        if np.any(np.diag(w) != 1.0):
-            return False
-        off = w[~np.eye(w.shape[0], dtype=bool)]
-        if off.size and np.abs(off).max() >= 1.0:
-            return False
-        return np.linalg.eigvalsh(w)[0] >= eps
-
-    if _valid(a):
-        return CorrelationMatrix(a)
-
-    # Clip slightly above eps: diagonal renormalization shrinks the
-    # smallest eigenvalue by an O(eps) relative amount.
-    floor = eps * (1.0 + 1e-6)
-    work = (a + a.T) / 2.0
-    for _ in range(max_iter):
-        lam, vec = np.linalg.eigh(work)
-        lam = np.maximum(lam, floor)
-        work = (vec * lam) @ vec.T
-        scale = np.sqrt(np.diag(work))
-        work = work / np.outer(scale, scale)
-        work = (work + work.T) / 2.0
-        np.fill_diagonal(work, 1.0)
-        if _valid(work):
-            return CorrelationMatrix(work)
-    raise NoConvergence(f"nearest-PD repair did not converge in {max_iter} iterations")
+    out = a.copy()
+    ok, lam0 = _valid_stack(a, eps)
+    todo = np.flatnonzero(~ok)
+    if todo.size:
+        # Clip slightly above eps: diagonal renormalization shrinks the
+        # smallest eigenvalue by an O(eps) relative amount.
+        floor = eps * (1.0 + 1e-6)
+        diag = np.arange(d)
+        work = (a[todo] + at[todo]) / 2.0
+        for _ in range(max_iter):
+            lam, vec = np.linalg.eigh(work)
+            lam = np.maximum(lam, floor)
+            work = np.matmul(vec * lam[:, None, :], vec.transpose(0, 2, 1))
+            scale = np.sqrt(work[:, diag, diag])
+            work = work / (scale[:, :, None] * scale[:, None, :])
+            work = (work + work.transpose(0, 2, 1)) / 2.0
+            work[:, diag, diag] = 1.0
+            done, lam_done = _valid_stack(work, eps)
+            out[todo[done]] = work[done]
+            lam0[todo[done]] = lam_done[done]
+            todo, work = todo[~done], work[~done]
+            if not todo.size:
+                break
+        else:
+            raise NoConvergence(f"nearest-PD repair did not converge in {max_iter} iterations")
+    # the CorrelationMatrix positive-definiteness floor, on the eigenvalues
+    # the validity check already computed
+    if np.any(lam0 <= d * _PD_NOISE):
+        raise DegenerateCorrelation("matrix is not strictly positive definite")
+    return out

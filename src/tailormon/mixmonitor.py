@@ -118,6 +118,8 @@ def lag_extend(history, lag: int) -> np.ndarray:
 
 def lag_extend_matrix(data, lag: int) -> np.ndarray:
     """Lag-extend every admissible row of an (n, D) matrix to (n - lag, D*(lag+1))."""
+    if lag < 0:
+        raise ValueError("lag must be non-negative")
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatch("expected a 2-d data matrix")

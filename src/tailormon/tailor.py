@@ -6,6 +6,10 @@ its projection is the single most sensitive one. A minimal set of axes
 whose probabilities accumulate past a cutoff is then selected for
 monitoring; 1 - cutoff bounds the probability of omitting the maximally
 sensitive projection for a future change.
+
+The Monte Carlo samples its changes in sequence and scores them in
+stacked blocks, one stack per change type; the estimates are bit-for-bit
+those of a loop that applies and scores one draw at a time.
 """
 
 from __future__ import annotations
@@ -16,16 +20,23 @@ import numpy as np
 
 from .changemodel import (
     CHANGE_TYPES,
+    MEAN,
     ChangeDistributionSpec,
-    apply_change,
-    apply_change_lagged,
-    projection_sensitivities,
-    sample_change,
+    change_sampler,
+    post_change_stack,
+    projected_means,
+    projected_variances,
+    sensitivity_stack,
+    stack_sizes,
 )
 from .corrcore import CorrelationMatrix, EigenSystem, eigensystem
 from .errors import DimensionMismatch
 
 PROB_SUM_TOL = 1e-12
+
+# Largest draws * D**2 scored as one block: bounds the memory of the
+# stacked change matrices (256 KiB per stack), whatever the draw count.
+SCORE_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -103,47 +114,62 @@ def _argmax_mc(base: CorrelationMatrix, es: EigenSystem, spec, draws, rng, raw_d
     With ``lag > 0``, ``base`` is a lag-extended correlation matrix of
     dimension ``raw_dim * (lag + 1)``; scenarios are sampled on the raw
     streams and duplicated across the stacked blocks.
+
+    The changes are sampled one after another, in the generator order of
+    ``sample_change``, in blocks of at most ``SCORE_BLOCK_CELLS / D**2``
+    draws. Each block's changes are applied and scored as one stack per
+    change type, and the sums are then taken one draw at a time in draw
+    order, so the result does not depend on the block size.
     """
-    if draws < 1:
-        raise ValueError("draws must be at least 1")
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    if lag > 0 and (raw_dim is None or base.dim != raw_dim * (lag + 1)):
-        raise DimensionMismatch("lag > 0 needs raw_dim with base.dim == raw_dim * (lag + 1)")
     d = base.dim
-    counts = np.zeros(d)
-    hsum = np.zeros(d)
-    type_counts = {c: np.zeros(d) for c in CHANGE_TYPES}
-    type_hsum = {c: np.zeros(d) for c in CHANGE_TYPES}
-    type_draws = {c: 0 for c in CHANGE_TYPES}
     if lag > 0:
         # scenarios are sampled against the raw-stream correlation, read off
         # the first diagonal block of the extended matrix
         block = base.values[:raw_dim, :raw_dim].copy()
         np.fill_diagonal(block, 1.0)
-        sample_base = CorrelationMatrix(block)
+        sample_vals = CorrelationMatrix(block).values
     else:
-        sample_base = base
-    for _ in range(draws):
-        sc = sample_change(spec, sample_base, rng)
-        if lag > 0:
-            post = apply_change_lagged(base, sc, raw_dim, lag)
-        else:
-            post = apply_change(base, sc)
-        h = projection_sensitivities(es, post)
-        j = int(np.argmax(h))
-        counts[j] += 1.0
-        hsum += h
-        type_counts[sc.ctype][j] += 1.0
-        type_hsum[sc.ctype] += h
-        type_draws[sc.ctype] += 1
+        sample_vals = base.values
+    raw = sample_vals.shape[0]
+    draw = change_sampler(spec, sample_vals)
+    vec = es.vectors
+    # mean changes keep the covariance, so their projection variances are
+    # the same for every draw
+    mean_vars = projected_variances(vec, base.values[None])
+    per_block = max(1, SCORE_BLOCK_CELLS // (d * d))
+
+    counts = np.zeros(d)
+    hsum = np.zeros(d)
+    type_counts = np.zeros((len(CHANGE_TYPES), d))
+    type_hsum = np.zeros((len(CHANGE_TYPES), d))
+    for start in range(0, draws, per_block):
+        batch = [draw(rng) for _ in range(min(per_block, draws - start))]
+        types = np.array([t for t, _, _ in batch])
+        h = np.empty((len(batch), d))
+        for t, ctype in enumerate(CHANGE_TYPES):
+            rows = np.flatnonzero(types == t)
+            if not rows.size:
+                continue
+            sizes = stack_sizes(ctype, [batch[r][1:] for r in rows], raw)
+            post = post_change_stack(base.values, ctype, sizes, raw, lag)
+            if ctype == MEAN:
+                h[rows] = sensitivity_stack(es, projected_means(vec, post), mean_vars)
+            else:
+                h[rows] = sensitivity_stack(es, 0.0, projected_variances(vec, post))
+        top = np.argmax(h, axis=1)
+        counts += np.bincount(top, minlength=d)
+        np.add.at(type_counts, (types, top), 1.0)
+        for t, row in zip(types, h):
+            hsum += row
+            type_hsum[t] += row
+    type_draws = type_counts.sum(axis=1)
     breakdown = {
         c: {
-            "draws": type_draws[c],
-            "argmax_contribution": (type_counts[c] / draws).tolist(),
-            "mean_sensitivity": (type_hsum[c] / type_draws[c]).tolist() if type_draws[c] else None,
+            "draws": int(type_draws[t]),
+            "argmax_contribution": (type_counts[t] / draws).tolist(),
+            "mean_sensitivity": (type_hsum[t] / type_draws[t]).tolist() if type_draws[t] else None,
         }
-        for c in CHANGE_TYPES
+        for t, c in enumerate(CHANGE_TYPES)
     }
     return counts / draws, hsum / draws, breakdown
 
@@ -183,9 +209,19 @@ def tailor(
 
     Composes the eigensystem, the Monte Carlo argmax-probability
     estimate and the cutoff selection. Deterministic for a fixed
-    generator state.
+    generator state. The arguments are checked before the first draw.
     """
     base = _as_correlation(base)
+    # checked before any draw runs; select_axes would only see a bad
+    # cutoff after the whole Monte Carlo
+    if not 0.0 <= cutoff <= 1.0:
+        raise ValueError("cutoff must lie in [0, 1]")
+    if draws < 1:
+        raise ValueError("draws must be at least 1")
+    if lag < 0:
+        raise ValueError("lag must be non-negative")
+    if lag > 0 and (raw_dim is None or base.dim != raw_dim * (lag + 1)):
+        raise DimensionMismatch("lag > 0 needs raw_dim with base.dim == raw_dim * (lag + 1)")
     if rng is None:
         rng = np.random.default_rng()
     es = eigensystem(base)

@@ -163,6 +163,11 @@ class TestSampleChange:
         with pytest.raises(ValueError):
             ChangeScenario(ctype="mean", affected=(0,), sdev_factors=(2.0,))
 
+    @pytest.mark.parametrize("pairs", [{(3, 1): 0.5}, {(1, 1): 0.5}, {(1, 2): 0.5}])
+    def test_correlation_pairs_are_ordered_affected_pairs(self, pairs):
+        with pytest.raises(ValueError):
+            ChangeScenario(ctype="correlation", affected=(1, 3), corr_factors=pairs)
+
 
 class TestApplyChange:
     def test_null_change_is_identity(self):

@@ -104,6 +104,25 @@ class TestTailorCommand:
         res = invoke("tailor", tmp_path / "nope.csv", tmp_path / "nope.json", "--cutoff", 0.5)
         assert res.exit_code == 2
 
+    def test_negative_lag_exit_2_names_the_lag(self, workdir, tmp_path):
+        root, _ = workdir
+        res = invoke(
+            "tailor", root / "training.csv", root / "spec.json",
+            "--cutoff", 0.9, "--lag", -1, "--out", tmp_path / "s.json",
+        )
+        assert res.exit_code == 2
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert "lag must be non-negative" in err["message"]
+
+    @pytest.mark.parametrize("flags", [("--cutoff", 1.5), ("--cutoff", 0.9, "--draws", 0)])
+    def test_bad_cutoff_or_draws_exit_2(self, workdir, tmp_path, flags):
+        root, _ = workdir
+        res = invoke(
+            "tailor", root / "training.csv", root / "spec.json", *flags, "--out", tmp_path / "s.json",
+        )
+        assert res.exit_code == 2
+        assert not (tmp_path / "s.json").exists()
+
 
 class TestCalibrateCommand:
     def test_artifact_contents(self, workdir):

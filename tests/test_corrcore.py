@@ -7,10 +7,12 @@ from tailormon import (
     DegenerateCorrelation,
     DimensionMismatch,
     eigensystem,
+    NoConvergence,
     estimate_training,
     nearest_pd_correlation,
     random_correlation,
 )
+from tailormon.corrcore import nearest_pd_stack
 
 
 def corr2(rho):
@@ -185,3 +187,57 @@ class TestNearestPdCorrelation:
     def test_rejects_asymmetric(self):
         with pytest.raises(DimensionMismatch):
             nearest_pd_correlation(np.array([[1.0, 0.5], [0.1, 1.0]]))
+
+
+def repair_iterations(a, eps):
+    """Iterations the one-matrix repair needs: the smallest max_iter that works."""
+    for m in range(101):
+        try:
+            nearest_pd_correlation(a, eps=eps, max_iter=m)
+            return m
+        except NoConvergence:
+            pass
+    raise AssertionError("repair did not converge")
+
+
+def unit_diag_symmetric(d, spread, seed):
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.uniform(-spread, spread, (d, d)), 1)
+    return np.eye(d) + a + a.T
+
+
+class TestNearestPdStack:
+    @pytest.mark.parametrize("eps", [1e-8, 0.2])
+    def test_equals_one_matrix_repair(self, eps):
+        d = 8
+        mats = [random_correlation(d, 1.0, np.random.default_rng(s)).values for s in range(3)]
+        mats += [np.eye(d), np.zeros((d, d))] + [unit_diag_symmetric(d, 1.5, s) for s in range(12)]
+        stack = np.stack(mats)
+        iterations = [repair_iterations(m, eps) for m in mats]
+        # valid inputs, one-step repairs and several-step repairs side by side
+        assert 0 in iterations and 1 in iterations
+        assert max(iterations) >= (6 if eps > 0.1 else 2)
+        if eps > 0.1:
+            assert len(set(iterations)) >= 4
+        out = nearest_pd_stack(stack, eps=eps)
+        for m, o in zip(mats, out):
+            assert np.array_equal(o, nearest_pd_correlation(m, eps=eps).values)
+        assert np.array_equal(stack, np.stack(mats))  # input untouched
+
+    def test_no_convergence_when_any_matrix_needs_more(self):
+        eps = 0.2
+        mats = [unit_diag_symmetric(8, 1.5, s) for s in range(6)]
+        need = max(repair_iterations(m, eps) for m in mats)
+        nearest_pd_stack(np.stack(mats), eps=eps, max_iter=need)
+        with pytest.raises(NoConvergence):
+            nearest_pd_stack(np.stack(mats), eps=eps, max_iter=need - 1)
+
+    def test_rejects_asymmetric_and_bad_shapes(self):
+        good = np.eye(3)
+        bad = np.array([[1.0, 0.5, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(DimensionMismatch):
+            nearest_pd_stack(np.stack([good, bad]))
+        with pytest.raises(DimensionMismatch):
+            nearest_pd_stack(good)
+        with pytest.raises(ValueError):
+            nearest_pd_stack(good[None], eps=0.0)

@@ -202,6 +202,11 @@ class TestLagExtend:
         for i in range(7):
             assert np.array_equal(ext[i], lag_extend(data[i : i + 3], 2))
 
+    def test_negative_lag_rejected(self):
+        for fn, arg in ((lag_extend, [np.zeros(3)]), (lag_extend_matrix, np.zeros((4, 3)))):
+            with pytest.raises(ValueError, match="lag must be non-negative"):
+                fn(arg, -1)
+
 
 class TestProjectObservation:
     def test_training_mean_maps_to_zero(self):
