@@ -57,10 +57,8 @@ from .evalharness import (
     EddEstimate,
     PfaEstimate,
     TrialOutcome,
-    TrialSpec,
     estimate_edd,
     estimate_pfa,
-    run_trial,
     simulate_grid,
     verify_bivariate_propositions,
 )

@@ -45,9 +45,9 @@ def iter_csv_rows(fobj, path: str = "<stream>"):
     width = None
     for line_no, fields in enumerate(reader, start=1):
         fields = [f.strip() for f in fields]
-        if not fields or all(f == "" for f in fields):
+        if not any(fields):  # a blank line
             continue
-        if any(f == "" for f in fields):
+        if not all(fields):
             raise ConfigError(f"{path}:{line_no}: missing value")
         if line_no == 1:
             try:
@@ -60,7 +60,9 @@ def iter_csv_rows(fobj, path: str = "<stream>"):
             width = len(row)
         elif len(row) != width:
             raise ConfigError(f"{path}:{line_no}: expected {width} columns, got {len(row)}")
-        if not all(math.isfinite(v) for v in row):
+        # the sum is finite when every value is, so only a non-finite sum
+        # (or one that overflowed) needs the values looked at one by one
+        if not math.isfinite(sum(row)) and not all(math.isfinite(v) for v in row):
             raise ConfigError(f"{path}:{line_no}: non-finite value (NaN or infinity)")
         yield np.asarray(row, dtype=float)
 
@@ -80,10 +82,6 @@ def save_matrix_csv(path: str, matrix: np.ndarray, header: list[str] | None = No
             writer.writerow(header)
         for row in np.atleast_2d(matrix):
             writer.writerow([f"{v:.17g}" for v in row])
-
-
-def _finite_or_none(x: float):
-    return float(x) if math.isfinite(x) else None
 
 
 def dump_json(path: str, doc: dict):
@@ -208,16 +206,14 @@ def parse_calibration_document(doc: dict, path: str) -> dict:
 
 
 def step_result_line(res) -> str:
-    return json.dumps(
-        {
-            "t": res.t,
-            "stat": _finite_or_none(res.stat),
-            "argmax_k": res.argmax_k,
-            "alarm": res.alarm,
-            "warnings": res.warnings,
-        },
-        sort_keys=True,
-        allow_nan=False,
+    """One JSONL line: ``json.dumps`` of the step's fields with sorted keys, written out directly."""
+    stat = float(res.stat)
+    stat_text = float.__repr__(stat) if math.isfinite(stat) else "null"
+    argmax_text = "null" if res.argmax_k is None else int.__repr__(res.argmax_k)
+    alarm_text = "true" if res.alarm else "false"
+    return (
+        f'{{"alarm": {alarm_text}, "argmax_k": {argmax_text}, "stat": {stat_text}, '
+        f'"t": {int.__repr__(res.t)}, "warnings": {int.__repr__(res.warnings)}}}'
     )
 
 

@@ -41,6 +41,9 @@ EXIT_NO_ALARM = 5
 
 _INPUT_ERRORS = (ConfigError, DimensionMismatch, ConstantColumn, OSError)
 
+# rows of a monitored file that one Monitor.feed call scans
+FEED_CHUNK_ROWS = 256
+
 
 def _fail(code: int, exc: BaseException):
     click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
@@ -182,6 +185,49 @@ def calibrate_cmd(
     _guard(body)
 
 
+def _checked_rows(source, path: str, raw_dim: int):
+    """The CSV rows of ``source``; a row of the wrong width raises DimensionMismatch."""
+    for row in _fileio.iter_csv_rows(source, path):
+        if row.shape[0] != raw_dim:
+            raise DimensionMismatch(f"stream rows have {row.shape[0]} columns, expected {raw_dim}")
+        yield row
+
+
+def _row_chunks(rows, size: int):
+    """Lists of up to ``size`` consecutive rows.
+
+    When reading a row fails, the rows read before it come out as one more
+    chunk before the error is raised, so they are monitored and written
+    first, as they are when rows are stepped one at a time.
+    """
+    chunk = []
+    try:
+        for row in rows:
+            chunk.append(row)
+            if len(chunk) == size:
+                yield chunk
+                chunk = []
+    except Exception:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
+def _fed_results(monitor: Monitor, rows, stop_on_alarm: bool):
+    """Step results of ``rows``, fed to ``monitor`` in chunks of FEED_CHUNK_ROWS."""
+    for chunk in _row_chunks(rows, FEED_CHUNK_ROWS):
+        try:
+            results = monitor.feed(chunk, stop_on_alarm=stop_on_alarm)
+        except ValueError:
+            # a row whose sum overflows passes the CSV reader but not feed,
+            # which rejects it before changing any state; stepping the chunk
+            # gives the results before that row, then raises at it
+            results = map(monitor.step, chunk)
+        yield from results
+
+
 @main.command("monitor")
 @click.argument("stream", type=str)
 @click.argument("selection", type=click.Path(exists=True, dir_okay=False))
@@ -223,12 +269,13 @@ def monitor_cmd(stream, selection, calibration, p0, window, continue_, out):
             source = sys.stdin if stream == "-" else open(stream, "r", newline="")
             try:
                 alarm_time = None
-                for row in _fileio.iter_csv_rows(source, stream):
-                    if row.shape[0] != raw_dim:
-                        raise DimensionMismatch(
-                            f"stream rows have {row.shape[0]} columns, expected {raw_dim}"
-                        )
-                    res = monitor.step(row)
+                rows = _checked_rows(source, stream, raw_dim)
+                if source is sys.stdin:
+                    # one row at a time, so each line is out as its row arrives
+                    results = map(monitor.step, rows)
+                else:
+                    results = _fed_results(monitor, rows, stop_on_alarm=not continue_)
+                for res in results:
                     sink.write(_fileio.step_result_line(res) + "\n")
                     if res.alarm and alarm_time is None:
                         alarm_time = res.t

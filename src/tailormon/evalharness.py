@@ -85,36 +85,6 @@ class DetectorSpec:
 
 
 @dataclass(frozen=True)
-class TrialSpec:
-    """One monitoring trial: training, detector, change scenario, seed.
-
-    ``scenario`` of None runs under the null throughout. ``horizon`` of
-    None extends the run to 10 * n steps, since delays of hard scenarios
-    exceed the calibration horizon.
-    """
-
-    base: CorrelationMatrix
-    m: int
-    n: int
-    w: int
-    kappa: int
-    detector: DetectorSpec
-    scenario: ChangeScenario | None
-    seed: int
-    horizon: int | None = None
-
-    def __post_init__(self):
-        if self.kappa < 0:
-            raise ConfigError("kappa must be non-negative")
-        if self.scenario is not None and self.kappa >= self.n:
-            raise ConfigError("kappa must precede the nominal horizon n for change trials")
-
-    @property
-    def resolved_horizon(self) -> int:
-        return self.horizon if self.horizon is not None else 10 * self.n
-
-
-@dataclass(frozen=True)
 class TrialOutcome:
     """Stopping time of one trial, classified against kappa and the horizon."""
 
@@ -217,26 +187,6 @@ def run_prepared_trial(
     hits = np.flatnonzero(stat >= model.threshold)
     alarm_time = int(hits[0]) + 1 if hits.size else None
     return TrialOutcome(alarm_time=alarm_time, kappa=kappa, horizon=horizon)
-
-
-def run_trial(spec: TrialSpec, threshold: float) -> TrialOutcome:
-    """Self-contained trial: rebuilds the detector from the trial seed.
-
-    The training child seed is part of ``spec.seed``, so the supplied
-    threshold must come from a calibration of exactly this training set.
-    Grid runs avoid the rebuild by preparing the model once per cell.
-    """
-    root = np.random.SeedSequence(spec.seed)
-    _, _, mon_ss = root.spawn(3)
-    model, _ = build_detector_model(spec.base, spec.m, spec.w, spec.detector, spec.seed)
-    return run_prepared_trial(
-        model.with_threshold(threshold),
-        spec.base,
-        spec.kappa,
-        spec.scenario,
-        spec.resolved_horizon,
-        np.random.default_rng(mon_ss),
-    )
 
 
 @dataclass(frozen=True)

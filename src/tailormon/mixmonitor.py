@@ -10,6 +10,11 @@ are reported as -inf since no candidate is admissible.
 With a lag extension l > 0, each monitored vector is the concatenation
 of the last l+1 raw observations (oldest first); the first l raw steps
 cannot be monitored and trace times refer to raw monitoring time.
+
+A ``Monitor`` takes rows one at a time (``step``, on the per-step kernel)
+or in blocks (``feed``, on the resumable trace scan); both read and write
+the same ``StreamStats`` and give the same results bit for bit when the
+numpy step kernel is active. ``trace_stats`` scans a stream known in full.
 """
 
 from __future__ import annotations
@@ -186,8 +191,8 @@ class StreamStats:
         length = min(self.t, cap)
         start = (self.t - length) % cap
         end = self.t % cap
-        if start < end:
-            return self.ring[start:end]
+        if start < end or length == 0:
+            return self.ring[start:start + length]
         return np.concatenate([self.ring[start:], self.ring[:end]])
 
     def segment_stats(self, k: int) -> tuple:
@@ -427,6 +432,15 @@ def project_observation(model: MonitorModel, x) -> np.ndarray:
     return (x - model.training.mean) @ model.projector
 
 
+def _project_rows(model: MonitorModel, x: np.ndarray) -> np.ndarray:
+    """``project_observation`` of every row of ``x``, bit for bit.
+
+    One vector-matrix product per row, the product ``project_observation``
+    makes; a single matrix product sums in another order.
+    """
+    return np.matmul((x - model.training.mean)[:, None, :], model.projector)[:, 0]
+
+
 def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Step statistics of a stream known in full, as ``Monitor.step`` would report them.
 
@@ -450,11 +464,9 @@ def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tu
     if n_raw <= lag:
         return stat, argmax_k
     ext = x if lag == 0 else lag_extend_matrix(x, lag)
-    # one vector-matrix product per row, the product project_observation
-    # makes; a single matrix product sums in another order
-    z = np.matmul((ext - model.training.mean)[:, None, :], model.projector)[:, 0]
+    z = _project_rows(model, ext)
     h = _BartlettTable().upto(model.m + z.shape[0])
-    s, k = _kernel.scan_trace(
+    s, k, _, _ = _kernel.scan_trace(
         z, model.train_sum, model.train_sumsq, model.m, model.window, model.p0, h, VAR_FLOOR, threshold
     )
     end = lag + s.shape[0]
@@ -540,6 +552,92 @@ class Monitor:
             alarm=bool(stat >= self.model.threshold),
             warnings=int(clamped),
         )
+
+    def feed(self, rows, stop_on_alarm: bool = False) -> list[StepResult]:
+        """Consume a block of raw observations, as ``step`` would one at a time.
+
+        Returns ``[self.step(x) for x in rows]`` bit for bit, warnings
+        included, but scans the block with ``_kernel.scan_trace`` from the
+        monitor's state and writes that state back, so ``step`` and
+        ``feed`` calls may be mixed. Every row is checked before any state
+        changes. With ``stop_on_alarm`` the rows after the first alarm are
+        left unconsumed and get no result.
+        """
+        model = self.model
+        x = np.asarray(rows, dtype=float)
+        if x.shape[:1] == (0,):
+            return []
+        if x.ndim != 2 or x.shape[1] != model.raw_dim:
+            raise DimensionMismatch(
+                f"expected raw vectors of dimension {model.raw_dim}, got shape {x.shape}"
+            )
+        # the per-row sum test of ``step``
+        if not np.isfinite(x.sum(axis=1)).all():
+            raise ValueError("observation contains a non-finite value")
+        lag = model.lag
+        t_raw = self._t_raw
+        # the first rows may still lack the lag + 1 rows an extended vector needs
+        held = len(self._raw_history)
+        short = min(x.shape[0], max(0, lag - held))
+        results = [
+            StepResult(t=t_raw + i + 1, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
+            for i in range(short)
+        ]
+        if lag == 0:
+            ext = x
+        elif short < x.shape[0]:
+            ext = lag_extend_matrix(np.vstack([*self._raw_history, x]), lag)[held + short - lag:]
+        else:
+            ext = np.empty((0, model.dim))
+        z = _project_rows(model, ext)
+
+        stats = self._stats
+        before = _kernel.ScanState(
+            np.stack([stats.run_sum, stats.run_sumsq]),
+            np.stack([stats._comp_sum, stats._comp_sumsq]),
+            stats.window_values(),
+            stats.t,
+        )
+        h = self._table.upto(stats.m + stats.t + z.shape[0])
+        stat, argmax_k, clamped, after = _kernel.scan_trace(
+            z,
+            stats.train_sum,
+            stats.train_sumsq,
+            stats.m,
+            model.window,
+            model.p0,
+            h,
+            VAR_FLOOR,
+            model.threshold if stop_on_alarm else None,
+            state=before,
+        )
+        alarms = (argmax_k >= 0) & (stat >= model.threshold)
+        used = z.shape[0]
+        if stop_on_alarm and alarms.any():
+            used = int(np.argmax(alarms)) + 1
+            if after.t > before.t + used:  # the scan ran on to the end of its block
+                after = _kernel.advance_state(before, z[:used], model.window)
+
+        stats.run_sum[:], stats.run_sumsq[:] = after.total
+        stats._comp_sum[:], stats._comp_sumsq[:] = after.comp
+        cap = model.window + 1
+        kept = z[:used][-cap:]
+        stats.ring[np.arange(after.t - kept.shape[0], after.t) % cap] = kept
+        stats.t = after.t
+        consumed = short + used
+        if lag > 0:
+            self._raw_history.extend(x[max(0, consumed - lag - 1):consumed].copy())
+        self._t_raw = t_raw + consumed
+        self.total_warnings += int(clamped[:used].sum())
+
+        t_first = t_raw + short + 1
+        for i, (s, k, a, c) in enumerate(
+            zip(stat[:used].tolist(), argmax_k[:used].tolist(), alarms[:used].tolist(), clamped[:used].tolist())
+        ):
+            results.append(
+                StepResult(t=t_first + i, stat=s, argmax_k=k + lag if k >= 0 else None, alarm=a, warnings=c)
+            )
+        return results
 
     def run(self, stream, *, collect_trace: bool = True, stop_on_alarm: bool = True) -> MonitorRun:
         """Iterate a stream of raw vectors until the first alarm or stream end."""

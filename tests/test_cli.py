@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from tailormon import cli
 from tailormon.cli import main
 
 
@@ -294,6 +295,91 @@ class TestMonitorCommand:
         bad.write_text("0.1,0.2\n0.3,\n")
         res = invoke("monitor", bad, root / "selection.json", root / "calibration.json", "--out", tmp_path / "o.jsonl")
         assert res.exit_code == 2
+
+
+@pytest.fixture(scope="module")
+def lagged_workdir(workdir, tmp_path_factory):
+    """Lag-1 selection and calibration artifacts for the same training data."""
+    root, train = workdir
+    lagged = tmp_path_factory.mktemp("cli_lag1")
+    res = invoke(
+        "tailor", root / "training.csv", root / "spec.json", "--cutoff", "0.9", "--draws", "1000",
+        "--lag", "1", "--seed", "3", "--out", lagged / "selection.json",
+    )
+    assert res.exit_code == 0, res.output
+    res = invoke(
+        "calibrate", root / "training.csv", lagged / "selection.json", "--alpha", "0.05", "--n", "40",
+        "--confidence", "0.9", "--replicates", "200", "--window", "30", "--mode", "block", "--seed", "4",
+        "--out", lagged / "calibration.json",
+    )
+    assert res.exit_code == 0, res.output
+    return lagged
+
+
+class TestMonitorFileFeed:
+    """A monitored file is fed in chunks; it must write what row-by-row stdin monitoring writes."""
+
+    ROWS = 700
+    SHIFT_AT = 400
+
+    def stream_text(self, shift):
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((self.ROWS, 2))
+        x1 = z[:, 0].copy()
+        x1[self.SHIFT_AT:] += shift
+        x2 = 0.5 * z[:, 0] + np.sqrt(1 - 0.25) * z[:, 1]
+        return "\n".join(f"{a!r},{b!r}" for a, b in zip(x1.tolist(), x2.tolist())) + "\n"
+
+    def run_both(self, artifacts, tmp_path, text, *flags):
+        """(exit code, JSONL lines) of the file-fed and the stdin-fed monitor."""
+        path = tmp_path / "stream.csv"
+        path.write_text(text)
+        outs = []
+        for source, stdin in ((path, None), ("-", text)):
+            out = tmp_path / f"out-{len(outs)}.jsonl"
+            args = ["monitor", source, artifacts / "selection.json", artifacts / "calibration.json", *flags]
+            args += ["--out", out]
+            res = CliRunner().invoke(main, [str(a) for a in args], input=stdin)
+            lines = out.read_text().splitlines()
+            if lines and lines[-1].startswith('{"alarm_time"'):
+                # the summary names its source; the rest must match
+                summary = json.loads(lines[-1])
+                assert summary["config"]["stream"] == str(source)
+                summary["config"]["stream"] = None
+                lines[-1] = json.dumps(summary, sort_keys=True)
+            outs.append((res.exit_code, lines))
+        return outs
+
+    @pytest.mark.parametrize("lag", [0, 1])
+    @pytest.mark.parametrize("flags", [(), ("--continue",)])
+    @pytest.mark.parametrize("chunk", [None, 10])
+    def test_file_equals_stdin(self, workdir, lagged_workdir, tmp_path, monkeypatch, lag, flags, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(cli, "FEED_CHUNK_ROWS", chunk)
+        artifacts = workdir[0] if lag == 0 else lagged_workdir
+        fed, stepped = self.run_both(artifacts, tmp_path, self.stream_text(3.0), *flags)
+        assert fed == stepped
+        code, lines = fed
+        summary = json.loads(lines[-1])
+        assert code == 0
+        assert summary["alarm_time"] % cli.FEED_CHUNK_ROWS != 0  # the alarm falls inside a chunk
+        assert summary["steps"] == (self.ROWS if flags else summary["alarm_time"])
+        assert len(lines) == summary["steps"] + 1
+
+    # the sum of 1e308 and 1e308 overflows, and numpy warns of it on both paths
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("flags", [(), ("--continue",)])
+    @pytest.mark.parametrize("bad_row", ["0.3,", "0.3,nan", "1e308,1e308", "0.1,0.2,0.3"])
+    def test_bad_row_after_first_chunk(self, workdir, tmp_path, flags, bad_row):
+        lines = self.stream_text(0.0).splitlines()
+        at = cli.FEED_CHUNK_ROWS + 44
+        text = "\n".join(lines[:at] + [bad_row] + lines[at:]) + "\n"
+        fed, stepped = self.run_both(workdir[0], tmp_path, text, *flags)
+        assert fed == stepped
+        if flags:
+            code, out = fed
+            assert code == 2
+            assert len(out) == at  # every row before the bad one, no summary
 
 
 class TestSimulateCommand:

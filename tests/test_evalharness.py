@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,13 +12,11 @@ from tailormon import (
     PostChangeParams,
     TooFewDetections,
     TrialOutcome,
-    TrialSpec,
     eigensystem,
     estimate_edd,
     estimate_pfa,
     projection_sensitivities,
     random_correlation,
-    run_trial,
     simulate_grid,
     verify_bivariate_propositions,
 )
@@ -26,6 +25,56 @@ from tailormon.evalharness import (
     run_prepared_trial,
     scenario_from_cell,
 )
+
+
+@dataclass(frozen=True)
+class TrialSpec:
+    """One self-contained monitoring trial: training, detector, change scenario, seed.
+
+    ``scenario`` of None runs under the null throughout. ``horizon`` of
+    None extends the run to 10 * n steps, since delays of hard scenarios
+    exceed the calibration horizon.
+    """
+
+    base: CorrelationMatrix
+    m: int
+    n: int
+    w: int
+    kappa: int
+    detector: DetectorSpec
+    scenario: ChangeScenario | None
+    seed: int
+    horizon: int | None = None
+
+    def __post_init__(self):
+        if self.kappa < 0:
+            raise ConfigError("kappa must be non-negative")
+        if self.scenario is not None and self.kappa >= self.n:
+            raise ConfigError("kappa must precede the nominal horizon n for change trials")
+
+    @property
+    def resolved_horizon(self) -> int:
+        return self.horizon if self.horizon is not None else 10 * self.n
+
+
+def run_trial(spec: TrialSpec, threshold: float) -> TrialOutcome:
+    """Trial that rebuilds its detector from the trial seed.
+
+    The training child seed is part of ``spec.seed``, so the supplied
+    threshold must come from a calibration of exactly this training set.
+    Grid runs avoid the rebuild by preparing the model once per cell.
+    """
+    root = np.random.SeedSequence(spec.seed)
+    _, _, mon_ss = root.spawn(3)
+    model, _ = build_detector_model(spec.base, spec.m, spec.w, spec.detector, spec.seed)
+    return run_prepared_trial(
+        model.with_threshold(threshold),
+        spec.base,
+        spec.kappa,
+        spec.scenario,
+        spec.resolved_horizon,
+        np.random.default_rng(mon_ss),
+    )
 
 
 def corr2(rho):

@@ -54,7 +54,8 @@ def step_loop(z, train_sum, train_sumsq, m, window, p0, kernel=_kernel.scan_step
 
 def trace(z, train_sum, train_sumsq, m, window, p0, threshold=None, var_floor=VAR_FLOOR):
     h = _BartlettTable().upto(m + z.shape[0])
-    return _kernel.scan_trace(z, train_sum, train_sumsq, m, window, p0, h, var_floor, threshold)
+    stat, k, _, _ = _kernel.scan_trace(z, train_sum, train_sumsq, m, window, p0, h, var_floor, threshold)
+    return stat, k
 
 
 def random_trace(seed, T, J, m=60, constant_column=False):
