@@ -61,8 +61,11 @@ def iter_csv_rows(fobj, path: str = "<stream>"):
         elif len(row) != width:
             raise ConfigError(f"{path}:{line_no}: expected {width} columns, got {len(row)}")
         # the sum is finite when every value is, so only a non-finite sum
-        # (or one that overflowed) needs the values looked at one by one
-        if not math.isfinite(sum(row)) and not all(math.isfinite(v) for v in row):
+        # needs the values looked at one by one; a finite row whose sum
+        # overflows would overflow the monitor's running sums as well
+        if not math.isfinite(sum(row)):
+            if all(math.isfinite(v) for v in row):
+                raise ConfigError(f"{path}:{line_no}: values too large: their sum overflows")
             raise ConfigError(f"{path}:{line_no}: non-finite value (NaN or infinity)")
         yield np.asarray(row, dtype=float)
 

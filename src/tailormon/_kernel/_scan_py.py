@@ -1,10 +1,11 @@
 """Pure-numpy windowed mixture-GLR scans.
 
-``scan_step`` scans one monitoring step and has the same contract as the
-compiled kernel in ``_scan_cy.pyx``; see ``tailormon._kernel`` for how
-one of the two is selected at import. ``scan_trace`` scans many steps of
-a trace at once, with ``scan_step``'s floating-point operations, and
-resumes from the ``ScanState`` an earlier call returned.
+``_scan_cells`` scans the candidate change points of a block of steps;
+it is the only place that computes the segment variances, clamps, llr,
+Bartlett division, mixture sum and tie rule. ``scan_step`` calls it for
+one monitoring step. ``scan_trace`` calls it block by block over a
+stretch of trace and resumes from the ``ScanState`` an earlier call
+returned.
 """
 
 from __future__ import annotations
@@ -86,37 +87,102 @@ def scan_step(
         Maximum corrected mixture statistic over candidates, the smallest
         k attaining it, and the number of clamped segment variances.
     """
-    L, J = window_vals.shape
-    nT = float(m + t)
-    tot_sum = train_sum + run_sum
-    tot_ssq = train_sumsq + run_sumsq
-
+    L = window_vals.shape[0]
     rev = window_vals[::-1]
-    sum2 = np.cumsum(rev, axis=0)[1:]
-    ssq2 = np.cumsum(rev * rev, axis=0)[1:]
-    n2 = np.arange(2, L + 1, dtype=float)[:, None]
-    n1 = nT - n2
-    sum1 = tot_sum - sum2
-    ssq1 = tot_ssq - ssq2
+    stat, best, clamped = _scan_cells(
+        np.stack([train_sum + run_sum, train_sumsq + run_sumsq])[None],
+        np.array([[float(m + t)]]),
+        rev[None],
+        (rev * rev)[None],
+        np.ones((1, L - 1), dtype=bool),
+        cvals[::-1],
+        p0,
+        var_floor,
+    )
+    return float(stat[0]), t - 2 - int(best[0]), int(clamped[0])
 
+
+def _scan_cells(tot, nT, rev_z, rev_sq, adm, cvals, p0, var_floor):
+    """The windowed mixture-GLR scan of a block of B steps.
+
+    Only the admissible cells are evaluated, gathered row by row into a
+    list of n cells.
+
+    Parameters
+    ----------
+    tot : (B, 2, J) array
+        Training plus running totals up to each step, of the values (row
+        0) and of their squares (row 1).
+    nT : (B, 1) array
+        m + t of each step, as floats.
+    rev_z, rev_sq : (B, L, J) arrays
+        The values at times t, t - 1, ..., t - L + 1 of each step, newest
+        first, and their squares.
+    adm : (B, L - 1) bool array
+        adm[b, i] when the post-change segment of length n2 = i + 2 is
+        admissible at step b; n2 = 2 is admissible at every step.
+    cvals : (n,) array
+        The Bartlett factor C(t - n2, t) of every admissible cell, in the
+        row-major order of ``adm``.
+
+    Returns
+    -------
+    (stat, best, clamped) : (B,) arrays
+        Per step, the largest corrected mixture statistic, the index i of
+        the longest segment (smallest k = t - 2 - i) attaining it, and the
+        number of clamped segment variances.
+    """
+    B, L, J = rev_z.shape
+    tot_sum, tot_ssq = tot[:, 0], tot[:, 1]
     var_t = (tot_ssq - tot_sum * tot_sum / nT) / nT
-    var_1 = (ssq1 - sum1 * sum1 / n1) / n1
-    var_2 = (ssq2 - sum2 * sum2 / n2) / n2
-    # the two-point segment is cancellation-prone in prefix form; its exact
-    # variance is ((a - b) / 2)^2
-    var_2[0] = 0.25 * np.square(rev[0] - rev[1])
-    clamped = int((var_t < var_floor).sum() + (var_1 < var_floor).sum() + (var_2 < var_floor).sum())
-    var_t = np.maximum(var_t, var_floor)
-    var_1 = np.maximum(var_1, var_floor)
-    var_2 = np.maximum(var_2, var_floor)
+    clamped = (var_t < var_floor).sum(axis=1)
+    log_t = nT * np.log(np.maximum(var_t, var_floor))
 
-    llr = 0.5 * (nT * np.log(var_t)[None, :] - n1 * np.log(var_1) - n2 * np.log(var_2))
-    # rows are ordered by segment length n2 = 2..L, i.e. k descending;
-    # flip so row i corresponds to k = kmin + i
-    x = llr[::-1] / cvals[:, None]
-    lam = mixture_terms(x, p0).sum(axis=1)
-    idx = int(np.argmax(lam))  # first max, so the smallest k wins ties
-    return float(lam[idx]), kmin + idx, clamped
+    # np.compress and np.take gather the cells several times faster than
+    # boolean and integer indexing do
+    bi, ri = np.nonzero(adm)
+    cells = adm.ravel()
+    sum2 = np.compress(cells, np.cumsum(rev_z, axis=1)[:, 1:].reshape(-1, J), axis=0)
+    ssq2 = np.compress(cells, np.cumsum(rev_sq, axis=1)[:, 1:].reshape(-1, J), axis=0)
+    n2 = (ri + 2).astype(float)[:, None]
+    n1 = np.take(nT, bi, axis=0) - n2
+    # the segment variances (ssq - sum * sum / n) / n, computed in place to
+    # keep the block's memory small
+    sum1 = np.take(tot_sum, bi, axis=0)
+    sum1 -= sum2
+    var_1 = np.take(tot_ssq, bi, axis=0)
+    var_1 -= ssq2  # ssq1
+    sum1 *= sum1
+    sum1 /= n1
+    var_1 -= sum1
+    var_1 /= n1
+    var_2 = ssq2
+    np.multiply(sum2, sum2, out=sum1)
+    sum1 /= n2
+    var_2 -= sum1
+    var_2 /= n2
+    # the two-point segment is cancellation-prone in prefix form; its
+    # exact variance is ((a - b) / 2)^2
+    var_2[ri == 0] = 0.25 * np.square(rev_z[:, 0] - rev_z[:, 1])
+    for var in (var_1, var_2):
+        low = var < var_floor
+        if low.any():
+            clamped += np.bincount(bi, weights=low.sum(axis=1), minlength=B).astype(clamped.dtype)
+        np.maximum(var, var_floor, out=var)
+    np.log(var_1, out=var_1)
+    var_1 *= n1
+    np.log(var_2, out=var_2)
+    var_2 *= n2
+    llr = np.take(log_t, bi, axis=0)
+    llr -= var_1
+    llr -= var_2
+    llr *= 0.5  # 0.5 * (nT * log(var_t) - n1 * log(var_1) - n2 * log(var_2))
+    llr /= cvals[:, None]
+    lam = np.full(adm.shape, -np.inf)
+    lam[adm] = mixture_terms(llr, p0).sum(axis=1)
+    # the largest n2 is the smallest k, which wins ties
+    best = L - 2 - np.argmax(lam[:, ::-1], axis=1)
+    return lam[np.arange(B), best], best, clamped
 
 
 class ScanState(NamedTuple):
@@ -202,11 +268,9 @@ def scan_trace(
 
     Steps are processed in blocks of about TRACE_BLOCK_CELLS (t, n2, J)
     cells, where n2 = t - k is the post-change segment length. Each block
-    evaluates only the admissible cells (2 <= n2 <= min(t, window + 1))
-    and repeats ``scan_step``'s operations in the same order: the running
-    totals use ``StreamStats.append``'s Kahan steps, the segment sums are
-    cumulative sums over the reversed window, the two-point segment uses
-    its exact variance, and the mixture sum runs over a contiguous J axis.
+    goes through the cell scan ``scan_step`` uses, restricted to the
+    admissible cells (2 <= n2 <= min(t, window + 1)); the running totals
+    use ``StreamStats.append``'s Kahan steps.
 
     Parameters
     ----------
@@ -250,8 +314,8 @@ def scan_trace(
     vals = np.concatenate([np.zeros((pad, J)), state.tail, z])
     both = np.stack([vals, vals * vals], axis=1)
     first = t_end - vals.shape[0] + 1  # time of vals[0]
-    # rev[s] holds the w + 1 times up to first + s + w, newest first: a
-    # strided view, so no window is copied
+    # rev[s, i] holds the value and its square at time first + s + w - i:
+    # a strided view, so no window is copied
     rev = sliding_window_view(both, cap, axis=0).transpose(0, 3, 1, 2)[:, ::-1]
 
     def state_at(t, total, comp):
@@ -268,64 +332,15 @@ def scan_trace(
         total, comp = _kahan(total, comp, both[t0 - first:t1 - first], run)
         ts = np.arange(t0, t1)
         out = slice(t0 - t_prev - 1, t1 - t_prev - 1)
-        tot = train + run
-        tot_sum, tot_ssq = tot[:, 0], tot[:, 1]
-        nT = (m + ts).astype(float)[:, None]
-        var_t = (tot_ssq - tot_sum * tot_sum / nT) / nT
-        clamped[out] = (var_t < var_floor).sum(axis=1)
-        log_t = nT * np.log(np.maximum(var_t, var_floor))
-
         L = min(t1 - 1, cap)  # longest admissible segment in the block
-        # rev_z[b, i] = z at time ts[b] - i
-        blk = rev[t0 - window - first:t1 - window - first, :L]
-        rev_z, rev_sq = blk[:, :, 0], blk[:, :, 1]
-        n2_row = np.arange(2, L + 1)
-        adm = n2_row[None, :] <= np.minimum(ts, cap)[:, None]  # (B, L - 1)
+        adm = np.arange(2, L + 1) <= np.minimum(ts, cap)[:, None]  # (B, L - 1)
         bi, ri = np.nonzero(adm)
-        sum2 = np.cumsum(rev_z, axis=1)[:, 1:][adm]
-        ssq2 = np.cumsum(rev_sq, axis=1)[:, 1:][adm]
-        n2i = n2_row[ri]
-        n2 = n2i.astype(float)[:, None]
-        n1 = nT[bi] - n2
-        # scan_step's formulas, computed in place to keep the block's
-        # memory small; every operation and its order are the same
-        sum1 = tot_sum[bi]
-        sum1 -= sum2
-        var_1 = tot_ssq[bi]
-        var_1 -= ssq2  # ssq1
-        sum1 *= sum1
-        sum1 /= n1
-        var_1 -= sum1
-        var_1 /= n1  # (ssq1 - sum1 * sum1 / n1) / n1
-        var_2 = ssq2
-        np.multiply(sum2, sum2, out=sum1)
-        sum1 /= n2
-        var_2 -= sum1
-        var_2 /= n2  # (ssq2 - sum2 * sum2 / n2) / n2
-        # the two-point segment is cancellation-prone in prefix form; its
-        # exact variance is ((a - b) / 2)^2
-        var_2[ri == 0] = 0.25 * np.square(rev_z[:, 0] - rev_z[:, 1])
-        for var in (var_1, var_2):
-            low = var < var_floor
-            if low.any():
-                clamped[out] += np.bincount(bi, weights=low.sum(axis=1), minlength=B).astype(np.int64)
-            np.maximum(var, var_floor, out=var)
-        np.log(var_1, out=var_1)
-        var_1 *= n1
-        np.log(var_2, out=var_2)
-        var_2 *= n2
-        llr = log_t[bi]
-        llr -= var_1
-        llr -= var_2
-        llr *= 0.5  # 0.5 * (nT * log(var_t) - n1 * log(var_1) - n2 * log(var_2))
-        tc = ts[bi]
-        cvals = 0.5 * (h[m + tc - n2i] + h[n2i] - h[m + tc])
-        llr /= cvals[:, None]
-        lam = np.full(adm.shape, -np.inf)
-        lam[adm] = mixture_terms(llr, p0).sum(axis=1)
-        # the largest n2 is the smallest k, which wins ties
-        best = L - 2 - np.argmax(lam[:, ::-1], axis=1)
-        block_stat = lam[np.arange(B), best]
+        tc, n2 = ts[bi], ri + 2
+        cvals = 0.5 * (h[m + tc - n2] + h[n2] - h[m + tc])
+        blk = rev[t0 - window - first:t1 - window - first, :L]
+        block_stat, best, clamped[out] = _scan_cells(
+            train + run, (m + ts).astype(float)[:, None], blk[:, :, 0], blk[:, :, 1], adm, cvals, p0, var_floor
+        )
         stat[out] = block_stat
         argmax_k[out] = ts - 2 - best
         if threshold is not None and np.any(block_stat >= threshold):

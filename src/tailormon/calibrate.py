@@ -11,7 +11,7 @@ and the threshold is read off as a confidence-adjusted upper quantile of
 the recorded maxima. The synthetic monitoring rows are drawn up front,
 so each replicate scans them as one trace (``mixmonitor.trace_stats``)
 rather than step by step; the statistics are the same bit for bit as
-``Monitor.step`` with the numpy kernel.
+``Monitor.step``'s.
 
 Thresholds are conditional on the exact training set, window and axis
 set; recalibrate whenever any of those change.

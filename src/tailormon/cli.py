@@ -221,9 +221,11 @@ def _fed_results(monitor: Monitor, rows, stop_on_alarm: bool):
         try:
             results = monitor.feed(chunk, stop_on_alarm=stop_on_alarm)
         except ValueError:
-            # a row whose sum overflows passes the CSV reader but not feed,
-            # which rejects it before changing any state; stepping the chunk
-            # gives the results before that row, then raises at it
+            # feed rejects a chunk before changing any state, and it can
+            # reject a row the CSV reader passes: one holding a value, or
+            # projecting to one, whose square overflows (such as 1e200).
+            # Stepping the chunk gives the results before that row, then
+            # raises at it
             results = map(monitor.step, chunk)
         yield from results
 

@@ -11,10 +11,10 @@ With a lag extension l > 0, each monitored vector is the concatenation
 of the last l+1 raw observations (oldest first); the first l raw steps
 cannot be monitored and trace times refer to raw monitoring time.
 
-A ``Monitor`` takes rows one at a time (``step``, on the per-step kernel)
+A ``Monitor`` takes rows one at a time (``step``, on the one-step scan)
 or in blocks (``feed``, on the resumable trace scan); both read and write
-the same ``StreamStats`` and give the same results bit for bit when the
-numpy step kernel is active. ``trace_stats`` scans a stream known in full.
+the same ``StreamStats`` and give the same results bit for bit.
+``trace_stats`` scans a stream known in full.
 """
 
 from __future__ import annotations
@@ -441,6 +441,25 @@ def _project_rows(model: MonitorModel, x: np.ndarray) -> np.ndarray:
     return np.matmul((x - model.training.mean)[:, None, :], model.projector)[:, 0]
 
 
+_RAW_REJECT = "observation contains a non-finite value or one whose square overflows"
+_PROJECTED_REJECT = "observation projects to a value whose square is non-finite"
+
+
+def _checked(v: np.ndarray, message: str) -> np.ndarray:
+    """``v``, unless one of its entries is NaN or squares to infinity.
+
+    Such an entry in a projection would poison the running sums of
+    squares for good, and every later statistic would be NaN. A finite
+    value such as 1e200 does that too, so testing the values alone is not
+    enough. Raw rows are tested the same way before they are projected,
+    which also covers the rows a lagged monitor holds before it can
+    project them. Call under ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    if not np.isfinite(v * v).all():
+        raise ValueError(message)
+    return v
+
+
 def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Step statistics of a stream known in full, as ``Monitor.step`` would report them.
 
@@ -450,21 +469,21 @@ def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tu
     and -1 where no candidate exists. With ``threshold`` the scan may stop
     after the block of steps where a statistic first reaches it, so the
     arrays can be shorter than the stream. Matches ``Monitor.step`` bit
-    for bit when the numpy step kernel is active.
+    for bit, and rejects the rows ``step`` rejects.
     """
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.raw_dim:
         raise DimensionMismatch(f"expected rows of dimension {model.raw_dim}, got shape {x.shape}")
-    if not np.isfinite(x.sum(axis=1)).all():
-        raise ValueError("observation contains a non-finite value")
     lag = model.lag
     n_raw = x.shape[0]
     stat = np.full(n_raw, -math.inf)
     argmax_k = np.full(n_raw, -1, dtype=np.int64)
-    if n_raw <= lag:
-        return stat, argmax_k
-    ext = x if lag == 0 else lag_extend_matrix(x, lag)
-    z = _project_rows(model, ext)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _checked(x, _RAW_REJECT)
+        if n_raw <= lag:
+            return stat, argmax_k
+        ext = x if lag == 0 else lag_extend_matrix(x, lag)
+        z = _checked(_project_rows(model, ext), _PROJECTED_REJECT)
     h = _BartlettTable().upto(model.m + z.shape[0])
     s, k, _, _ = _kernel.scan_trace(
         z, model.train_sum, model.train_sumsq, model.m, model.window, model.p0, h, VAR_FLOOR, threshold
@@ -509,24 +528,22 @@ class Monitor:
             raise DimensionMismatch(
                 f"expected a raw vector of dimension {self.model.raw_dim}, got shape {x.shape}"
             )
-        # one inf or NaN would poison the running sums for good. The sum is
-        # non-finite when any entry is, and costs less than testing each
-        # entry; it also overflows for entries near the float limit, whose
-        # squares the running sums could not hold either.
-        if not math.isfinite(x.sum()):
-            raise ValueError("observation contains a non-finite value")
-        self._t_raw += 1
         lag = self.model.lag
+        history = self._raw_history
+        # every test comes before any state changes
+        with np.errstate(over="ignore", invalid="ignore"):
+            _checked(x, _RAW_REJECT)
+            if lag == 0 or len(history) >= lag:
+                xe = np.concatenate([*history, x][-(lag + 1):]) if lag else x
+                z = _checked(project_observation(self.model, xe), _PROJECTED_REJECT)
+        self._t_raw += 1
         if lag > 0:
             # a copy: callers may refill one buffer for every row
-            self._raw_history.append(x.copy())
-            if len(self._raw_history) < lag + 1:
+            history.append(x.copy())
+            if len(history) < lag + 1:
                 return StepResult(t=self._t_raw, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
-            xe = np.concatenate(self._raw_history)
-        else:
-            xe = x
         stats = self._stats
-        stats.append(project_observation(self.model, xe))
+        stats.append(z)
         t = stats.t
         if t < 2:
             return StepResult(t=self._t_raw, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
@@ -571,25 +588,25 @@ class Monitor:
             raise DimensionMismatch(
                 f"expected raw vectors of dimension {model.raw_dim}, got shape {x.shape}"
             )
-        # the per-row sum test of ``step``
-        if not np.isfinite(x.sum(axis=1)).all():
-            raise ValueError("observation contains a non-finite value")
         lag = model.lag
         t_raw = self._t_raw
         # the first rows may still lack the lag + 1 rows an extended vector needs
         held = len(self._raw_history)
         short = min(x.shape[0], max(0, lag - held))
+        # the tests of ``step``, on every row before any state changes
+        with np.errstate(over="ignore", invalid="ignore"):
+            _checked(x, _RAW_REJECT)
+            if lag == 0:
+                ext = x
+            elif short < x.shape[0]:
+                ext = lag_extend_matrix(np.vstack([*self._raw_history, x]), lag)[held + short - lag:]
+            else:
+                ext = np.empty((0, model.dim))
+            z = _checked(_project_rows(model, ext), _PROJECTED_REJECT)
         results = [
             StepResult(t=t_raw + i + 1, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
             for i in range(short)
         ]
-        if lag == 0:
-            ext = x
-        elif short < x.shape[0]:
-            ext = lag_extend_matrix(np.vstack([*self._raw_history, x]), lag)[held + short - lag:]
-        else:
-            ext = np.empty((0, model.dim))
-        z = _project_rows(model, ext)
 
         stats = self._stats
         before = _kernel.ScanState(

@@ -340,6 +340,7 @@ class TestMonitorFileFeed:
             args = ["monitor", source, artifacts / "selection.json", artifacts / "calibration.json", *flags]
             args += ["--out", out]
             res = CliRunner().invoke(main, [str(a) for a in args], input=stdin)
+            assert "Warning" not in res.output
             lines = out.read_text().splitlines()
             if lines and lines[-1].startswith('{"alarm_time"'):
                 # the summary names its source; the rest must match
@@ -366,20 +367,20 @@ class TestMonitorFileFeed:
         assert summary["steps"] == (self.ROWS if flags else summary["alarm_time"])
         assert len(lines) == summary["steps"] + 1
 
-    # the sum of 1e308 and 1e308 overflows, and numpy warns of it on both paths
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # the CSV reader rejects the first four rows; the monitor rejects the
+    # last, a finite value whose square overflows
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flags", [(), ("--continue",)])
-    @pytest.mark.parametrize("bad_row", ["0.3,", "0.3,nan", "1e308,1e308", "0.1,0.2,0.3"])
+    @pytest.mark.parametrize("bad_row", ["0.3,", "0.3,nan", "1e308,1e308", "0.1,0.2,0.3", "1e200,0.3"])
     def test_bad_row_after_first_chunk(self, workdir, tmp_path, flags, bad_row):
         lines = self.stream_text(0.0).splitlines()
         at = cli.FEED_CHUNK_ROWS + 44
         text = "\n".join(lines[:at] + [bad_row] + lines[at:]) + "\n"
         fed, stepped = self.run_both(workdir[0], tmp_path, text, *flags)
         assert fed == stepped
-        if flags:
-            code, out = fed
-            assert code == 2
-            assert len(out) == at  # every row before the bad one, no summary
+        code, out = fed
+        assert code == 2
+        assert len(out) == at  # every row before the bad one, no summary
 
 
 class TestSimulateCommand:

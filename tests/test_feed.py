@@ -3,7 +3,10 @@
 Feeding a block of rows must give the results and leave the state that
 stepping the same rows one at a time gives, bit for bit: every
 ``StepResult`` field, the ``StreamStats`` ring, running totals and
-compensations, the lag history and the warning count.
+compensations, the lag history and the warning count. ``Monitor.step``
+runs on the reference kernel of ``tests/scan_reference.py`` here, so the
+comparisons do not pass through the cell scan that ``feed`` shares with
+the library's ``scan_step``.
 """
 
 import math
@@ -12,12 +15,18 @@ import numpy as np
 import pytest
 
 import tailormon as tm
+from scan_reference import scan_step as reference_step
 from tailormon import _kernel
 from tailormon.mixmonitor import VAR_FLOOR, StreamStats, _BartlettTable
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 WINDOW = 25
+
+
+@pytest.fixture(autouse=True)
+def reference_step_kernel(monkeypatch):
+    monkeypatch.setattr(_kernel, "scan_step", reference_step)
 
 
 def fitted(lag=0, p0=1.0, n_axes=2, dim=5, window=WINDOW, m=80, seed=0, threshold=math.inf):
@@ -168,7 +177,7 @@ def test_stop_on_alarm_consumes_up_to_the_alarm(lag, first):
     assert snapshot(mon) == snapshot(ref)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
 def test_bad_row_mid_block_leaves_state_untouched(bad):
     model, chol, rng = fitted(1, p0=0.3, n_axes=3)
     rows = stream(chol, rng, 80)
@@ -180,6 +189,11 @@ def test_bad_row_mid_block_leaves_state_untouched(bad):
     with pytest.raises(ValueError, match="non-finite"):
         mon.feed(block)
     assert snapshot(mon) == before
+    # a first row has no projection yet; the lag history must not take it
+    fresh = tm.Monitor(model)
+    with pytest.raises(ValueError, match="non-finite"):
+        fresh.feed(block[12:13])
+    assert snapshot(fresh) == snapshot(tm.Monitor(model))
     with pytest.raises(tm.DimensionMismatch):
         mon.feed(rows[30:60, :2])
     assert snapshot(mon) == before
@@ -205,7 +219,7 @@ def test_feed_copies_its_rows():
 
 
 def step_reference(z, train_sum, train_sumsq, m, window, p0):
-    """(stat, argmax_k, clamps) per step of ``z`` through ``StreamStats`` and the numpy step kernel."""
+    """(stat, argmax_k, clamps) per step of ``z`` through ``StreamStats`` and the reference kernel."""
     stats = StreamStats(train_sum=train_sum.copy(), train_sumsq=train_sumsq.copy(), m=m, window=window)
     table = _BartlettTable()
     out = []
@@ -216,7 +230,7 @@ def step_reference(z, train_sum, train_sumsq, m, window, p0):
             out.append((-math.inf, -1, 0))
             continue
         kmin = max(0, t - window - 1)
-        s, k, c = _kernel.scan_step_python(
+        s, k, c = reference_step(
             stats.train_sum, stats.train_sumsq, m, stats.run_sum, stats.run_sumsq,
             np.ascontiguousarray(stats.window_values()), t, kmin, p0, table.cvals(m, t, kmin), VAR_FLOOR,
         )

@@ -44,8 +44,18 @@ def rows_of(text):
     return [r.tolist() for r in _fileio.iter_csv_rows(io.StringIO(text), "s.csv")]
 
 
-def test_finite_row_whose_sum_overflows_is_accepted():
-    assert rows_of("a,b\n1e308,1e308\n-1e308,-1.7e308\n") == [[1e308, 1e308], [-1e308, -1.7e308]]
+def test_finite_row_whose_sum_overflows_is_rejected():
+    for text, line_no in [
+        ("a,b\n1e308,1e308\n", 2),
+        ("1,2\n-1e308,-1.7e308\n", 2),
+        (",".join(["1"] * 20) + "\n" + ",".join(["1e308"] * 20) + "\n", 2),
+    ]:
+        with pytest.raises(ConfigError, match=rf"^s\.csv:{line_no}: values too large: their sum overflows$"):
+            rows_of(text)
+
+
+def test_largest_finite_sums_accepted():
+    assert rows_of("a,b\n1e308,-1e308\n8e307,8e307\n") == [[1e308, -1e308], [8e307, 8e307]]
 
 
 @pytest.mark.parametrize(

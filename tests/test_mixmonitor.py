@@ -410,8 +410,9 @@ class TestLaggedMonitor:
         assert all(r.argmax_k >= lag for r in results if r.argmax_k is not None)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lag", [0, 2])
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e200])
 def test_non_finite_row_rejected_before_state_changes(lag, bad):
     # a rejected row must leave the lag history, the ring buffer and the
     # running sums as they were, so the monitor carries on exactly like
@@ -433,6 +434,34 @@ def test_non_finite_row_rejected_before_state_changes(lag, bad):
         assert probed.step(x) == clean.step(x)
     assert probed.t == clean.t == 40
     assert probed.total_warnings == clean.total_warnings
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lag", [0, 1])
+def test_row_whose_projection_squares_to_infinity_rejected(lag):
+    # training on a small scale makes the projector large: 1.3e154 squares
+    # to a finite value, its projection does not
+    rng = np.random.default_rng(33)
+    ext = lag_extend_matrix(1e-3 * rng.standard_normal((150, 3)), lag)
+    summary = estimate_training(ext)
+    model = build_monitor_model(summary, min_variance_selection(eigensystem(summary.corr), 2), ext, window=20, lag=lag)
+    rows = 1e-3 * rng.standard_normal((30, 3))
+    poisoned = rows[12].copy()
+    poisoned[0] = 1.3e154
+    assert math.isfinite(poisoned[0] * poisoned[0])
+    clean, probed, fed = Monitor(model), Monitor(model), Monitor(model)
+    for x in rows[:12]:
+        assert probed.step(x) == clean.step(x)
+    with pytest.raises(ValueError, match="projects to a value whose square is non-finite"):
+        probed.step(poisoned)
+    block = rows.copy()
+    block[12] = poisoned
+    with pytest.raises(ValueError, match="projects to a value whose square is non-finite"):
+        fed.feed(block)
+    assert fed.t == 0 and fed.stats.t == 0 and len(fed._raw_history) == 0
+    assert [probed.step(x) for x in rows[12:]] == [clean.step(x) for x in rows[12:]]
+    ref = Monitor(model)
+    assert fed.feed(rows) == [ref.step(x) for x in rows]
 
 
 def test_lagged_monitor_copies_reused_row_buffer():

@@ -1,8 +1,10 @@
 """The whole-trace scan against the per-step scan it replaces.
 
-``scan_trace`` must reproduce a ``StreamStats`` + ``scan_step_python``
+``scan_trace`` must reproduce a ``StreamStats`` + reference ``scan_step``
 loop bit for bit, and the calibration replicates and simulated trials
-built on it must match a per-step monitor exactly.
+built on it must match a per-step monitor exactly. The per-step side runs
+``tests/scan_reference.py``, not the library's ``scan_step``, which shares
+its cell scan with ``scan_trace``.
 """
 
 import math
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailormon as tm
+from scan_reference import scan_step as reference_step
 from tailormon import _kernel, calibrate, evalharness, mixmonitor
 from tailormon._kernel._scan_py import _block_end
 from tailormon.mixmonitor import VAR_FLOOR, StreamStats, _BartlettTable
@@ -20,8 +23,8 @@ from tailormon.mixmonitor import VAR_FLOOR, StreamStats, _BartlettTable
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def step_loop(z, train_sum, train_sumsq, m, window, p0, kernel=_kernel.scan_step_python, var_floor=VAR_FLOOR):
-    """(stat, argmax_k, clamps) of every step of ``z`` through the per-step kernel."""
+def step_loop(z, train_sum, train_sumsq, m, window, p0, var_floor=VAR_FLOOR):
+    """(stat, argmax_k, clamps) of every step of ``z`` through the reference kernel."""
     stats = StreamStats(train_sum=train_sum.copy(), train_sumsq=train_sumsq.copy(), m=m, window=window)
     table = _BartlettTable()
     out, ks, clamps = [], [], 0
@@ -33,7 +36,7 @@ def step_loop(z, train_sum, train_sumsq, m, window, p0, kernel=_kernel.scan_step
             ks.append(-1)
             continue
         kmin = max(0, t - window - 1)
-        s, k, clamped = kernel(
+        s, k, clamped = reference_step(
             stats.train_sum,
             stats.train_sumsq,
             m,
@@ -68,9 +71,9 @@ def random_trace(seed, T, J, m=60, constant_column=False):
 
 
 @pytest.fixture
-def numpy_step_kernel(monkeypatch):
-    """Monitor.step on the numpy kernel, whichever kernel is built."""
-    monkeypatch.setattr(_kernel, "scan_step", _kernel.scan_step_python)
+def reference_step_kernel(monkeypatch):
+    """Monitor.step on the reference kernel."""
+    monkeypatch.setattr(_kernel, "scan_step", reference_step)
 
 
 @pytest.mark.parametrize(
@@ -137,17 +140,6 @@ def test_threshold_stops_after_the_crossing_block():
     assert np.array_equal(stat, ref)
 
 
-@pytest.mark.skipif(_kernel.scan_step_compiled is None, reason="compiled kernel not built")
-@pytest.mark.parametrize("p0", [1.0, 0.1])
-def test_scan_trace_matches_compiled_kernel(p0):
-    z, ts, tq = random_trace(7, 300, 4)
-    stat, k = trace(z, ts, tq, 60, 30, p0)
-    ref, ref_k, _ = step_loop(z, ts, tq, 60, 30, p0, kernel=_kernel.scan_step_compiled)
-    assert stat[0] == ref[0] == -math.inf
-    np.testing.assert_allclose(stat[1:], ref[1:], rtol=1e-9)
-    assert np.array_equal(k, ref_k)
-
-
 def fitted(lag, p0=1.0, window=25, dim=4, m=80, seed=0):
     rng = np.random.default_rng(seed)
     base = tm.random_correlation(dim, 1.0, rng)
@@ -172,7 +164,7 @@ def monitor_stats(model, rows):
 
 @pytest.mark.parametrize("lag", [0, 2])
 @pytest.mark.parametrize("p0", [1.0, 0.3])
-def test_trace_stats_equal_monitor_steps(numpy_step_kernel, lag, p0):
+def test_trace_stats_equal_monitor_steps(reference_step_kernel, lag, p0):
     model, _, chol, rng = fitted(lag, p0)
     rows = rng.standard_normal((90, chol.shape[0])) @ chol.T
     stat, k = mixmonitor.trace_stats(model, rows)
@@ -184,9 +176,12 @@ def test_trace_stats_equal_monitor_steps(numpy_step_kernel, lag, p0):
 def test_trace_stats_rejects_bad_rows():
     model, _, chol, rng = fitted(1)
     rows = rng.standard_normal((10, chol.shape[0]))
+    for bad in (math.nan, 1e200):
+        poisoned = rows.copy()
+        poisoned[4, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            mixmonitor.trace_stats(model, poisoned)
     rows[4, 1] = math.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        mixmonitor.trace_stats(model, rows)
     with pytest.raises(tm.DimensionMismatch):
         mixmonitor.trace_stats(model, rows[:, :2])
     stat, k = mixmonitor.trace_stats(model, rows[:1])
@@ -194,7 +189,7 @@ def test_trace_stats_rejects_bad_rows():
 
 
 def replicate_reference(model, train_synth, monitor_synth):
-    """``replicate_maximum`` written out step by step on the numpy kernel."""
+    """``replicate_maximum`` written out step by step on the reference kernel."""
     ext = tm.lag_extend_matrix(np.asarray(train_synth, dtype=float), model.lag)
     summary = tm.estimate_training(ext)
     sel = tm.manual_selection(tm.eigensystem(summary.corr), model.selection.indices)
@@ -214,7 +209,7 @@ def replicate_reference(model, train_synth, monitor_synth):
         if t < 2:
             continue
         kmin = max(0, t - replica.window - 1)
-        s, _, _ = _kernel.scan_step_python(
+        s, _, _ = reference_step(
             stats.train_sum, stats.train_sumsq, stats.m, stats.run_sum, stats.run_sumsq,
             np.ascontiguousarray(stats.window_values()), t, kmin, replica.p0, table.cvals(stats.m, t, kmin),
             VAR_FLOOR,
@@ -261,7 +256,7 @@ def test_replicates_and_trials_construct_no_monitor(monkeypatch):
         (12.0, tm.ChangeScenario(ctype="mean", affected=(0, 2), mean_sizes=(3.0, 3.0)), 600),  # early exit
     ],
 )
-def test_run_prepared_trial_alarm_equals_monitor_run(numpy_step_kernel, monkeypatch, threshold, scenario, horizon):
+def test_run_prepared_trial_alarm_equals_monitor_run(reference_step_kernel, monkeypatch, threshold, scenario, horizon):
     model, _, chol, _ = fitted(0, window=40)
     model = model.with_threshold(threshold)
     base = tm.CorrelationMatrix(chol @ chol.T)
@@ -309,7 +304,7 @@ def test_trace_step_and_per_candidate_reference_agree(seed, p0, window, lag, T, 
     assert stat.shape == k.shape == (T,)
     mon = tm.Monitor(model)
     built = _kernel.scan_step
-    _kernel.scan_step = _kernel.scan_step_python  # a fixture would outlive the examples
+    _kernel.scan_step = reference_step  # a fixture would outlive the examples
     try:
         for i, x in enumerate(rows):
             step = mon.step(x)
