@@ -40,16 +40,22 @@ def _parse_row(fields, path, line_no):
 
 
 def iter_csv_rows(fobj, path: str = "<stream>"):
-    """Yield numeric rows from a CSV stream, skipping one optional header."""
+    """Yield (line, row) for the numeric rows of a CSV stream, skipping one optional header.
+
+    ``line`` is the file line the row ends on (``csv.reader.line_num``),
+    which this reader's errors name as ``path:line``; callers reporting
+    on the row name the same line.
+    """
     reader = csv.reader(fobj)
     width = None
-    for line_no, fields in enumerate(reader, start=1):
+    for record, fields in enumerate(reader):
+        line_no = reader.line_num
         fields = [f.strip() for f in fields]
         if not any(fields):  # a blank line
             continue
         if not all(fields):
             raise ConfigError(f"{path}:{line_no}: missing value")
-        if line_no == 1:
+        if record == 0:
             try:
                 row = [float(f) for f in fields]
             except ValueError:
@@ -67,12 +73,12 @@ def iter_csv_rows(fobj, path: str = "<stream>"):
             if all(math.isfinite(v) for v in row):
                 raise ConfigError(f"{path}:{line_no}: values too large: their sum overflows")
             raise ConfigError(f"{path}:{line_no}: non-finite value (NaN or infinity)")
-        yield np.asarray(row, dtype=float)
+        yield line_no, np.asarray(row, dtype=float)
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
     with open(path, "r", newline="") as fobj:
-        rows = list(iter_csv_rows(fobj, path))
+        rows = [row for _, row in iter_csv_rows(fobj, path)]
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     return np.vstack(rows)

@@ -6,6 +6,14 @@ Bartlett division, mixture sum and tie rule. ``scan_step`` calls it for
 one monitoring step. ``scan_trace`` calls it block by block over a
 stretch of trace and resumes from the ``ScanState`` an earlier call
 returned.
+
+The cells are laid out stream-major, as (J, cells) arrays, from the
+window buffer to the sum over streams. A tailored monitor watches few
+streams (two or three is usual), so a (cells, J) layout would run every
+elementwise pass as numpy inner loops only J long; stream-major, they
+run over all the cells of a block. Each cell's J mixture terms are then
+summed in the order numpy sums a contiguous row of J values, which keeps
+the statistics bit for bit those of a (cells, J) scan.
 """
 
 from __future__ import annotations
@@ -29,19 +37,22 @@ def mixture_terms(x: np.ndarray, p0: float) -> np.ndarray:
     """log(1 - p0 + p0 * exp(x)) evaluated without overflow.
 
     For x > 0 the identity x + log(p0 + (1 - p0) * exp(-x)) is used, so
-    p0 = 1 reduces to x exactly. Each form is evaluated only where it
-    applies; statistics are mostly positive, so the x <= 0 form is rare.
+    p0 = 1 reduces to x exactly. That form is evaluated on the whole
+    array, which saves gathering the positive entries; statistics are
+    mostly positive, so only the rare x <= 0 entries are gathered and
+    given log1p(p0 * expm1(x)) instead.
     """
     x = np.asarray(x, dtype=float)
-    pos = x > 0.0
     if p0 == 1.0:
         out = x.copy(order="K")
     else:
-        out = np.empty_like(x)
-        xp = x[pos]
-        out[pos] = xp + np.log(p0 + (1.0 - p0) * np.exp(-xp))
-    neg = ~pos
-    out[neg] = np.log1p(p0 * np.expm1(x[neg]))
+        out = np.empty_like(x)  # an array even for 0-d x, so it takes the patch below
+        # exp(-x) overflows where x is very negative; those entries are replaced below
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(x, np.log(p0 + (1.0 - p0) * np.exp(-x)), out=out)
+    neg = ~(x > 0.0)
+    if neg.any():
+        out[neg] = np.log1p(p0 * np.expm1(x[neg]))
     return out
 
 
@@ -88,13 +99,13 @@ def scan_step(
         k attaining it, and the number of clamped segment variances.
     """
     L = window_vals.shape[0]
-    rev = window_vals[::-1]
+    rev = window_vals.T[:, None, ::-1]  # (J, 1, L), newest first
     stat, best, clamped = _scan_cells(
-        np.stack([train_sum + run_sum, train_sumsq + run_sumsq])[None],
-        np.array([[float(m + t)]]),
-        rev[None],
-        (rev * rev)[None],
-        np.ones((1, L - 1), dtype=bool),
+        np.stack([train_sum + run_sum, train_sumsq + run_sumsq])[:, :, None],
+        np.array([float(m + t)]),
+        rev,
+        rev * rev,
+        np.array([L - 1]),
         cvals[::-1],
         p0,
         var_floor,
@@ -102,55 +113,71 @@ def scan_step(
     return float(stat[0]), t - 2 - int(best[0]), int(clamped[0])
 
 
-def _scan_cells(tot, nT, rev_z, rev_sq, adm, cvals, p0, var_floor):
+def _cell_lengths(counts: np.ndarray):
+    """Where each step's cells start, and the post-change segment length n2 of every cell.
+
+    Step b has counts[b] admissible cells, n2 = 2..counts[b] + 1; the
+    cells of a block are listed step after step.
+    """
+    starts = np.cumsum(counts) - counts
+    return starts, np.arange(2, counts.sum() + 2) - np.repeat(starts, counts)
+
+
+def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor):
     """The windowed mixture-GLR scan of a block of B steps.
 
-    Only the admissible cells are evaluated, gathered row by row into a
-    list of n cells.
+    Only the admissible cells are evaluated, listed step after step as n
+    cells. Every array is stream-major, (J, cells): monitors watch a
+    handful of streams, so a (cells, J) layout would give each of the
+    scan's elementwise passes numpy inner loops only J long. Per-step
+    totals reach the cells of their step through ``np.repeat``.
 
     Parameters
     ----------
-    tot : (B, 2, J) array
+    tot : (2, J, B) array
         Training plus running totals up to each step, of the values (row
         0) and of their squares (row 1).
-    nT : (B, 1) array
+    nT : (B,) array
         m + t of each step, as floats.
-    rev_z, rev_sq : (B, L, J) arrays
+    rev_z, rev_sq : (J, B, L) arrays
         The values at times t, t - 1, ..., t - L + 1 of each step, newest
         first, and their squares.
-    adm : (B, L - 1) bool array
-        adm[b, i] when the post-change segment of length n2 = i + 2 is
-        admissible at step b; n2 = 2 is admissible at every step.
+    counts : (B,) int array
+        The admissible cells of each step, the post-change segments of
+        length n2 = 2..counts[b] + 1; at least 1, at most L - 1.
     cvals : (n,) array
         The Bartlett factor C(t - n2, t) of every admissible cell, in the
-        row-major order of ``adm``.
+        order of ``_cell_lengths``.
 
     Returns
     -------
     (stat, best, clamped) : (B,) arrays
-        Per step, the largest corrected mixture statistic, the index i of
-        the longest segment (smallest k = t - 2 - i) attaining it, and the
-        number of clamped segment variances.
+        Per step, the largest corrected mixture statistic, the index
+        i = n2 - 2 of the longest segment (smallest k = t - 2 - i)
+        attaining it, and the number of clamped segment variances.
     """
-    B, L, J = rev_z.shape
-    tot_sum, tot_ssq = tot[:, 0], tot[:, 1]
+    J, B, L = rev_z.shape
+    tot_sum, tot_ssq = tot
     var_t = (tot_ssq - tot_sum * tot_sum / nT) / nT
-    clamped = (var_t < var_floor).sum(axis=1)
+    clamped = (var_t < var_floor).sum(axis=0)
     log_t = nT * np.log(np.maximum(var_t, var_floor))
 
-    # np.compress and np.take gather the cells several times faster than
-    # boolean and integer indexing do
-    bi, ri = np.nonzero(adm)
-    cells = adm.ravel()
-    sum2 = np.compress(cells, np.cumsum(rev_z, axis=1)[:, 1:].reshape(-1, J), axis=0)
-    ssq2 = np.compress(cells, np.cumsum(rev_sq, axis=1)[:, 1:].reshape(-1, J), axis=0)
-    n2 = (ri + 2).astype(float)[:, None]
-    n1 = np.take(nT, bi, axis=0) - n2
+    starts, lengths = _cell_lengths(counts)
+    # the sums of the newest n2 values of each window and of their squares:
+    # cumulative sums along the window axis, where cell (b, n2) sits at
+    # b * L + n2 - 1, gathered by np.take. Values and squares go one at a
+    # time, so each temporary stays within the block budget, small enough
+    # for malloc to reuse; at twice that size malloc maps it afresh for
+    # every block, and the page faults cost more than the layout saves
+    cells = np.repeat(np.arange(B) * L - 1, counts) + lengths
+    sum2, ssq2 = (np.take(np.cumsum(r, axis=2).reshape(J, B * L), cells, axis=1) for r in (rev_z, rev_sq))
+    n2 = lengths.astype(float)
+    n1 = np.repeat(nT, counts) - n2
     # the segment variances (ssq - sum * sum / n) / n, computed in place to
     # keep the block's memory small
-    sum1 = np.take(tot_sum, bi, axis=0)
+    sum1 = np.repeat(tot_sum, counts, axis=1)
     sum1 -= sum2
-    var_1 = np.take(tot_ssq, bi, axis=0)
+    var_1 = np.repeat(tot_ssq, counts, axis=1)
     var_1 -= ssq2  # ssq1
     sum1 *= sum1
     sum1 /= n1
@@ -161,25 +188,37 @@ def _scan_cells(tot, nT, rev_z, rev_sq, adm, cvals, p0, var_floor):
     sum1 /= n2
     var_2 -= sum1
     var_2 /= n2
-    # the two-point segment is cancellation-prone in prefix form; its
-    # exact variance is ((a - b) / 2)^2
-    var_2[ri == 0] = 0.25 * np.square(rev_z[:, 0] - rev_z[:, 1])
+    # the two-point segment, each step's first cell, is cancellation-prone
+    # in prefix form; its exact variance is ((a - b) / 2)^2
+    var_2[:, starts] = 0.25 * np.square(rev_z[:, :, 0] - rev_z[:, :, 1])
     for var in (var_1, var_2):
         low = var < var_floor
         if low.any():
-            clamped += np.bincount(bi, weights=low.sum(axis=1), minlength=B).astype(clamped.dtype)
+            clamped += np.add.reduceat(low.sum(axis=0), starts)
         np.maximum(var, var_floor, out=var)
     np.log(var_1, out=var_1)
     var_1 *= n1
     np.log(var_2, out=var_2)
     var_2 *= n2
-    llr = np.take(log_t, bi, axis=0)
+    llr = np.repeat(log_t, counts, axis=1)
     llr -= var_1
     llr -= var_2
     llr *= 0.5  # 0.5 * (nT * log(var_t) - n1 * log(var_1) - n2 * log(var_2))
-    llr /= cvals[:, None]
-    lam = np.full(adm.shape, -np.inf)
-    lam[adm] = mixture_terms(llr, p0).sum(axis=1)
+    llr /= cvals
+    terms = mixture_terms(llr, p0)
+    # each cell's J terms are summed in the order numpy sums a contiguous
+    # row of J values, as a (cells, J) scan sums them, so the statistics
+    # match it bit for bit. Below 8 terms that order is left to right, which
+    # adding whole rows gives without the row sum's overhead per cell (the
+    # row sum alone cost about 9% of the benchmark's stream and calibrate
+    # throughput, at J = 3 and 2); from 8 on numpy sums pairwise, which only
+    # the row sum itself reproduces
+    if J < 8:
+        cell = terms.sum(axis=0)
+    else:
+        cell = np.ascontiguousarray(terms.T).sum(axis=1)
+    lam = np.full((B, L - 1), -np.inf)
+    lam[np.arange(L - 1) < counts[:, None]] = cell
     # the largest n2 is the smallest k, which wins ties
     best = L - 2 - np.argmax(lam[:, ::-1], axis=1)
     return lam[np.arange(B), best], best, clamped
@@ -312,34 +351,41 @@ def scan_trace(
     # stand for times before 1, which only inadmissible cells reach.
     pad = max(0, cap - state.tail.shape[0])
     vals = np.concatenate([np.zeros((pad, J)), state.tail, z])
-    both = np.stack([vals, vals * vals], axis=1)
     first = t_end - vals.shape[0] + 1  # time of vals[0]
-    # rev[s, i] holds the value and its square at time first + s + w - i:
-    # a strided view, so no window is copied
-    rev = sliding_window_view(both, cap, axis=0).transpose(0, 3, 1, 2)[:, ::-1]
+    # The running totals add one time at a time, so they read time-major
+    # rows, contiguous per time; the windows read a stream-major copy.
+    # rev[:, :, s, i] holds the values and squares at time first + s + w - i,
+    # a strided view along each stream's row, so no window is copied
+    rows = np.stack([vals, vals * vals], axis=1)
+    both = np.ascontiguousarray(rows.transpose(1, 2, 0))
+    rev = sliding_window_view(both, cap, axis=2)[..., ::-1]
 
     def state_at(t, total, comp):
         return ScanState(total, comp, vals[t - first + 1 - min(t, cap):t - first + 1], t)
 
     total, comp = state.total, state.comp
     if t_prev == 0 and T:  # time 1 has no candidate; it only enters the totals
-        total, comp = _kahan(total, comp, both[1 - first:2 - first])
+        total, comp = _kahan(total, comp, rows[1 - first:2 - first])
     t0 = max(2, t_prev + 1)
     while t0 <= t_end:
         t1 = _block_end(t0, t_end, J, window)
         B = t1 - t0
         run = np.empty((B, 2, J))
-        total, comp = _kahan(total, comp, both[t0 - first:t1 - first], run)
+        total, comp = _kahan(total, comp, rows[t0 - first:t1 - first], run)
         ts = np.arange(t0, t1)
         out = slice(t0 - t_prev - 1, t1 - t_prev - 1)
         L = min(t1 - 1, cap)  # longest admissible segment in the block
-        adm = np.arange(2, L + 1) <= np.minimum(ts, cap)[:, None]  # (B, L - 1)
-        bi, ri = np.nonzero(adm)
-        tc, n2 = ts[bi], ri + 2
-        cvals = 0.5 * (h[m + tc - n2] + h[n2] - h[m + tc])
-        blk = rev[t0 - window - first:t1 - window - first, :L]
+        counts = np.minimum(ts, cap) - 1  # admissible cells, 2 <= n2 <= min(t, w + 1)
+        _, n2 = _cell_lengths(counts)
+        cvals = 0.5 * (h[np.repeat(m + ts, counts) - n2] + h[n2] - np.repeat(h[m + ts], counts))
         block_stat, best, clamped[out] = _scan_cells(
-            train + run, (m + ts).astype(float)[:, None], blk[:, :, 0], blk[:, :, 1], adm, cvals, p0, var_floor
+            (train + run).transpose(1, 2, 0),
+            (m + ts).astype(float),
+            *rev[:, :, t0 - window - first:t1 - window - first, :L],
+            counts,
+            cvals,
+            p0,
+            var_floor,
         )
         stat[out] = block_stat
         argmax_k[out] = ts - 2 - best

@@ -185,12 +185,16 @@ def calibrate_cmd(
     _guard(body)
 
 
-def _checked_rows(source, path: str, raw_dim: int):
-    """The CSV rows of ``source``; a row of the wrong width raises DimensionMismatch."""
-    for row in _fileio.iter_csv_rows(source, path):
+def _numbered_rows(source, path: str, raw_dim: int):
+    """(file line, row) of each CSV row of ``source``.
+
+    A row of the wrong width raises DimensionMismatch naming its line, as
+    the CSV reader's own errors do.
+    """
+    for line_no, row in _fileio.iter_csv_rows(source, path):
         if row.shape[0] != raw_dim:
-            raise DimensionMismatch(f"stream rows have {row.shape[0]} columns, expected {raw_dim}")
-        yield row
+            raise DimensionMismatch(f"{path}:{line_no}: stream rows have {row.shape[0]} columns, expected {raw_dim}")
+        yield line_no, row
 
 
 def _row_chunks(rows, size: int):
@@ -215,18 +219,28 @@ def _row_chunks(rows, size: int):
         yield chunk
 
 
-def _fed_results(monitor: Monitor, rows, stop_on_alarm: bool):
-    """Step results of ``rows``, fed to ``monitor`` in chunks of FEED_CHUNK_ROWS."""
-    for chunk in _row_chunks(rows, FEED_CHUNK_ROWS):
+def _stepped_results(monitor: Monitor, numbered, path: str):
+    """Step results of (line, row) pairs, one row at a time; a rejected row's error names its line."""
+    for line_no, row in numbered:
         try:
-            results = monitor.feed(chunk, stop_on_alarm=stop_on_alarm)
+            result = monitor.step(row)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+        yield result
+
+
+def _fed_results(monitor: Monitor, numbered, path: str, stop_on_alarm: bool):
+    """Step results of (line, row) pairs, fed to ``monitor`` in chunks of FEED_CHUNK_ROWS."""
+    for chunk in _row_chunks(numbered, FEED_CHUNK_ROWS):
+        try:
+            results = monitor.feed([row for _, row in chunk], stop_on_alarm=stop_on_alarm)
         except ValueError:
             # feed rejects a chunk before changing any state, and it can
             # reject a row the CSV reader passes: one holding a value, or
             # projecting to one, whose square overflows (such as 1e200).
             # Stepping the chunk gives the results before that row, then
             # raises at it
-            results = map(monitor.step, chunk)
+            results = _stepped_results(monitor, chunk, path)
         yield from results
 
 
@@ -271,12 +285,12 @@ def monitor_cmd(stream, selection, calibration, p0, window, continue_, out):
             source = sys.stdin if stream == "-" else open(stream, "r", newline="")
             try:
                 alarm_time = None
-                rows = _checked_rows(source, stream, raw_dim)
+                rows = _numbered_rows(source, stream, raw_dim)
                 if source is sys.stdin:
                     # one row at a time, so each line is out as its row arrives
-                    results = map(monitor.step, rows)
+                    results = _stepped_results(monitor, rows, stream)
                 else:
-                    results = _fed_results(monitor, rows, stop_on_alarm=not continue_)
+                    results = _fed_results(monitor, rows, stream, stop_on_alarm=not continue_)
                 for res in results:
                     sink.write(_fileio.step_result_line(res) + "\n")
                     if res.alarm and alarm_time is None:

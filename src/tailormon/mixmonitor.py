@@ -443,6 +443,7 @@ def _project_rows(model: MonitorModel, x: np.ndarray) -> np.ndarray:
 
 _RAW_REJECT = "observation contains a non-finite value or one whose square overflows"
 _PROJECTED_REJECT = "observation projects to a value whose square is non-finite"
+_TOTALS_REJECT = "observation makes the running sums of squares too large to scan"
 
 
 def _checked(v: np.ndarray, message: str) -> np.ndarray:
@@ -458,6 +459,23 @@ def _checked(v: np.ndarray, message: str) -> np.ndarray:
     if not np.isfinite(v * v).all():
         raise ValueError(message)
     return v
+
+
+def _check_totals(sumsq: np.ndarray, n: int):
+    """Reject values whose training-plus-running sums of squares the scan cannot square.
+
+    ``sumsq`` holds each stream's training plus running sum of squares
+    over its n = m + t values. Every sum s of k <= n of those values that
+    the scan forms, a total or a segment's sum, has s * s <= k * sumsq
+    (Cauchy-Schwarz), so s * s, and s * s / k, stay finite while
+    2 * n * sumsq does; the factor 2 leaves room for rounding. Rows that
+    each pass ``_checked`` can still fail this together. The sums only
+    grow, so testing them after the last row of a block covers every
+    step of it. ``sumsq`` may hold infinities: call its sums under
+    ``np.errstate(over="ignore")``.
+    """
+    if not float(sumsq.max()) * (2.0 * n) < math.inf:
+        raise ValueError(_TOTALS_REJECT)
 
 
 def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -484,6 +502,7 @@ def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tu
             return stat, argmax_k
         ext = x if lag == 0 else lag_extend_matrix(x, lag)
         z = _checked(_project_rows(model, ext), _PROJECTED_REJECT)
+        _check_totals(model.train_sumsq + (z * z).sum(axis=0), model.m + z.shape[0])
     h = _BartlettTable().upto(model.m + z.shape[0])
     s, k, _, _ = _kernel.scan_trace(
         z, model.train_sum, model.train_sumsq, model.m, model.window, model.p0, h, VAR_FLOOR, threshold
@@ -530,19 +549,20 @@ class Monitor:
             )
         lag = self.model.lag
         history = self._raw_history
+        stats = self._stats
         # every test comes before any state changes
         with np.errstate(over="ignore", invalid="ignore"):
             _checked(x, _RAW_REJECT)
             if lag == 0 or len(history) >= lag:
                 xe = np.concatenate([*history, x][-(lag + 1):]) if lag else x
                 z = _checked(project_observation(self.model, xe), _PROJECTED_REJECT)
+                _check_totals(stats.train_sumsq + stats.run_sumsq + z * z, stats.m + stats.t + 1)
         self._t_raw += 1
         if lag > 0:
             # a copy: callers may refill one buffer for every row
             history.append(x.copy())
             if len(history) < lag + 1:
                 return StepResult(t=self._t_raw, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
-        stats = self._stats
         stats.append(z)
         t = stats.t
         if t < 2:
@@ -590,6 +610,7 @@ class Monitor:
             )
         lag = model.lag
         t_raw = self._t_raw
+        stats = self._stats
         # the first rows may still lack the lag + 1 rows an extended vector needs
         held = len(self._raw_history)
         short = min(x.shape[0], max(0, lag - held))
@@ -603,12 +624,12 @@ class Monitor:
             else:
                 ext = np.empty((0, model.dim))
             z = _checked(_project_rows(model, ext), _PROJECTED_REJECT)
+            _check_totals(stats.train_sumsq + stats.run_sumsq + (z * z).sum(axis=0), stats.m + stats.t + z.shape[0])
         results = [
             StepResult(t=t_raw + i + 1, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
             for i in range(short)
         ]
 
-        stats = self._stats
         before = _kernel.ScanState(
             np.stack([stats.run_sum, stats.run_sumsq]),
             np.stack([stats._comp_sum, stats._comp_sumsq]),

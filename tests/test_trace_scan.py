@@ -20,8 +20,6 @@ from tailormon import _kernel, calibrate, evalharness, mixmonitor
 from tailormon._kernel._scan_py import _block_end
 from tailormon.mixmonitor import VAR_FLOOR, StreamStats, _BartlettTable
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def step_loop(z, train_sum, train_sumsq, m, window, p0, var_floor=VAR_FLOOR):
     """(stat, argmax_k, clamps) of every step of ``z`` through the reference kernel."""
@@ -85,6 +83,13 @@ def reference_step_kernel(monkeypatch):
         (60, 2, 2),  # the shortest window
         (300, 1, 40),
         (250, 20, 30),
+        # either side of numpy's 8-way pairwise row sum, which the
+        # stream-major scan reproduces from 8 streams on
+        (90, 7, 25),
+        (90, 8, 25),
+        (90, 9, 25),
+        (90, 16, 25),
+        (90, 17, 25),
     ],
 )
 @pytest.mark.parametrize("p0", [1.0, 0.1])
