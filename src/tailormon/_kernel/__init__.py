@@ -4,10 +4,14 @@ Both scans run one cell scan, ``_scan_py._scan_cells``. ``Monitor.step``
 scans one step at a time through ``scan_step``. ``scan_trace`` scans a
 stretch of trace in blocks of steps and gives ``scan_step``'s results
 bit for bit, clamp counts included. It takes and returns a
-``ScanState``, so a trace can be scanned in pieces: ``Monitor.feed``
-resumes it from the monitor's state block after block, while calibration
-replicates and simulated trials scan their whole stream from a fresh
-state.
+``ScanState``, so a trace can be scanned in pieces; with a threshold it
+stops at the first step that reaches it and returns that step's state.
+``ScanState`` is the one form of a monitor's running state:
+``StreamStats`` holds it, ``Monitor.step`` advances it a row at a time
+through ``advance_state``, and ``Monitor.feed`` resumes ``scan_trace``
+from it block after block, while calibration replicates and simulated
+trials scan their whole stream from a fresh state. ``_kahan`` adds every
+row to the running totals on all these paths, so they agree bit for bit.
 
 The cell scan is stream-major: it holds its cells as (J, cells) arrays,
 so its elementwise passes run numpy loops over all the cells of a block

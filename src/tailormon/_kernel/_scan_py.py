@@ -5,7 +5,9 @@ it is the only place that computes the segment variances, clamps, llr,
 Bartlett division, mixture sum and tie rule. ``scan_step`` calls it for
 one monitoring step. ``scan_trace`` calls it block by block over a
 stretch of trace and resumes from the ``ScanState`` an earlier call
-returned.
+returned. ``ScanState`` is every monitor's running state, and ``_kahan``
+is the one place its totals are added up, whether ``advance_state`` adds
+a row for ``Monitor.step`` or ``scan_trace`` adds a block.
 
 The cells are laid out stream-major, as (J, cells) arrays, from the
 window buffer to the sum over streams. A tailored monitor watches few
@@ -225,12 +227,13 @@ def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor):
 
 
 class ScanState(NamedTuple):
-    """Where a trace scan stopped, so the next call can go on from there.
+    """The running state of a monitor's scan: where a trace scan stopped, or where ``Monitor.step`` stands.
 
     ``total`` holds the running sums over monitoring times 1..t of the
     values (row 0) and of their squares (row 1), and ``comp`` their Kahan
-    compensations, as ``StreamStats.append`` keeps them; ``tail`` holds
-    the values at times t - L + 1..t, oldest first, L = min(t, w + 1).
+    compensations; ``tail`` holds the values at times t - L + 1..t, oldest
+    first, L = min(t, w + 1). No function changes a state's arrays in
+    place: each returns a new state.
     """
 
     total: np.ndarray
@@ -245,10 +248,12 @@ class ScanState(NamedTuple):
 
 
 def _kahan(total, comp, v, run=None):
-    """Add the rows of v, (n, 2, J), to the running totals with ``StreamStats.append``'s Kahan steps.
+    """Add the rows of v, (n, 2, J), to the running totals with Kahan's compensated steps.
 
     Returns the new (total, comp); ``run[i]``, when given, receives the
-    totals after row i.
+    totals after row i. Every running total of the library goes through
+    here, one time after another, so they agree bit for bit however the
+    times are grouped.
     """
     for i, row in enumerate(v):
         y = row - comp
@@ -261,11 +266,17 @@ def _kahan(total, comp, v, run=None):
 
 
 def advance_state(state: ScanState, z: np.ndarray, window: int) -> ScanState:
-    """The state after the rows of ``z``, without scanning them."""
-    z = np.ascontiguousarray(z, dtype=float)
-    total, comp = _kahan(state.total, state.comp, np.stack([z, z * z], axis=1))
-    tail = np.concatenate([state.tail, z])[-(window + 1):]
-    return ScanState(total, comp, tail, state.t + z.shape[0])
+    """The state after the rows of ``z``, (n, J), without scanning them.
+
+    The new tail is a copy of at most w + 1 rows, so it keeps neither the
+    old tail nor ``z`` alive.
+    """
+    n, J = z.shape
+    # (n, 2, J) rows of values and squares; np.stack costs twice as much per call
+    total, comp = _kahan(state.total, state.comp, np.concatenate([z, z * z], axis=1).reshape(n, 2, J))
+    cap = window + 1
+    tail = np.concatenate([state.tail[max(0, state.tail.shape[0] + n - cap):], z[-cap:]])
+    return ScanState(total, comp, tail, state.t + n)
 
 
 def _block_end(t0: int, T: int, J: int, window: int) -> int:
@@ -309,7 +320,7 @@ def scan_trace(
     cells, where n2 = t - k is the post-change segment length. Each block
     goes through the cell scan ``scan_step`` uses, restricted to the
     admissible cells (2 <= n2 <= min(t, window + 1)); the running totals
-    use ``StreamStats.append``'s Kahan steps.
+    go through ``_kahan``, as ``advance_state``'s do.
 
     Parameters
     ----------
@@ -322,7 +333,7 @@ def scan_trace(
     h : array
         h[a] = ``mixmonitor._h(a)`` for 2 <= a <= m + state.t + T.
     threshold : float, optional
-        Stop after the first block in which a statistic reaches it.
+        Stop at the first step whose statistic reaches it.
     state : ScanState, optional
         Where an earlier scan of the same trace stopped; it is not changed.
 
@@ -333,7 +344,9 @@ def scan_trace(
         and the number of clamped segment variances that ``scan_step``
         returns at that time (a time with no candidate, t = 1, reports
         -inf, -1 and 0), and the state after the last scanned step. All
-        T steps are scanned unless the scan stopped early.
+        T steps are scanned unless the scan stopped at a threshold. The
+        state's tail is a view into the whole stretch; copy it to keep it
+        without keeping the stretch.
     """
     z = np.ascontiguousarray(z, dtype=float)
     T, J = z.shape
@@ -371,6 +384,7 @@ def scan_trace(
         t1 = _block_end(t0, t_end, J, window)
         B = t1 - t0
         run = np.empty((B, 2, J))
+        start = total, comp
         total, comp = _kahan(total, comp, rows[t0 - first:t1 - first], run)
         ts = np.arange(t0, t1)
         out = slice(t0 - t_prev - 1, t1 - t_prev - 1)
@@ -389,8 +403,13 @@ def scan_trace(
         )
         stat[out] = block_stat
         argmax_k[out] = ts - 2 - best
-        if threshold is not None and np.any(block_stat >= threshold):
-            n = t1 - 1 - t_prev
-            return stat[:n], argmax_k[:n], clamped[:n], state_at(t1 - 1, total, comp)
+        if threshold is not None:
+            crossed = block_stat >= threshold
+            if crossed.any():
+                # compensations are not kept per step: add the block's rows up to the crossing again
+                t = t0 + int(np.argmax(crossed))
+                total, comp = _kahan(*start, rows[t0 - first:t + 1 - first])
+                n = t - t_prev
+                return stat[:n], argmax_k[:n], clamped[:n], state_at(t, total, comp)
         t0 = t1
     return stat, argmax_k, clamped, state_at(t_end, total, comp)

@@ -19,6 +19,7 @@ import numpy as np
 from .calibrate import CalibrationConfig, calibrate_threshold, clopper_pearson, resolve_threads
 from .changemodel import (
     CHANGE_TYPES,
+    CORRELATION,
     MEAN,
     VARIANCE,
     ChangeDistributionSpec,
@@ -398,6 +399,9 @@ def scenario_from_cell(ctype: str, sparsity: int, size: float, dim: int, rng: np
         raise ConfigError(f"unknown change type {ctype!r}")
     if not 1 <= sparsity <= dim:
         raise ConfigError("sparsity must lie in [1, dim]")
+    if ctype == CORRELATION and sparsity < 2:
+        # one affected variable has no pair to change: the cell would run null streams
+        raise ConfigError("a correlation change needs sparsity >= 2")
     affected = tuple(int(i) for i in np.sort(rng.choice(dim, size=sparsity, replace=False)))
     if ctype == MEAN:
         return ChangeScenario(ctype=ctype, affected=affected, mean_sizes=(float(size),) * sparsity)

@@ -12,9 +12,11 @@ of the last l+1 raw observations (oldest first); the first l raw steps
 cannot be monitored and trace times refer to raw monitoring time.
 
 A ``Monitor`` takes rows one at a time (``step``, on the one-step scan)
-or in blocks (``feed``, on the resumable trace scan); both read and write
-the same ``StreamStats`` and give the same results bit for bit.
-``trace_stats`` scans a stream known in full.
+or in blocks (``feed``, on the resumable trace scan). Both run on one
+state, the ``_kernel.ScanState`` its ``StreamStats`` holds, and give the
+same results bit for bit. ``trace_stats`` scans a stream known in full
+through ``feed``'s row checks and scan, from a fresh state; with a
+threshold, it and ``feed(stop_on_alarm=True)`` stop at the first alarm.
 """
 
 from __future__ import annotations
@@ -140,60 +142,48 @@ def lag_extend_matrix(data, lag: int) -> np.ndarray:
 class StreamStats:
     """Mutable per-stream state of a monitoring run.
 
-    Holds the frozen training sufficient statistics, a ring buffer of the
-    last ``window + 1`` monitored vectors, and compensated running totals
-    over all monitoring values so far (Kahan summation keeps the running
-    prefix sums drift-free on long streams; window segment sums are
-    recomputed from the buffer at every step).
+    Holds the frozen training sufficient statistics and the running
+    ``_kernel.ScanState``: compensated running totals over all monitoring
+    values so far (Kahan summation keeps them drift-free on long streams)
+    and the last ``window + 1`` monitored vectors, from which window
+    segment sums are recomputed at every step. ``Monitor.step`` advances
+    the state one row at a time; ``Monitor.feed`` replaces it with the one
+    its trace scan returns.
     """
 
     train_sum: np.ndarray
     train_sumsq: np.ndarray
     m: int
     window: int
-    ring: np.ndarray = field(init=False)
-    t: int = field(init=False, default=0)
-    run_sum: np.ndarray = field(init=False)
-    run_sumsq: np.ndarray = field(init=False)
-    _comp_sum: np.ndarray = field(init=False)
-    _comp_sumsq: np.ndarray = field(init=False)
+    state: _kernel.ScanState = field(init=False)
 
     def __post_init__(self):
         if self.window < 2:
             raise ValueError("window must be at least 2")
-        n_streams = self.train_sum.shape[0]
-        self.ring = np.zeros((self.window + 1, n_streams))
-        self.run_sum = np.zeros(n_streams)
-        self.run_sumsq = np.zeros(n_streams)
-        self._comp_sum = np.zeros(n_streams)
-        self._comp_sumsq = np.zeros(n_streams)
+        self.state = _kernel.ScanState.fresh(self.n_streams)
 
     @property
     def n_streams(self) -> int:
         return self.train_sum.shape[0]
 
+    @property
+    def t(self) -> int:
+        return self.state.t
+
+    @property
+    def run_sum(self) -> np.ndarray:
+        return self.state.total[0]
+
+    @property
+    def run_sumsq(self) -> np.ndarray:
+        return self.state.total[1]
+
     def append(self, z: np.ndarray):
-        cap = self.window + 1
-        self.ring[self.t % cap] = z
-        self.t += 1
-        for total, comp, v in (
-            (self.run_sum, self._comp_sum, z),
-            (self.run_sumsq, self._comp_sumsq, z * z),
-        ):
-            y = v - comp
-            s = total + y
-            comp[:] = (s - total) - y
-            total[:] = s
+        self.state = _kernel.advance_state(self.state, np.asarray(z, dtype=float)[None], self.window)
 
     def window_values(self) -> np.ndarray:
         """Buffered values for times t-L+1..t, oldest first, L = min(t, w+1)."""
-        cap = self.window + 1
-        length = min(self.t, cap)
-        start = (self.t - length) % cap
-        end = self.t % cap
-        if start < end or length == 0:
-            return self.ring[start:start + length]
-        return np.concatenate([self.ring[start:], self.ring[:end]])
+        return self.state.tail
 
     def segment_stats(self, k: int) -> tuple:
         """Counts, sums and sums of squares of the three segments at candidate k.
@@ -478,39 +468,57 @@ def _check_totals(sumsq: np.ndarray, n: int):
         raise ValueError(_TOTALS_REJECT)
 
 
-def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Step statistics of a stream known in full, as ``Monitor.step`` would report them.
+def _scan_rows(model: MonitorModel, rows, state, history, table: _BartlettTable, threshold: float | None):
+    """Check, lag-extend, project and scan a block of raw rows from a running state.
 
-    Lag-extends the raw rows, projects each one as ``project_observation``
-    does and scans the whole trace with ``_kernel.scan_trace``. Returns
-    (stat, argmax_k) in raw time: entry i is raw step i + 1, with -inf
-    and -1 where no candidate exists. With ``threshold`` the scan may stop
-    after the block of steps where a statistic first reaches it, so the
-    arrays can be shorter than the stream. Matches ``Monitor.step`` bit
-    for bit, and rejects the rows ``step`` rejects.
+    ``state`` is the ``_kernel.ScanState`` before the block and
+    ``history`` the raw rows held before it, the last ``model.lag`` or
+    more of them; neither is changed. Every row is tested as
+    ``Monitor.step`` tests it before anything is scanned. Returns (short,
+    stat, argmax_k, clamped, state): the first ``short`` rows still lack
+    the lag + 1 rows an extended vector needs and are not scanned; the
+    arrays hold every scanned step, argmax_k in raw time and -1 where no
+    candidate exists; the state is the one after the last scanned step.
+    With ``threshold`` the scan stops at the first step whose statistic
+    reaches it.
     """
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.raw_dim:
-        raise DimensionMismatch(f"expected rows of dimension {model.raw_dim}, got shape {x.shape}")
+        raise DimensionMismatch(f"expected raw vectors of dimension {model.raw_dim}, got shape {x.shape}")
     lag = model.lag
-    n_raw = x.shape[0]
-    stat = np.full(n_raw, -math.inf)
-    argmax_k = np.full(n_raw, -1, dtype=np.int64)
+    held = len(history)
+    short = min(x.shape[0], max(0, lag - held))
     with np.errstate(over="ignore", invalid="ignore"):
         _checked(x, _RAW_REJECT)
-        if n_raw <= lag:
-            return stat, argmax_k
-        ext = x if lag == 0 else lag_extend_matrix(x, lag)
+        if lag == 0:
+            ext = x
+        elif short < x.shape[0]:
+            ext = lag_extend_matrix(np.vstack([*history, x]), lag)[held + short - lag:]
+        else:
+            ext = np.empty((0, model.dim))
         z = _checked(_project_rows(model, ext), _PROJECTED_REJECT)
-        _check_totals(model.train_sumsq + (z * z).sum(axis=0), model.m + z.shape[0])
-    h = _BartlettTable().upto(model.m + z.shape[0])
-    s, k, _, _ = _kernel.scan_trace(
-        z, model.train_sum, model.train_sumsq, model.m, model.window, model.p0, h, VAR_FLOOR, threshold
+        _check_totals(model.train_sumsq + state.total[1] + (z * z).sum(axis=0), model.m + state.t + z.shape[0])
+    h = table.upto(model.m + state.t + z.shape[0])
+    stat, k, clamped, state = _kernel.scan_trace(
+        z, model.train_sum, model.train_sumsq, model.m, model.window, model.p0, h, VAR_FLOOR, threshold, state=state
     )
-    end = lag + s.shape[0]
-    stat[lag:end] = s
-    argmax_k[lag:end] = np.where(k >= 0, k + lag, -1)
-    return stat[:end], argmax_k[:end]
+    return short, stat, np.where(k >= 0, k + lag, -1), clamped, state
+
+
+def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Step statistics of a stream known in full, as ``Monitor.step`` would report them.
+
+    ``Monitor.feed``'s scan of the rows, from a fresh state and without
+    building a ``Monitor``. Returns (stat, argmax_k) in raw time: entry i
+    is raw step i + 1, with -inf and -1 where no candidate exists. With
+    ``threshold`` the arrays end at the first step whose statistic
+    reaches it. Matches ``Monitor.step`` bit for bit, and rejects the
+    rows ``step`` rejects.
+    """
+    short, stat, argmax_k, _, _ = _scan_rows(
+        model, rows, _kernel.ScanState.fresh(model.n_streams), (), _BartlettTable(), threshold
+    )
+    return np.concatenate([np.full(short, -math.inf), stat]), np.concatenate([np.full(short, -1), argmax_k])
 
 
 class Monitor:
@@ -568,13 +576,14 @@ class Monitor:
         if t < 2:
             return StepResult(t=self._t_raw, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
         kmin = max(0, t - self.model.window - 1)
+        state = stats.state
         stat, argmax_k, clamped = _kernel.scan_step(
             stats.train_sum,
             stats.train_sumsq,
             stats.m,
-            stats.run_sum,
-            stats.run_sumsq,
-            np.ascontiguousarray(stats.window_values()),
+            state.total[0],
+            state.total[1],
+            state.tail,
             t,
             kmin,
             self.model.p0,
@@ -594,87 +603,39 @@ class Monitor:
         """Consume a block of raw observations, as ``step`` would one at a time.
 
         Returns ``[self.step(x) for x in rows]`` bit for bit, warnings
-        included, but scans the block with ``_kernel.scan_trace`` from the
-        monitor's state and writes that state back, so ``step`` and
-        ``feed`` calls may be mixed. Every row is checked before any state
-        changes. With ``stop_on_alarm`` the rows after the first alarm are
-        left unconsumed and get no result.
+        included, but scans the block with ``_kernel.scan_trace``, resumed
+        from the monitor's state, and keeps the state it returns, so
+        ``step`` and ``feed`` calls may be mixed. Every row is checked
+        before any state changes. With ``stop_on_alarm`` the scan stops at
+        the first alarm; the rows after it are left unconsumed and get no
+        result.
         """
         model = self.model
         x = np.asarray(rows, dtype=float)
         if x.shape[:1] == (0,):
             return []
-        if x.ndim != 2 or x.shape[1] != model.raw_dim:
-            raise DimensionMismatch(
-                f"expected raw vectors of dimension {model.raw_dim}, got shape {x.shape}"
-            )
         lag = model.lag
         t_raw = self._t_raw
-        stats = self._stats
-        # the first rows may still lack the lag + 1 rows an extended vector needs
-        held = len(self._raw_history)
-        short = min(x.shape[0], max(0, lag - held))
-        # the tests of ``step``, on every row before any state changes
-        with np.errstate(over="ignore", invalid="ignore"):
-            _checked(x, _RAW_REJECT)
-            if lag == 0:
-                ext = x
-            elif short < x.shape[0]:
-                ext = lag_extend_matrix(np.vstack([*self._raw_history, x]), lag)[held + short - lag:]
-            else:
-                ext = np.empty((0, model.dim))
-            z = _checked(_project_rows(model, ext), _PROJECTED_REJECT)
-            _check_totals(stats.train_sumsq + stats.run_sumsq + (z * z).sum(axis=0), stats.m + stats.t + z.shape[0])
+        short, stat, argmax_k, clamped, state = _scan_rows(
+            model, x, self._stats.state, self._raw_history, self._table,
+            model.threshold if stop_on_alarm else None,
+        )
+        # the tail is a view into the whole scanned block; a copy lets the block go
+        self._stats.state = state._replace(tail=state.tail.copy())
+        consumed = short + stat.shape[0]
+        if lag > 0:
+            self._raw_history.extend(x[max(0, consumed - lag - 1):consumed].copy())
+        self._t_raw = t_raw + consumed
+        self.total_warnings += int(clamped.sum())
+
         results = [
             StepResult(t=t_raw + i + 1, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
             for i in range(short)
         ]
-
-        before = _kernel.ScanState(
-            np.stack([stats.run_sum, stats.run_sumsq]),
-            np.stack([stats._comp_sum, stats._comp_sumsq]),
-            stats.window_values(),
-            stats.t,
-        )
-        h = self._table.upto(stats.m + stats.t + z.shape[0])
-        stat, argmax_k, clamped, after = _kernel.scan_trace(
-            z,
-            stats.train_sum,
-            stats.train_sumsq,
-            stats.m,
-            model.window,
-            model.p0,
-            h,
-            VAR_FLOOR,
-            model.threshold if stop_on_alarm else None,
-            state=before,
-        )
         alarms = (argmax_k >= 0) & (stat >= model.threshold)
-        used = z.shape[0]
-        if stop_on_alarm and alarms.any():
-            used = int(np.argmax(alarms)) + 1
-            if after.t > before.t + used:  # the scan ran on to the end of its block
-                after = _kernel.advance_state(before, z[:used], model.window)
-
-        stats.run_sum[:], stats.run_sumsq[:] = after.total
-        stats._comp_sum[:], stats._comp_sumsq[:] = after.comp
-        cap = model.window + 1
-        kept = z[:used][-cap:]
-        stats.ring[np.arange(after.t - kept.shape[0], after.t) % cap] = kept
-        stats.t = after.t
-        consumed = short + used
-        if lag > 0:
-            self._raw_history.extend(x[max(0, consumed - lag - 1):consumed].copy())
-        self._t_raw = t_raw + consumed
-        self.total_warnings += int(clamped[:used].sum())
-
         t_first = t_raw + short + 1
-        for i, (s, k, a, c) in enumerate(
-            zip(stat[:used].tolist(), argmax_k[:used].tolist(), alarms[:used].tolist(), clamped[:used].tolist())
-        ):
-            results.append(
-                StepResult(t=t_first + i, stat=s, argmax_k=k + lag if k >= 0 else None, alarm=a, warnings=c)
-            )
+        for i, (s, k, a, c) in enumerate(zip(stat.tolist(), argmax_k.tolist(), alarms.tolist(), clamped.tolist())):
+            results.append(StepResult(t=t_first + i, stat=s, argmax_k=k if k >= 0 else None, alarm=a, warnings=c))
         return results
 
     def run(self, stream, *, collect_trace: bool = True, stop_on_alarm: bool = True) -> MonitorRun:

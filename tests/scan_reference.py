@@ -1,12 +1,55 @@
-"""The per-step scan as a test reference, written apart from ``tailormon._kernel``.
+"""The per-step scan and its running state as a test reference, written apart from ``tailormon._kernel``.
 
 ``scan_step`` here is the numpy kernel, with its mixture terms, as it
 stood before the library's one-step and trace scans came to share one
-cell scan. The bitwise tests compare the library against it, so a fault
+cell scan. ``RingStats`` is the running state ``StreamStats`` kept before
+it came to hold the kernel's ``ScanState``: a ring buffer of the last
+w + 1 values and running totals with their own Kahan steps, one array at
+a time. The bitwise tests compare the library against them, so a fault
 in the shared code cannot hide by being on both sides of a comparison.
 """
 
 import numpy as np
+
+
+class RingStats:
+    """Running totals and a ring buffer of the last ``window + 1`` values of J streams."""
+
+    def __init__(self, train_sum, train_sumsq, m, window):
+        self.train_sum = train_sum
+        self.train_sumsq = train_sumsq
+        self.m = m
+        self.window = window
+        n_streams = train_sum.shape[0]
+        self.ring = np.zeros((window + 1, n_streams))
+        self.t = 0
+        self.run_sum = np.zeros(n_streams)
+        self.run_sumsq = np.zeros(n_streams)
+        self.comp_sum = np.zeros(n_streams)
+        self.comp_sumsq = np.zeros(n_streams)
+
+    def append(self, z):
+        cap = self.window + 1
+        self.ring[self.t % cap] = z
+        self.t += 1
+        for total, comp, v in (
+            (self.run_sum, self.comp_sum, z),
+            (self.run_sumsq, self.comp_sumsq, z * z),
+        ):
+            y = v - comp
+            s = total + y
+            comp[:] = (s - total) - y
+            total[:] = s
+
+    def window_values(self):
+        """Buffered values for times t-L+1..t, oldest first, L = min(t, w+1)."""
+        cap = self.window + 1
+        length = min(self.t, cap)
+        start = (self.t - length) % cap
+        end = self.t % cap
+        if start < end or length == 0:
+            return self.ring[start:start + length]
+        return np.concatenate([self.ring[start:], self.ring[:end]])
 
 
 def mixture_terms(x: np.ndarray, p0: float) -> np.ndarray:
@@ -102,3 +145,21 @@ def scan_step(
     lam = mixture_terms(x, p0).sum(axis=1)
     idx = int(np.argmax(lam))  # first max, so the smallest k wins ties
     return float(lam[idx]), kmin + idx, clamped
+
+
+def ring_state(z, train_sum, train_sumsq, m, window) -> RingStats:
+    """The reference state after the rows of ``z``, appended one at a time."""
+    ring = RingStats(train_sum.copy(), train_sumsq.copy(), m, window)
+    for row in z:
+        ring.append(row)
+    return ring
+
+
+def same_state(state, ring: RingStats) -> bool:
+    """Whether a ``ScanState`` holds ``ring``'s time, totals, compensations and window, bit for bit."""
+    return (
+        state.t == ring.t
+        and np.array_equal(state.total, np.stack([ring.run_sum, ring.run_sumsq]))
+        and np.array_equal(state.comp, np.stack([ring.comp_sum, ring.comp_sumsq]))
+        and np.array_equal(state.tail, ring.window_values())
+    )

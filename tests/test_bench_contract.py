@@ -8,6 +8,9 @@ stays green. These tests read ``perfbench/`` without changing it.
 
 import importlib.util
 import inspect
+import io
+import sys
+import unittest
 from pathlib import Path
 
 import numpy as np
@@ -97,3 +100,21 @@ def test_tracer_installs_and_restores_every_layer(spans):
     restored = [getattr(*spans._resolve(module, path)) for _, module, path, _, _ in spans.LAYERS]
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert all(r is o for r, o in zip(restored, originals))
+
+
+def test_perfbench_selftest_passes(monkeypatch):
+    # the self-test pins how Monitor.step nests the kernel's scan_step; it
+    # puts perfbench/ and src/ on sys.path and imports its siblings by name
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    added = [name for name in ("measure", "spans") if name not in sys.modules]
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_selftest", PERFBENCH / "selftest.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        suite = unittest.defaultTestLoader.loadTestsFromModule(module)
+        result = unittest.TextTestRunner(stream=io.StringIO(), verbosity=0).run(suite)
+    finally:
+        for name in added:
+            sys.modules.pop(name, None)
+    assert result.testsRun > 0
+    assert result.wasSuccessful(), result.errors + result.failures

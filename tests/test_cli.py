@@ -437,6 +437,31 @@ class TestSimulateCommand:
         assert header.startswith("detector,parameter,change_type")
         assert len(outs[0].decode().splitlines()) == 3
 
+    def test_correlation_cell_of_one_variable_exit_3(self, tmp_path):
+        # such a cell would run null streams and report them as a correlation change
+        grid = {
+            "schema": "tailormon/grid@1",
+            "seed": 3,
+            "dim": 4,
+            "m": 60,
+            "n": 30,
+            "window": 20,
+            "alpha": 0.05,
+            "confidence": 0.5,
+            "trial_replicates": 10,
+            "detectors": [{"kind": "minpca", "n_axes": 2, "threshold": 10.0}],
+            "cells": [{"ctype": "h0"}, {"ctype": "correlation", "sparsity": 1, "size": 0.5}],
+        }
+        gpath = tmp_path / "grid.json"
+        gpath.write_text(json.dumps(grid))
+        out = tmp_path / "r.csv"
+        res = invoke("simulate", gpath, "--out", out)
+        assert res.exit_code == 3, res.output
+        assert len(out.read_text().splitlines()) == 2  # the header and the h0 row
+        failures = json.loads((tmp_path / "r.csv.manifest.json").read_text())["failures"]
+        assert [f["cell"] for f in failures] == [grid["cells"][1]]
+        assert failures[0]["error"] == "ConfigError: a correlation change needs sparsity >= 2"
+
     def test_zero_threads_exit_2(self, tmp_path):
         grid = {
             "schema": "tailormon/grid@1",

@@ -272,6 +272,11 @@ class TestScenarioFromCell:
         assert len(sc.corr_factors) == 3
         assert all(v == 0.25 for v in sc.corr_factors.values())
 
+    def test_correlation_cell_of_one_variable_rejected(self):
+        # one affected variable has no pair whose correlation could change
+        with pytest.raises(ConfigError, match="sparsity >= 2"):
+            scenario_from_cell("correlation", 1, 0.25, 10, np.random.default_rng(13))
+
 
 class TestSimulateGrid:
     GRID = {

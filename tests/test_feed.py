@@ -2,11 +2,11 @@
 
 Feeding a block of rows must give the results and leave the state that
 stepping the same rows one at a time gives, bit for bit: every
-``StepResult`` field, the ``StreamStats`` ring, running totals and
-compensations, the lag history and the warning count. ``Monitor.step``
-runs on the reference kernel of ``tests/scan_reference.py`` here, so the
-comparisons do not pass through the cell scan that ``feed`` shares with
-the library's ``scan_step``.
+``StepResult`` field, the running totals, compensations and kept window
+of the monitor's ``ScanState``, the lag history and the warning count.
+``Monitor.step`` runs on the reference kernel of
+``tests/scan_reference.py`` here, so the comparisons do not pass through
+the cell scan that ``feed`` shares with the library's ``scan_step``.
 """
 
 import math
@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 import tailormon as tm
+from scan_reference import RingStats, ring_state, same_state
 from scan_reference import scan_step as reference_step
 from tailormon import _kernel, mixmonitor
-from tailormon.mixmonitor import VAR_FLOOR, StreamStats, _BartlettTable
+from tailormon._kernel._scan_py import TRACE_BLOCK_STEPS, _block_end
+from tailormon.mixmonitor import VAR_FLOOR, _BartlettTable
 
 WINDOW = 25
 
@@ -56,16 +58,15 @@ def key(res):
 
 
 def snapshot(mon):
-    s = mon.stats
+    s = mon.stats.state
     return (
         mon.t,
         s.t,
         mon.total_warnings,
-        s.ring.tobytes(),
-        s.run_sum.tobytes(),
-        s.run_sumsq.tobytes(),
-        s._comp_sum.tobytes(),
-        s._comp_sumsq.tobytes(),
+        s.total.tobytes(),
+        s.comp.tobytes(),
+        s.tail.shape,
+        s.tail.tobytes(),
         tuple(r.tobytes() for r in mon._raw_history),
     )
 
@@ -177,6 +178,33 @@ def test_stop_on_alarm_consumes_up_to_the_alarm(lag, first):
     assert snapshot(mon) == snapshot(ref)
 
 
+@pytest.mark.parametrize("lag", [0, 1])
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+def test_stop_on_alarm_at_a_place_in_a_scan_block(lag, place):
+    # the alarm falls at the first, a middle or the last step of a block of
+    # the trace scan; feed stops there and keeps the state of that step
+    model, chol, rng = fitted(lag, p0=0.3, n_axes=3)
+    rows = stream(chol, rng, 300, shift_at=150)
+    stats = [r.stat for r in tm.Monitor(model).feed(rows)]
+    # a statistic above every earlier one, so the first to reach it as a threshold
+    alarm_t = next(t for t in range(100, 300) if stats[t - 1] > max(stats[: t - 1]))
+    before = {"first": 0, "middle": TRACE_BLOCK_STEPS // 2, "last": TRACE_BLOCK_STEPS - 1}[place]
+    start = alarm_t - 1 - before  # raw rows consumed before the block is fed
+    t0 = start - lag + 1  # the fed block's first scan time, the start of its first scan block
+    assert _block_end(t0, rows.shape[0] - lag, 3, WINDOW) == t0 + TRACE_BLOCK_STEPS
+    armed = model.with_threshold(stats[alarm_t - 1])
+
+    mon = tm.Monitor(armed)
+    mon.feed(rows[:start])
+    got = mon.feed(rows[start:], stop_on_alarm=True)
+    assert len(got) == alarm_t - start
+    assert got[-1].alarm and got[-1].t == alarm_t and not any(r.alarm for r in got[:-1])
+    at_alarm = tm.Monitor(armed)
+    stepped = [at_alarm.step(x) for x in rows[:alarm_t]]
+    assert [key(r) for r in got] == [key(r) for r in stepped[start:]]
+    assert snapshot(mon) == snapshot(at_alarm)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
 def test_bad_row_mid_block_leaves_state_untouched(bad):
     model, chol, rng = fitted(1, p0=0.3, n_axes=3)
@@ -254,8 +282,8 @@ def test_feed_copies_its_rows():
 
 
 def step_reference(z, train_sum, train_sumsq, m, window, p0):
-    """(stat, argmax_k, clamps) per step of ``z`` through ``StreamStats`` and the reference kernel."""
-    stats = StreamStats(train_sum=train_sum.copy(), train_sumsq=train_sumsq.copy(), m=m, window=window)
+    """(stat, argmax_k, clamps) per step of ``z`` through the reference state and kernel."""
+    stats = RingStats(train_sum.copy(), train_sumsq.copy(), m, window)
     table = _BartlettTable()
     out = []
     for row in z:
@@ -290,10 +318,6 @@ def test_scan_trace_in_pieces_counts_clamps_per_step(cuts):
     assert got == ref
     assert sum(c for _, _, c in ref) > 0
     # the state after the last piece is what the per-step totals and buffer hold
-    stats = StreamStats(train_sum=ts.copy(), train_sumsq=tq.copy(), m=60, window=25)
-    for row in z:
-        stats.append(row)
-    assert np.array_equal(state.total, np.stack([stats.run_sum, stats.run_sumsq]))
-    assert np.array_equal(state.comp, np.stack([stats._comp_sum, stats._comp_sumsq]))
-    assert np.array_equal(state.tail, stats.window_values())
-    assert np.array_equal(_kernel.advance_state(_kernel.ScanState.fresh(3), z, 25).total, state.total)
+    ring = ring_state(z, ts, tq, 60, 25)
+    assert same_state(state, ring)
+    assert same_state(_kernel.advance_state(_kernel.ScanState.fresh(3), z, 25), ring)

@@ -281,13 +281,20 @@ class TestMonitor:
             if t >= 2:
                 assert max(0, t - model.window - 1) <= res.argmax_k <= t - 2
 
-    def test_ring_buffer_bounded(self):
+    def test_kept_window_bounded(self):
+        # w + 1 rows are kept, in an array of their own: a trace scan's
+        # tail is a view into its whole block, which the monitor must not keep
         model, _, chol, rng = make_model(window=16)
-        mon = Monitor(model)
-        for x in rng.standard_normal((100, model.raw_dim)) @ chol.T:
-            mon.step(x)
-        assert mon.stats.ring.shape == (17, model.n_streams)
-        assert mon.stats.window_values().shape[0] == 17
+        stepped, fed = Monitor(model), Monitor(model)
+        rows = rng.standard_normal((300, model.raw_dim)) @ chol.T
+        for x in rows[:100]:
+            stepped.step(x)
+        fed.feed(rows)
+        for mon in (stepped, fed):
+            kept = mon.stats.window_values()
+            assert kept.shape == (17, model.n_streams)
+            owner = kept if kept.base is None else kept.base
+            assert owner.nbytes == kept.nbytes
 
     def test_five_sigma_shift_alarms_fast(self):
         # calibrated threshold, then 500 replicates of an extreme shift

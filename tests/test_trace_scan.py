@@ -1,6 +1,6 @@
 """The whole-trace scan against the per-step scan it replaces.
 
-``scan_trace`` must reproduce a ``StreamStats`` + reference ``scan_step``
+``scan_trace`` must reproduce a reference ``RingStats`` + ``scan_step``
 loop bit for bit, and the calibration replicates and simulated trials
 built on it must match a per-step monitor exactly. The per-step side runs
 ``tests/scan_reference.py``, not the library's ``scan_step``, which shares
@@ -15,15 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailormon as tm
+from scan_reference import RingStats, ring_state, same_state
 from scan_reference import scan_step as reference_step
 from tailormon import _kernel, calibrate, evalharness, mixmonitor
 from tailormon._kernel._scan_py import _block_end
-from tailormon.mixmonitor import VAR_FLOOR, StreamStats, _BartlettTable
+from tailormon.mixmonitor import VAR_FLOOR, _BartlettTable
 
 
 def step_loop(z, train_sum, train_sumsq, m, window, p0, var_floor=VAR_FLOOR):
     """(stat, argmax_k, clamps) of every step of ``z`` through the reference kernel."""
-    stats = StreamStats(train_sum=train_sum.copy(), train_sumsq=train_sumsq.copy(), m=m, window=window)
+    stats = RingStats(train_sum.copy(), train_sumsq.copy(), m, window)
     table = _BartlettTable()
     out, ks, clamps = [], [], 0
     for row in z:
@@ -136,10 +137,14 @@ def test_threshold_stops_after_the_crossing_block():
     for threshold in [*block_max, *np.quantile(ref[1:], [0.5, 0.8, 0.9, 0.95, 0.99])]:
         first_t = int(np.flatnonzero(ref >= threshold)[0]) + 1
         stat, k = trace(z, ts, tq, 60, 25, 1.0, threshold)
-        # the scan ends with the block that holds the first crossing
-        assert stat.shape[0] == min(e for e in ends if e > first_t) - 1 < 600
+        # the scan ends at the first crossing, within its block
+        assert stat.shape[0] == first_t < 600
         assert np.array_equal(stat, ref[: stat.shape[0]])
         assert np.array_equal(k, ref_k[: stat.shape[0]])
+        # and returns the state there
+        h = _BartlettTable().upto(60 + 600)
+        *_, state = _kernel.scan_trace(z, ts, tq, 60, 25, 1.0, h, VAR_FLOOR, threshold)
+        assert same_state(state, ring_state(z[:first_t], ts, tq, 60, 25))
     # a threshold nothing reaches scans the whole trace
     stat, _ = trace(z, ts, tq, 60, 25, 1.0, math.inf)
     assert np.array_equal(stat, ref)
@@ -199,9 +204,7 @@ def replicate_reference(model, train_synth, monitor_synth):
     summary = tm.estimate_training(ext)
     sel = tm.manual_selection(tm.eigensystem(summary.corr), model.selection.indices)
     replica = tm.build_monitor_model(summary, sel, ext, p0=model.p0, window=model.window, lag=model.lag)
-    stats = StreamStats(
-        train_sum=replica.train_sum, train_sumsq=replica.train_sumsq, m=replica.m, window=replica.window
-    )
+    stats = RingStats(replica.train_sum, replica.train_sumsq, replica.m, replica.window)
     history = []
     table = _BartlettTable()
     best = -math.inf
