@@ -4,10 +4,11 @@
 it is the only place that computes the segment variances, clamps, llr,
 Bartlett division, mixture sum and tie rule. ``scan_step`` calls it for
 one monitoring step. ``scan_trace`` calls it block by block over a
-stretch of trace and resumes from the ``ScanState`` an earlier call
-returned. ``ScanState`` is every monitor's running state, and ``_kahan``
-is the one place its totals are added up, whether ``advance_state`` adds
-a row for ``Monitor.step`` or ``scan_trace`` adds a block.
+stretch of trace, of one monitor's streams or of several monitors' side
+by side, and resumes from the ``ScanState`` an earlier call returned.
+``ScanState`` is every monitor's running state, and ``_kahan`` is the
+one place its totals are added up, whether ``advance_state`` adds a row
+for ``Monitor.step`` or ``scan_trace`` adds a block.
 
 The cells are laid out stream-major, as (J, cells) arrays, from the
 window buffer to the sum over streams. A tailored monitor watches few
@@ -15,11 +16,14 @@ streams (two or three is usual), so a (cells, J) layout would run every
 elementwise pass as numpy inner loops only J long; stream-major, they
 run over all the cells of a block. Each cell's J mixture terms are then
 summed in the order numpy sums a contiguous row of J values, which keeps
-the statistics bit for bit those of a (cells, J) scan.
+the statistics bit for bit those of a (cells, J) scan. A stacked trace
+scan lays G sets of J streams out as (G * J, cells) and keeps the sum
+over streams, the clamp count and the tie rule per set.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +46,8 @@ def mixture_terms(x: np.ndarray, p0: float) -> np.ndarray:
     p0 = 1 reduces to x exactly. That form is evaluated on the whole
     array, which saves gathering the positive entries; statistics are
     mostly positive, so only the rare x <= 0 entries are gathered and
-    given log1p(p0 * expm1(x)) instead.
+    given log1p(p0 * expm1(x)) instead. At p0 = 1 that form rounds to
+    -inf for x below about -37, and those entries are given x.
     """
     x = np.asarray(x, dtype=float)
     if p0 == 1.0:
@@ -54,7 +59,18 @@ def mixture_terms(x: np.ndarray, p0: float) -> np.ndarray:
             np.add(x, np.log(p0 + (1.0 - p0) * np.exp(-x)), out=out)
     neg = ~(x > 0.0)
     if neg.any():
-        out[neg] = np.log1p(p0 * np.expm1(x[neg]))
+        xn = x[neg]
+        e = p0 * np.expm1(xn)
+        if p0 == 1.0 and e.min() == -1.0:
+            # expm1 rounds to -1 below about x = -37, where log1p would give
+            # -inf; the term there is x itself
+            low = e == -1.0
+            e[low] = 0.0
+            e = np.log1p(e)
+            e[low] = xn[low]
+            out[neg] = e
+        else:
+            out[neg] = np.log1p(e)
     return out
 
 
@@ -112,7 +128,7 @@ def scan_step(
         p0,
         var_floor,
     )
-    return float(stat[0]), t - 2 - int(best[0]), int(clamped[0])
+    return float(stat[0, 0]), t - 2 - int(best[0, 0]), int(clamped[0, 0])
 
 
 def _cell_lengths(counts: np.ndarray):
@@ -125,23 +141,28 @@ def _cell_lengths(counts: np.ndarray):
     return starts, np.arange(2, counts.sum() + 2) - np.repeat(starts, counts)
 
 
-def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor):
-    """The windowed mixture-GLR scan of a block of B steps.
+def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor, sets=1):
+    """The windowed mixture-GLR scan of a block of B steps, for G sets of J streams.
 
     Only the admissible cells are evaluated, listed step after step as n
-    cells. Every array is stream-major, (J, cells): monitors watch a
+    cells. Every array is stream-major, (G * J, cells): monitors watch a
     handful of streams, so a (cells, J) layout would give each of the
     scan's elementwise passes numpy inner loops only J long. Per-step
-    totals reach the cells of their step through ``np.repeat``.
+    totals reach the cells of their step through ``np.repeat``. A set is
+    one monitor's streams; every pass but three is elementwise per
+    stream, and those three (the clamp count, the mixture sum over the J
+    streams and the tie rule) run per set, so each set's results are
+    those of a scan of it alone, bit for bit. ``scan_step`` passes one
+    set; ``scan_trace`` passes as many as its trace holds.
 
     Parameters
     ----------
-    tot : (2, J, B) array
+    tot : (2, G * J, B) array
         Training plus running totals up to each step, of the values (row
         0) and of their squares (row 1).
     nT : (B,) array
         m + t of each step, as floats.
-    rev_z, rev_sq : (J, B, L) arrays
+    rev_z, rev_sq : (G * J, B, L) arrays
         The values at times t, t - 1, ..., t - L + 1 of each step, newest
         first, and their squares.
     counts : (B,) int array
@@ -150,18 +171,22 @@ def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor):
     cvals : (n,) array
         The Bartlett factor C(t - n2, t) of every admissible cell, in the
         order of ``_cell_lengths``.
+    sets : int
+        G, the number of sets; each set's J streams are adjacent rows.
 
     Returns
     -------
-    (stat, best, clamped) : (B,) arrays
-        Per step, the largest corrected mixture statistic, the index
-        i = n2 - 2 of the longest segment (smallest k = t - 2 - i)
+    (stat, best, clamped) : (G, B) arrays
+        Per set and step, the largest corrected mixture statistic, the
+        index i = n2 - 2 of the longest segment (smallest k = t - 2 - i)
         attaining it, and the number of clamped segment variances.
     """
-    J, B, L = rev_z.shape
+    G = sets
+    S, B, L = rev_z.shape
+    J = S // G
     tot_sum, tot_ssq = tot
     var_t = (tot_ssq - tot_sum * tot_sum / nT) / nT
-    clamped = (var_t < var_floor).sum(axis=0)
+    clamped = (var_t < var_floor).reshape(G, J, B).sum(axis=1)
     log_t = nT * np.log(np.maximum(var_t, var_floor))
 
     starts, lengths = _cell_lengths(counts)
@@ -172,7 +197,7 @@ def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor):
     # for malloc to reuse; at twice that size malloc maps it afresh for
     # every block, and the page faults cost more than the layout saves
     cells = np.repeat(np.arange(B) * L - 1, counts) + lengths
-    sum2, ssq2 = (np.take(np.cumsum(r, axis=2).reshape(J, B * L), cells, axis=1) for r in (rev_z, rev_sq))
+    sum2, ssq2 = (np.take(np.cumsum(r, axis=2).reshape(S, B * L), cells, axis=1) for r in (rev_z, rev_sq))
     n2 = lengths.astype(float)
     n1 = np.repeat(nT, counts) - n2
     # the segment variances (ssq - sum * sum / n) / n, computed in place to
@@ -196,7 +221,7 @@ def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor):
     for var in (var_1, var_2):
         low = var < var_floor
         if low.any():
-            clamped += np.add.reduceat(low.sum(axis=0), starts)
+            clamped += np.add.reduceat(low.reshape(G, J, -1).sum(axis=1), starts, axis=1)
         np.maximum(var, var_floor, out=var)
     np.log(var_1, out=var_1)
     var_1 *= n1
@@ -207,7 +232,7 @@ def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor):
     llr -= var_2
     llr *= 0.5  # 0.5 * (nT * log(var_t) - n1 * log(var_1) - n2 * log(var_2))
     llr /= cvals
-    terms = mixture_terms(llr, p0)
+    terms = mixture_terms(llr, p0).reshape(G, J, -1)
     # each cell's J terms are summed in the order numpy sums a contiguous
     # row of J values, as a (cells, J) scan sums them, so the statistics
     # match it bit for bit. Below 8 terms that order is left to right, which
@@ -216,14 +241,18 @@ def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor):
     # throughput, at J = 3 and 2); from 8 on numpy sums pairwise, which only
     # the row sum itself reproduces
     if J < 8:
-        cell = terms.sum(axis=0)
+        cell = terms.sum(axis=1)
     else:
-        cell = np.ascontiguousarray(terms.T).sum(axis=1)
-    lam = np.full((B, L - 1), -np.inf)
-    lam[np.arange(L - 1) < counts[:, None]] = cell
+        cell = np.ascontiguousarray(terms.transpose(0, 2, 1)).sum(axis=2)
+    # every set's steps, set after set, as rows of L - 1 cells
+    if cell.shape[1] == B * (L - 1):  # every step has all L - 1 cells, as in a full window
+        lam = cell.reshape(G * B, L - 1)
+    else:
+        lam = np.full((G * B, L - 1), -np.inf)
+        lam[np.tile(np.arange(L - 1) < counts[:, None], (G, 1))] = cell.ravel()
     # the largest n2 is the smallest k, which wins ties
     best = L - 2 - np.argmax(lam[:, ::-1], axis=1)
-    return lam[np.arange(B), best], best, clamped
+    return lam[np.arange(G * B), best].reshape(G, B), best.reshape(G, B), clamped
 
 
 class ScanState(NamedTuple):
@@ -233,7 +262,9 @@ class ScanState(NamedTuple):
     values (row 0) and of their squares (row 1), and ``comp`` their Kahan
     compensations; ``tail`` holds the values at times t - L + 1..t, oldest
     first, L = min(t, w + 1). No function changes a state's arrays in
-    place: each returns a new state.
+    place: each returns a new state. A monitor's state holds J streams,
+    total (2, J) and tail (L, J); a stacked trace scan's holds G sets of
+    them, total (2, G, J) and tail (L, G, J).
     """
 
     total: np.ndarray
@@ -242,13 +273,13 @@ class ScanState(NamedTuple):
     t: int
 
     @classmethod
-    def fresh(cls, n_streams: int) -> "ScanState":
-        """The state before monitoring time 1."""
-        return cls(np.zeros((2, n_streams)), np.zeros((2, n_streams)), np.zeros((0, n_streams)), 0)
+    def fresh(cls, *streams: int) -> "ScanState":
+        """The state before monitoring time 1 of J streams, ``fresh(J)``, or of G sets of them, ``fresh(G, J)``."""
+        return cls(np.zeros((2, *streams)), np.zeros((2, *streams)), np.zeros((0, *streams)), 0)
 
 
 def _kahan(total, comp, v, run=None):
-    """Add the rows of v, (n, 2, J), to the running totals with Kahan's compensated steps.
+    """Add the rows of v, (n, 2, J) or (n, 2, G, J), to the running totals with Kahan's compensated steps.
 
     Returns the new (total, comp); ``run[i]``, when given, receives the
     totals after row i. Every running total of the library goes through
@@ -279,19 +310,20 @@ def advance_state(state: ScanState, z: np.ndarray, window: int) -> ScanState:
     return ScanState(total, comp, tail, state.t + n)
 
 
-def _block_end(t0: int, T: int, J: int, window: int) -> int:
+def _block_end(t0: int, T: int, n_streams: int, window: int) -> int:
     """End (exclusive) of the block of steps starting at t0.
 
     The block grows while it holds fewer than TRACE_BLOCK_STEPS steps and
-    its (steps, longest segment - 1, J) rectangle stays within
-    TRACE_BLOCK_CELLS; it holds at least one step.
+    its (steps, longest segment - 1, n_streams) rectangle stays within
+    TRACE_BLOCK_CELLS; it holds at least one step. A stacked scan counts
+    the streams of all its sets.
     """
     cap = window + 1
     t1 = t0 + 1
     while (
         t1 <= T
         and t1 - t0 < TRACE_BLOCK_STEPS
-        and (t1 + 1 - t0) * (min(t1, cap) - 1) * J <= TRACE_BLOCK_CELLS
+        and (t1 + 1 - t0) * (min(t1, cap) - 1) * n_streams <= TRACE_BLOCK_CELLS
     ):
         t1 += 1
     return t1
@@ -316,24 +348,32 @@ def scan_trace(
     and returns the state after its last step, so a trace fed in pieces
     gives the statistics it gives when scanned whole.
 
-    Steps are processed in blocks of about TRACE_BLOCK_CELLS (t, n2, J)
-    cells, where n2 = t - k is the post-change segment length. Each block
-    goes through the cell scan ``scan_step`` uses, restricted to the
-    admissible cells (2 <= n2 <= min(t, window + 1)); the running totals
-    go through ``_kahan``, as ``advance_state``'s do.
+    ``z`` holds one monitor's J streams, (T, J), or G monitors' side by
+    side, (T, G, J), each set with its own training totals; the sets
+    share m, the window, p0 and the Bartlett factors. Each set's results
+    are bit for bit those of a scan of it alone, and a stacked scan
+    saves the numpy calls of G scans.
+
+    Steps are processed in blocks of about TRACE_BLOCK_CELLS (t, n2,
+    stream) cells, where n2 = t - k is the post-change segment length.
+    Each block goes through the cell scan ``scan_step`` uses, restricted
+    to the admissible cells (2 <= n2 <= min(t, window + 1)); the running
+    totals go through ``_kahan``, as ``advance_state``'s do.
 
     Parameters
     ----------
-    z : (T, J) array
+    z : (T, J) or (T, G, J) array
         Values at the next T monitoring times.
-    train_sum, train_sumsq, m, p0, var_floor
+    train_sum, train_sumsq : (J,) or (G, J) arrays
+        Frozen training sufficient statistics of every stream.
+    m, p0, var_floor
         As for ``scan_step``.
     window : int
         Window length w; segments are at most w + 1 long.
     h : array
         h[a] = ``mixmonitor._h(a)`` for 2 <= a <= m + state.t + T.
     threshold : float, optional
-        Stop at the first step whose statistic reaches it.
+        Stop at the first step at which a set's statistic reaches it.
     state : ScanState, optional
         Where an earlier scan of the same trace stopped; it is not changed.
 
@@ -343,47 +383,52 @@ def scan_trace(
         For each scanned step, the statistic, the smallest maximizing k
         and the number of clamped segment variances that ``scan_step``
         returns at that time (a time with no candidate, t = 1, reports
-        -inf, -1 and 0), and the state after the last scanned step. All
-        T steps are scanned unless the scan stopped at a threshold. The
-        state's tail is a view into the whole stretch; copy it to keep it
-        without keeping the stretch.
+        -inf, -1 and 0), as (T,) arrays, or (G, T) for G sets; and the
+        state after the last scanned step. All T steps are scanned unless
+        the scan stopped at a threshold. The state's tail is a view into
+        the whole stretch; copy it to keep it without keeping the stretch.
     """
     z = np.ascontiguousarray(z, dtype=float)
-    T, J = z.shape
+    T, *streams = z.shape
+    sets, J = streams[:-1], streams[-1]  # sets is [] for one monitor, [G] for G
     if state is None:
-        state = ScanState.fresh(J)
+        state = ScanState.fresh(*streams)
     t_prev = state.t
     t_end = t_prev + T
-    stat = np.full(T, -np.inf)
-    argmax_k = np.full(T, -1, dtype=np.int64)
-    clamped = np.zeros(T, dtype=np.int64)
+    G = math.prod(sets)
+    stat = np.full((G, T), -np.inf)
+    argmax_k = np.full((G, T), -1, dtype=np.int64)
+    clamped = np.zeros((G, T), dtype=np.int64)
     cap = window + 1
     train = np.stack([train_sum, train_sumsq])
 
     # The values and their squares from at least w + 1 times back. Zero rows
     # stand for times before 1, which only inadmissible cells reach.
     pad = max(0, cap - state.tail.shape[0])
-    vals = np.concatenate([np.zeros((pad, J)), state.tail, z])
+    vals = np.concatenate([np.zeros((pad, *streams)), state.tail, z])
     first = t_end - vals.shape[0] + 1  # time of vals[0]
     # The running totals add one time at a time, so they read time-major
-    # rows, contiguous per time; the windows read a stream-major copy.
-    # rev[:, :, s, i] holds the values and squares at time first + s + w - i,
-    # a strided view along each stream's row, so no window is copied
+    # rows, contiguous per time; the windows read a stream-major copy,
+    # (2, G * J, time), each set's streams adjacent. rev[:, i, s, l] holds
+    # the values and squares of stream i at time first + s + w - l, a
+    # strided view along each stream's row, so no window is copied
     rows = np.stack([vals, vals * vals], axis=1)
-    both = np.ascontiguousarray(rows.transpose(1, 2, 0))
+    both = np.ascontiguousarray(rows.reshape(rows.shape[0], 2, -1).transpose(1, 2, 0))
     rev = sliding_window_view(both, cap, axis=2)[..., ::-1]
 
-    def state_at(t, total, comp):
-        return ScanState(total, comp, vals[t - first + 1 - min(t, cap):t - first + 1], t)
+    def results(t, total, comp):
+        n = t - t_prev
+        state = ScanState(total, comp, vals[t - first + 1 - min(t, cap):t - first + 1], t)
+        return *(a[:, :n].reshape(*sets, n) for a in (stat, argmax_k, clamped)), state
 
     total, comp = state.total, state.comp
     if t_prev == 0 and T:  # time 1 has no candidate; it only enters the totals
         total, comp = _kahan(total, comp, rows[1 - first:2 - first])
     t0 = max(2, t_prev + 1)
     while t0 <= t_end:
-        t1 = _block_end(t0, t_end, J, window)
+        t1 = _block_end(t0, t_end, G * J, window)
         B = t1 - t0
-        run = np.empty((B, 2, J))
+        run = np.empty((B, 2, *streams))
         start = total, comp
         total, comp = _kahan(total, comp, rows[t0 - first:t1 - first], run)
         ts = np.arange(t0, t1)
@@ -392,24 +437,23 @@ def scan_trace(
         counts = np.minimum(ts, cap) - 1  # admissible cells, 2 <= n2 <= min(t, w + 1)
         _, n2 = _cell_lengths(counts)
         cvals = 0.5 * (h[np.repeat(m + ts, counts) - n2] + h[n2] - np.repeat(h[m + ts], counts))
-        block_stat, best, clamped[out] = _scan_cells(
-            (train + run).transpose(1, 2, 0),
+        block_stat, best, clamped[:, out] = _scan_cells(
+            (train + run).reshape(B, 2, -1).transpose(1, 2, 0),
             (m + ts).astype(float),
             *rev[:, :, t0 - window - first:t1 - window - first, :L],
             counts,
             cvals,
             p0,
             var_floor,
+            G,
         )
-        stat[out] = block_stat
-        argmax_k[out] = ts - 2 - best
+        stat[:, out] = block_stat
+        argmax_k[:, out] = ts - 2 - best
         if threshold is not None:
-            crossed = block_stat >= threshold
+            crossed = (block_stat >= threshold).any(axis=0)
             if crossed.any():
                 # compensations are not kept per step: add the block's rows up to the crossing again
                 t = t0 + int(np.argmax(crossed))
-                total, comp = _kahan(*start, rows[t0 - first:t + 1 - first])
-                n = t - t_prev
-                return stat[:n], argmax_k[:n], clamped[:n], state_at(t, total, comp)
+                return results(t, *_kahan(*start, rows[t0 - first:t + 1 - first]))
         t0 = t1
-    return stat, argmax_k, clamped, state_at(t_end, total, comp)
+    return results(t_end, total, comp)

@@ -9,9 +9,14 @@ indices, and records the maximum statistic of a synthetic monitoring run;
 a single pass over replicates therefore serves every candidate threshold,
 and the threshold is read off as a confidence-adjusted upper quantile of
 the recorded maxima. The synthetic monitoring rows are drawn up front,
-so each replicate scans them as one trace (``mixmonitor.trace_stats``)
-rather than step by step; the statistics are the same bit for bit as
-``Monitor.step``'s.
+so they are scanned as one trace rather than step by step. Replicates are
+drawn, re-estimated, built and checked one at a time in replicate order,
+so a failing replicate raises before the next is drawn; then a group of
+them is scanned side by side in one stacked trace scan, as many as fill
+one full-window step of a scan block. Each maximum is bit for bit what
+the replicate's own scan (``replicate_maximum``, ``Monitor.step``) gives,
+so the result depends neither on the grouping nor on the worker count;
+a worker pool maps groups of seeds.
 
 Thresholds are conditional on the exact training set, window and axis
 set; recalibrate whenever any of those change.
@@ -27,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta as beta_dist
 
+from ._kernel import TRACE_BLOCK_CELLS, ScanState
 from .corrcore import estimate_training, eigensystem
 from .errors import ConfigError, DimensionMismatch, InsufficientReplicates
-from .mixmonitor import MonitorModel, build_monitor_model, lag_extend_matrix, trace_stats
+from .mixmonitor import MonitorModel, _checked_projections, _stacked_maxima, build_monitor_model, lag_extend_matrix
 from .tailor import identity_selection, manual_selection
 
 PARAMETRIC = "parametric_normal"
@@ -109,13 +115,11 @@ def block_bootstrap_sample(training, block_len: int, out_len: int, rng: np.rando
     return x[rows]
 
 
-def replicate_maximum(model: MonitorModel, train_synth, monitor_synth) -> float:
-    """Maximum statistic of one null replicate.
+def _prepared(model: MonitorModel, train_synth, monitor_synth):
+    """A replicate, ready to scan: its model and the checked projections of its monitoring rows.
 
-    Re-estimates the training summary and eigensystem from the synthetic
-    training rows, keeps the original axis indices, and scans the
-    synthetic monitoring rows as one trace, returning the largest
-    statistic over all steps and candidates.
+    The model is re-estimated from the synthetic training rows and keeps
+    the original axis indices.
     """
     lag = model.lag
     ext = lag_extend_matrix(np.asarray(train_synth, dtype=float), lag)
@@ -133,8 +137,21 @@ def replicate_maximum(model: MonitorModel, train_synth, monitor_synth) -> float:
         lag=lag,
         threshold=math.inf,
     )
-    stat, _ = trace_stats(replica, monitor_synth)
-    return float(stat.max(initial=-math.inf))
+    _, z = _checked_projections(replica, monitor_synth, ScanState.fresh(replica.n_streams), ())
+    return replica, z
+
+
+def replicate_maximum(model: MonitorModel, train_synth, monitor_synth) -> float:
+    """Maximum statistic of one null replicate.
+
+    Re-estimates the training summary and eigensystem from the synthetic
+    training rows, keeps the original axis indices, and scans the
+    synthetic monitoring rows as one trace, returning the largest
+    statistic over all steps and candidates. ``calibrate_threshold``
+    scans groups of replicates side by side; this is the one-replicate
+    case, and each replicate's maximum is the same bit for bit either way.
+    """
+    return float(_stacked_maxima([_prepared(model, train_synth, monitor_synth)])[0])
 
 
 def threshold_from_maxima(maxima, alpha: float, confidence: float) -> tuple[float, int]:
@@ -167,32 +184,41 @@ def threshold_from_maxima(maxima, alpha: float, confidence: float) -> tuple[floa
     return float(b), int(np.sum(maxima >= b))
 
 
-def _parametric_replicate(model, mean, chol, m_raw, n_raw, seed_seq):
+def _parametric_draw(mean, chol, m_raw, n_raw, seed_seq):
     rng = np.random.default_rng(seed_seq)
     draws = mean + rng.standard_normal((m_raw + n_raw, mean.shape[0])) @ chol.T
-    return replicate_maximum(model, draws[:m_raw], draws[m_raw:])
+    return draws[:m_raw], draws[m_raw:]
 
 
-def _block_replicate(model, training_raw, block_len, m_raw, n_raw, seed_seq):
+def _block_draw(training_raw, block_len, m_raw, n_raw, seed_seq):
     rng = np.random.default_rng(seed_seq)
     train = block_bootstrap_sample(training_raw, block_len, m_raw, rng)
     mon = block_bootstrap_sample(training_raw, block_len, n_raw, rng)
-    return replicate_maximum(model, train, mon)
+    return train, mon
 
 
-# (replicate function, its arguments before the seed) in a pool worker
+def _group_maxima(model, draw, shared, seeds) -> np.ndarray:
+    """The maxima of the replicates of ``seeds``, in seed order.
+
+    Each replicate is drawn, re-estimated, built and checked before the
+    next is drawn, so a failing replicate raises where it would alone;
+    then the group is scanned side by side.
+    """
+    return _stacked_maxima([_prepared(model, *draw(*shared, s)) for s in seeds])
+
+
+# (model, draw function, its arguments before the seed) in a pool worker
 _worker_job = None
 
 
-def _init_worker(replicate, shared):
+def _init_worker(job):
     """Pool initializer: receive the model and sampling inputs once per worker."""
     global _worker_job
-    _worker_job = (replicate, shared)
+    _worker_job = job
 
 
-def _worker_replicate(seed_seq):
-    replicate, shared = _worker_job
-    return replicate(*shared, seed_seq)
+def _worker_group(seeds):
+    return _group_maxima(*_worker_job, seeds)
 
 
 def default_threads() -> int:
@@ -256,25 +282,23 @@ def calibrate_threshold(
             block_len = max(25, 2 * model.lag + 2)
         if block_len > m_raw:
             raise ConfigError(f"block_len {block_len} exceeds the training length {m_raw}")
-        replicate = _block_replicate
-        shared = (model, x, block_len, m_raw, n_raw)
+        job = (model, _block_draw, (x, block_len, m_raw, n_raw))
     else:
         summary = estimate_training(x)
         chol = np.linalg.cholesky(summary.covariance())
-        replicate = _parametric_replicate
-        shared = (model, summary.mean, chol, m_raw, n_raw)
+        job = (model, _parametric_draw, (summary.mean, chol, m_raw, n_raw))
         block_len = None
 
+    # as many replicates per stacked scan as fill one full-window step of
+    # a scan block, so a group's blocks stay within the kernel's budget
+    size = max(1, TRACE_BLOCK_CELLS // (model.n_streams * (model.window + 1)))
+    groups = [seeds[i:i + size] for i in range(0, cfg.replicates, size)]
     if threads > 1:
-        # jobs carry only their seed; the shared inputs reach each worker once
-        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker, initargs=(replicate, shared)) as pool:
-            maxima = np.fromiter(
-                pool.map(_worker_replicate, seeds, chunksize=max(1, cfg.replicates // (8 * threads))),
-                dtype=float,
-                count=cfg.replicates,
-            )
+        # jobs carry only their seeds; the shared inputs reach each worker once
+        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker, initargs=(job,)) as pool:
+            maxima = np.concatenate(list(pool.map(_worker_group, groups)))
     else:
-        maxima = np.fromiter((replicate(*shared, s) for s in seeds), dtype=float, count=cfg.replicates)
+        maxima = np.concatenate([_group_maxima(*job, g) for g in groups])
 
     b, exceed = threshold_from_maxima(maxima, cfg.alpha, cfg.confidence)
     return CalibrationResult(

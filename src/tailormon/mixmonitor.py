@@ -17,6 +17,9 @@ state, the ``_kernel.ScanState`` its ``StreamStats`` holds, and give the
 same results bit for bit. ``trace_stats`` scans a stream known in full
 through ``feed``'s row checks and scan, from a fresh state; with a
 threshold, it and ``feed(stop_on_alarm=True)`` stop at the first alarm.
+Calibration runs the same row checks on each replicate's stream and then
+scans a group of replicates side by side in one stacked trace scan
+(``_stacked_maxima``).
 """
 
 from __future__ import annotations
@@ -468,19 +471,16 @@ def _check_totals(sumsq: np.ndarray, n: int):
         raise ValueError(_TOTALS_REJECT)
 
 
-def _scan_rows(model: MonitorModel, rows, state, history, table: _BartlettTable, threshold: float | None):
-    """Check, lag-extend, project and scan a block of raw rows from a running state.
+def _checked_projections(model: MonitorModel, rows, state, history):
+    """Check, lag-extend and project a block of raw rows that follows a running state.
 
     ``state`` is the ``_kernel.ScanState`` before the block and
     ``history`` the raw rows held before it, the last ``model.lag`` or
     more of them; neither is changed. Every row is tested as
-    ``Monitor.step`` tests it before anything is scanned. Returns (short,
-    stat, argmax_k, clamped, state): the first ``short`` rows still lack
-    the lag + 1 rows an extended vector needs and are not scanned; the
-    arrays hold every scanned step, argmax_k in raw time and -1 where no
-    candidate exists; the state is the one after the last scanned step.
-    With ``threshold`` the scan stops at the first step whose statistic
-    reaches it.
+    ``Monitor.step`` tests it, and the running sums of squares the block
+    would reach as ``_check_totals`` tests them. Returns (short, z): the
+    first ``short`` rows still lack the lag + 1 rows an extended vector
+    needs, and z holds the standardized projections of the others.
     """
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.raw_dim:
@@ -498,11 +498,26 @@ def _scan_rows(model: MonitorModel, rows, state, history, table: _BartlettTable,
             ext = np.empty((0, model.dim))
         z = _checked(_project_rows(model, ext), _PROJECTED_REJECT)
         _check_totals(model.train_sumsq + state.total[1] + (z * z).sum(axis=0), model.m + state.t + z.shape[0])
+    return short, z
+
+
+def _scan_rows(model: MonitorModel, rows, state, history, table: _BartlettTable, threshold: float | None):
+    """Check, lag-extend, project and scan a block of raw rows from a running state.
+
+    ``state``, ``history`` and the checks are those of
+    ``_checked_projections``; nothing is scanned unless every row passes.
+    Returns (short, stat, argmax_k, clamped, state): the first ``short``
+    rows are not scanned; the arrays hold every scanned step, argmax_k in
+    raw time and -1 where no candidate exists; the state is the one after
+    the last scanned step. With ``threshold`` the scan stops at the first
+    step whose statistic reaches it.
+    """
+    short, z = _checked_projections(model, rows, state, history)
     h = table.upto(model.m + state.t + z.shape[0])
     stat, k, clamped, state = _kernel.scan_trace(
         z, model.train_sum, model.train_sumsq, model.m, model.window, model.p0, h, VAR_FLOOR, threshold, state=state
     )
-    return short, stat, np.where(k >= 0, k + lag, -1), clamped, state
+    return short, stat, np.where(k >= 0, k + model.lag, -1), clamped, state
 
 
 def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -519,6 +534,32 @@ def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tu
         model, rows, _kernel.ScanState.fresh(model.n_streams), (), _BartlettTable(), threshold
     )
     return np.concatenate([np.full(short, -math.inf), stat]), np.concatenate([np.full(short, -1), argmax_k])
+
+
+def _stacked_maxima(prepared: list[tuple[MonitorModel, np.ndarray]]) -> np.ndarray:
+    """The largest statistic of each model over its stream, from one stacked trace scan.
+
+    ``prepared`` holds G pairs (model, z), z the ``_checked_projections``
+    of the model's rows from a fresh state; every z is T x J, and the
+    models share m, the window and p0. The G streams are scanned side by
+    side as one (T, G, J) trace, which gives each model's maximum bit for
+    bit as ``trace_stats`` of its rows does (-inf where no step has a
+    candidate), in fewer numpy calls than G scans.
+    """
+    models, projections = zip(*prepared)
+    first = models[0]
+    z = np.stack(projections, axis=1)
+    stat, _, _, _ = _kernel.scan_trace(
+        z,
+        np.stack([model.train_sum for model in models]),
+        np.stack([model.train_sumsq for model in models]),
+        first.m,
+        first.window,
+        first.p0,
+        _BartlettTable().upto(first.m + z.shape[0]),
+        VAR_FLOOR,
+    )
+    return stat.max(axis=1, initial=-math.inf)
 
 
 class Monitor:

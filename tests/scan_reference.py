@@ -58,6 +58,8 @@ def mixture_terms(x: np.ndarray, p0: float) -> np.ndarray:
     For x > 0 the identity x + log(p0 + (1 - p0) * exp(-x)) is used, so
     p0 = 1 reduces to x exactly. Each form is evaluated only where it
     applies; statistics are mostly positive, so the x <= 0 form is rare.
+    At p0 = 1 the x <= 0 form is -inf below about x = -37; x is returned
+    there.
     """
     x = np.asarray(x, dtype=float)
     pos = x > 0.0
@@ -68,7 +70,11 @@ def mixture_terms(x: np.ndarray, p0: float) -> np.ndarray:
         xp = x[pos]
         out[pos] = xp + np.log(p0 + (1.0 - p0) * np.exp(-xp))
     neg = ~pos
-    out[neg] = np.log1p(p0 * np.expm1(x[neg]))
+    with np.errstate(divide="ignore"):
+        out[neg] = np.log1p(p0 * np.expm1(x[neg]))
+    if p0 == 1.0:
+        # log1p(expm1(x)) is -inf where expm1 rounds to -1; the term is x
+        out[np.isneginf(out)] = x[np.isneginf(out)]
     return out
 
 

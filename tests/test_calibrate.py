@@ -7,6 +7,7 @@ from scipy.stats import ks_2samp
 from tailormon import (
     CalibrationConfig,
     ConfigError,
+    ConstantColumn,
     InsufficientReplicates,
     Monitor,
     block_bootstrap_sample,
@@ -14,11 +15,13 @@ from tailormon import (
     calibrate_threshold,
     eigensystem,
     estimate_training,
+    lag_extend_matrix,
     min_variance_selection,
     random_correlation,
     replicate_maximum,
     threshold_from_maxima,
 )
+from tailormon import calibrate
 from tailormon.calibrate import default_threads
 
 
@@ -194,6 +197,84 @@ class TestCalibrateThreshold:
         cfg = CalibrationConfig(alpha=0.05, n=20, confidence=0.5, replicates=300, seed=15)
         with pytest.raises(ConfigError, match="threads"):
             calibrate_threshold(model, train, cfg, threads=0)
+
+
+def lagged_model(lag, dim=4, m=90, window=200, seed=20):
+    """A two-axis model of lag-extended training rows, and the raw rows."""
+    rng = np.random.default_rng(seed)
+    chol = np.linalg.cholesky(random_correlation(dim, 1.0, rng).values)
+    raw = rng.standard_normal((m + lag, dim)) @ chol.T
+    ext = lag_extend_matrix(raw, lag)
+    summary = estimate_training(ext)
+    sel = min_variance_selection(eigensystem(summary.corr), 2)
+    return build_monitor_model(summary, sel, ext, window=window, lag=lag), raw
+
+
+class TestReplicateGroups:
+    """``calibrate_threshold`` scans its replicates in stacked groups; no maximum may depend on the grouping."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("lag", [0, 1])
+    @pytest.mark.parametrize("mode", [calibrate.PARAMETRIC, calibrate.BLOCK])
+    def test_maxima_do_not_depend_on_the_replicate_count(self, mode, lag, threads):
+        # J = 2 and w = 200 put 40 replicates in a group: 7 replicates are
+        # part of one group, 100 end in a group of 20, 120 in a full third.
+        # Spawned seeds do not depend on the count, so the maxima must agree
+        model, raw = lagged_model(lag)
+        maxima = {}
+        for replicates in (7, 100, 120):
+            cfg = CalibrationConfig(alpha=0.8, n=20, confidence=0.5, replicates=replicates, mode=mode, seed=21)
+            maxima[replicates] = calibrate_threshold(model, raw, cfg, threads=threads).replicate_maxima
+        assert maxima[100][:7].tobytes() == maxima[7].tobytes()
+        assert maxima[120][:7].tobytes() == maxima[7].tobytes()
+        assert maxima[120][:100].tobytes() == maxima[100].tobytes()
+        assert np.all(np.isfinite(maxima[120]))
+
+    @pytest.mark.parametrize("lag", [0, 1])
+    @pytest.mark.parametrize("mode", [calibrate.PARAMETRIC, calibrate.BLOCK])
+    def test_each_maximum_is_its_replicate_alone(self, mode, lag):
+        model, raw = lagged_model(lag)
+        cfg = CalibrationConfig(alpha=0.8, n=20, confidence=0.5, replicates=7, mode=mode, seed=22)
+        got = calibrate_threshold(model, raw, cfg, threads=1).replicate_maxima
+        if mode == calibrate.BLOCK:
+            draw, shared = calibrate._block_draw, (raw, 25, raw.shape[0], 20 + lag)
+        else:
+            summary = estimate_training(raw)
+            chol = np.linalg.cholesky(summary.covariance())
+            draw, shared = calibrate._parametric_draw, (summary.mean, chol, raw.shape[0], 20 + lag)
+        seeds = np.random.default_rng(cfg.seed).bit_generator.seed_seq.spawn(cfg.replicates)
+        alone = [replicate_maximum(model, *draw(*shared, s)) for s in seeds]
+        assert got.tobytes() == np.array(alone).tobytes()
+
+    def test_first_failing_replicate_raises_before_the_next_is_prepared(self, monkeypatch):
+        # the last column is constant but for two rows; a block resample that
+        # misses both is constant, and estimating it raises ConstantColumn
+        raw = np.random.default_rng(24).standard_normal((90, 4))
+        raw[:, -1] = 0.5
+        raw[10:12, -1] = (1.0, -1.0)
+        summary = estimate_training(raw)
+        model = build_monitor_model(summary, min_variance_selection(eigensystem(summary.corr), 2), raw, window=200)
+        cfg = CalibrationConfig(alpha=0.05, n=20, confidence=0.5, replicates=200, mode=calibrate.BLOCK, seed=30)
+        first_bad = None
+        for i, s in enumerate(np.random.default_rng(cfg.seed).bit_generator.seed_seq.spawn(cfg.replicates)):
+            train, _ = calibrate._block_draw(raw, 25, raw.shape[0], cfg.n, s)
+            if np.ptp(train[:, -1]) == 0.0:
+                first_bad = i
+                break
+        assert first_bad is not None and 0 < first_bad < 40
+        estimated = []
+
+        def counting(x):
+            estimated.append(x)
+            return estimate_training(x)
+
+        monkeypatch.setattr(calibrate, "estimate_training", counting)
+        with pytest.raises(ConstantColumn):
+            calibrate_threshold(model, raw, cfg, threads=1)
+        assert len(estimated) == first_bad + 1
+        monkeypatch.undo()
+        with pytest.raises(ConstantColumn):
+            calibrate_threshold(model, raw, cfg, threads=2)
 
 
 class TestDefaultThreads:

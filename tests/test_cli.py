@@ -156,6 +156,21 @@ class TestCalibrateCommand:
         assert doc["block_len"] == 25
         assert doc["mode"] == "block_bootstrap"
 
+    @pytest.mark.parametrize("mode", ["parametric", "block"])
+    def test_threads_give_byte_identical_artifacts(self, workdir, tmp_path, mode):
+        root, _ = workdir
+        artifacts = []
+        for threads in (1, 2):
+            out, dump = tmp_path / f"c{threads}.json", tmp_path / f"maxima{threads}.csv"
+            res = invoke(
+                "calibrate", root / "training.csv", root / "selection.json",
+                "--alpha", 0.05, "--n", 30, "--confidence", 0.9, "--replicates", 300,
+                "--mode", mode, "--seed", 5, "--threads", threads, "--dump-maxima", dump, "--out", out,
+            )
+            assert res.exit_code == 0, res.output
+            artifacts.append((out.read_bytes(), dump.read_bytes()))
+        assert artifacts[0] == artifacts[1]
+
     def test_bad_thread_count_exit_2(self, workdir, tmp_path):
         root, _ = workdir
         args = [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,13 +110,13 @@ def test_mixture_terms_bitwise_equal_to_reference(p0):
 
 def test_mixture_terms_bitwise_equal_to_reference_at_p0_one():
     # at p0 = 1 the x <= 0 form is log1p(expm1(x)); expm1 rounds to -1 for
-    # x below about -37, so both give -inf there, with numpy's divide warning
-    with pytest.warns(RuntimeWarning, match="divide by zero"):
+    # x below about -37, where that form is -inf but the term is x itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = _kernel.mixture_terms(MIXTURE_EDGES, 1.0)
-    with pytest.warns(RuntimeWarning, match="divide by zero"):
         ref = reference_mixture_terms(MIXTURE_EDGES, 1.0)
     assert got.tobytes() == ref.tobytes()
-    assert np.array_equal(got[2:], MIXTURE_EDGES[2:])
+    assert np.array_equal(got, MIXTURE_EDGES)
 
 
 def test_mixture_terms_overflow_safe():

@@ -18,6 +18,7 @@ import tailormon as tm
 from scan_reference import RingStats, ring_state, same_state
 from scan_reference import scan_step as reference_step
 from tailormon import _kernel, calibrate, evalharness, mixmonitor
+from tailormon._kernel import ScanState
 from tailormon._kernel._scan_py import _block_end
 from tailormon.mixmonitor import VAR_FLOOR, _BartlettTable
 
@@ -148,6 +149,54 @@ def test_threshold_stops_after_the_crossing_block():
     # a threshold nothing reaches scans the whole trace
     stat, _ = trace(z, ts, tq, 60, 25, 1.0, math.inf)
     assert np.array_equal(stat, ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    G=st.sampled_from([1, 2, 5]),
+    # either side of numpy's 8-way pairwise row sum
+    J=st.sampled_from([1, 2, 3, 7, 8, 11]),
+    p0=st.sampled_from([1.0, 0.3]),
+    window=st.integers(2, 30),
+    T=st.integers(1, 70),
+    flat=st.booleans(),
+    stop=st.booleans(),
+)
+def test_stacked_scan_equals_separate_scans(seed, G, J, p0, window, T, flat, stop):
+    """G sets of streams scanned side by side give each set's own scan, bit for bit."""
+    rng = np.random.default_rng(seed)
+    m = 40
+    z = rng.standard_normal((T, G, J)) * 10.0 ** rng.uniform(-1.0, 1.0, (G, J))
+    if flat:
+        # a near-constant stretch of one stream: its segment variances clamp
+        g, j, lo = rng.integers(G), rng.integers(J), rng.integers(max(1, T - 1))
+        z[lo:lo + 2 + rng.integers(15), g, j] = 0.25 + 1e-9 * rng.standard_normal()
+    ts = 0.2 * rng.standard_normal((G, J))
+    tq = m + rng.standard_normal((G, J))
+    h = _BartlettTable().upto(m + T)
+    alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, h, VAR_FLOOR) for g in range(G)]
+    threshold = None
+    n = T
+    if stop and T > 1:
+        # stop where the first set reaches the median of the statistics
+        threshold = float(np.median(np.concatenate([a[0][1:] for a in alone])))
+        n = min(int(np.argmax(a[0] >= threshold)) + 1 for a in alone if (a[0] >= threshold).any())
+    stat, k, clamped, state = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR, threshold)
+    assert stat.shape == k.shape == clamped.shape == (G, n)
+    for g, (a_stat, a_k, a_clamped, _) in enumerate(alone):
+        assert stat[g].tobytes() == a_stat[:n].tobytes()
+        assert k[g].tobytes() == a_k[:n].tobytes()
+        assert clamped[g].tobytes() == a_clamped[:n].tobytes()
+        ring = ring_state(z[:n, g], ts[g], tq[g], m, window)
+        assert same_state(ScanState(state.total[:, g], state.comp[:, g], state.tail[:, g], state.t), ring)
+        # each set's scan is the reference's, so an order of summation that
+        # differs from the reference's fails whether or not it is stacked
+        ref, ref_k, ref_clamps = step_loop(z[:n, g], ts[g], tq[g], m, window, p0)
+        assert np.array_equal(stat[g], ref) and np.array_equal(k[g], ref_k)
+        assert int(clamped[g].sum()) == ref_clamps
+    if flat and n > 1 and lo + 1 < n:
+        assert clamped.sum() > 0
 
 
 def fitted(lag, p0=1.0, window=25, dim=4, m=80, seed=0):
