@@ -9,14 +9,21 @@ indices, and records the maximum statistic of a synthetic monitoring run;
 a single pass over replicates therefore serves every candidate threshold,
 and the threshold is read off as a confidence-adjusted upper quantile of
 the recorded maxima. The synthetic monitoring rows are drawn up front,
-so they are scanned as one trace rather than step by step. Replicates are
-drawn, re-estimated, built and checked one at a time in replicate order,
-so a failing replicate raises before the next is drawn; then a group of
-them is scanned side by side in one stacked trace scan, as many as fill
-one full-window step of a scan block. Each maximum is bit for bit what
-the replicate's own scan (``replicate_maximum``, ``Monitor.step``) gives,
-so the result depends neither on the grouping nor on the worker count;
-a worker pool maps groups of seeds.
+so they are scanned as one trace rather than step by step.
+
+Replicates are drawn one at a time, each from its own seed stream, in
+replicate order. A slice of them is then prepared as one stack:
+re-estimated, decomposed, built and checked together (``_prepared``),
+as many as fill 8 scan blocks with their lag-extended training and
+monitoring rows and projections, which bounds the stack's memory. The
+checks run per replicate, stage by stage, so the first failing
+replicate raises the error it raises alone, before any later slice is
+drawn. The prepared replicates are scanned side by side in groups, as
+many as fill one full-window step of a scan block; a slice may span
+several groups. Each maximum is bit for bit what the
+replicate's own re-fit and scan (``replicate_maximum``, ``Monitor.step``)
+give, so the result depends neither on the slicing, nor on the grouping,
+nor on the worker count; a worker pool maps runs of seeds.
 
 Thresholds are conditional on the exact training set, window and axis
 set; recalibrate whenever any of those change.
@@ -24,19 +31,39 @@ set; recalibrate whenever any of those change.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from ._kernel import TRACE_BLOCK_CELLS, ScanState
-from .corrcore import estimate_training, eigensystem
-from .errors import ConfigError, DimensionMismatch, InsufficientReplicates
-from .mixmonitor import MonitorModel, _checked_projections, _stacked_maxima, build_monitor_model, lag_extend_matrix
-from .tailor import identity_selection, manual_selection
+from ._kernel import TRACE_BLOCK_CELLS
+from .corrcore import (
+    _correlation_error,
+    _correlation_faults,
+    _cut,
+    _eigen_stack,
+    _fault_codes,
+    _spectrum_error,
+    _spectrum_faults,
+    _training_moments,
+    estimate_training,
+)
+from .errors import ConfigError, DimensionMismatch, InsufficientReplicates, ZeroEigenvalue
+from .mixmonitor import (
+    _ROW_REJECTS,
+    _ZERO_EIGENVALUE,
+    PD_FLOOR,
+    MonitorModel,
+    _lag_extend_stack,
+    _low_eigenvalues,
+    _projection_faults,
+    _projectors,
+    _stacked_maxima,
+    _training_sums,
+)
 
 PARAMETRIC = "parametric_normal"
 BLOCK = "block_bootstrap"
@@ -115,30 +142,60 @@ def block_bootstrap_sample(training, block_len: int, out_len: int, rng: np.rando
     return x[rows]
 
 
-def _prepared(model: MonitorModel, train_synth, monitor_synth):
-    """A replicate, ready to scan: its model and the checked projections of its monitoring rows.
+def _prepared(model: MonitorModel, train, mon):
+    """A slice of replicates, ready to scan: their training sums and the checked projections of their monitoring rows.
 
-    The model is re-estimated from the synthetic training rows and keeps
-    the original axis indices.
+    ``train`` (S, m_raw, D_raw) and ``mon`` (S, n_raw, D_raw) hold the
+    synthetic rows of S replicates. Each replicate's model is re-estimated
+    from its training rows and keeps the original axis indices; it is
+    built, and its monitoring rows checked and projected, as
+    ``build_monitor_model`` and ``Monitor.feed`` would one replicate
+    alone, bit for bit, but on stacks. Returns (train_sum, train_sumsq,
+    z), (k, J), (k, J) and (k, n, J), for the first k replicates: all S,
+    unless a replicate after the first has a non-finite correlation
+    matrix. LAPACK may fail on such a matrix, and would then fail the
+    whole stack, so the stack stops before it.
+
+    The checks run stage by stage, each over the replicates before the
+    first that failed so far, so the error raised is the first failing
+    replicate's, the one it raises alone.
     """
     lag = model.lag
-    ext = lag_extend_matrix(np.asarray(train_synth, dtype=float), lag)
-    summary = estimate_training(ext)
+    for rows in (train, mon):
+        if rows.ndim != 3 or rows.shape[2] != model.raw_dim:
+            raise DimensionMismatch(f"expected raw vectors of dimension {model.raw_dim}, got shape {rows.shape[1:]}")
+    centered = _lag_extend_stack(train, lag)
+    m = centered.shape[1]
+    mean, sdev, corr, error = _training_moments(centered)  # centres it in place
+    finite = np.isfinite(corr).all(axis=(1, 2))
+    finite[:1] = True  # the first replicate's LAPACK failure is its own
+    n, error = _cut(_fault_codes([~finite]), error, lambda _: None)
+    codes, _ = _correlation_faults(corr[:n])
+    n, error = _cut(codes, error, _correlation_error)
     if model.selection.identity:
-        sel = identity_selection(summary.dim)
+        d = model.dim
+        lam, vectors = np.ones((n, d)), np.broadcast_to(np.eye(d), (n, d, d))
     else:
-        sel = manual_selection(eigensystem(summary.corr), model.selection.indices)
-    replica = build_monitor_model(
-        summary,
-        sel,
-        ext,
-        p0=model.p0,
-        window=model.window,
-        lag=lag,
-        threshold=math.inf,
-    )
-    _, z = _checked_projections(replica, monitor_synth, ScanState.fresh(replica.n_streams), ())
-    return replica, z
+        lam, vectors = _eigen_stack(corr[:n])
+        n, error = _cut(_spectrum_faults(lam, vectors), error, _spectrum_error)
+        idx = np.asarray(model.selection.indices)
+        lam, vectors = lam[:n, idx], vectors[:n][:, :, idx]
+    n, error = _cut(_fault_codes([_low_eigenvalues(lam[:n], PD_FLOOR)]), error, lambda _: ZeroEigenvalue(_ZERO_EIGENVALUE))
+    projector = _projectors(vectors[:n], sdev[:n], lam[:n])
+    train_sum, train_sumsq = _training_sums(centered[:n], projector)[1:]
+    del centered  # the stack's largest array, no longer needed
+    rows = mon[:n]
+    if lag == 0:
+        ext = rows
+    else:
+        ext = _lag_extend_stack(rows, lag) if rows.shape[1] > lag else np.empty((n, 0, model.dim))
+    # a fresh state: its running sums of squares are 0 and add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, codes = _projection_faults(rows, ext, mean[:n], projector, train_sumsq, m)
+    n, error = _cut(codes, error, lambda code: ValueError(_ROW_REJECTS[code]))
+    if error is not None:
+        raise error
+    return train_sum, train_sumsq, z
 
 
 def replicate_maximum(model: MonitorModel, train_synth, monitor_synth) -> float:
@@ -148,10 +205,13 @@ def replicate_maximum(model: MonitorModel, train_synth, monitor_synth) -> float:
     training rows, keeps the original axis indices, and scans the
     synthetic monitoring rows as one trace, returning the largest
     statistic over all steps and candidates. ``calibrate_threshold``
-    scans groups of replicates side by side; this is the one-replicate
-    case, and each replicate's maximum is the same bit for bit either way.
+    prepares slices of replicates as stacks and scans groups of them side
+    by side; this is the one-replicate case, and each replicate's maximum
+    is the same bit for bit either way.
     """
-    return float(_stacked_maxima([_prepared(model, train_synth, monitor_synth)])[0])
+    train = np.asarray(train_synth, dtype=float)
+    prepared = _prepared(model, train[None], np.asarray(monitor_synth, dtype=float)[None])
+    return float(_stacked_maxima(*prepared, train.shape[0] - model.lag, model.window, model.p0)[0])
 
 
 def threshold_from_maxima(maxima, alpha: float, confidence: float) -> tuple[float, int]:
@@ -197,17 +257,36 @@ def _block_draw(training_raw, block_len, m_raw, n_raw, seed_seq):
     return train, mon
 
 
-def _group_maxima(model, draw, shared, seeds) -> np.ndarray:
+def _replicates(model, draw, shared, seeds, size):
+    """(train_sum, train_sumsq, z) of each replicate of ``seeds``, in seed order, drawn and prepared ``size`` at a time."""
+    for start in range(0, len(seeds), size):
+        train, mon = map(np.stack, zip(*(draw(*shared, s) for s in seeds[start:start + size])))
+        while len(train):
+            prepared = _prepared(model, train, mon)
+            done = len(prepared[0])
+            # let the drawn rows go before the prepared ones are scanned
+            train, mon = (train[done:], mon[done:]) if done < len(train) else ((), ())
+            yield from zip(*prepared)
+
+
+def _group_maxima(model, draw, shared, plan, seeds) -> np.ndarray:
     """The maxima of the replicates of ``seeds``, in seed order.
 
-    Each replicate is drawn, re-estimated, built and checked before the
-    next is drawn, so a failing replicate raises where it would alone;
-    then the group is scanned side by side.
+    ``plan`` is (m, slice, group): the replicas' training length, and how
+    many replicates are prepared as one stack and scanned side by side.
+    A slice is drawn and prepared before the next is drawn, so the first
+    failing replicate raises its own error before any later slice is
+    drawn; a group may span slices.
     """
-    return _stacked_maxima([_prepared(model, *draw(*shared, s)) for s in seeds])
+    m, size, group = plan
+    replicates = _replicates(model, draw, shared, seeds, size)
+    maxima = []
+    while batch := list(islice(replicates, group)):
+        maxima.append(_stacked_maxima(*zip(*batch), m, model.window, model.p0))
+    return np.concatenate(maxima)
 
 
-# (model, draw function, its arguments before the seed) in a pool worker
+# (model, draw function, its arguments before the seed, plan) in a pool worker
 _worker_job = None
 
 
@@ -290,15 +369,22 @@ def calibrate_threshold(
         block_len = None
 
     # as many replicates per stacked scan as fill one full-window step of
-    # a scan block, so a group's blocks stay within the kernel's budget
-    size = max(1, TRACE_BLOCK_CELLS // (model.n_streams * (model.window + 1)))
-    groups = [seeds[i:i + size] for i in range(0, cfg.replicates, size)]
+    # a scan block, so a group's blocks stay within the kernel's budget;
+    # as many per prepared slice as fill 8 such blocks with their
+    # lag-extended training and monitoring rows and the projections of
+    # those, which bounds the memory of the stack
+    m = m_raw - model.lag
+    group = max(1, TRACE_BLOCK_CELLS // (model.n_streams * (model.window + 1)))
+    size = max(1, 8 * TRACE_BLOCK_CELLS // max(1, (m + cfg.n) * model.dim + cfg.n * model.n_streams))
+    job = (*job, (m, size, group))
     if threads > 1:
         # jobs carry only their seeds; the shared inputs reach each worker once
+        chunk = max(size, group)
+        chunks = [seeds[i:i + chunk] for i in range(0, cfg.replicates, chunk)]
         with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker, initargs=(job,)) as pool:
-            maxima = np.concatenate(list(pool.map(_worker_group, groups)))
+            maxima = np.concatenate(list(pool.map(_worker_group, chunks)))
     else:
-        maxima = np.concatenate([_group_maxima(*job, g) for g in groups])
+        maxima = _group_maxima(*job, seeds)
 
     b, exceed = threshold_from_maxima(maxima, cfg.alpha, cfg.confidence)
     return CalibrationResult(

@@ -2,9 +2,13 @@
 
 Training standardization, eigensystems of correlation matrices, random
 correlation generation through a partial-correlation vine, and the
-nearest-PD repair. The repair works on stacks of matrices, so the
-tailoring Monte Carlo repairs a whole block of correlation changes with
-stacked eigendecompositions; a single matrix is the stack of one.
+nearest-PD repair. The estimate, the eigensystem and the repair work on
+stacks, so the tailoring Monte Carlo repairs a whole block of correlation
+changes with stacked eigendecompositions and a calibration re-estimates a
+slice of bootstrap replicates at once; a single matrix is the stack of
+one. Every validity check is written once, as a per-matrix test over a
+stack (``_correlation_faults``, ``_spectrum_faults``,
+``_constant_columns``), which the validated types apply to a stack of one.
 
 Conventions used throughout the package:
 
@@ -47,12 +51,111 @@ _PD_NOISE = 1e-14
 _PC_BOUND = 1.0 - 1e-6
 _EIG_SAFEGUARD = 1e-10
 
+# The invariants of a correlation matrix and of an eigensystem, in the
+# order they are tested; a fault code indexes these tuples.
+_CORRELATION_FAULTS = (
+    "matrix is not symmetric within 1e-10",
+    "diagonal entries must be exactly 1",
+    "off-diagonal entries must lie strictly inside (-1, 1)",
+    "matrix is not strictly positive definite",
+)
+_NOT_PD = len(_CORRELATION_FAULTS) - 1  # the eigenvalue test runs last
+_SPECTRUM_FAULTS = (
+    (DegenerateSpectrum, "eigenvalues must be sorted in non-increasing order"),
+    (DegenerateCorrelation, "negative eigenvalue in eigensystem"),
+    (DegenerateCorrelation, "eigenvectors are not orthonormal within 1e-8"),
+    (DegenerateCorrelation, "eigenvalue sum does not match the trace of a correlation matrix"),
+)
+
 
 def _as_square(values, name: str = "matrix") -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     return a
+
+
+def _fault_codes(tests) -> np.ndarray:
+    """Per set of a stack, the position in ``tests`` of the first test it fails, -1 where it fails none.
+
+    ``tests`` holds one boolean array over the sets per test, True where
+    the set fails it, in the order the tests run.
+    """
+    codes = np.full(len(tests[0]), -1)
+    for code in reversed(range(len(tests))):
+        codes[tests[code]] = code
+    return codes
+
+
+def _first_fault(codes) -> int:
+    """Position of the first set with a fault code, or the count of sets when none has one."""
+    bad = np.flatnonzero(np.asarray(codes) >= 0)
+    return int(bad[0]) if bad.size else len(codes)
+
+
+def _cut(codes, error, make):
+    """The count of sets before the first with a fault code, and the error the stack stops at.
+
+    A stack checked stage by stage keeps only the sets before the first
+    that failed so far. ``codes`` covers those; the first with a code
+    raises ``make(code)``. When none has one, all of them pass, and
+    ``error``, the earlier stages' stop, stands.
+    """
+    n = _first_fault(codes)
+    return (n, make(int(codes[n]))) if n < len(codes) else (n, error)
+
+
+def _constant_columns(spread: np.ndarray) -> np.ndarray:
+    """Per row of an (n, D) array of column spreads, the column ``ConstantColumn`` names, or -1.
+
+    A row names a column when some spread is at most 0 (a range or a
+    standard deviation, so exactly 0): the first smallest one.
+    """
+    return np.where((spread <= 0.0).any(axis=1), np.argmin(spread, axis=1), -1)
+
+
+def _correlation_faults(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first correlation-matrix invariant each matrix of an (n, D, D) stack breaks.
+
+    Returns (codes, lam0): codes[i] indexes ``_CORRELATION_FAULTS``, -1
+    where matrix i holds every invariant; lam0[i] is its smallest
+    eigenvalue, NaN where an entry test already failed, so ``eigvalsh``
+    sees only the matrices that pass the cheaper tests.
+    """
+    n, d, _ = w.shape
+    tests = [
+        np.abs(w - w.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL,
+        (np.diagonal(w, axis1=1, axis2=2) != 1.0).any(axis=1),
+    ]
+    if d > 1:
+        tests.append(np.abs(w[:, ~np.eye(d, dtype=bool)]).max(axis=1) >= 1.0)
+    codes = _fault_codes(tests)
+    lam0 = np.full(n, np.nan)
+    cand = np.flatnonzero(codes < 0)
+    if cand.size:
+        lam0[cand] = np.linalg.eigvalsh(w[cand])[:, 0]
+        codes[cand[lam0[cand] <= d * _PD_NOISE]] = _NOT_PD
+    return codes, lam0
+
+
+def _correlation_error(code: int) -> DegenerateCorrelation:
+    return DegenerateCorrelation(_CORRELATION_FAULTS[code])
+
+
+def _spectrum_faults(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The first eigensystem invariant each of a stack of n eigensystems breaks, indexing ``_SPECTRUM_FAULTS``; -1 where none."""
+    d = lam.shape[1]
+    return _fault_codes([
+        (np.diff(lam, axis=1) > 0.0).any(axis=1),
+        lam[:, -1] < -1e-10,
+        np.abs(np.matmul(vec.transpose(0, 2, 1), vec) - np.eye(d)).max(axis=(1, 2)) > ORTHO_TOL,
+        np.abs(lam.sum(axis=1) - d) > 1e-8,
+    ])
+
+
+def _spectrum_error(code: int) -> Exception:
+    kind, message = _SPECTRUM_FAULTS[code]
+    return kind(message)
 
 
 @dataclass(frozen=True)
@@ -68,15 +171,9 @@ class CorrelationMatrix:
 
     def __post_init__(self):
         v = _as_square(self.values, "correlation matrix")
-        if np.abs(v - v.T).max() > SYMMETRY_TOL:
-            raise DegenerateCorrelation("matrix is not symmetric within 1e-10")
-        if np.any(np.diag(v) != 1.0):
-            raise DegenerateCorrelation("diagonal entries must be exactly 1")
-        off = v[~np.eye(v.shape[0], dtype=bool)]
-        if off.size and np.abs(off).max() >= 1.0:
-            raise DegenerateCorrelation("off-diagonal entries must lie strictly inside (-1, 1)")
-        if np.linalg.eigvalsh(v)[0] <= v.shape[0] * _PD_NOISE:
-            raise DegenerateCorrelation("matrix is not strictly positive definite")
+        code = _correlation_faults(v[None])[0][0]
+        if code >= 0:
+            raise _correlation_error(code)
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -104,14 +201,9 @@ class EigenSystem:
         d = lam.shape[0]
         if lam.ndim != 1 or vec.shape != (d, d):
             raise DimensionMismatch("eigenvalues and eigenvectors have inconsistent shapes")
-        if np.any(np.diff(lam) > 0.0):
-            raise DegenerateSpectrum("eigenvalues must be sorted in non-increasing order")
-        if lam[-1] < -1e-10:
-            raise DegenerateCorrelation("negative eigenvalue in eigensystem")
-        if np.abs(vec.T @ vec - np.eye(d)).max() > ORTHO_TOL:
-            raise DegenerateCorrelation("eigenvectors are not orthonormal within 1e-8")
-        if abs(lam.sum() - d) > 1e-8:
-            raise DegenerateCorrelation("eigenvalue sum does not match the trace of a correlation matrix")
+        code = _spectrum_faults(lam[None], vec[None])[0]
+        if code >= 0:
+            raise _spectrum_error(code)
         lam = lam.copy()
         vec = vec.copy()
         lam.setflags(write=False)
@@ -147,8 +239,9 @@ class TrainingSummary:
             raise DimensionMismatch("mean/sdev shapes do not match the correlation dimension")
         if self.m < 2:
             raise DimensionMismatch("training summary needs m >= 2")
-        if np.any(sdev <= 0.0):
-            raise ConstantColumn(int(np.argmin(sdev)))
+        column = _constant_columns(sdev[None])[0]
+        if column >= 0:
+            raise ConstantColumn(int(column))
         mean = mean.copy()
         sdev = sdev.copy()
         mean.setflags(write=False)
@@ -165,8 +258,38 @@ class TrainingSummary:
         return self.corr.values * np.outer(self.sdev, self.sdev)
 
 
+def _training_moments(x: np.ndarray):
+    """Mean, sdev and correlation of every training set of an (n, m, D) stack.
+
+    The arithmetic of ``estimate_training``, bit for bit per set; x is
+    centred in place. Stops at the first set with a constant column:
+    returns (mean, sdev, corr, error) for the sets before it, and the
+    ``ConstantColumn`` it raises, None when no set has one. The
+    correlations are not yet checked (``_correlation_faults``).
+    """
+    _, m, d = x.shape
+    if m < 2:
+        raise DimensionMismatch("training data needs at least 2 rows")
+    n, error = _cut(_constant_columns(x.max(axis=1) - x.min(axis=1)), None, ConstantColumn)
+    x = x[:n]
+    mean = x.mean(axis=1)
+    x -= mean[:, None, :]
+    sdev = np.sqrt((x * x).mean(axis=1))
+    n, error = _cut(_constant_columns(sdev), error, ConstantColumn)
+    x, mean, sdev = x[:n], mean[:n], sdev[:n]
+    u = x / sdev[:, None, :]
+    corr = np.matmul(u.transpose(0, 2, 1), u) / m
+    corr = (corr + corr.transpose(0, 2, 1)) / 2.0
+    diag = np.arange(d)
+    corr[:, diag, diag] = 1.0
+    return mean, sdev, corr, error
+
+
 def estimate_training(data) -> TrainingSummary:
     """Estimate per-column mean, sdev and the Pearson correlation matrix.
+
+    The one-set case of the stacked estimate a calibration runs on a
+    slice of bootstrap replicates, with the same checks in the same order.
 
     Parameters
     ----------
@@ -181,39 +304,41 @@ def estimate_training(data) -> TrainingSummary:
         If the sample correlation fails the positive-definiteness check,
         e.g. when two columns are perfectly collinear or m < D.
     """
-    x = np.asarray(data, dtype=float)
+    x = np.array(data, dtype=float)  # a copy: the estimate centres it in place
     if x.ndim != 2:
         raise DimensionMismatch(f"training data must be 2-d, got shape {x.shape}")
-    m, d = x.shape
-    if m < 2:
-        raise DimensionMismatch("training data needs at least 2 rows")
-    spread = x.max(axis=0) - x.min(axis=0)
-    if np.any(spread == 0.0):
-        raise ConstantColumn(int(np.argmin(spread)))
-    mean = x.mean(axis=0)
-    centered = x - mean
-    sdev = np.sqrt((centered * centered).mean(axis=0))
-    if np.any(sdev == 0.0):
-        raise ConstantColumn(int(np.argmin(sdev)))
-    u = centered / sdev
-    corr = (u.T @ u) / m
-    corr = (corr + corr.T) / 2.0
-    np.fill_diagonal(corr, 1.0)
-    return TrainingSummary(mean=mean, sdev=sdev, corr=CorrelationMatrix(corr), m=m)
+    mean, sdev, corr, error = _training_moments(x[None])
+    if error is not None:
+        raise error
+    return TrainingSummary(mean=mean[0], sdev=sdev[0], corr=CorrelationMatrix(corr[0]), m=x.shape[0])
+
+
+def _eigen_stack(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, sign-normalized eigenvalues (n, D) and eigenvectors (n, D, D) of an (n, D, D) stack.
+
+    The arithmetic of ``eigensystem``, bit for bit per matrix. The
+    eigensystems are not yet checked (``_spectrum_faults``).
+    """
+    lam, vec = np.linalg.eigh(w)
+    lam = lam[:, ::-1].copy()
+    vec = vec[:, :, ::-1].copy()
+    # np.argmax returns the first occurrence, which implements the
+    # lowest-index tie break of the sign convention.
+    anchor = np.argmax(np.abs(vec), axis=1)
+    signs = np.sign(np.take_along_axis(vec, anchor[:, None, :], axis=1))
+    signs[signs == 0.0] = 1.0
+    vec *= signs
+    return lam, vec
 
 
 def eigensystem(corr: CorrelationMatrix) -> EigenSystem:
-    """Sorted, sign-normalized eigensystem of a correlation matrix."""
-    lam, vec = np.linalg.eigh(corr.values)
-    lam = lam[::-1].copy()
-    vec = vec[:, ::-1].copy()
-    # np.argmax returns the first occurrence, which implements the
-    # lowest-index tie break of the sign convention.
-    anchor = np.argmax(np.abs(vec), axis=0)
-    signs = np.sign(vec[anchor, np.arange(vec.shape[1])])
-    signs[signs == 0.0] = 1.0
-    vec *= signs
-    return EigenSystem(values=lam, vectors=vec)
+    """Sorted, sign-normalized eigensystem of a correlation matrix.
+
+    The one-matrix case of the stacked eigensystem a calibration computes
+    for a slice of bootstrap replicates.
+    """
+    lam, vec = _eigen_stack(corr.values[None])
+    return EigenSystem(values=lam[0], vectors=vec[0])
 
 
 def _dvine_correlation(pcs: np.ndarray) -> np.ndarray:
@@ -294,23 +419,14 @@ def nearest_pd_correlation(sym, eps: float = 1e-8, max_iter: int = 100) -> Corre
 
 
 def _valid_stack(w: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Which matrices of a stack are valid correlation matrices, and their
-    smallest eigenvalues (NaN where the cheaper checks already failed).
+    """Which matrices of a symmetric stack are repaired, and their ``_correlation_faults`` codes.
 
-    Valid means unit diagonal, off-diagonal entries strictly inside
+    Repaired means unit diagonal, off-diagonal entries strictly inside
     (-1, 1) and smallest eigenvalue at least ``eps``.
     """
-    n, d, _ = w.shape
-    ok = (np.diagonal(w, axis1=1, axis2=2) == 1.0).all(axis=1)
-    if d > 1:
-        off = w[:, ~np.eye(d, dtype=bool)]
-        ok &= ~(np.abs(off).max(axis=1) >= 1.0)
-    lam0 = np.full(n, np.nan)
-    cand = np.flatnonzero(ok)
-    if cand.size:
-        lam0[cand] = np.linalg.eigvalsh(w[cand])[:, 0]
-        ok[cand] = lam0[cand] >= eps
-    return ok, lam0
+    codes, lam0 = _correlation_faults(w)
+    # lam0 is NaN, and so fails the floor, where an entry test failed
+    return lam0 >= eps, codes
 
 
 def nearest_pd_stack(stack, eps: float = 1e-8, max_iter: int = 100) -> np.ndarray:
@@ -337,7 +453,7 @@ def nearest_pd_stack(stack, eps: float = 1e-8, max_iter: int = 100) -> np.ndarra
     if np.abs(a - at).max() > SYMMETRY_TOL:
         raise DimensionMismatch("input must be symmetric")
     out = a.copy()
-    ok, lam0 = _valid_stack(a, eps)
+    ok, codes = _valid_stack(a, eps)
     todo = np.flatnonzero(~ok)
     if todo.size:
         # Clip slightly above eps: diagonal renormalization shrinks the
@@ -353,16 +469,17 @@ def nearest_pd_stack(stack, eps: float = 1e-8, max_iter: int = 100) -> np.ndarra
             work = work / (scale[:, :, None] * scale[:, None, :])
             work = (work + work.transpose(0, 2, 1)) / 2.0
             work[:, diag, diag] = 1.0
-            done, lam_done = _valid_stack(work, eps)
+            done, codes_done = _valid_stack(work, eps)
             out[todo[done]] = work[done]
-            lam0[todo[done]] = lam_done[done]
+            codes[todo[done]] = codes_done[done]
             todo, work = todo[~done], work[~done]
             if not todo.size:
                 break
         else:
             raise NoConvergence(f"nearest-PD repair did not converge in {max_iter} iterations")
-    # the CorrelationMatrix positive-definiteness floor, on the eigenvalues
-    # the validity check already computed
-    if np.any(lam0 <= d * _PD_NOISE):
-        raise DegenerateCorrelation("matrix is not strictly positive definite")
+    # a repaired matrix can still sit below the CorrelationMatrix
+    # positive-definiteness floor when eps does
+    first = _first_fault(codes)
+    if first < len(codes):
+        raise _correlation_error(codes[first])
     return out

@@ -16,6 +16,10 @@ class ConstantColumn(TailormonError):
         self.column = column
         super().__init__(f"column {column} is constant (zero sample standard deviation)")
 
+    def __reduce__(self):
+        # rebuilt from its column, so it crosses a worker pool unchanged
+        return type(self), (self.column,)
+
 
 class DegenerateCorrelation(TailormonError):
     """A matrix violates the correlation-matrix invariants (PD, unit diagonal, bounds)."""

@@ -17,9 +17,10 @@ state, the ``_kernel.ScanState`` its ``StreamStats`` holds, and give the
 same results bit for bit. ``trace_stats`` scans a stream known in full
 through ``feed``'s row checks and scan, from a fresh state; with a
 threshold, it and ``feed(stop_on_alarm=True)`` stop at the first alarm.
-Calibration runs the same row checks on each replicate's stream and then
-scans a group of replicates side by side in one stacked trace scan
-(``_stacked_maxima``).
+Calibration builds a slice of bootstrap replicas with the same projector,
+training-sum and row-check arithmetic, on stacks (``_projectors``,
+``_training_sums``, ``_projection_faults``), and then scans a group of
+replicates side by side in one stacked trace scan (``_stacked_maxima``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import digamma
 
 from . import _kernel
-from .corrcore import TrainingSummary
+from .corrcore import TrainingSummary, _fault_codes
 from .errors import (
     DegenerateSegment,
     DimensionMismatch,
@@ -133,12 +134,18 @@ def lag_extend_matrix(data, lag: int) -> np.ndarray:
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatch("expected a 2-d data matrix")
+    return _lag_extend_stack(x[None], lag)[0]
+
+
+def _lag_extend_stack(x: np.ndarray, lag: int) -> np.ndarray:
+    """``lag_extend_matrix`` of every (n, D) matrix of a stack, as a new (G, n - lag, D*(lag+1)) array."""
+    g, n, d = x.shape
+    if n < lag + 1:
+        raise InsufficientHistory(f"need at least {lag + 1} rows, have {n}")
     if lag == 0:
         return x.copy()
-    if x.shape[0] < lag + 1:
-        raise InsufficientHistory(f"need at least {lag + 1} rows, have {x.shape[0]}")
-    w = sliding_window_view(x, lag + 1, axis=0)
-    return w.transpose(0, 2, 1).reshape(x.shape[0] - lag, -1).copy()
+    w = sliding_window_view(x, lag + 1, axis=1)
+    return w.transpose(0, 1, 3, 2).reshape(g, n - lag, d * (lag + 1)).copy()
 
 
 @dataclass
@@ -340,12 +347,35 @@ class MonitorModel:
         return replace(self, threshold=float(threshold))
 
 
+_ZERO_EIGENVALUE = "a selected eigenvalue is at or below the PD floor"
+
+
+def _low_eigenvalues(lam: np.ndarray, pd_floor: float) -> np.ndarray:
+    """Whether a selected eigenvalue sits at or below the PD floor, per model of a stack (the last axis holds one model's)."""
+    return (lam <= pd_floor).any(axis=-1)
+
+
+def _projectors(vectors: np.ndarray, sdev: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """D x J matrices mapping centred observations to standardized projections, of one model or of a stack of them."""
+    return vectors / sdev[..., :, None] / np.sqrt(lam)[..., None, :]
+
+
 def _projector(training: TrainingSummary, selection: ProjectionSelection, pd_floor: float) -> np.ndarray:
     """D x J matrix mapping centred observations to standardized projections."""
     lam = np.asarray(selection.eigenvalues, dtype=float)
-    if np.any(lam <= pd_floor):
-        raise ZeroEigenvalue("a selected eigenvalue is at or below the PD floor")
-    return selection.eigenvectors / training.sdev[:, None] / np.sqrt(lam)[None, :]
+    if _low_eigenvalues(lam, pd_floor):
+        raise ZeroEigenvalue(_ZERO_EIGENVALUE)
+    return _projectors(selection.eigenvectors, training.sdev, lam)
+
+
+def _training_sums(centered: np.ndarray, projector: np.ndarray):
+    """Standardized projections of centred training rows, and their per-stream sums and sums of squares.
+
+    Of one model, (m, D) rows and a D x J projector, or of a stack of
+    them. The sums seed each stream's training sufficient statistics.
+    """
+    z = np.matmul(centered, projector)
+    return z, z.sum(axis=-2), (z * z).sum(axis=-2)
 
 
 def build_monitor_model(
@@ -363,18 +393,20 @@ def build_monitor_model(
 
     ``training_data`` are the lag-extended training rows the summary was
     estimated from; their standardized projections seed the per-stream
-    training sufficient statistics.
+    training sufficient statistics. A calibration builds a slice of
+    bootstrap replicas with the same projector and training-sum
+    arithmetic on stacks; this is the one-model case.
     """
     projector = _projector(training, selection, pd_floor)
     x = np.asarray(training_data, dtype=float)
     if x.shape != (training.m, training.dim):
         raise DimensionMismatch("training data shape does not match the training summary")
-    z = (x - training.mean) @ projector
+    z, train_sum, train_sumsq = _training_sums(x - training.mean, projector)
     model = restore_monitor_model(
         training,
         selection,
-        z.sum(axis=0),
-        (z * z).sum(axis=0),
+        train_sum,
+        train_sumsq,
         p0=p0,
         window=window,
         lag=lag,
@@ -425,22 +457,26 @@ def project_observation(model: MonitorModel, x) -> np.ndarray:
     return (x - model.training.mean) @ model.projector
 
 
-def _project_rows(model: MonitorModel, x: np.ndarray) -> np.ndarray:
-    """``project_observation`` of every row of ``x``, bit for bit.
+def _project_rows(x: np.ndarray, mean: np.ndarray, projector: np.ndarray) -> np.ndarray:
+    """``project_observation`` of every row of x, bit for bit, for one model or a stack of them.
 
     One vector-matrix product per row, the product ``project_observation``
-    makes; a single matrix product sums in another order.
+    makes; a single matrix product sums in another order. Of one model:
+    x (T, D), mean (D,), projector (D, J); of a stack, each gains a
+    leading axis of G models.
     """
-    return np.matmul((x - model.training.mean)[:, None, :], model.projector)[:, 0]
+    return np.matmul((x - mean[..., None, :])[..., None, :], projector[..., None, :, :])[..., 0, :]
 
 
 _RAW_REJECT = "observation contains a non-finite value or one whose square overflows"
 _PROJECTED_REJECT = "observation projects to a value whose square is non-finite"
 _TOTALS_REJECT = "observation makes the running sums of squares too large to scan"
+# the row checks of a block in the order they run; a fault code indexes this
+_ROW_REJECTS = (_RAW_REJECT, _PROJECTED_REJECT, _TOTALS_REJECT)
 
 
-def _checked(v: np.ndarray, message: str) -> np.ndarray:
-    """``v``, unless one of its entries is NaN or squares to infinity.
+def _unsquarable(v: np.ndarray, axis=None):
+    """Whether one of v's entries is NaN or squares to infinity; per set of a stack, ``axis`` the axes of a set.
 
     Such an entry in a projection would poison the running sums of
     squares for good, and every later statistic would be NaN. A finite
@@ -449,26 +485,57 @@ def _checked(v: np.ndarray, message: str) -> np.ndarray:
     which also covers the rows a lagged monitor holds before it can
     project them. Call under ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    if not np.isfinite(v * v).all():
-        raise ValueError(message)
-    return v
+    return ~np.isfinite(v * v).all(axis=axis)
 
 
-def _check_totals(sumsq: np.ndarray, n: int):
-    """Reject values whose training-plus-running sums of squares the scan cannot square.
+def _sums_unsquarable(sumsq: np.ndarray, n: int):
+    """Whether training-plus-running sums of squares are too large for the scan to square, per set (last axis: its J streams).
 
     ``sumsq`` holds each stream's training plus running sum of squares
     over its n = m + t values. Every sum s of k <= n of those values that
     the scan forms, a total or a segment's sum, has s * s <= k * sumsq
     (Cauchy-Schwarz), so s * s, and s * s / k, stay finite while
     2 * n * sumsq does; the factor 2 leaves room for rounding. Rows that
-    each pass ``_checked`` can still fail this together. The sums only
-    grow, so testing them after the last row of a block covers every
-    step of it. ``sumsq`` may hold infinities: call its sums under
+    each pass ``_unsquarable`` can still fail this together. The sums
+    only grow, so testing them after the last row of a block covers every
+    step of it. ``sumsq`` may hold infinities: call under
     ``np.errstate(over="ignore")``.
     """
-    if not float(sumsq.max()) * (2.0 * n) < math.inf:
+    return ~(sumsq.max(axis=-1) * (2.0 * n) < math.inf)
+
+
+def _checked(v: np.ndarray, message: str) -> np.ndarray:
+    """``v``, unless ``_unsquarable(v)``."""
+    if _unsquarable(v):
+        raise ValueError(message)
+    return v
+
+
+def _check_totals(sumsq: np.ndarray, n: int):
+    """Reject values whose training-plus-running sums of squares the scan cannot square (``_sums_unsquarable``)."""
+    if _sums_unsquarable(sumsq, n):
         raise ValueError(_TOTALS_REJECT)
+
+
+def _projection_faults(raw, ext, mean, projector, sumsq, n: int):
+    """Standardized projections of blocks of rows, and the first row check each block fails.
+
+    Stacks of G blocks: raw (G, R, D_raw) holds each block's raw rows and
+    ext (G, T, D) their lag-extended vectors; mean (G, D) and projector
+    (G, D, J) are each block's model, and sumsq (G, J) its training plus
+    running sums of squares over its n values before the block. Every
+    block is tested as ``Monitor.step`` tests its rows one by one. Returns
+    (z, codes): z (G, T, J), and codes[g] indexing ``_ROW_REJECTS``, -1
+    where block g passes. Call under
+    ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    z = _project_rows(ext, mean, projector)
+    codes = _fault_codes([
+        _unsquarable(raw, (1, 2)),
+        _unsquarable(z, (1, 2)),
+        _sums_unsquarable(sumsq + (z * z).sum(axis=1), n + z.shape[1]),
+    ])
+    return z, codes
 
 
 def _checked_projections(model: MonitorModel, rows, state, history):
@@ -476,9 +543,8 @@ def _checked_projections(model: MonitorModel, rows, state, history):
 
     ``state`` is the ``_kernel.ScanState`` before the block and
     ``history`` the raw rows held before it, the last ``model.lag`` or
-    more of them; neither is changed. Every row is tested as
-    ``Monitor.step`` tests it, and the running sums of squares the block
-    would reach as ``_check_totals`` tests them. Returns (short, z): the
+    more of them; neither is changed. The rows are tested as
+    ``_projection_faults`` tests a block of one. Returns (short, z): the
     first ``short`` rows still lack the lag + 1 rows an extended vector
     needs, and z holds the standardized projections of the others.
     """
@@ -488,17 +554,20 @@ def _checked_projections(model: MonitorModel, rows, state, history):
     lag = model.lag
     held = len(history)
     short = min(x.shape[0], max(0, lag - held))
+    if lag == 0:
+        ext = x
+    elif short < x.shape[0]:
+        ext = lag_extend_matrix(np.vstack([*history, x]), lag)[held + short - lag:]
+    else:
+        ext = np.empty((0, model.dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        _checked(x, _RAW_REJECT)
-        if lag == 0:
-            ext = x
-        elif short < x.shape[0]:
-            ext = lag_extend_matrix(np.vstack([*history, x]), lag)[held + short - lag:]
-        else:
-            ext = np.empty((0, model.dim))
-        z = _checked(_project_rows(model, ext), _PROJECTED_REJECT)
-        _check_totals(model.train_sumsq + state.total[1] + (z * z).sum(axis=0), model.m + state.t + z.shape[0])
-    return short, z
+        z, codes = _projection_faults(
+            x[None], ext[None], model.training.mean[None], model.projector[None],
+            (model.train_sumsq + state.total[1])[None], model.m + state.t,
+        )
+    if codes[0] >= 0:
+        raise ValueError(_ROW_REJECTS[codes[0]])
+    return short, z[0]
 
 
 def _scan_rows(model: MonitorModel, rows, state, history, table: _BartlettTable, threshold: float | None):
@@ -536,27 +605,25 @@ def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tu
     return np.concatenate([np.full(short, -math.inf), stat]), np.concatenate([np.full(short, -1), argmax_k])
 
 
-def _stacked_maxima(prepared: list[tuple[MonitorModel, np.ndarray]]) -> np.ndarray:
-    """The largest statistic of each model over its stream, from one stacked trace scan.
+def _stacked_maxima(train_sum, train_sumsq, z, m: int, window: int, p0: float) -> np.ndarray:
+    """The largest statistic of each of G streams over its rows, from one stacked trace scan.
 
-    ``prepared`` holds G pairs (model, z), z the ``_checked_projections``
-    of the model's rows from a fresh state; every z is T x J, and the
-    models share m, the window and p0. The G streams are scanned side by
-    side as one (T, G, J) trace, which gives each model's maximum bit for
-    bit as ``trace_stats`` of its rows does (-inf where no step has a
+    Per stream: its training sums, two (J,) arrays, and z (T, J), the
+    checked projections (``_projection_faults``) of its rows from a fresh
+    state; the streams share m, the window and p0. They are scanned side
+    by side as one (T, G, J) trace, which gives each stream's maximum bit
+    for bit as ``trace_stats`` of its rows does (-inf where no step has a
     candidate), in fewer numpy calls than G scans.
     """
-    models, projections = zip(*prepared)
-    first = models[0]
-    z = np.stack(projections, axis=1)
+    z = np.stack(z, axis=1)
     stat, _, _, _ = _kernel.scan_trace(
         z,
-        np.stack([model.train_sum for model in models]),
-        np.stack([model.train_sumsq for model in models]),
-        first.m,
-        first.window,
-        first.p0,
-        _BartlettTable().upto(first.m + z.shape[0]),
+        np.stack(train_sum),
+        np.stack(train_sumsq),
+        m,
+        window,
+        p0,
+        _BartlettTable().upto(m + z.shape[0]),
         VAR_FLOOR,
     )
     return stat.max(axis=1, initial=-math.inf)

@@ -163,9 +163,13 @@ def _model_world_alarm_hits(model, summary, threshold, m, n, n_reps, seed_seq):
     Each replicate draws m training and n monitoring rows from the normal
     with the summary's mean and covariance, re-estimates the summary and
     eigensystem from its own training rows, keeps the model's axis
-    indices and runs a monitor armed at ``threshold``. The re-fit is
-    written out here rather than taken from ``replicate_maximum``, so a
-    fault in the calibration's replicate cannot hide in both sides.
+    indices and feeds its monitoring rows to a monitor armed at
+    ``threshold``, stopping at the first alarm (``feed`` gives what
+    ``step`` gives row by row, bit for bit). The re-fit is written out
+    here, one replicate at a time, rather than taken from the
+    calibration. It shares its arithmetic with the calibration's stacked
+    preparation, which ``test_replicate_prep.py`` checks against a
+    per-replicate reference kept apart from the library.
     """
     mean0 = summary.mean
     chol = np.linalg.cholesky(summary.covariance())
@@ -178,7 +182,7 @@ def _model_world_alarm_hits(model, summary, threshold, m, n, n_reps, seed_seq):
         armed = build_monitor_model(
             fresh, sel, draws[:m], p0=model.p0, window=model.window, threshold=threshold
         )
-        hits += Monitor(armed).run(draws[m:], collect_trace=False).alarmed
+        hits += any(res.alarm for res in Monitor(armed).feed(draws[m:], stop_on_alarm=True))
     return hits
 
 

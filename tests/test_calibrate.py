@@ -24,6 +24,8 @@ from tailormon import (
 from tailormon import calibrate
 from tailormon.calibrate import default_threads
 
+import refit_reference
+
 
 def fitted_model(dim=6, m=90, n_axes=2, window=30, seed=0):
     rng = np.random.default_rng(seed)
@@ -246,35 +248,50 @@ class TestReplicateGroups:
         alone = [replicate_maximum(model, *draw(*shared, s)) for s in seeds]
         assert got.tobytes() == np.array(alone).tobytes()
 
-    def test_first_failing_replicate_raises_before_the_next_is_prepared(self, monkeypatch):
-        # the last column is constant but for two rows; a block resample that
-        # misses both is constant, and estimating it raises ConstantColumn
-        raw = np.random.default_rng(24).standard_normal((90, 4))
+    def test_first_failing_replicate_raises_before_the_next_slice_is_drawn(self, monkeypatch):
+        # the last column is constant but for four pairs of rows; a block
+        # resample that misses all of them is constant, and estimating it
+        # raises ConstantColumn
+        raw = np.random.default_rng(24).standard_normal((400, 20))
         raw[:, -1] = 0.5
-        raw[10:12, -1] = (1.0, -1.0)
+        for row in (10, 100, 200, 300):
+            raw[row:row + 2, -1] = (1.0, -1.0)
         summary = estimate_training(raw)
         model = build_monitor_model(summary, min_variance_selection(eigensystem(summary.corr), 2), raw, window=200)
-        cfg = CalibrationConfig(alpha=0.05, n=20, confidence=0.5, replicates=200, mode=calibrate.BLOCK, seed=30)
+        cfg = CalibrationConfig(alpha=0.05, n=20, confidence=0.5, replicates=200, mode=calibrate.BLOCK, seed=36)
+        seeds = np.random.default_rng(cfg.seed).bit_generator.seed_seq.spawn(cfg.replicates)
         first_bad = None
-        for i, s in enumerate(np.random.default_rng(cfg.seed).bit_generator.seed_seq.spawn(cfg.replicates)):
-            train, _ = calibrate._block_draw(raw, 25, raw.shape[0], cfg.n, s)
+        for i, s in enumerate(seeds):
+            train, mon = calibrate._block_draw(raw, 25, raw.shape[0], cfg.n, s)
             if np.ptp(train[:, -1]) == 0.0:
                 first_bad = i
                 break
-        assert first_bad is not None and 0 < first_bad < 40
-        estimated = []
+        with pytest.raises(ConstantColumn) as alone:
+            refit_reference.prepare(model, train, mon)
+        # replicates are prepared in slices that fill 8 scan blocks with
+        # their training and monitoring rows and projections (15 here) and
+        # scanned in groups of 40: the failing replicate sits inside its
+        # slice, and its slice ends inside a scan group
+        size = 8 * calibrate.TRACE_BLOCK_CELLS // ((raw.shape[0] + cfg.n) * raw.shape[1] + cfg.n * 2)
+        end = (first_bad // size + 1) * size
+        assert size < first_bad and first_bad % size and end % 40
+        drawn = []
+        draw = calibrate._block_draw
 
-        def counting(x):
-            estimated.append(x)
-            return estimate_training(x)
+        def counting(*args):
+            drawn.append(args[-1])
+            return draw(*args)
 
-        monkeypatch.setattr(calibrate, "estimate_training", counting)
-        with pytest.raises(ConstantColumn):
-            calibrate_threshold(model, raw, cfg, threads=1)
-        assert len(estimated) == first_bad + 1
-        monkeypatch.undo()
-        with pytest.raises(ConstantColumn):
-            calibrate_threshold(model, raw, cfg, threads=2)
+        monkeypatch.setattr(calibrate, "_block_draw", counting)
+        for threads in (1, 2):
+            with pytest.raises(ConstantColumn) as raised:
+                calibrate_threshold(model, raw, cfg, threads=threads)
+            assert raised.value.column == alone.value.column == raw.shape[1] - 1
+            assert str(raised.value) == str(alone.value)
+            if threads == 1:
+                # every replicate of the failing slice is drawn, and none after it
+                assert [s.spawn_key for s in drawn] == [s.spawn_key for s in seeds[:end]]
+            monkeypatch.undo()
 
 
 class TestDefaultThreads:
