@@ -2,17 +2,21 @@
 
 CSV convention: rows are time steps, columns are streams, one optional
 header row; missing, non-numeric or non-finite values are a hard error.
-JSON artifacts carry a ``schema`` tag, the tool version and the fully
-resolved configuration, and are dumped with sorted keys so reruns are
-byte-identical.
+``iter_csv_rows`` reads a stream one row at a time (stdin);
+``iter_csv_chunks`` reads a file a chunk of lines at a time, parsing a
+chunk of plain decimal rows with one numpy call and reading any other
+chunk, and the rest of the file, with ``iter_csv_rows``, so both give
+the same values, line numbers and errors. JSON artifacts carry a
+``schema`` tag, the tool version and the fully resolved configuration,
+and are dumped with sorted keys so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+from itertools import chain, islice
 
 import numpy as np
 
@@ -39,23 +43,24 @@ def _parse_row(fields, path, line_no):
         raise ConfigError(f"{path}:{line_no}: non-numeric or missing value ({exc})") from None
 
 
-def iter_csv_rows(fobj, path: str = "<stream>"):
+def iter_csv_rows(fobj, path: str = "<stream>", start_line: int = 0, width: int | None = None):
     """Yield (line, row) for the numeric rows of a CSV stream, skipping one optional header.
 
-    ``line`` is the file line the row ends on (``csv.reader.line_num``),
-    which this reader's errors name as ``path:line``; callers reporting
-    on the row name the same line.
+    ``line`` is the file line the row ends on (``csv.reader.line_num``
+    after the ``start_line`` lines that came before ``fobj``), which this
+    reader's errors name as ``path:line``; callers reporting on the row
+    name the same line. A header is looked for only on the file's first
+    line. ``width``, when given, is the width of the rows already read.
     """
     reader = csv.reader(fobj)
-    width = None
     for record, fields in enumerate(reader):
-        line_no = reader.line_num
+        line_no = start_line + reader.line_num
         fields = [f.strip() for f in fields]
         if not any(fields):  # a blank line
             continue
         if not all(fields):
             raise ConfigError(f"{path}:{line_no}: missing value")
-        if record == 0:
+        if record == 0 and start_line == 0:
             try:
                 row = [float(f) for f in fields]
             except ValueError:
@@ -76,12 +81,130 @@ def iter_csv_rows(fobj, path: str = "<stream>"):
         yield line_no, np.asarray(row, dtype=float)
 
 
+# the only characters of a chunk that ``_parse_lines`` parses: with no
+# quote character, a line is one CSV record and its fields split on commas
+_PLAIN_CSV = b"0123456789+-.eE, \t\r\n"
+# values below this magnitude are finite and no row of them sums to an overflow
+_PLAIN_LIMIT = 1e300
+
+
+def _parse_lines(lines, width):
+    """The (n, width) rows of ``lines`` as ``iter_csv_rows`` reads them, or None where it might not.
+
+    ``np.array(fields, dtype=float)`` converts each field with ``float()``,
+    as the reader does. A chunk is parsed only when it is plain, so that
+    no check of the reader can fire and nothing but decimal numbers
+    reaches the conversion: only digits, signs, points, exponents, commas
+    and whitespace, no line longer than the csv field limit, no blank
+    line or empty field (``float()`` rejects those), every line as wide as
+    the rows before, and every value below ``_PLAIN_LIMIT`` in magnitude.
+    """
+    text = "".join(lines)
+    if not text.isascii() or text.encode().translate(None, _PLAIN_CSV):
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        rows = np.array([line.split(",") for line in lines], dtype=float)
+    except ValueError:  # a blank line, an empty field, a malformed number or uneven widths
+        return None
+    if (width is not None and rows.shape[1] != width) or not np.abs(rows).max() < _PLAIN_LIMIT:
+        return None
+    return rows
+
+
+def _gathered(numbered, size: int):
+    """(lines, rows) chunks of up to ``size`` consecutive (line, row) pairs.
+
+    When reading a row fails, the rows read before it come out as one more
+    chunk before the error is raised, so they are monitored and written
+    first, as they are when rows are stepped one at a time.
+    """
+    lines, rows = [], []
+    try:
+        for line_no, row in numbered:
+            lines.append(line_no)
+            rows.append(row)
+            if len(rows) == size:
+                yield lines, np.array(rows)
+                lines, rows = [], []
+    except Exception:
+        if rows:
+            yield lines, np.array(rows)
+        raise
+    if rows:
+        yield lines, np.array(rows)
+
+
+def iter_csv_chunks(fobj, path: str, size: int):
+    """Yield (lines, rows) for the numeric rows of a CSV file, ``size`` file lines at a time.
+
+    ``rows`` is an (n, D) array of what ``iter_csv_rows`` yields for those
+    lines and ``lines`` the file line of each row. A chunk of plain lines
+    is parsed at once (``_parse_lines``); from the first chunk that is not
+    plain, the rest of the file is read with ``iter_csv_rows``, so values,
+    line numbers, the header and every error come out as it gives them,
+    and the rows before an error come out before it is raised. Only one
+    chunk of lines is held at a time.
+    """
+    source = iter(fobj)
+    head = list(islice(source, 1))
+    if head and _parse_lines(head, None) is None and _skips_first_line(head[0], path):
+        done = 1  # file lines before the next chunk
+    else:
+        source = chain(head, source)
+        done = 0
+    width = None
+    while True:
+        lines, rest = [], source
+        try:
+            for line in islice(source, size):
+                lines.append(line)
+        except (OSError, ValueError) as exc:  # such as an undecodable byte: the lines before it are read first
+            rest, rows = _raising(exc), None
+        else:
+            if not lines:
+                return
+            rows = _parse_lines(lines, width)
+        if rows is None:
+            yield from _gathered(iter_csv_rows(chain(lines, rest), path, start_line=done, width=width), size)
+            return
+        yield range(done + 1, done + len(lines) + 1), rows
+        width = rows.shape[1]
+        done += len(lines)
+
+
+def _skips_first_line(line: str, path: str) -> bool:
+    """Whether ``iter_csv_rows`` skips ``line`` as a file's first line: a header or a blank line.
+
+    A line with a quote may begin a record that spans lines; it counts as
+    not skipped, and the file is then read with ``iter_csv_rows`` from the
+    top, as is a first line that it rejects.
+    """
+    if '"' in line:
+        return False
+    try:
+        return next(iter_csv_rows([line], path), None) is None
+    except (ConfigError, csv.Error):
+        return False
+
+
+def _raising(exc: BaseException):
+    """An iterator that raises ``exc`` when read."""
+    raise exc
+    yield
+
+
+# lines of a CSV file that load_matrix_csv reads at once
+_LOAD_CHUNK_LINES = 256
+
+
 def load_matrix_csv(path: str) -> np.ndarray:
     with open(path, "r", newline="") as fobj:
-        rows = [row for _, row in iter_csv_rows(fobj, path)]
-    if not rows:
+        chunks = [rows for _, rows in iter_csv_chunks(fobj, path, _LOAD_CHUNK_LINES)]
+    if not chunks:
         raise ConfigError(f"{path}: no data rows")
-    return np.vstack(rows)
+    return np.vstack(chunks)
 
 
 def save_matrix_csv(path: str, matrix: np.ndarray, header: list[str] | None = None):

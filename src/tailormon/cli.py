@@ -41,7 +41,8 @@ EXIT_NO_ALARM = 5
 
 _INPUT_ERRORS = (ConfigError, DimensionMismatch, ConstantColumn, OSError)
 
-# rows of a monitored file that one Monitor.feed call scans
+# lines of a monitored file that are parsed at once and scanned by one
+# Monitor.feed call; stdin is read and stepped one row at a time
 FEED_CHUNK_ROWS = 256
 
 
@@ -185,63 +186,46 @@ def calibrate_cmd(
     _guard(body)
 
 
-def _numbered_rows(source, path: str, raw_dim: int):
-    """(file line, row) of each CSV row of ``source``.
-
-    A row of the wrong width raises DimensionMismatch naming its line, as
-    the CSV reader's own errors do.
-    """
-    for line_no, row in _fileio.iter_csv_rows(source, path):
-        if row.shape[0] != raw_dim:
-            raise DimensionMismatch(f"{path}:{line_no}: stream rows have {row.shape[0]} columns, expected {raw_dim}")
-        yield line_no, row
+def _check_width(width: int, raw_dim: int, path: str, line_no: int):
+    if width != raw_dim:
+        raise DimensionMismatch(f"{path}:{line_no}: stream rows have {width} columns, expected {raw_dim}")
 
 
-def _row_chunks(rows, size: int):
-    """Lists of up to ``size`` consecutive rows.
-
-    When reading a row fails, the rows read before it come out as one more
-    chunk before the error is raised, so they are monitored and written
-    first, as they are when rows are stepped one at a time.
-    """
-    chunk = []
+def _step(monitor: Monitor, row, path: str, line_no: int):
+    """``monitor.step(row)``; a rejected row's error names its line."""
     try:
-        for row in rows:
-            chunk.append(row)
-            if len(chunk) == size:
-                yield chunk
-                chunk = []
-    except Exception:
-        if chunk:
-            yield chunk
-        raise
-    if chunk:
-        yield chunk
+        return monitor.step(row)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line_no}: {exc}") from None
 
 
-def _stepped_results(monitor: Monitor, numbered, path: str):
-    """Step results of (line, row) pairs, one row at a time; a rejected row's error names its line."""
-    for line_no, row in numbered:
+def _read_results(monitor: Monitor, source, path: str, raw_dim: int, stop_on_alarm: bool):
+    """Lists of step results for the rows of ``source``, in order.
+
+    A file is read and fed to ``monitor`` a chunk of FEED_CHUNK_ROWS lines
+    at a time, one list per chunk; stdin is read and stepped one row at a
+    time, so each row's result is out as the row arrives. A row of the
+    wrong width raises DimensionMismatch naming its line, as the CSV
+    reader's own errors do; it can only be the first, since the reader
+    holds every row to the first one's width.
+    """
+    if source is sys.stdin:
+        for line_no, row in _fileio.iter_csv_rows(source, path):
+            _check_width(row.shape[0], raw_dim, path, line_no)
+            yield [_step(monitor, row, path, line_no)]
+        return
+    for lines, rows in _fileio.iter_csv_chunks(source, path, FEED_CHUNK_ROWS):
+        _check_width(rows.shape[1], raw_dim, path, lines[0])
         try:
-            result = monitor.step(row)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from None
-        yield result
-
-
-def _fed_results(monitor: Monitor, numbered, path: str, stop_on_alarm: bool):
-    """Step results of (line, row) pairs, fed to ``monitor`` in chunks of FEED_CHUNK_ROWS."""
-    for chunk in _row_chunks(numbered, FEED_CHUNK_ROWS):
-        try:
-            results = monitor.feed([row for _, row in chunk], stop_on_alarm=stop_on_alarm)
+            yield monitor.feed(rows, stop_on_alarm=stop_on_alarm)
         except ValueError:
             # feed rejects a chunk before changing any state, and it can
             # reject a row the CSV reader passes: one holding a value, or
             # projecting to one, whose square overflows (such as 1e200).
             # Stepping the chunk gives the results before that row, then
             # raises at it
-            results = _stepped_results(monitor, chunk, path)
-        yield from results
+            for line_no, row in zip(lines, rows):
+                yield [_step(monitor, row, path, line_no)]
 
 
 @main.command("monitor")
@@ -280,31 +264,27 @@ def monitor_cmd(stream, selection, calibration, p0, window, continue_, out):
             "threshold": float(cal_doc["threshold"]),
             "continue": continue_,
         }
-        sink = sys.stdout if out == "-" else open(out, "w")
+        # the stream first: a stream that cannot be opened leaves --out as it was
+        source = sys.stdin if stream == "-" else open(stream, "r", newline="")
         try:
-            source = sys.stdin if stream == "-" else open(stream, "r", newline="")
+            sink = sys.stdout if out == "-" else open(out, "w")
             try:
                 alarm_time = None
-                rows = _numbered_rows(source, stream, raw_dim)
-                if source is sys.stdin:
-                    # one row at a time, so each line is out as its row arrives
-                    results = _stepped_results(monitor, rows, stream)
-                else:
-                    results = _fed_results(monitor, rows, stream, stop_on_alarm=not continue_)
-                for res in results:
-                    sink.write(_fileio.step_result_line(res) + "\n")
-                    if res.alarm and alarm_time is None:
-                        alarm_time = res.t
-                        if not continue_:
+                # without --continue a list of results ends at the first alarm
+                for results in _read_results(monitor, source, stream, raw_dim, stop_on_alarm=not continue_):
+                    sink.write("".join([_fileio.step_result_line(res) + "\n" for res in results]))
+                    if alarm_time is None:
+                        alarm_time = next((res.t for res in results if res.alarm), None)
+                        if alarm_time is not None and not continue_:
                             break
+                sink.write(_fileio.run_summary_line(alarm_time, monitor.t, monitor.total_warnings, config) + "\n")
+                sink.flush()
             finally:
-                if source is not sys.stdin:
-                    source.close()
-            sink.write(_fileio.run_summary_line(alarm_time, monitor.t, monitor.total_warnings, config) + "\n")
-            sink.flush()
+                if sink is not sys.stdout:
+                    sink.close()
         finally:
-            if sink is not sys.stdout:
-                sink.close()
+            if source is not sys.stdin:
+                source.close()
         return alarm_time
 
     alarm_time = _guard(body)

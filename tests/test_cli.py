@@ -304,6 +304,19 @@ class TestMonitorCommand:
         assert any(l.get("warnings", 0) > 0 for l in lines[:-1])
         assert res.exit_code in (0, 5)
 
+    def test_missing_stream_leaves_out_as_it_was(self, workdir, tmp_path):
+        root, _ = workdir
+        out = tmp_path / "out.jsonl"
+        out.write_text("keep\n")
+        missing = tmp_path / "nope.csv"
+        res = invoke("monitor", missing, root / "selection.json", root / "calibration.json", "--out", out)
+        assert res.exit_code == 2
+        assert out.read_bytes() == b"keep\n"
+        assert json.loads(res.stderr.strip().splitlines()[-1]) == {
+            "error": "FileNotFoundError",
+            "message": f"[Errno 2] No such file or directory: '{missing}'",
+        }
+
     def test_missing_value_exit_2(self, workdir, tmp_path):
         root, _ = workdir
         bad = tmp_path / "missing.csv"
@@ -346,9 +359,13 @@ class TestMonitorFileFeed:
         return "\n".join(f"{a!r},{b!r}" for a, b in zip(x1.tolist(), x2.tolist())) + "\n"
 
     def run_both(self, artifacts, tmp_path, text, *flags):
-        """(exit code, JSONL lines) of the file-fed and the stdin-fed monitor."""
+        """(exit code, JSONL lines, stderr) of the file-fed and the stdin-fed monitor.
+
+        The file's path in the summary line and in error messages reads
+        as stdin's '-', so the two runs must agree byte for byte.
+        """
         path = tmp_path / "stream.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         outs = []
         for source, stdin in ((path, None), ("-", text)):
             out = tmp_path / f"out-{len(outs)}.jsonl"
@@ -358,12 +375,11 @@ class TestMonitorFileFeed:
             assert "Warning" not in res.output
             lines = out.read_text().splitlines()
             if lines and lines[-1].startswith('{"alarm_time"'):
-                # the summary names its source; the rest must match
                 summary = json.loads(lines[-1])
                 assert summary["config"]["stream"] == str(source)
                 summary["config"]["stream"] = None
                 lines[-1] = json.dumps(summary, sort_keys=True)
-            outs.append((res.exit_code, lines))
+            outs.append((res.exit_code, lines, res.stderr.replace(f"{path}:", "-:")))
         return outs
 
     @pytest.mark.parametrize("lag", [0, 1])
@@ -375,7 +391,7 @@ class TestMonitorFileFeed:
         artifacts = workdir[0] if lag == 0 else lagged_workdir
         fed, stepped = self.run_both(artifacts, tmp_path, self.stream_text(3.0), *flags)
         assert fed == stepped
-        code, lines = fed
+        code, lines, _ = fed
         summary = json.loads(lines[-1])
         assert code == 0
         assert summary["alarm_time"] % cli.FEED_CHUNK_ROWS != 0  # the alarm falls inside a chunk
@@ -384,17 +400,69 @@ class TestMonitorFileFeed:
 
     # the CSV reader rejects the first four rows; the monitor rejects the
     # last, a finite value whose square overflows
+    BAD_ROWS = ["0.3,", "0.3,nan", "1e308,1e308", "0.1,0.2,0.3", "1e200,0.3"]
+
+    # the bad row's index: inside the second chunk, then first and last in it
+    @pytest.mark.parametrize("chunk, at", [(256, 300), (1, 1), (7, 7), (7, 13), (256, 256), (256, 511)])
     @pytest.mark.parametrize("flags", [(), ("--continue",)])
-    @pytest.mark.parametrize("bad_row", ["0.3,", "0.3,nan", "1e308,1e308", "0.1,0.2,0.3", "1e200,0.3"])
-    def test_bad_row_after_first_chunk(self, workdir, tmp_path, flags, bad_row):
+    @pytest.mark.parametrize("bad_row", BAD_ROWS)
+    def test_bad_row_after_first_chunk(self, workdir, tmp_path, monkeypatch, chunk, at, flags, bad_row):
+        monkeypatch.setattr(cli, "FEED_CHUNK_ROWS", chunk)
         lines = self.stream_text(0.0).splitlines()
-        at = cli.FEED_CHUNK_ROWS + 44
-        text = "\n".join(lines[:at] + [bad_row] + lines[at:]) + "\n"
-        fed, stepped = self.run_both(workdir[0], tmp_path, text, *flags)
+        lines[at] = bad_row
+        fed, stepped = self.run_both(workdir[0], tmp_path, "\n".join(lines) + "\n", *flags)
         assert fed == stepped
-        code, out = fed
+        code, out, err = fed
         assert code == 2
         assert len(out) == at  # every row before the bad one, no summary
+        assert json.loads(err.splitlines()[-1])["message"].startswith(f"-:{at + 1}: ")
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @pytest.mark.parametrize(
+        "layout",
+        ["header only", "crlf", "no final newline", "blank mid-chunk", "blank, then a bad row", "header, crlf"],
+    )
+    def test_layouts_equal_stdin(self, workdir, tmp_path, monkeypatch, chunk, layout):
+        monkeypatch.setattr(cli, "FEED_CHUNK_ROWS", chunk)
+        lines = self.stream_text(3.0).splitlines()
+        end = "\n"
+        if layout == "header only":
+            lines = ["s0,s1"]
+        elif layout == "crlf":
+            end = "\r\n"
+        elif layout == "header, crlf":
+            lines, end = ["s0,s1", *lines], "\r\n"
+        elif layout.startswith("blank"):
+            mid = chunk + chunk // 2  # inside the second chunk
+            lines.insert(mid, "")
+            if layout == "blank, then a bad row":
+                lines[mid + 3] = "1e200,0.3"
+        text = end.join(lines) + ("" if layout == "no final newline" else end)
+        fed, stepped = self.run_both(workdir[0], tmp_path, text, "--continue")
+        assert fed == stepped
+        code, out, err = fed
+        if layout == "header only":
+            assert (code, len(out), err) == (5, 1, "")
+        elif layout == "blank, then a bad row":
+            assert code == 2
+            assert json.loads(err.splitlines()[-1])["message"].startswith(f"-:{mid + 4}: ")
+        else:
+            assert (code, len(out), err) == (0, self.ROWS + 1, "")
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @pytest.mark.parametrize("header, line_no", [(None, 1), ("s0,s1,s2", 2)])
+    def test_wrong_width_names_the_first_row(self, workdir, tmp_path, monkeypatch, chunk, header, line_no):
+        monkeypatch.setattr(cli, "FEED_CHUNK_ROWS", chunk)
+        rows = [f"{i}.5,0.25,-1" for i in range(20)]
+        text = "\n".join(rows if header is None else [header, *rows]) + "\n"
+        fed, stepped = self.run_both(workdir[0], tmp_path, text)
+        assert fed == stepped
+        code, out, err = fed
+        assert (code, out) == (2, [])
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "DimensionMismatch",
+            "message": f"-:{line_no}: stream rows have 3 columns, expected 2",
+        }
 
     # a header, then data row 51 holds a value whose square overflows: it
     # sits on file line 52, or 53 below a quoted header that spans two
