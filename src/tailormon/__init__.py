@@ -70,7 +70,6 @@ from .mixmonitor import (
     StreamStats,
     bartlett_correction,
     build_monitor_model,
-    lag_extend,
     lag_extend_matrix,
     mixture_statistic,
     project_observation,

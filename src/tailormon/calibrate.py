@@ -12,18 +12,19 @@ the recorded maxima. The synthetic monitoring rows are drawn up front,
 so they are scanned as one trace rather than step by step.
 
 Replicates are drawn one at a time, each from its own seed stream, in
-replicate order. A slice of them is then prepared as one stack:
-re-estimated, decomposed, built and checked together (``_prepared``),
-as many as fill 8 scan blocks with their lag-extended training and
-monitoring rows and projections, which bounds the stack's memory. The
-checks run per replicate, stage by stage, so the first failing
-replicate raises the error it raises alone, before any later slice is
-drawn. The prepared replicates are scanned side by side in groups, as
-many as fill one full-window step of a scan block; a slice may span
-several groups. Each maximum is bit for bit what the
+replicate order, and handled in batches. A batch is prepared as one
+stack: re-estimated, decomposed, built and checked together
+(``_prepared``), then scanned side by side as one stacked trace scan
+(``_stacked_maxima``). A batch holds as many replicates as fill one
+full-window step of a scan block, which keeps its scan within the
+kernel's budget, and no more than fill 8 scan blocks with their
+lag-extended training and monitoring rows and projections, which bounds
+the memory of the stack. The checks run per replicate, stage by stage,
+so the first failing replicate raises the error it raises alone, before
+any later batch is drawn. Each maximum is bit for bit what the
 replicate's own re-fit and scan (``replicate_maximum``, ``Monitor.step``)
-give, so the result depends neither on the slicing, nor on the grouping,
-nor on the worker count; a worker pool maps runs of seeds.
+give, so the result depends neither on the batching nor on the worker
+count; a worker pool maps batches of seeds.
 
 Thresholds are conditional on the exact training set, window and axis
 set; recalibrate whenever any of those change.
@@ -34,7 +35,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from scipy.stats import beta as beta_dist
@@ -55,7 +55,6 @@ from .errors import ConfigError, DimensionMismatch, InsufficientReplicates, Zero
 from .mixmonitor import (
     _ROW_REJECTS,
     _ZERO_EIGENVALUE,
-    PD_FLOOR,
     MonitorModel,
     _lag_extend_stack,
     _low_eigenvalues,
@@ -143,7 +142,7 @@ def block_bootstrap_sample(training, block_len: int, out_len: int, rng: np.rando
 
 
 def _prepared(model: MonitorModel, train, mon):
-    """A slice of replicates, ready to scan: their training sums and the checked projections of their monitoring rows.
+    """A batch of replicates, ready to scan: their training sums and the checked projections of their monitoring rows.
 
     ``train`` (S, m_raw, D_raw) and ``mon`` (S, n_raw, D_raw) hold the
     synthetic rows of S replicates. Each replicate's model is re-estimated
@@ -180,7 +179,7 @@ def _prepared(model: MonitorModel, train, mon):
         n, error = _cut(_spectrum_faults(lam, vectors), error, _spectrum_error)
         idx = np.asarray(model.selection.indices)
         lam, vectors = lam[:n, idx], vectors[:n][:, :, idx]
-    n, error = _cut(_fault_codes([_low_eigenvalues(lam[:n], PD_FLOOR)]), error, lambda _: ZeroEigenvalue(_ZERO_EIGENVALUE))
+    n, error = _cut(_fault_codes([_low_eigenvalues(lam[:n])]), error, lambda _: ZeroEigenvalue(_ZERO_EIGENVALUE))
     projector = _projectors(vectors[:n], sdev[:n], lam[:n])
     train_sum, train_sumsq = _training_sums(centered[:n], projector)[1:]
     del centered  # the stack's largest array, no longer needed
@@ -205,9 +204,9 @@ def replicate_maximum(model: MonitorModel, train_synth, monitor_synth) -> float:
     training rows, keeps the original axis indices, and scans the
     synthetic monitoring rows as one trace, returning the largest
     statistic over all steps and candidates. ``calibrate_threshold``
-    prepares slices of replicates as stacks and scans groups of them side
-    by side; this is the one-replicate case, and each replicate's maximum
-    is the same bit for bit either way.
+    prepares batches of replicates as stacks and scans each batch side by
+    side; this is the one-replicate case, and each replicate's maximum is
+    the same bit for bit either way.
     """
     train = np.asarray(train_synth, dtype=float)
     prepared = _prepared(model, train[None], np.asarray(monitor_synth, dtype=float)[None])
@@ -257,32 +256,25 @@ def _block_draw(training_raw, block_len, m_raw, n_raw, seed_seq):
     return train, mon
 
 
-def _replicates(model, draw, shared, seeds, size):
-    """(train_sum, train_sumsq, z) of each replicate of ``seeds``, in seed order, drawn and prepared ``size`` at a time."""
-    for start in range(0, len(seeds), size):
-        train, mon = map(np.stack, zip(*(draw(*shared, s) for s in seeds[start:start + size])))
+def _batch_maxima(model, draw, shared, plan, seeds) -> np.ndarray:
+    """The maxima of the replicates of ``seeds``, in seed order.
+
+    ``plan`` is (m, batch): the replicas' training length, and how many
+    replicates are drawn, prepared as one stack and scanned side by side.
+    A batch is drawn and prepared before the next is drawn, so the first
+    failing replicate raises its own error before any later batch is
+    drawn.
+    """
+    m, batch = plan
+    maxima = []
+    for start in range(0, len(seeds), batch):
+        train, mon = map(np.stack, zip(*(draw(*shared, s) for s in seeds[start:start + batch])))
         while len(train):
             prepared = _prepared(model, train, mon)
             done = len(prepared[0])
             # let the drawn rows go before the prepared ones are scanned
             train, mon = (train[done:], mon[done:]) if done < len(train) else ((), ())
-            yield from zip(*prepared)
-
-
-def _group_maxima(model, draw, shared, plan, seeds) -> np.ndarray:
-    """The maxima of the replicates of ``seeds``, in seed order.
-
-    ``plan`` is (m, slice, group): the replicas' training length, and how
-    many replicates are prepared as one stack and scanned side by side.
-    A slice is drawn and prepared before the next is drawn, so the first
-    failing replicate raises its own error before any later slice is
-    drawn; a group may span slices.
-    """
-    m, size, group = plan
-    replicates = _replicates(model, draw, shared, seeds, size)
-    maxima = []
-    while batch := list(islice(replicates, group)):
-        maxima.append(_stacked_maxima(*zip(*batch), m, model.window, model.p0))
+            maxima.append(_stacked_maxima(*prepared, m, model.window, model.p0))
     return np.concatenate(maxima)
 
 
@@ -296,8 +288,8 @@ def _init_worker(job):
     _worker_job = job
 
 
-def _worker_group(seeds):
-    return _group_maxima(*_worker_job, seeds)
+def _worker_batch(seeds):
+    return _batch_maxima(*_worker_job, seeds)
 
 
 def default_threads() -> int:
@@ -368,23 +360,23 @@ def calibrate_threshold(
         job = (model, _parametric_draw, (summary.mean, chol, m_raw, n_raw))
         block_len = None
 
-    # as many replicates per stacked scan as fill one full-window step of
-    # a scan block, so a group's blocks stay within the kernel's budget;
-    # as many per prepared slice as fill 8 such blocks with their
-    # lag-extended training and monitoring rows and the projections of
-    # those, which bounds the memory of the stack
+    # as many replicates per batch as fill one full-window step of a scan
+    # block, so the stacked scan's blocks stay within the kernel's budget,
+    # but no more than fill 8 such blocks with their lag-extended training
+    # and monitoring rows and the projections of those, which bounds the
+    # memory of the stack
     m = m_raw - model.lag
-    group = max(1, TRACE_BLOCK_CELLS // (model.n_streams * (model.window + 1)))
-    size = max(1, 8 * TRACE_BLOCK_CELLS // max(1, (m + cfg.n) * model.dim + cfg.n * model.n_streams))
-    job = (*job, (m, size, group))
+    scan = TRACE_BLOCK_CELLS // (model.n_streams * (model.window + 1))
+    stack = 8 * TRACE_BLOCK_CELLS // max(1, (m + cfg.n) * model.dim + cfg.n * model.n_streams)
+    batch = max(1, min(stack, scan))
+    job = (*job, (m, batch))
     if threads > 1:
         # jobs carry only their seeds; the shared inputs reach each worker once
-        chunk = max(size, group)
-        chunks = [seeds[i:i + chunk] for i in range(0, cfg.replicates, chunk)]
+        batches = [seeds[i:i + batch] for i in range(0, cfg.replicates, batch)]
         with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker, initargs=(job,)) as pool:
-            maxima = np.concatenate(list(pool.map(_worker_group, chunks)))
+            maxima = np.concatenate(list(pool.map(_worker_batch, batches)))
     else:
-        maxima = _group_maxima(*job, seeds)
+        maxima = _batch_maxima(*job, seeds)
 
     b, exceed = threshold_from_maxima(maxima, cfg.alpha, cfg.confidence)
     return CalibrationResult(

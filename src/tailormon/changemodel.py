@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .corrcore import CorrelationMatrix, EigenSystem, nearest_pd_stack
+from .corrcore import PD_FLOOR, CorrelationMatrix, EigenSystem, nearest_pd_stack
 from .errors import DimensionMismatch, NoConvergence, ZeroEigenvalue
 
 MEAN = "mean"
@@ -31,7 +31,6 @@ VARIANCE = "variance"
 CORRELATION = "correlation"
 CHANGE_TYPES = (MEAN, VARIANCE, CORRELATION)
 
-PD_FLOOR = 1e-8
 _MAX_REDRAWS = 100
 
 
@@ -327,7 +326,7 @@ def sample_change(
     return ChangeScenario(ctype=ctype, affected=affected, corr_factors=dict(zip(combinations(affected, 2), sizes)))
 
 
-def apply_change(base: CorrelationMatrix, sc: ChangeScenario, pd_floor: float = PD_FLOOR) -> PostChangeParams:
+def apply_change(base: CorrelationMatrix, sc: ChangeScenario) -> PostChangeParams:
     """Turn a change scenario into explicit post-change parameters.
 
     Mean changes shift the affected components and keep the covariance.
@@ -336,12 +335,10 @@ def apply_change(base: CorrelationMatrix, sc: ChangeScenario, pd_floor: float = 
     off-diagonal entries and run the nearest-PD repair, which leaves
     already-valid results untouched.
     """
-    return apply_change_lagged(base, sc, base.dim, 0, pd_floor)
+    return apply_change_lagged(base, sc, base.dim, 0)
 
 
-def post_change_stack(
-    base_ext: np.ndarray, ctype: str, sizes: np.ndarray, raw_dim: int, lag: int, pd_floor: float = PD_FLOOR
-) -> np.ndarray:
+def post_change_stack(base_ext: np.ndarray, ctype: str, sizes: np.ndarray, raw_dim: int, lag: int) -> np.ndarray:
     """Post-change mean vectors or covariance matrices of n changes of one type.
 
     ``sizes`` describes the changes on the raw streams, one per row: an
@@ -365,7 +362,7 @@ def post_change_stack(
     for b in range(0, base_ext.shape[0], raw_dim):
         factors[:, b:b + raw_dim, b:b + raw_dim] = sizes
     factors *= base_ext
-    return nearest_pd_stack(factors, eps=pd_floor)
+    return nearest_pd_stack(factors, eps=PD_FLOOR)
 
 
 def apply_change_lagged(
@@ -373,7 +370,6 @@ def apply_change_lagged(
     sc: ChangeScenario,
     raw_dim: int,
     lag: int,
-    pd_floor: float = PD_FLOOR,
 ) -> PostChangeParams:
     """Apply a raw-dimension scenario to a lag-extended correlation matrix.
 
@@ -402,7 +398,7 @@ def apply_change_lagged(
         sizes = np.ones((1, raw_dim, raw_dim))
         for (p, q), a in sc.corr_factors.items():
             sizes[0, p, q] = sizes[0, q, p] = a
-    return PostChangeParams(mean=np.zeros(d_ext), cov=post_change_stack(base, sc.ctype, sizes, raw_dim, lag, pd_floor)[0])
+    return PostChangeParams(mean=np.zeros(d_ext), cov=post_change_stack(base, sc.ctype, sizes, raw_dim, lag)[0])
 
 
 def projected_means(vec: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -416,7 +412,7 @@ def projected_variances(vec: np.ndarray, covs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,nij->nj", vec, np.matmul(covs, vec))
 
 
-def sensitivity_stack(es: EigenSystem, proj_means, proj_vars, pd_floor: float = PD_FLOOR) -> np.ndarray:
+def sensitivity_stack(es: EigenSystem, proj_means, proj_vars) -> np.ndarray:
     """Hellinger sensitivities of every axis for n changes, as an (n, D) array.
 
     ``proj_means`` and ``proj_vars`` are the post-change projection means
@@ -426,16 +422,12 @@ def sensitivity_stack(es: EigenSystem, proj_means, proj_vars, pd_floor: float = 
     covariance.
     """
     lam = es.values
-    if lam[-1] <= pd_floor:
-        raise ZeroEigenvalue(f"smallest eigenvalue {lam[-1]:.3e} is at or below the floor {pd_floor:.1e}")
+    if lam[-1] <= PD_FLOOR:
+        raise ZeroEigenvalue(f"smallest eigenvalue {lam[-1]:.3e} is at or below the floor {PD_FLOOR:.1e}")
     return _hellinger_arrays(0.0, np.sqrt(lam), proj_means, np.sqrt(proj_vars))
 
 
-def projection_sensitivities(
-    es: EigenSystem,
-    post: PostChangeParams,
-    pd_floor: float = PD_FLOOR,
-) -> np.ndarray:
+def projection_sensitivities(es: EigenSystem, post: PostChangeParams) -> np.ndarray:
     """Sensitivity of every principal-axis projection to a given change.
 
     Projection j is N(0, lam_j) before the change and
@@ -446,5 +438,5 @@ def projection_sensitivities(
     if es.dim != post.dim:
         raise DimensionMismatch("eigensystem and post-change parameters disagree in dimension")
     vec = es.vectors
-    h = sensitivity_stack(es, projected_means(vec, post.mean[None]), projected_variances(vec, post.cov[None]), pd_floor)
+    h = sensitivity_stack(es, projected_means(vec, post.mean[None]), projected_variances(vec, post.cov[None]))
     return h[0]

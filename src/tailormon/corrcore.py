@@ -37,6 +37,10 @@ from .errors import (
 
 SYMMETRY_TOL = 1e-10
 ORTHO_TOL = 1e-8
+# An eigenvalue at or below this floor counts as zero: for a monitored
+# axis, for the base that tailoring scores changes against, and for the
+# nearest-PD repair of a post-change matrix.
+PD_FLOOR = 1e-8
 
 # Positive definiteness must hold beyond eigensolver noise: computed
 # eigenvalues of a D-dim matrix carry O(D * eps * ||A||) error, so smaller

@@ -307,8 +307,14 @@ def verify_bivariate_propositions(
     predictions unchanged; the mean prediction is evaluated accordingly.
 
     Grid points within ``boundary_tol`` of a region boundary are excluded
-    and counted. Violations are reported, not raised.
+    and counted. Violations are reported, not raised. A resolution that is
+    not finite or lies outside (0, 0.95], or an empty ``rho_values``, is a
+    ConfigError: either would leave nothing to check.
     """
+    if not 0.0 < resolution <= 0.95:  # false for nan too
+        raise ConfigError(f"resolution must lie in (0, 0.95], got {resolution}")
+    if rho_values is not None and len(rho_values) == 0:
+        raise ConfigError("rho_values must not be empty")
     if rho_values is None:
         pos = np.arange(resolution, 0.95 + resolution / 2, resolution)
         pos = pos[pos <= 0.95 + 1e-12]

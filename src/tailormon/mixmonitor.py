@@ -17,10 +17,10 @@ state, the ``_kernel.ScanState`` its ``StreamStats`` holds, and give the
 same results bit for bit. ``trace_stats`` scans a stream known in full
 through ``feed``'s row checks and scan, from a fresh state; with a
 threshold, it and ``feed(stop_on_alarm=True)`` stop at the first alarm.
-Calibration builds a slice of bootstrap replicas with the same projector,
+Calibration builds a batch of bootstrap replicas with the same projector,
 training-sum and row-check arithmetic, on stacks (``_projectors``,
-``_training_sums``, ``_projection_faults``), and then scans a group of
-replicates side by side in one stacked trace scan (``_stacked_maxima``).
+``_training_sums``, ``_projection_faults``), and then scans the batch
+side by side in one stacked trace scan (``_stacked_maxima``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import digamma
 
 from . import _kernel
-from .corrcore import TrainingSummary, _fault_codes
+from .corrcore import PD_FLOOR, TrainingSummary, _fault_codes
 from .errors import (
     DegenerateSegment,
     DimensionMismatch,
@@ -44,7 +44,6 @@ from .errors import (
 from .tailor import ProjectionSelection
 
 VAR_FLOOR = 1e-12
-PD_FLOOR = 1e-8
 
 
 def _h(a: np.ndarray) -> np.ndarray:
@@ -115,16 +114,6 @@ def mixture_statistic(llrs, correction: float, p0: float) -> float:
         raise ValueError("p0 must lie in (0, 1]")
     x = np.asarray(llrs, dtype=float) / correction
     return float(_kernel.mixture_terms(x, p0).sum())
-
-
-def lag_extend(history, lag: int) -> np.ndarray:
-    """Concatenate the last lag+1 vectors of ``history``, oldest first."""
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    vecs = list(history)
-    if len(vecs) < lag + 1:
-        raise InsufficientHistory(f"need {lag + 1} observations, have {len(vecs)}")
-    return np.concatenate([np.asarray(v, dtype=float) for v in vecs[-(lag + 1):]])
 
 
 def lag_extend_matrix(data, lag: int) -> np.ndarray:
@@ -350,9 +339,9 @@ class MonitorModel:
 _ZERO_EIGENVALUE = "a selected eigenvalue is at or below the PD floor"
 
 
-def _low_eigenvalues(lam: np.ndarray, pd_floor: float) -> np.ndarray:
+def _low_eigenvalues(lam: np.ndarray) -> np.ndarray:
     """Whether a selected eigenvalue sits at or below the PD floor, per model of a stack (the last axis holds one model's)."""
-    return (lam <= pd_floor).any(axis=-1)
+    return (lam <= PD_FLOOR).any(axis=-1)
 
 
 def _projectors(vectors: np.ndarray, sdev: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -360,10 +349,10 @@ def _projectors(vectors: np.ndarray, sdev: np.ndarray, lam: np.ndarray) -> np.nd
     return vectors / sdev[..., :, None] / np.sqrt(lam)[..., None, :]
 
 
-def _projector(training: TrainingSummary, selection: ProjectionSelection, pd_floor: float) -> np.ndarray:
+def _projector(training: TrainingSummary, selection: ProjectionSelection) -> np.ndarray:
     """D x J matrix mapping centred observations to standardized projections."""
     lam = np.asarray(selection.eigenvalues, dtype=float)
-    if _low_eigenvalues(lam, pd_floor):
+    if _low_eigenvalues(lam):
         raise ZeroEigenvalue(_ZERO_EIGENVALUE)
     return _projectors(selection.eigenvectors, training.sdev, lam)
 
@@ -387,17 +376,16 @@ def build_monitor_model(
     window: int = 200,
     lag: int = 0,
     threshold: float = math.inf,
-    pd_floor: float = PD_FLOOR,
 ) -> MonitorModel:
     """Assemble a monitor model from training artifacts.
 
     ``training_data`` are the lag-extended training rows the summary was
     estimated from; their standardized projections seed the per-stream
-    training sufficient statistics. A calibration builds a slice of
+    training sufficient statistics. A calibration builds a batch of
     bootstrap replicas with the same projector and training-sum
     arithmetic on stacks; this is the one-model case.
     """
-    projector = _projector(training, selection, pd_floor)
+    projector = _projector(training, selection)
     x = np.asarray(training_data, dtype=float)
     if x.shape != (training.m, training.dim):
         raise DimensionMismatch("training data shape does not match the training summary")
@@ -411,7 +399,6 @@ def build_monitor_model(
         window=window,
         lag=lag,
         threshold=threshold,
-        pd_floor=pd_floor,
     )
     return replace(model, training_projections=z)
 
@@ -426,7 +413,6 @@ def restore_monitor_model(
     window: int = 200,
     lag: int = 0,
     threshold: float = math.inf,
-    pd_floor: float = PD_FLOOR,
 ) -> MonitorModel:
     """Rebuild a monitor model from serialized artifacts (no raw training rows)."""
     return MonitorModel(
@@ -437,7 +423,7 @@ def restore_monitor_model(
         lag=int(lag),
         threshold=float(threshold),
         training_projections=None,
-        projector=_projector(training, selection, pd_floor),
+        projector=_projector(training, selection),
         train_sum=np.asarray(train_sum, dtype=float).copy(),
         train_sumsq=np.asarray(train_sumsq, dtype=float).copy(),
     )
@@ -608,23 +594,16 @@ def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tu
 def _stacked_maxima(train_sum, train_sumsq, z, m: int, window: int, p0: float) -> np.ndarray:
     """The largest statistic of each of G streams over its rows, from one stacked trace scan.
 
-    Per stream: its training sums, two (J,) arrays, and z (T, J), the
-    checked projections (``_projection_faults``) of its rows from a fresh
+    The streams' training sums, (G, J) each, and z (G, T, J), the checked
+    projections (``_projection_faults``) of their rows from a fresh
     state; the streams share m, the window and p0. They are scanned side
     by side as one (T, G, J) trace, which gives each stream's maximum bit
     for bit as ``trace_stats`` of its rows does (-inf where no step has a
     candidate), in fewer numpy calls than G scans.
     """
-    z = np.stack(z, axis=1)
+    z = np.swapaxes(z, 0, 1)
     stat, _, _, _ = _kernel.scan_trace(
-        z,
-        np.stack(train_sum),
-        np.stack(train_sumsq),
-        m,
-        window,
-        p0,
-        _BartlettTable().upto(m + z.shape[0]),
-        VAR_FLOOR,
+        z, train_sum, train_sumsq, m, window, p0, _BartlettTable().upto(m + z.shape[0]), VAR_FLOOR
     )
     return stat.max(axis=1, initial=-math.inf)
 

@@ -27,7 +27,6 @@ from tailormon import (
     estimate_edd,
     estimate_training,
     hellinger_normal,
-    lag_extend,
     lag_extend_matrix,
     manual_selection,
     min_variance_selection,
@@ -292,7 +291,7 @@ def test_criterion_07_argmax_probability_concentration(announce):
 
 def test_criterion_08_lag_extension_dimension(announce):
     history = [np.full(52, float(i)) for i in range(6)]
-    vec = lag_extend(history, 5)
+    vec = lag_extend_matrix(history, 5)[0]
     raw = np.random.default_rng(808).standard_normal((400, 52))
     ext = lag_extend_matrix(raw, 5)
     summary = estimate_training(ext)

@@ -212,15 +212,36 @@ def lagged_model(lag, dim=4, m=90, window=200, seed=20):
     return build_monitor_model(summary, sel, ext, window=window, lag=lag), raw
 
 
+def batch_size(model, m, n):
+    """How many replicates ``calibrate_threshold`` draws, prepares and scans as one batch.
+
+    As many as fill one full-window step of a scan block, and no more
+    than fill 8 scan blocks with their training and monitoring rows and
+    projections; ``m`` is the replicas' training length, ``n`` the horizon.
+    """
+    scan = calibrate.TRACE_BLOCK_CELLS // (model.n_streams * (model.window + 1))
+    stack = 8 * calibrate.TRACE_BLOCK_CELLS // ((m + n) * model.dim + n * model.n_streams)
+    return max(1, min(stack, scan))
+
+
+def replicate_draws(model, raw, mode, n):
+    """The draw function of ``mode`` and its arguments before the seed, as ``calibrate_threshold`` sets them up."""
+    if mode == calibrate.BLOCK:
+        return calibrate._block_draw, (raw, 25, raw.shape[0], n + model.lag)
+    summary = estimate_training(raw)
+    chol = np.linalg.cholesky(summary.covariance())
+    return calibrate._parametric_draw, (summary.mean, chol, raw.shape[0], n + model.lag)
+
+
 class TestReplicateGroups:
-    """``calibrate_threshold`` scans its replicates in stacked groups; no maximum may depend on the grouping."""
+    """``calibrate_threshold`` scans its replicates in stacked batches; no maximum may depend on the batching."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("lag", [0, 1])
     @pytest.mark.parametrize("mode", [calibrate.PARAMETRIC, calibrate.BLOCK])
     def test_maxima_do_not_depend_on_the_replicate_count(self, mode, lag, threads):
-        # J = 2 and w = 200 put 40 replicates in a group: 7 replicates are
-        # part of one group, 100 end in a group of 20, 120 in a full third.
+        # J = 2 and w = 200 put 40 replicates in a batch: 7 replicates are
+        # part of one batch, 100 end in a batch of 20, 120 in a full third.
         # Spawned seeds do not depend on the count, so the maxima must agree
         model, raw = lagged_model(lag)
         maxima = {}
@@ -238,15 +259,27 @@ class TestReplicateGroups:
         model, raw = lagged_model(lag)
         cfg = CalibrationConfig(alpha=0.8, n=20, confidence=0.5, replicates=7, mode=mode, seed=22)
         got = calibrate_threshold(model, raw, cfg, threads=1).replicate_maxima
-        if mode == calibrate.BLOCK:
-            draw, shared = calibrate._block_draw, (raw, 25, raw.shape[0], 20 + lag)
-        else:
-            summary = estimate_training(raw)
-            chol = np.linalg.cholesky(summary.covariance())
-            draw, shared = calibrate._parametric_draw, (summary.mean, chol, raw.shape[0], 20 + lag)
+        draw, shared = replicate_draws(model, raw, mode, cfg.n)
         seeds = np.random.default_rng(cfg.seed).bit_generator.seed_seq.spawn(cfg.replicates)
         alone = [replicate_maximum(model, *draw(*shared, s)) for s in seeds]
         assert got.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("lag", [0, 1])
+    @pytest.mark.parametrize("mode", [calibrate.PARAMETRIC, calibrate.BLOCK])
+    def test_the_batch_loop_gives_each_replicate_alone_at_any_batch_size(self, mode, lag):
+        # 50 replicates end in a partial batch at every size, the computed
+        # one (40 here) included
+        model, raw = lagged_model(lag)
+        n = 20
+        draw, shared = replicate_draws(model, raw, mode, n)
+        seeds = np.random.SeedSequence(23).spawn(50)
+        alone = np.array([replicate_maximum(model, *draw(*shared, s)) for s in seeds])
+        m = raw.shape[0] - lag
+        computed = batch_size(model, m, n)
+        assert computed == 40
+        for batch in (1, 2, 7, computed):
+            got = calibrate._batch_maxima(model, draw, shared, (m, batch), seeds)
+            assert got.tobytes() == alone.tobytes(), f"batch {batch}"
 
     def test_first_failing_replicate_raises_before_the_next_slice_is_drawn(self, monkeypatch):
         # the last column is constant but for four pairs of rows; a block
@@ -268,13 +301,11 @@ class TestReplicateGroups:
                 break
         with pytest.raises(ConstantColumn) as alone:
             refit_reference.prepare(model, train, mon)
-        # replicates are prepared in slices that fill 8 scan blocks with
-        # their training and monitoring rows and projections (15 here) and
-        # scanned in groups of 40: the failing replicate sits inside its
-        # slice, and its slice ends inside a scan group
-        size = 8 * calibrate.TRACE_BLOCK_CELLS // ((raw.shape[0] + cfg.n) * raw.shape[1] + cfg.n * 2)
+        # replicates are drawn, prepared and scanned in batches (15 here):
+        # the failing replicate sits inside a batch after the first
+        size = batch_size(model, raw.shape[0], cfg.n)
         end = (first_bad // size + 1) * size
-        assert size < first_bad and first_bad % size and end % 40
+        assert size < first_bad and first_bad % size
         drawn = []
         draw = calibrate._block_draw
 
@@ -289,7 +320,7 @@ class TestReplicateGroups:
             assert raised.value.column == alone.value.column == raw.shape[1] - 1
             assert str(raised.value) == str(alone.value)
             if threads == 1:
-                # every replicate of the failing slice is drawn, and none after it
+                # every replicate of the failing batch is drawn, and none after it
                 assert [s.spawn_key for s in drawn] == [s.spawn_key for s in seeds[:end]]
             monkeypatch.undo()
 

@@ -685,3 +685,11 @@ class TestVerifyPropsCommand:
         assert doc["total_violations"] == 0
         assert set(doc["propositions"]) == {"mean", "equal_variances", "one_variance", "correlation"}
         assert all(t["checked"] > 0 for t in doc["propositions"].values())
+
+    @pytest.mark.parametrize("resolution", ["0", "-0.1", "2", "nan"])
+    def test_bad_resolution_fails_with_a_json_error(self, tmp_path, resolution):
+        out = tmp_path / "props.json"
+        res = invoke("verify-props", "-r", resolution, "--out", out)
+        assert res.exit_code == 2, res.output
+        assert json.loads(res.stderr.strip().splitlines()[-1])["error"] == "ConfigError"
+        assert not out.exists()

@@ -127,6 +127,22 @@ class TestBivariatePropositions:
         assert report["total_violations"] == 0
         assert report["propositions"]["one_variance"]["excluded"] > 0
 
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, 2.0, math.nan, math.inf])
+    def test_resolution_outside_its_range_is_rejected(self, resolution):
+        # each of these used to leave an empty grid (or divide by zero)
+        # and report 0 violations with nothing checked
+        with pytest.raises(ConfigError, match="resolution"):
+            verify_bivariate_propositions(resolution=resolution)
+
+    def test_empty_rho_values_are_rejected(self):
+        with pytest.raises(ConfigError, match="rho_values"):
+            verify_bivariate_propositions(rho_values=[])
+
+    def test_coarsest_resolution_checks_one_grid_point_per_sign(self):
+        report = verify_bivariate_propositions(resolution=0.95)
+        assert report["rho_values"] == [-0.95, 0.95]
+        assert all(tally["checked"] > 0 for tally in report["propositions"].values())
+
 
 class TestTrials:
     def test_null_trial_with_unreachable_threshold_censored(self):

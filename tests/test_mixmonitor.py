@@ -17,7 +17,6 @@ from tailormon import (
     eigensystem,
     estimate_training,
     identity_selection,
-    lag_extend,
     lag_extend_matrix,
     min_variance_selection,
     mixture_statistic,
@@ -195,32 +194,31 @@ class TestMixtureStatistic:
 class TestLagExtend:
     def test_zero_lag_identity(self):
         x = np.arange(4.0)
-        assert np.array_equal(lag_extend([x], 0), x)
+        assert np.array_equal(lag_extend_matrix([x], 0), [x])
 
     def test_dimension_52_times_6(self):
         history = [np.full(52, float(i)) for i in range(6)]
-        out = lag_extend(history, 5)
-        assert out.shape == (312,)
+        out = lag_extend_matrix(history, 5)
+        assert out.shape == (1, 312)
         # oldest block first
-        assert np.array_equal(out[:52], history[0])
-        assert np.array_equal(out[-52:], history[-1])
+        assert np.array_equal(out[0, :52], history[0])
+        assert np.array_equal(out[0, -52:], history[-1])
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistory):
-            lag_extend([np.zeros(3)], 1)
+            lag_extend_matrix([np.zeros(3)], 1)
 
-    def test_matrix_variant_matches_vector_variant(self):
+    def test_each_row_concatenates_its_window_oldest_first(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((9, 3))
         ext = lag_extend_matrix(data, 2)
         assert ext.shape == (7, 9)
         for i in range(7):
-            assert np.array_equal(ext[i], lag_extend(data[i : i + 3], 2))
+            assert np.array_equal(ext[i], np.concatenate(data[i : i + 3]))
 
     def test_negative_lag_rejected(self):
-        for fn, arg in ((lag_extend, [np.zeros(3)]), (lag_extend_matrix, np.zeros((4, 3)))):
-            with pytest.raises(ValueError, match="lag must be non-negative"):
-                fn(arg, -1)
+        with pytest.raises(ValueError, match="lag must be non-negative"):
+            lag_extend_matrix(np.zeros((4, 3)), -1)
 
 
 class TestProjectObservation:

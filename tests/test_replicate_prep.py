@@ -1,7 +1,8 @@
 """Stacked replicate preparation against the per-replicate re-fit of ``refit_reference``.
 
 ``calibrate_threshold`` draws its bootstrap replicates one by one but
-re-estimates, decomposes, builds and checks a slice of them as one stack.
+re-estimates, decomposes, builds, checks and scans a batch of them as one
+stack.
 Every replicate's training sums, projections and maximum must be bytewise
 what the per-replicate re-fit gives, and the first failing replicate must
 raise exactly what it raises alone, at any worker count.
@@ -68,10 +69,10 @@ def first_failure(model, replicates):
 # (J, identity, lag): identity monitors every lag-extended column, so its
 # raw dimension is J / (lag + 1); manual selections take the J least
 # varying of 20 or 24 raw columns' axes. With 300 training rows, 30
-# monitoring rows and a window of 200, a slice holds 19 replicates at 20
-# lag-extended columns and 9 at 40; a scan group holds 40 at J = 2, 27 at
-# J = 3 and 4 at J = 20. So 50 replicates end slices inside scan groups,
-# and at J = 20 one slice spans several groups.
+# monitoring rows and a window of 200, a batch holds 19 replicates at 20
+# lag-extended columns and 9 at 40 when J is 2 or 3, 40 or 27 for the
+# identity selections of 2 or 3 columns, and 4 at J = 20. So 50 replicates
+# end in a partial batch in every setting.
 SETTINGS = [
     (j, identity, lag)
     for j in (2, 3, 20)
@@ -192,5 +193,5 @@ def test_the_first_failing_replicate_of_a_stack_raises(faults):
     index, alone = first_failure(model, zip(train, mon))
     assert index == min(faults)
     with pytest.raises(type(alone)) as stacked:
-        list(calibrate._replicates(model, lambda i: (train[i], mon[i]), (), range(5), 5))
+        calibrate._batch_maxima(model, lambda i: (train[i], mon[i]), (), (train.shape[1] - model.lag, 5), range(5))
     assert str(stacked.value) == str(alone)

@@ -261,7 +261,7 @@ def replicate_reference(model, train_synth, monitor_synth):
         history.append(x)
         if len(history) < model.lag + 1:
             continue
-        stats.append(tm.project_observation(replica, tm.lag_extend(history, model.lag)))
+        stats.append(tm.project_observation(replica, tm.lag_extend_matrix(history[-(model.lag + 1):], model.lag)[0]))
         t = stats.t
         if t < 2:
             continue
