@@ -19,12 +19,14 @@ stack: re-estimated, decomposed, built and checked together
 full-window step of a scan block, which keeps its scan within the
 kernel's budget, and no more than fill 8 scan blocks with their
 lag-extended training and monitoring rows and projections, which bounds
-the memory of the stack. The checks run per replicate, stage by stage,
-so the first failing replicate raises the error it raises alone, before
-any later batch is drawn. Each maximum is bit for bit what the
-replicate's own re-fit and scan (``replicate_maximum``, ``Monitor.step``)
-give, so the result depends neither on the batching nor on the worker
-count; a worker pool maps batches of seeds.
+the memory of the stack. A batch is prepared all or nothing: when a
+check fails any of its replicates, the same drawn rows are prepared
+again one replicate at a time, so the first failing replicate raises the
+error it raises alone, before any later batch is drawn. Each maximum is
+bit for bit what the replicate's own re-fit and scan
+(``replicate_maximum``, ``Monitor.step``) give, so the result depends
+neither on the batching nor on the worker count; a worker pool maps
+batches of seeds.
 
 Thresholds are conditional on the exact training set, window and axis
 set; recalibrate whenever any of those change.
@@ -43,22 +45,18 @@ from ._kernel import TRACE_BLOCK_CELLS
 from .corrcore import (
     _correlation_error,
     _correlation_faults,
-    _cut,
     _eigen_stack,
-    _fault_codes,
+    _raise_first,
     _spectrum_error,
     _spectrum_faults,
     _training_moments,
     estimate_training,
 )
-from .errors import ConfigError, DimensionMismatch, InsufficientReplicates, ZeroEigenvalue
+from .errors import ConfigError, DimensionMismatch, InsufficientReplicates
 from .mixmonitor import (
-    _ROW_REJECTS,
-    _ZERO_EIGENVALUE,
     MonitorModel,
+    _checked_stack,
     _lag_extend_stack,
-    _low_eigenvalues,
-    _projection_faults,
     _projectors,
     _stacked_maxima,
     _training_sums,
@@ -141,7 +139,7 @@ def block_bootstrap_sample(training, block_len: int, out_len: int, rng: np.rando
     return x[rows]
 
 
-def _prepared(model: MonitorModel, train, mon):
+def _stack_prepared(model: MonitorModel, train, mon):
     """A batch of replicates, ready to scan: their training sums and the checked projections of their monitoring rows.
 
     ``train`` (S, m_raw, D_raw) and ``mon`` (S, n_raw, D_raw) hold the
@@ -150,51 +148,53 @@ def _prepared(model: MonitorModel, train, mon):
     built, and its monitoring rows checked and projected, as
     ``build_monitor_model`` and ``Monitor.feed`` would one replicate
     alone, bit for bit, but on stacks. Returns (train_sum, train_sumsq,
-    z), (k, J), (k, J) and (k, n, J), for the first k replicates: all S,
-    unless a replicate after the first has a non-finite correlation
-    matrix. LAPACK may fail on such a matrix, and would then fail the
-    whole stack, so the stack stops before it.
-
-    The checks run stage by stage, each over the replicates before the
-    first that failed so far, so the error raised is the first failing
-    replicate's, the one it raises alone.
+    z), (S, J), (S, J) and (S, n, J). Each check raises the error of the
+    first replicate that fails it, which for S = 1 is the replicate's own.
     """
     lag = model.lag
     for rows in (train, mon):
         if rows.ndim != 3 or rows.shape[2] != model.raw_dim:
             raise DimensionMismatch(f"expected raw vectors of dimension {model.raw_dim}, got shape {rows.shape[1:]}")
+    s = len(train)
     centered = _lag_extend_stack(train, lag)
     m = centered.shape[1]
-    mean, sdev, corr, error = _training_moments(centered)  # centres it in place
-    finite = np.isfinite(corr).all(axis=(1, 2))
-    finite[:1] = True  # the first replicate's LAPACK failure is its own
-    n, error = _cut(_fault_codes([~finite]), error, lambda _: None)
-    codes, _ = _correlation_faults(corr[:n])
-    n, error = _cut(codes, error, _correlation_error)
+    mean, sdev, corr = _training_moments(centered)  # centres it in place
+    _raise_first(_correlation_faults(corr)[0], _correlation_error)
     if model.selection.identity:
         d = model.dim
-        lam, vectors = np.ones((n, d)), np.broadcast_to(np.eye(d), (n, d, d))
+        lam, vectors = np.ones((s, d)), np.broadcast_to(np.eye(d), (s, d, d))
     else:
-        lam, vectors = _eigen_stack(corr[:n])
-        n, error = _cut(_spectrum_faults(lam, vectors), error, _spectrum_error)
+        lam, vectors = _eigen_stack(corr)
+        _raise_first(_spectrum_faults(lam, vectors), _spectrum_error)
         idx = np.asarray(model.selection.indices)
-        lam, vectors = lam[:n, idx], vectors[:n][:, :, idx]
-    n, error = _cut(_fault_codes([_low_eigenvalues(lam[:n])]), error, lambda _: ZeroEigenvalue(_ZERO_EIGENVALUE))
-    projector = _projectors(vectors[:n], sdev[:n], lam[:n])
-    train_sum, train_sumsq = _training_sums(centered[:n], projector)[1:]
+        lam, vectors = lam[:, idx], vectors[:, :, idx]
+    projector = _projectors(vectors, sdev, lam)
+    train_sum, train_sumsq = _training_sums(centered, projector)[1:]
     del centered  # the stack's largest array, no longer needed
-    rows = mon[:n]
     if lag == 0:
-        ext = rows
+        ext = mon
     else:
-        ext = _lag_extend_stack(rows, lag) if rows.shape[1] > lag else np.empty((n, 0, model.dim))
+        ext = _lag_extend_stack(mon, lag) if mon.shape[1] > lag else np.empty((s, 0, model.dim))
     # a fresh state: its running sums of squares are 0 and add nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        z, codes = _projection_faults(rows, ext, mean[:n], projector, train_sumsq, m)
-    n, error = _cut(codes, error, lambda code: ValueError(_ROW_REJECTS[code]))
-    if error is not None:
-        raise error
-    return train_sum, train_sumsq, z
+    return train_sum, train_sumsq, _checked_stack(mon, ext, mean, projector, train_sumsq, m)
+
+
+def _prepared(model: MonitorModel, train, mon):
+    """``_stack_prepared`` of a batch, all or nothing.
+
+    When a check fails the batch, its replicates are prepared again one
+    at a time, in order, from the same rows, so the first failing
+    replicate raises exactly the error it raises alone.
+    """
+    try:
+        return _stack_prepared(model, train, mon)
+    except Exception as exc:
+        if len(train) == 1:
+            raise
+        error = exc
+    for i in range(len(train)):
+        _stack_prepared(model, train[i:i + 1], mon[i:i + 1])
+    raise error
 
 
 def replicate_maximum(model: MonitorModel, train_synth, monitor_synth) -> float:
@@ -269,12 +269,9 @@ def _batch_maxima(model, draw, shared, plan, seeds) -> np.ndarray:
     maxima = []
     for start in range(0, len(seeds), batch):
         train, mon = map(np.stack, zip(*(draw(*shared, s) for s in seeds[start:start + batch])))
-        while len(train):
-            prepared = _prepared(model, train, mon)
-            done = len(prepared[0])
-            # let the drawn rows go before the prepared ones are scanned
-            train, mon = (train[done:], mon[done:]) if done < len(train) else ((), ())
-            maxima.append(_stacked_maxima(*prepared, m, model.window, model.p0))
+        prepared = _prepared(model, train, mon)
+        del train, mon  # let the drawn rows go before the prepared ones are scanned
+        maxima.append(_stacked_maxima(*prepared, m, model.window, model.p0))
     return np.concatenate(maxima)
 
 

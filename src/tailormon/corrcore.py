@@ -5,10 +5,12 @@ correlation generation through a partial-correlation vine, and the
 nearest-PD repair. The estimate, the eigensystem and the repair work on
 stacks, so the tailoring Monte Carlo repairs a whole block of correlation
 changes with stacked eigendecompositions and a calibration re-estimates a
-slice of bootstrap replicates at once; a single matrix is the stack of
+batch of bootstrap replicates at once; a single matrix is the stack of
 one. Every validity check is written once, as a per-matrix test over a
 stack (``_correlation_faults``, ``_spectrum_faults``,
-``_constant_columns``), which the validated types apply to a stack of one.
+``_constant_columns``), which the validated types apply to a stack of one;
+a failing stack raises the error of its first failing matrix
+(``_raise_first``).
 
 Conventions used throughout the package:
 
@@ -58,6 +60,7 @@ _EIG_SAFEGUARD = 1e-10
 # The invariants of a correlation matrix and of an eigensystem, in the
 # order they are tested; a fault code indexes these tuples.
 _CORRELATION_FAULTS = (
+    "entries must be finite",
     "matrix is not symmetric within 1e-10",
     "diagonal entries must be exactly 1",
     "off-diagonal entries must lie strictly inside (-1, 1)",
@@ -91,22 +94,11 @@ def _fault_codes(tests) -> np.ndarray:
     return codes
 
 
-def _first_fault(codes) -> int:
-    """Position of the first set with a fault code, or the count of sets when none has one."""
-    bad = np.flatnonzero(np.asarray(codes) >= 0)
-    return int(bad[0]) if bad.size else len(codes)
-
-
-def _cut(codes, error, make):
-    """The count of sets before the first with a fault code, and the error the stack stops at.
-
-    A stack checked stage by stage keeps only the sets before the first
-    that failed so far. ``codes`` covers those; the first with a code
-    raises ``make(code)``. When none has one, all of them pass, and
-    ``error``, the earlier stages' stop, stands.
-    """
-    n = _first_fault(codes)
-    return (n, make(int(codes[n]))) if n < len(codes) else (n, error)
+def _raise_first(codes, make) -> None:
+    """Raise ``make(code)`` for the first set of a stack with a fault code; return when every code is -1."""
+    bad = np.flatnonzero(codes >= 0)
+    if bad.size:
+        raise make(int(codes[bad[0]]))
 
 
 def _constant_columns(spread: np.ndarray) -> np.ndarray:
@@ -127,10 +119,12 @@ def _correlation_faults(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sees only the matrices that pass the cheaper tests.
     """
     n, d, _ = w.shape
-    tests = [
-        np.abs(w - w.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL,
-        (np.diagonal(w, axis1=1, axis2=2) != 1.0).any(axis=1),
-    ]
+    with np.errstate(invalid="ignore"):  # inf - inf; such a matrix fails the first test
+        tests = [
+            ~np.isfinite(w).all(axis=(1, 2)),
+            np.abs(w - w.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL,
+            (np.diagonal(w, axis1=1, axis2=2) != 1.0).any(axis=1),
+        ]
     if d > 1:
         tests.append(np.abs(w[:, ~np.eye(d, dtype=bool)]).max(axis=1) >= 1.0)
     codes = _fault_codes(tests)
@@ -166,18 +160,17 @@ def _spectrum_error(code: int) -> Exception:
 class CorrelationMatrix:
     """Symmetric positive definite matrix with unit diagonal.
 
-    Validated on construction: symmetry within 1e-10, diagonal entries
-    exactly 1, off-diagonal entries strictly inside (-1, 1), and smallest
-    eigenvalue strictly positive. The array is stored read-only.
+    Validated on construction: finite entries, symmetry within 1e-10,
+    diagonal entries exactly 1, off-diagonal entries strictly inside
+    (-1, 1), and smallest eigenvalue strictly positive. The array is
+    stored read-only.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
         v = _as_square(self.values, "correlation matrix")
-        code = _correlation_faults(v[None])[0][0]
-        if code >= 0:
-            raise _correlation_error(code)
+        _raise_first(_correlation_faults(v[None])[0], _correlation_error)
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -205,9 +198,7 @@ class EigenSystem:
         d = lam.shape[0]
         if lam.ndim != 1 or vec.shape != (d, d):
             raise DimensionMismatch("eigenvalues and eigenvectors have inconsistent shapes")
-        code = _spectrum_faults(lam[None], vec[None])[0]
-        if code >= 0:
-            raise _spectrum_error(code)
+        _raise_first(_spectrum_faults(lam[None], vec[None]), _spectrum_error)
         lam = lam.copy()
         vec = vec.copy()
         lam.setflags(write=False)
@@ -243,9 +234,7 @@ class TrainingSummary:
             raise DimensionMismatch("mean/sdev shapes do not match the correlation dimension")
         if self.m < 2:
             raise DimensionMismatch("training summary needs m >= 2")
-        column = _constant_columns(sdev[None])[0]
-        if column >= 0:
-            raise ConstantColumn(int(column))
+        _raise_first(_constant_columns(sdev[None]), ConstantColumn)
         mean = mean.copy()
         sdev = sdev.copy()
         mean.setflags(write=False)
@@ -266,34 +255,33 @@ def _training_moments(x: np.ndarray):
     """Mean, sdev and correlation of every training set of an (n, m, D) stack.
 
     The arithmetic of ``estimate_training``, bit for bit per set; x is
-    centred in place. Stops at the first set with a constant column:
-    returns (mean, sdev, corr, error) for the sets before it, and the
-    ``ConstantColumn`` it raises, None when no set has one. The
+    centred in place. Raises the error of the first set that holds a
+    non-finite value or, after that test, a constant column. The
     correlations are not yet checked (``_correlation_faults``).
     """
     _, m, d = x.shape
     if m < 2:
         raise DimensionMismatch("training data needs at least 2 rows")
-    n, error = _cut(_constant_columns(x.max(axis=1) - x.min(axis=1)), None, ConstantColumn)
-    x = x[:n]
+    nonfinite = ~np.isfinite(x).all(axis=(1, 2))
+    _raise_first(_fault_codes([nonfinite]), lambda _: ValueError("training data contain a non-finite value"))
+    _raise_first(_constant_columns(x.max(axis=1) - x.min(axis=1)), ConstantColumn)
     mean = x.mean(axis=1)
     x -= mean[:, None, :]
     sdev = np.sqrt((x * x).mean(axis=1))
-    n, error = _cut(_constant_columns(sdev), error, ConstantColumn)
-    x, mean, sdev = x[:n], mean[:n], sdev[:n]
+    _raise_first(_constant_columns(sdev), ConstantColumn)
     u = x / sdev[:, None, :]
     corr = np.matmul(u.transpose(0, 2, 1), u) / m
     corr = (corr + corr.transpose(0, 2, 1)) / 2.0
     diag = np.arange(d)
     corr[:, diag, diag] = 1.0
-    return mean, sdev, corr, error
+    return mean, sdev, corr
 
 
 def estimate_training(data) -> TrainingSummary:
     """Estimate per-column mean, sdev and the Pearson correlation matrix.
 
     The one-set case of the stacked estimate a calibration runs on a
-    slice of bootstrap replicates, with the same checks in the same order.
+    batch of bootstrap replicates, with the same checks in the same order.
 
     Parameters
     ----------
@@ -302,6 +290,8 @@ def estimate_training(data) -> TrainingSummary:
 
     Raises
     ------
+    ValueError
+        If the data hold a non-finite value.
     ConstantColumn
         If a column has zero spread.
     DegenerateCorrelation
@@ -311,9 +301,7 @@ def estimate_training(data) -> TrainingSummary:
     x = np.array(data, dtype=float)  # a copy: the estimate centres it in place
     if x.ndim != 2:
         raise DimensionMismatch(f"training data must be 2-d, got shape {x.shape}")
-    mean, sdev, corr, error = _training_moments(x[None])
-    if error is not None:
-        raise error
+    mean, sdev, corr = _training_moments(x[None])
     return TrainingSummary(mean=mean[0], sdev=sdev[0], corr=CorrelationMatrix(corr[0]), m=x.shape[0])
 
 
@@ -339,7 +327,7 @@ def eigensystem(corr: CorrelationMatrix) -> EigenSystem:
     """Sorted, sign-normalized eigensystem of a correlation matrix.
 
     The one-matrix case of the stacked eigensystem a calibration computes
-    for a slice of bootstrap replicates.
+    for a batch of bootstrap replicates.
     """
     lam, vec = _eigen_stack(corr.values[None])
     return EigenSystem(values=lam[0], vectors=vec[0])
@@ -403,10 +391,7 @@ def random_correlation(dim: int, alpha_d: float, rng: np.random.Generator) -> Co
         u = rng.beta(b, b, size=dim - lag)
         i = np.arange(dim - lag)
         pcs[i, i + lag] = np.clip(2.0 * u - 1.0, -_PC_BOUND, _PC_BOUND)
-    r = _dvine_correlation(pcs)
-    if np.linalg.eigvalsh(r)[0] < _EIG_SAFEGUARD:
-        return nearest_pd_correlation(r, eps=_EIG_SAFEGUARD)
-    return CorrelationMatrix(r)
+    return nearest_pd_correlation(_dvine_correlation(pcs), eps=_EIG_SAFEGUARD)
 
 
 def nearest_pd_correlation(sym, eps: float = 1e-8, max_iter: int = 100) -> CorrelationMatrix:
@@ -483,7 +468,5 @@ def nearest_pd_stack(stack, eps: float = 1e-8, max_iter: int = 100) -> np.ndarra
             raise NoConvergence(f"nearest-PD repair did not converge in {max_iter} iterations")
     # a repaired matrix can still sit below the CorrelationMatrix
     # positive-definiteness floor when eps does
-    first = _first_fault(codes)
-    if first < len(codes):
-        raise _correlation_error(codes[first])
+    _raise_first(codes, _correlation_error)
     return out

@@ -283,6 +283,10 @@ class _PropTally:
         return {"checked": self.checked, "excluded": self.excluded, "violations": self.violations}
 
 
+def _excluded_rho(rho: float, boundary_tol: float) -> bool:
+    return abs(rho) < boundary_tol or abs(rho) >= 1.0 - boundary_tol
+
+
 def verify_bivariate_propositions(
     resolution: float = 0.05,
     boundary_tol: float = 1e-6,
@@ -307,15 +311,21 @@ def verify_bivariate_propositions(
     predictions unchanged; the mean prediction is evaluated accordingly.
 
     Grid points within ``boundary_tol`` of a region boundary are excluded
-    and counted. Violations are reported, not raised. A resolution that is
-    not finite or lies outside (0, 0.95], or an empty ``rho_values``, is a
-    ConfigError: either would leave nothing to check.
+    and counted; so is a rho within ``boundary_tol`` of 0 or of +-1, or
+    beyond. Violations are reported, not raised. A resolution that is not
+    finite or lies outside (0, 0.95], and ``rho_values`` that hold a
+    non-finite value or no rho that is not excluded, are a ConfigError:
+    the first would leave nothing to check, the others check nonsense or
+    nothing.
     """
     if not 0.0 < resolution <= 0.95:  # false for nan too
         raise ConfigError(f"resolution must lie in (0, 0.95], got {resolution}")
-    if rho_values is not None and len(rho_values) == 0:
-        raise ConfigError("rho_values must not be empty")
-    if rho_values is None:
+    if rho_values is not None:
+        if not all(math.isfinite(rho) for rho in rho_values):
+            raise ConfigError("rho_values must be finite")
+        if all(_excluded_rho(float(rho), boundary_tol) for rho in rho_values):
+            raise ConfigError(f"rho_values must hold a rho with {boundary_tol} <= |rho| < 1 - {boundary_tol}")
+    else:
         pos = np.arange(resolution, 0.95 + resolution / 2, resolution)
         pos = pos[pos <= 0.95 + 1e-12]
         rho_values = np.concatenate([-pos[::-1], pos])
@@ -324,7 +334,7 @@ def verify_bivariate_propositions(
 
     for rho in rho_values:
         rho = float(rho)
-        if abs(rho) < boundary_tol or abs(rho) >= 1.0 - boundary_tol:
+        if _excluded_rho(rho, boundary_tol):
             for tally in tallies.values():
                 tally.excluded += 1
             continue

@@ -19,7 +19,7 @@ through ``feed``'s row checks and scan, from a fresh state; with a
 threshold, it and ``feed(stop_on_alarm=True)`` stop at the first alarm.
 Calibration builds a batch of bootstrap replicas with the same projector,
 training-sum and row-check arithmetic, on stacks (``_projectors``,
-``_training_sums``, ``_projection_faults``), and then scans the batch
+``_training_sums``, ``_checked_stack``), and then scans the batch
 side by side in one stacked trace scan (``_stacked_maxima``).
 """
 
@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import digamma
 
 from . import _kernel
-from .corrcore import PD_FLOOR, TrainingSummary, _fault_codes
+from .corrcore import PD_FLOOR, TrainingSummary, _fault_codes, _raise_first
 from .errors import (
     DegenerateSegment,
     DimensionMismatch,
@@ -336,25 +336,21 @@ class MonitorModel:
         return replace(self, threshold=float(threshold))
 
 
-_ZERO_EIGENVALUE = "a selected eigenvalue is at or below the PD floor"
-
-
-def _low_eigenvalues(lam: np.ndarray) -> np.ndarray:
-    """Whether a selected eigenvalue sits at or below the PD floor, per model of a stack (the last axis holds one model's)."""
-    return (lam <= PD_FLOOR).any(axis=-1)
-
-
 def _projectors(vectors: np.ndarray, sdev: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """D x J matrices mapping centred observations to standardized projections, of one model or of a stack of them."""
+    """D x J matrices mapping centred observations to standardized projections, of one model or of a stack of them.
+
+    ``lam`` holds each model's selected eigenvalues; the first model with
+    one at or below the PD floor raises ``ZeroEigenvalue``.
+    """
+    low = (lam <= PD_FLOOR).any(axis=-1)
+    _raise_first(_fault_codes([np.atleast_1d(low)]),
+                 lambda _: ZeroEigenvalue("a selected eigenvalue is at or below the PD floor"))
     return vectors / sdev[..., :, None] / np.sqrt(lam)[..., None, :]
 
 
 def _projector(training: TrainingSummary, selection: ProjectionSelection) -> np.ndarray:
     """D x J matrix mapping centred observations to standardized projections."""
-    lam = np.asarray(selection.eigenvalues, dtype=float)
-    if _low_eigenvalues(lam):
-        raise ZeroEigenvalue(_ZERO_EIGENVALUE)
-    return _projectors(selection.eigenvectors, training.sdev, lam)
+    return _projectors(selection.eigenvectors, training.sdev, np.asarray(selection.eigenvalues, dtype=float))
 
 
 def _training_sums(centered: np.ndarray, projector: np.ndarray):
@@ -503,25 +499,25 @@ def _check_totals(sumsq: np.ndarray, n: int):
         raise ValueError(_TOTALS_REJECT)
 
 
-def _projection_faults(raw, ext, mean, projector, sumsq, n: int):
-    """Standardized projections of blocks of rows, and the first row check each block fails.
+def _checked_stack(raw, ext, mean, projector, sumsq, n: int) -> np.ndarray:
+    """Standardized projections of blocks of rows, each block checked as ``Monitor.step`` checks its rows one by one.
 
     Stacks of G blocks: raw (G, R, D_raw) holds each block's raw rows and
     ext (G, T, D) their lag-extended vectors; mean (G, D) and projector
     (G, D, J) are each block's model, and sumsq (G, J) its training plus
-    running sums of squares over its n values before the block. Every
-    block is tested as ``Monitor.step`` tests its rows one by one. Returns
-    (z, codes): z (G, T, J), and codes[g] indexing ``_ROW_REJECTS``, -1
-    where block g passes. Call under
-    ``np.errstate(over="ignore", invalid="ignore")``.
+    running sums of squares over its n values before the block. Returns
+    z (G, T, J); the first block that fails a row check raises its
+    ``ValueError``.
     """
-    z = _project_rows(ext, mean, projector)
-    codes = _fault_codes([
-        _unsquarable(raw, (1, 2)),
-        _unsquarable(z, (1, 2)),
-        _sums_unsquarable(sumsq + (z * z).sum(axis=1), n + z.shape[1]),
-    ])
-    return z, codes
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _project_rows(ext, mean, projector)
+        codes = _fault_codes([
+            _unsquarable(raw, (1, 2)),
+            _unsquarable(z, (1, 2)),
+            _sums_unsquarable(sumsq + (z * z).sum(axis=1), n + z.shape[1]),
+        ])
+    _raise_first(codes, lambda code: ValueError(_ROW_REJECTS[code]))
+    return z
 
 
 def _checked_projections(model: MonitorModel, rows, state, history):
@@ -530,7 +526,7 @@ def _checked_projections(model: MonitorModel, rows, state, history):
     ``state`` is the ``_kernel.ScanState`` before the block and
     ``history`` the raw rows held before it, the last ``model.lag`` or
     more of them; neither is changed. The rows are tested as
-    ``_projection_faults`` tests a block of one. Returns (short, z): the
+    ``_checked_stack`` tests a block of one. Returns (short, z): the
     first ``short`` rows still lack the lag + 1 rows an extended vector
     needs, and z holds the standardized projections of the others.
     """
@@ -546,13 +542,10 @@ def _checked_projections(model: MonitorModel, rows, state, history):
         ext = lag_extend_matrix(np.vstack([*history, x]), lag)[held + short - lag:]
     else:
         ext = np.empty((0, model.dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        z, codes = _projection_faults(
-            x[None], ext[None], model.training.mean[None], model.projector[None],
-            (model.train_sumsq + state.total[1])[None], model.m + state.t,
-        )
-    if codes[0] >= 0:
-        raise ValueError(_ROW_REJECTS[codes[0]])
+    z = _checked_stack(
+        x[None], ext[None], model.training.mean[None], model.projector[None],
+        (model.train_sumsq + state.total[1])[None], model.m + state.t,
+    )
     return short, z[0]
 
 
@@ -595,7 +588,7 @@ def _stacked_maxima(train_sum, train_sumsq, z, m: int, window: int, p0: float) -
     """The largest statistic of each of G streams over its rows, from one stacked trace scan.
 
     The streams' training sums, (G, J) each, and z (G, T, J), the checked
-    projections (``_projection_faults``) of their rows from a fresh
+    projections (``_checked_stack``) of their rows from a fresh
     state; the streams share m, the window and p0. They are scanned side
     by side as one (T, G, J) trace, which gives each stream's maximum bit
     for bit as ``trace_stats`` of its rows does (-inf where no step has a

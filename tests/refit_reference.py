@@ -39,6 +39,8 @@ def lag_extend(x, lag):
 def estimate_training(x):
     """(mean, sdev, corr) of one (m, D) training set."""
     m, d = x.shape
+    if not np.isfinite(x).all():
+        raise ValueError("training data contain a non-finite value")
     spread = x.max(axis=0) - x.min(axis=0)
     if np.any(spread == 0.0):
         raise ConstantColumn(int(np.argmin(spread)))
@@ -51,6 +53,8 @@ def estimate_training(x):
     corr = (u.T @ u) / m
     corr = (corr + corr.T) / 2.0
     np.fill_diagonal(corr, 1.0)
+    if not np.isfinite(corr).all():
+        raise DegenerateCorrelation("entries must be finite")
     if np.abs(corr - corr.T).max() > 1e-10:
         raise DegenerateCorrelation("matrix is not symmetric within 1e-10")
     if np.any(np.diag(corr) != 1.0):

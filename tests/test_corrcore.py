@@ -36,6 +36,13 @@ class TestCorrelationMatrix:
         with pytest.raises(DegenerateCorrelation):
             CorrelationMatrix(np.array([[1.0, 0.5], [0.3, 1.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries_first_and_without_a_warning(self, value):
+        # a NaN used to pass every test; inf - inf in the symmetry test
+        # warned (an error under this suite's warning filter)
+        with pytest.raises(DegenerateCorrelation, match="entries must be finite"):
+            CorrelationMatrix(np.array([[1.0, value], [value, 1.0]]))
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             CorrelationMatrix(np.ones((2, 3)))
@@ -59,6 +66,16 @@ class TestEstimateTraining:
         with pytest.raises(ConstantColumn) as err:
             estimate_training(data)
         assert err.value.column == 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_rejected_before_any_estimate(self, dim, value):
+        # one NaN used to give a NaN correlation at D = 2, and a LAPACK
+        # "did not converge" error at D = 3
+        data = np.random.default_rng(4).standard_normal((50, dim))
+        data[17, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_training(data)
 
     def test_independent_columns_near_identity(self):
         rng = np.random.default_rng(2)

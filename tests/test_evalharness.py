@@ -138,6 +138,19 @@ class TestBivariatePropositions:
         with pytest.raises(ConfigError, match="rho_values"):
             verify_bivariate_propositions(rho_values=[])
 
+    @pytest.mark.parametrize("rho_values", [[0.0, 1.0], [-2.0, 5.0], [1e-7, -1.0]])
+    def test_rho_values_with_nothing_checkable_are_rejected(self, rho_values):
+        # every one of these is excluded; the report used to say 0
+        # violations with 0 points checked
+        with pytest.raises(ConfigError, match="rho_values"):
+            verify_bivariate_propositions(rho_values=rho_values)
+
+    @pytest.mark.parametrize("rho_values", [[math.nan], [0.5, math.inf], [-math.inf, 0.5]])
+    def test_non_finite_rho_is_rejected(self, rho_values):
+        # a NaN rho used to pass the exclusion test and be "checked"
+        with pytest.raises(ConfigError, match="finite"):
+            verify_bivariate_propositions(rho_values=rho_values)
+
     def test_coarsest_resolution_checks_one_grid_point_per_sign(self):
         report = verify_bivariate_propositions(resolution=0.95)
         assert report["rho_values"] == [-0.95, 0.95]

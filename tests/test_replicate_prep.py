@@ -182,8 +182,7 @@ def spoil(train, mon, kind, rng):
 def test_the_first_failing_replicate_of_a_stack_raises(faults):
     # a replicate that fails a late check raises before a later one that
     # fails an early check, as it would before the later one were drawn;
-    # LAPACK fails on a non-finite correlation matrix, and that failure is
-    # its replicate's alone
+    # a non-finite training value fails its replicate's first check
     model, raw = fitted(6, 400, 1, 2, False, seed=45)
     rng = np.random.default_rng(46)
     train = np.stack([raw[rng.integers(0, 300):][:100] for _ in range(5)])
@@ -195,3 +194,28 @@ def test_the_first_failing_replicate_of_a_stack_raises(faults):
     with pytest.raises(type(alone)) as stacked:
         calibrate._batch_maxima(model, lambda i: (train[i], mon[i]), (), (train.shape[1] - model.lag, 5), range(5))
     assert str(stacked.value) == str(alone)
+
+
+def test_only_a_failing_batch_is_prepared_again_one_replicate_at_a_time(monkeypatch):
+    # a clean batch is one stacked preparation; a failing one is redone
+    # replicate by replicate up to its first failing replicate
+    model, raw = fitted(6, 400, 1, 2, False, seed=45)
+    rng = np.random.default_rng(46)
+    train = np.stack([raw[rng.integers(0, 300):][:100] for _ in range(5)])
+    mon = rng.standard_normal((5, N + 1, 6))
+    plan = (train.shape[1] - model.lag, 5)
+    sizes = []
+    stacked = calibrate._stack_prepared
+
+    def counting(model, train, mon):
+        sizes.append(len(train))
+        return stacked(model, train, mon)
+
+    monkeypatch.setattr(calibrate, "_stack_prepared", counting)
+    calibrate._batch_maxima(model, lambda i: (train[i], mon[i]), (), plan, range(5))
+    assert sizes == [5]
+    sizes.clear()
+    spoil(train[3], mon[3], "constant", rng)
+    with pytest.raises(ConstantColumn):
+        calibrate._batch_maxima(model, lambda i: (train[i], mon[i]), (), plan, range(5))
+    assert sizes == [5, 1, 1, 1, 1]
