@@ -4,11 +4,14 @@ CSV convention: rows are time steps, columns are streams, one optional
 header row; missing, non-numeric or non-finite values are a hard error.
 ``iter_csv_rows`` reads a stream one row at a time (stdin);
 ``iter_csv_chunks`` reads a file a chunk of lines at a time, parsing a
-chunk of plain decimal rows with one numpy call and reading any other
-chunk, and the rest of the file, with ``iter_csv_rows``, so both give
-the same values, line numbers and errors. JSON artifacts carry a
-``schema`` tag, the tool version and the fully resolved configuration,
-and are dumped with sorted keys so reruns are byte-identical.
+chunk of plain decimal rows with one ``np.loadtxt`` call and reading any
+other chunk, and the rest of the file, with ``iter_csv_rows``, so both
+give the same values, line numbers and errors. A monitor's results come
+out as JSONL: ``step_result_line`` writes one step's line and
+``_step_lines`` the lines of a block of steps from the arrays of its
+scan, byte for byte the same. JSON artifacts carry a ``schema`` tag, the
+tool version and the fully resolved configuration, and are dumped with
+sorted keys so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -91,22 +94,25 @@ _PLAIN_LIMIT = 1e300
 def _parse_lines(lines, width):
     """The (n, width) rows of ``lines`` as ``iter_csv_rows`` reads them, or None where it might not.
 
-    ``np.array(fields, dtype=float)`` converts each field with ``float()``,
-    as the reader does. A chunk is parsed only when it is plain, so that
-    no check of the reader can fire and nothing but decimal numbers
-    reaches the conversion: only digits, signs, points, exponents, commas
-    and whitespace, no line longer than the csv field limit, no blank
-    line or empty field (``float()`` rejects those), every line as wide as
-    the rows before, and every value below ``_PLAIN_LIMIT`` in magnitude.
+    ``np.loadtxt`` converts each field with the string-to-double routine
+    ``float()`` uses, after stripping the same whitespace. A chunk is
+    parsed only when it is plain, so that no check of the reader can fire
+    and nothing but decimal numbers reaches the conversion: only digits,
+    signs, points, exponents, commas and whitespace, no line longer than
+    the csv field limit, no blank line or empty field (the conversion
+    rejects those), every line as wide as the rows before, and every value
+    below ``_PLAIN_LIMIT`` in magnitude. A whitespace-only line is declined
+    before the conversion: ``np.loadtxt`` skips an empty one without a
+    word, which would shift the line numbers of the rows after it.
     """
     text = "".join(lines)
     if not text.isascii() or text.encode().translate(None, _PLAIN_CSV):
         return None
-    if max(map(len, lines)) > csv.field_size_limit():
+    if max(map(len, lines)) > csv.field_size_limit() or not all(map(str.strip, lines)):
         return None
     try:
-        rows = np.array([line.split(",") for line in lines], dtype=float)
-    except ValueError:  # a blank line, an empty field, a malformed number or uneven widths
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # an empty field, a malformed number or uneven widths
         return None
     if (width is not None and rows.shape[1] != width) or not np.abs(rows).max() < _PLAIN_LIMIT:
         return None
@@ -347,6 +353,36 @@ def step_result_line(res) -> str:
         f'{{"alarm": {alarm_text}, "argmax_k": {argmax_text}, "stat": {stat_text}, '
         f'"t": {int.__repr__(res.t)}, "warnings": {int.__repr__(res.warnings)}}}'
     )
+
+
+def _step_lines(t_first: int, short: int, stat, argmax_k, alarm, clamped) -> str:
+    """The ``step_result_line`` of every step of a block, each ended by a newline, from ``Monitor._feed_arrays``.
+
+    The first ``short`` steps, from raw time ``t_first`` on, have no
+    candidate; the arrays hold the steps after them, argmax_k -1 where no
+    candidate exists. Gives ``step_result_line``'s bytes without a
+    ``StepResult`` per step: a float formats as its ``repr`` and an int as
+    its ``int.__repr__``, and only the non-finite statistics and missing
+    argmax_k are patched to null.
+    """
+    stat_texts = stat.tolist()
+    for i in np.flatnonzero(~np.isfinite(stat)).tolist():
+        stat_texts[i] = "null"
+    argmax_texts = argmax_k.tolist()
+    for i in np.flatnonzero(argmax_k < 0).tolist():
+        argmax_texts[i] = "null"
+    lines = [
+        f'{{"alarm": false, "argmax_k": null, "stat": null, "t": {t}, "warnings": 0}}\n'
+        for t in range(t_first, t_first + short)
+    ]
+    lines += [
+        f'{{"alarm": {"true" if a else "false"}, "argmax_k": {k}, "stat": {s}, "t": {t}, "warnings": {c}}}\n'
+        for t, s, k, a, c in zip(
+            range(t_first + short, t_first + short + len(stat_texts)),
+            stat_texts, argmax_texts, alarm.tolist(), clamped.tolist(),
+        )
+    ]
+    return "".join(lines)
 
 
 def run_summary_line(alarm_time, steps: int, warnings: int, config: dict) -> str:

@@ -50,10 +50,18 @@ def mixture_terms(x: np.ndarray, p0: float) -> np.ndarray:
     -inf for x below about -37, and those entries are given x.
     """
     x = np.asarray(x, dtype=float)
-    if p0 == 1.0:
-        out = x.copy(order="K")
-    else:
-        out = np.empty_like(x)  # an array even for 0-d x, so it takes the patch below
+    # an array even for 0-d x, so it takes the patch of _mixture_terms
+    return _mixture_terms(x, p0, x.copy(order="K") if p0 == 1.0 else np.empty_like(x))
+
+
+def _mixture_terms(x: np.ndarray, p0: float, out: np.ndarray) -> np.ndarray:
+    """``mixture_terms(x, p0)``, written into ``out`` and returned.
+
+    At p0 = 1 ``out`` holds the values of x already: a copy, or x itself,
+    which the cell scan passes to save a copy of its llr temporary. At any
+    other p0 it is an array apart from x.
+    """
+    if p0 != 1.0:
         # exp(-x) overflows where x is very negative; those entries are replaced below
         with np.errstate(over="ignore", invalid="ignore"):
             np.add(x, np.log(p0 + (1.0 - p0) * np.exp(-x)), out=out)
@@ -222,7 +230,8 @@ def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor, sets=1):
         low = var < var_floor
         if low.any():
             clamped += np.add.reduceat(low.reshape(G, J, -1).sum(axis=1), starts, axis=1)
-        np.maximum(var, var_floor, out=var)
+            # with no entry below the floor the maximum changes no bit, NaN included
+            np.maximum(var, var_floor, out=var)
     np.log(var_1, out=var_1)
     var_1 *= n1
     np.log(var_2, out=var_2)
@@ -232,7 +241,7 @@ def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor, sets=1):
     llr -= var_2
     llr *= 0.5  # 0.5 * (nT * log(var_t) - n1 * log(var_1) - n2 * log(var_2))
     llr /= cvals
-    terms = mixture_terms(llr, p0).reshape(G, J, -1)
+    terms = _mixture_terms(llr, p0, llr if p0 == 1.0 else np.empty_like(llr)).reshape(G, J, -1)
     # each cell's J terms are summed in the order numpy sums a contiguous
     # row of J values, as a (cells, J) scan sums them, so the statistics
     # match it bit for bit. Below 8 terms that order is left to right, which

@@ -24,6 +24,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,15 +257,27 @@ def _training_moments(x: np.ndarray):
 
     The arithmetic of ``estimate_training``, bit for bit per set; x is
     centred in place. Raises the error of the first set that holds a
-    non-finite value or, after that test, a constant column. The
-    correlations are not yet checked (``_correlation_faults``).
+    non-finite value, then of the first whose values are too large, then
+    of the first with a constant column. The correlations are not yet
+    checked (``_correlation_faults``).
+
+    Too large means that 4 * m * a * a overflows, a the largest magnitude
+    of the set: every sum the estimate forms stays below that (a centred
+    value is at most 2a), so a set that passes overflows nowhere. A
+    finite value such as 1e200 fails, as it fails ``Monitor.step``.
     """
     _, m, d = x.shape
     if m < 2:
         raise DimensionMismatch("training data needs at least 2 rows")
     nonfinite = ~np.isfinite(x).all(axis=(1, 2))
     _raise_first(_fault_codes([nonfinite]), lambda _: ValueError("training data contain a non-finite value"))
-    _raise_first(_constant_columns(x.max(axis=1) - x.min(axis=1)), ConstantColumn)
+    hi, lo = x.max(axis=1), x.min(axis=1)
+    with np.errstate(over="ignore"):
+        a = np.maximum(hi, -lo).max(axis=1)
+        too_large = ~(a * a * (4.0 * m) < math.inf)
+    _raise_first(_fault_codes([too_large]),
+                 lambda _: ValueError("training data contain values too large: their sums of squares overflow"))
+    _raise_first(_constant_columns(hi - lo), ConstantColumn)
     mean = x.mean(axis=1)
     x -= mean[:, None, :]
     sdev = np.sqrt((x * x).mean(axis=1))
@@ -291,7 +304,8 @@ def estimate_training(data) -> TrainingSummary:
     Raises
     ------
     ValueError
-        If the data hold a non-finite value.
+        If the data hold a non-finite value, or values whose sums of
+        squares would overflow.
     ConstantColumn
         If a column has zero spread.
     DegenerateCorrelation
@@ -429,6 +443,9 @@ def nearest_pd_stack(stack, eps: float = 1e-8, max_iter: int = 100) -> np.ndarra
 
     Raises
     ------
+    DegenerateCorrelation
+        If an entry is not finite ("entries must be finite"), before any
+        other test.
     NoConvergence
         If some matrix is still invalid after ``max_iter`` iterations.
     """
@@ -437,6 +454,9 @@ def nearest_pd_stack(stack, eps: float = 1e-8, max_iter: int = 100) -> np.ndarra
     a = np.asarray(stack, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise DimensionMismatch(f"stack must have shape (n, D, D), got {a.shape}")
+    if not np.isfinite(a).all():
+        # NaN passes the symmetry test and inf makes it warn; no repair makes either finite
+        raise _correlation_error(0)
     d = a.shape[1]
     at = a.transpose(0, 2, 1)
     if np.abs(a - at).max() > SYMMETRY_TOL:

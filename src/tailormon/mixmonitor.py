@@ -14,7 +14,9 @@ cannot be monitored and trace times refer to raw monitoring time.
 A ``Monitor`` takes rows one at a time (``step``, on the one-step scan)
 or in blocks (``feed``, on the resumable trace scan). Both run on one
 state, the ``_kernel.ScanState`` its ``StreamStats`` holds, and give the
-same results bit for bit. ``trace_stats`` scans a stream known in full
+same results bit for bit. ``feed`` builds its ``StepResult``s from the
+arrays of ``_feed_arrays``, which the ``monitor`` command writes its
+JSONL from directly. ``trace_stats`` scans a stream known in full
 through ``feed``'s row checks and scan, from a fresh state; with a
 threshold, it and ``feed(stop_on_alarm=True)`` stop at the first alarm.
 Calibration builds a batch of bootstrap replicas with the same projector,
@@ -690,12 +692,33 @@ class Monitor:
         the first alarm; the rows after it are left unconsumed and get no
         result.
         """
+        t_first, short, stat, argmax_k, alarm, clamped = self._feed_arrays(rows, stop_on_alarm)
+        results = [
+            StepResult(t=t_first + i, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
+            for i in range(short)
+        ]
+        t_scanned = t_first + short
+        for i, (s, k, a, c) in enumerate(zip(stat.tolist(), argmax_k.tolist(), alarm.tolist(), clamped.tolist())):
+            results.append(StepResult(t=t_scanned + i, stat=s, argmax_k=k if k >= 0 else None, alarm=a, warnings=c))
+        return results
+
+    def _feed_arrays(self, rows, stop_on_alarm: bool):
+        """``feed``'s scan, with the results as arrays rather than ``StepResult``s.
+
+        Returns (t_first, short, stat, argmax_k, alarm, clamped): the raw
+        time of the first row; the count of rows at the front that a
+        lagged monitor cannot scan yet, each a step with no candidate;
+        then, for every scanned step after them, the statistic, argmax_k
+        in raw time (-1 where no candidate exists), whether it alarmed and
+        its count of clamped variances.
+        """
         model = self.model
         x = np.asarray(rows, dtype=float)
+        t_first = self._t_raw + 1
         if x.shape[:1] == (0,):
-            return []
+            none = np.empty(0, dtype=np.int64)
+            return t_first, 0, np.empty(0), none, none.astype(bool), none
         lag = model.lag
-        t_raw = self._t_raw
         short, stat, argmax_k, clamped, state = _scan_rows(
             model, x, self._stats.state, self._raw_history, self._table,
             model.threshold if stop_on_alarm else None,
@@ -705,18 +728,10 @@ class Monitor:
         consumed = short + stat.shape[0]
         if lag > 0:
             self._raw_history.extend(x[max(0, consumed - lag - 1):consumed].copy())
-        self._t_raw = t_raw + consumed
+        self._t_raw += consumed
         self.total_warnings += int(clamped.sum())
-
-        results = [
-            StepResult(t=t_raw + i + 1, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
-            for i in range(short)
-        ]
-        alarms = (argmax_k >= 0) & (stat >= model.threshold)
-        t_first = t_raw + short + 1
-        for i, (s, k, a, c) in enumerate(zip(stat.tolist(), argmax_k.tolist(), alarms.tolist(), clamped.tolist())):
-            results.append(StepResult(t=t_first + i, stat=s, argmax_k=k if k >= 0 else None, alarm=a, warnings=c))
-        return results
+        alarm = (argmax_k >= 0) & (stat >= model.threshold)
+        return t_first, short, stat, argmax_k, alarm, clamped
 
     def run(self, stream, *, collect_trace: bool = True, stop_on_alarm: bool = True) -> MonitorRun:
         """Iterate a stream of raw vectors until the first alarm or stream end."""

@@ -41,6 +41,10 @@ def estimate_training(x):
     m, d = x.shape
     if not np.isfinite(x).all():
         raise ValueError("training data contain a non-finite value")
+    # every sum of the estimate stays below m * (2a)^2, a the largest magnitude
+    with np.errstate(over="ignore"):
+        if not np.abs(x).max() ** 2 * (4.0 * m) < math.inf:
+            raise ValueError("training data contain values too large: their sums of squares overflow")
     spread = x.max(axis=0) - x.min(axis=0)
     if np.any(spread == 0.0):
         raise ConstantColumn(int(np.argmin(spread)))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,25 @@ class TestTailorCommand:
         )
         assert res.exit_code == 2
         assert not (tmp_path / "s.json").exists()
+
+    def test_values_whose_squares_overflow_exit_2(self, workdir, tmp_path):
+        # finite values the CSV reader passes, but whose squares overflow:
+        # the estimate rejects them before numpy can warn or tailoring runs
+        data = np.random.default_rng(5).standard_normal((50, 3))
+        data[:, 1] *= 1e200
+        np.savetxt(tmp_path / "big.csv", data, delimiter=",", fmt="%.17g")
+        out = tmp_path / "s.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = invoke("tailor", tmp_path / "big.csv", workdir[0] / "spec.json", "--cutoff", 0.9, "--out", out)
+        assert caught == []
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr) == {
+            "error": "ValueError",
+            "message": "training data contain values too large: their sums of squares overflow",
+        }
+        assert not out.exists()
 
 
 class TestCalibrateCommand:
@@ -350,11 +370,11 @@ class TestMonitorFileFeed:
     ROWS = 700
     SHIFT_AT = 400
 
-    def stream_text(self, shift):
+    def stream_text(self, shift, rows=ROWS, shift_at=SHIFT_AT):
         rng = np.random.default_rng(12)
-        z = rng.standard_normal((self.ROWS, 2))
+        z = rng.standard_normal((rows, 2))
         x1 = z[:, 0].copy()
-        x1[self.SHIFT_AT:] += shift
+        x1[shift_at:] += shift
         x2 = 0.5 * z[:, 0] + np.sqrt(1 - 0.25) * z[:, 1]
         return "\n".join(f"{a!r},{b!r}" for a, b in zip(x1.tolist(), x2.tolist())) + "\n"
 
@@ -397,6 +417,33 @@ class TestMonitorFileFeed:
         assert summary["alarm_time"] % cli.FEED_CHUNK_ROWS != 0  # the alarm falls inside a chunk
         assert summary["steps"] == (self.ROWS if flags else summary["alarm_time"])
         assert len(lines) == summary["steps"] + 1
+
+    # a null stream over three default chunks of 1024 lines; its first
+    # (false) alarm falls inside the second. A value whose square
+    # overflows goes on a line of the second chunk before that alarm, or
+    # of the third after it
+    @pytest.mark.parametrize("bad_line", [None, 1050, 2300])
+    @pytest.mark.parametrize("flags", [(), ("--continue",)])
+    def test_long_stream_at_the_default_chunk_size(self, workdir, tmp_path, flags, bad_line):
+        assert cli.FEED_CHUNK_ROWS == 1024
+        lines = self.stream_text(0.0, rows=2500).splitlines()
+        if bad_line is not None:
+            lines[bad_line - 1] = "1e200," + lines[bad_line - 1].split(",")[1]
+        fed, stepped = self.run_both(workdir[0], tmp_path, "\n".join(lines) + "\n", *flags)
+        assert fed == stepped
+        code, out, err = fed
+        if bad_line == 1050 or (bad_line is not None and flags):
+            assert code == 2
+            assert len(out) == bad_line - 1  # every row before the bad one, no summary
+            assert json.loads(err.splitlines()[-1])["message"].startswith(f"-:{bad_line}: ")
+            return
+        summary = json.loads(out[-1])
+        assert (code, err) == (0, "")
+        first_alarm = next(json.loads(line)["t"] for line in out if '"alarm": true' in line)
+        assert 1050 < first_alarm < 2048
+        assert summary["alarm_time"] == first_alarm
+        assert summary["steps"] == (2500 if flags else first_alarm)
+        assert len(out) == summary["steps"] + 1
 
     # the CSV reader rejects the first four rows; the monitor rejects the
     # last, a finite value whose square overflows

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,26 @@ class TestEstimateTraining:
         data[17, 1] = value
         with pytest.raises(ValueError, match="non-finite"):
             estimate_training(data)
+
+    @pytest.mark.parametrize("scale, column", [(1e200, 1), (1e154, 0)])
+    def test_values_whose_squares_overflow_rejected_before_any_estimate(self, scale, column):
+        # 1e200 used to give an infinite sdev after numpy's overflow warning;
+        # at 1e154 the squares are finite but their sum over 50 rows is not
+        data = np.random.default_rng(4).standard_normal((50, 3))
+        data[:, column] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^training data contain values too large: their sums of squares"):
+                estimate_training(data)
+
+    def test_large_values_that_sum_safely_are_estimated(self):
+        data = np.random.default_rng(4).standard_normal((50, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = estimate_training(data * 1e150)
+        small = estimate_training(data)
+        assert np.allclose(big.sdev, small.sdev * 1e150, rtol=1e-12)
+        assert np.allclose(big.corr.values, small.corr.values, atol=1e-12)
 
     def test_independent_columns_near_identity(self):
         rng = np.random.default_rng(2)
@@ -204,6 +226,22 @@ class TestNearestPdCorrelation:
     def test_rejects_asymmetric(self):
         with pytest.raises(DimensionMismatch):
             nearest_pd_correlation(np.array([[1.0, 0.5], [0.1, 1.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries_first_and_without_a_warning(self, value):
+        # NaN used to pass the symmetry test and run 100 repair iterations
+        # to NoConvergence; inf made numpy warn in that test first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateCorrelation, match="^entries must be finite$"):
+                nearest_pd_correlation([[1.0, value], [value, 1.0]])
+            # before the symmetry test, too
+            with pytest.raises(DegenerateCorrelation, match="^entries must be finite$"):
+                nearest_pd_correlation([[1.0, value], [0.5, 1.0]])
+            stack = np.stack([np.eye(3), np.eye(3)])
+            stack[1, 2, 2] = value
+            with pytest.raises(DegenerateCorrelation, match="^entries must be finite$"):
+                nearest_pd_stack(stack)
 
 
 def repair_iterations(a, eps):

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,21 +28,59 @@ EDGE_STATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
               1e16, 123456789.123, math.inf, -math.inf, math.nan]
 
 
-def test_step_result_line_matches_json_dumps():
+def step_result_matrix():
+    """StepResults over the edge statistics and 300 random ones, with argmax_k None and t up to 2**63 + 5."""
     rng = np.random.default_rng(0)
     stats = EDGE_STATS + (rng.standard_normal(300) * 10.0 ** rng.integers(-30, 30, 300)).tolist()
-    for i, stat in enumerate(stats):
-        res = StepResult(
+    return [
+        StepResult(
             t=int(rng.choice([1, 2, 77, 10**12, 2**63 + 5])),
             stat=stat,
             argmax_k=None if i % 5 == 0 else int(rng.integers(0, 10**9)),
             alarm=bool(i % 3 == 0),
             warnings=int(rng.choice([0, 1, 3, 10**6])),
         )
+        for i, stat in enumerate(stats)
+    ]
+
+
+def test_step_result_line_matches_json_dumps():
+    for res in step_result_matrix():
         line = _fileio.step_result_line(res)
         assert line == reference_line(res)
         doc = json.loads(line)
-        assert doc["stat"] is None or doc["stat"] == stat
+        assert doc["stat"] is None or doc["stat"] == res.stat
+
+
+def step_arrays(results):
+    """``Monitor._feed_arrays``' stat, argmax_k, alarm and clamped arrays of scanned steps."""
+    return (
+        np.array([res.stat for res in results]),
+        np.array([-1 if res.argmax_k is None else res.argmax_k for res in results], dtype=np.int64),
+        np.array([res.alarm for res in results]),
+        np.array([res.warnings for res in results], dtype=np.int64),
+    )
+
+
+def test_step_lines_match_step_result_line():
+    matrix = step_result_matrix()
+    assert len(matrix) == 315
+    for res in matrix:
+        assert _fileio._step_lines(res.t, 0, *step_arrays([res])) == _fileio.step_result_line(res) + "\n"
+
+
+@pytest.mark.parametrize("short", [0, 1, 3])
+@pytest.mark.parametrize("t_first", [1, 10**12, 2**63 - 2])
+def test_step_lines_of_a_block_match_step_result_line(t_first, short):
+    # a block's steps come at consecutive times; the first ``short`` have no candidate
+    matrix = step_result_matrix()
+    unscanned = [
+        StepResult(t=t_first + i, stat=-math.inf, argmax_k=None, alarm=False, warnings=0) for i in range(short)
+    ]
+    scanned = [replace(res, t=t_first + short + i) for i, res in enumerate(matrix)]
+    head, body = ("".join(_fileio.step_result_line(res) + "\n" for res in block) for block in (unscanned, scanned))
+    assert _fileio._step_lines(t_first, short, *step_arrays(scanned)) == head + body
+    assert _fileio._step_lines(t_first, short, *step_arrays([])) == head
 
 
 def rows_of(text):
@@ -116,7 +156,7 @@ def csv_texts(draw):
     for _ in range(draw(st.integers(0, 20))):
         kind = draw(st.integers(0, 9)) if dirty else 0
         if kind == 1:
-            lines.append(draw(st.sampled_from(["", " ", " , ", "\t,"])))
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t ", " , ", "\t,"])))
         elif kind == 2:
             lines.append(",".join(field() for _ in range(draw(st.integers(1, 5)))))
         elif kind == 3:
@@ -145,7 +185,7 @@ def _read_all(rows_of_text):
 @given(text=csv_texts())
 def test_chunk_reader_reads_what_the_row_reader_reads(text):
     expected = _read_all(lambda: _fileio.iter_csv_rows(io.StringIO(text, newline=""), "s.csv"))
-    for size in (1, 2, 7, 256):
+    for size in (1, 2, 7, 1024):
 
         def chunked_rows():
             for lines, rows in _fileio.iter_csv_chunks(io.StringIO(text, newline=""), "s.csv", size):
@@ -175,6 +215,28 @@ def test_plain_chunks_are_parsed_at_once(monkeypatch):
     assert [list(lines) for lines, _ in chunks] == [[1, 2], [4, 5], [6]]
     assert np.vstack([rows for _, rows in chunks]).tolist() == [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("size", [1, 7, 1024])
+@pytest.mark.parametrize("blank", [" \n", "\t\r\n", "\n", "\r\n"])
+def test_whitespace_only_line_in_a_plain_chunk(size, blank):
+    # np.loadtxt would skip an empty line and shift the line numbers after
+    # it (and warn on a chunk of nothing else); the chunk goes to the row
+    # reader instead
+    rows = [f"{i}.25,-{i}e-2\n" for i in range(1500)]
+    text = "".join(rows[:500] + [blank] + rows[500:1200] + [blank, blank] + rows[1200:])
+    expected = _read_all(lambda: _fileio.iter_csv_rows(io.StringIO(text, newline=""), "s.csv"))
+    assert len(expected[0]) == 1500 and expected[1] is None
+
+    def chunked_rows():
+        for lines, rows in _fileio.iter_csv_chunks(io.StringIO(text, newline=""), "s.csv", size):
+            yield from zip(lines, rows)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _read_all(chunked_rows) == expected
+        assert _fileio._parse_lines(["1,2\n", blank, "3,4\n"], None) is None
+        assert _fileio._parse_lines([blank], None) is None
 
 
 @pytest.mark.parametrize("size", [1, 7, 300])

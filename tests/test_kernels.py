@@ -85,6 +85,19 @@ def test_kernel_equals_reference_on_degenerate_values():
     assert bitwise(got) == bitwise(call(reference_step, s))
 
 
+@pytest.mark.parametrize("p0", [0.1, 0.5, 1.0])
+def test_kernel_equals_reference_where_every_cell_is_negative(p0):
+    # training sums no data could give (a sum of squares below sum^2 / m)
+    # clamp the pre-change and pooled variances, so every cell's llr is
+    # negative and every mixture term takes the x <= 0 form
+    rng = np.random.default_rng(3)
+    s = random_state(rng, 3, 20)
+    s.update(train_sum=np.full(3, 1000.0), train_sumsq=np.zeros(3), p0=p0)
+    got = call(_kernel.scan_step, s)
+    assert got[0] < 0 and got[2] > 0
+    assert bitwise(got) == bitwise(call(reference_step, s))
+
+
 def test_python_kernel_deterministic():
     rng = np.random.default_rng(2)
     s = random_state(rng, 4, 30)
