@@ -246,16 +246,16 @@ def selection_document(
     selection: ProjectionSelection,
     train_sum: np.ndarray,
     train_sumsq: np.ndarray,
-    raw_dim: int,
     lag: int,
     config: dict,
 ) -> dict:
+    """The selection artifact of a (lag-extended) training summary; ``raw_dim`` is ``dim / (lag + 1)``."""
     return {
         "schema": SELECTION_SCHEMA,
         "tool": tool_stamp(),
         "config": config,
         "dim": summary.dim,
-        "raw_dim": raw_dim,
+        "raw_dim": summary.dim // (lag + 1),
         "lag": lag,
         "training": {
             "mean": summary.mean.tolist(),

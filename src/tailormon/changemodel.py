@@ -335,26 +335,27 @@ def apply_change(base: CorrelationMatrix, sc: ChangeScenario) -> PostChangeParam
     off-diagonal entries and run the nearest-PD repair, which leaves
     already-valid results untouched.
     """
-    return apply_change_lagged(base, sc, base.dim, 0)
+    return apply_change_lagged(base, sc, 0)
 
 
-def post_change_stack(base_ext: np.ndarray, ctype: str, sizes: np.ndarray, raw_dim: int, lag: int) -> np.ndarray:
+def post_change_stack(base_ext: np.ndarray, ctype: str, sizes: np.ndarray) -> np.ndarray:
     """Post-change mean vectors or covariance matrices of n changes of one type.
 
     ``sizes`` describes the changes on the raw streams, one per row: an
-    (n, raw_dim) array of mean shifts (0 where unaffected) for mean
-    changes, of sdev factors (1 where unaffected) for variance changes,
-    and an (n, raw_dim, raw_dim) array of correlation factors (1 off the
-    changed pairs, set at both (p, q) and (q, p)) for correlation changes.
-    Each change is duplicated across the ``lag + 1`` stacked blocks of the
-    extended vector. Mean changes return the (n, D) post-change means
-    (the covariance stays ``base_ext``); the other two return the
+    (n, d) array of mean shifts (0 where unaffected) for mean changes, of
+    sdev factors (1 where unaffected) for variance changes, and an
+    (n, d, d) array of correlation factors (1 off the changed pairs, set
+    at both (p, q) and (q, p)) for correlation changes. The (D, D)
+    ``base_ext`` stacks D / d blocks of the d raw streams, and each change
+    is duplicated across them. Mean changes return the (n, D) post-change
+    means (the covariance stays ``base_ext``); the other two return the
     (n, D, D) post-change covariances, with zero means.
     """
+    raw_dim = sizes.shape[1]
     if ctype == MEAN:
-        return np.tile(sizes, (1, lag + 1))
+        return np.tile(sizes, (1, base_ext.shape[0] // raw_dim))
     if ctype == VARIANCE:
-        scale = np.tile(sizes, (1, lag + 1))
+        scale = np.tile(sizes, (1, base_ext.shape[0] // raw_dim))
         return base_ext * (scale[:, :, None] * scale[:, None, :])
     # factors act inside each diagonal block only, so the cross-lag
     # blocks keep factor 1
@@ -365,24 +366,25 @@ def post_change_stack(base_ext: np.ndarray, ctype: str, sizes: np.ndarray, raw_d
     return nearest_pd_stack(factors, eps=PD_FLOOR)
 
 
-def apply_change_lagged(
-    base_ext: CorrelationMatrix,
-    sc: ChangeScenario,
-    raw_dim: int,
-    lag: int,
-) -> PostChangeParams:
+def apply_change_lagged(base_ext: CorrelationMatrix, sc: ChangeScenario, lag: int) -> PostChangeParams:
     """Apply a raw-dimension scenario to a lag-extended correlation matrix.
 
-    A change on the raw streams is duplicated across the ``lag + 1``
-    stacked blocks of the extended vector: means and sdev factors are
-    tiled, and correlation factors act on the matching pair inside each
-    diagonal block (variance factors scale the cross-lag covariances of
-    affected streams automatically through the congruence transform).
-    This is the one-scenario case of ``post_change_stack``.
+    ``base_ext`` is the correlation of the last ``lag + 1`` raw rows,
+    oldest first, so its dimension is ``raw_dim * (lag + 1)``; the raw
+    dimension is derived from it. A change on the raw streams is
+    duplicated across the ``lag + 1`` stacked blocks of the extended
+    vector: means and sdev factors are tiled, and correlation factors act
+    on the matching pair inside each diagonal block (variance factors
+    scale the cross-lag covariances of affected streams automatically
+    through the congruence transform). This is the one-scenario case of
+    ``post_change_stack``.
     """
+    if lag < 0:
+        raise ValueError("lag must be non-negative")
     d_ext = base_ext.dim
-    if d_ext != raw_dim * (lag + 1):
-        raise DimensionMismatch("extended dimension does not match raw_dim * (lag + 1)")
+    raw_dim, rest = divmod(d_ext, lag + 1)
+    if rest:
+        raise DimensionMismatch(f"extended dimension {d_ext} is not a multiple of lag + 1 = {lag + 1}")
     aff = np.asarray(sc.affected, dtype=int)
     if aff.max() >= raw_dim:
         raise DimensionMismatch("scenario indices exceed the raw dimension")
@@ -390,7 +392,7 @@ def apply_change_lagged(
     if sc.ctype == MEAN:
         sizes = np.zeros((1, raw_dim))
         sizes[0, aff] = sc.mean_sizes
-        return PostChangeParams(mean=post_change_stack(base, MEAN, sizes, raw_dim, lag)[0], cov=base)
+        return PostChangeParams(mean=post_change_stack(base, MEAN, sizes)[0], cov=base)
     if sc.ctype == VARIANCE:
         sizes = np.ones((1, raw_dim))
         sizes[0, aff] = sc.sdev_factors
@@ -398,7 +400,7 @@ def apply_change_lagged(
         sizes = np.ones((1, raw_dim, raw_dim))
         for (p, q), a in sc.corr_factors.items():
             sizes[0, p, q] = sizes[0, q, p] = a
-    return PostChangeParams(mean=np.zeros(d_ext), cov=post_change_stack(base, sc.ctype, sizes, raw_dim, lag)[0])
+    return PostChangeParams(mean=np.zeros(d_ext), cov=post_change_stack(base, sc.ctype, sizes)[0])
 
 
 def projected_means(vec: np.ndarray, means: np.ndarray) -> np.ndarray:

@@ -87,21 +87,12 @@ def tailor_cmd(training, change_spec, cutoff, draws, lag, seed, out):
 
     def body():
         data = _fileio.load_matrix_csv(training)
-        raw_dim = data.shape[1]
         if data.shape[0] <= lag + 1:
             raise ConfigError(f"need more than lag + 1 = {lag + 1} training rows, got {data.shape[0]}")
         spec = ChangeDistributionSpec.from_dict(_fileio.load_json(change_spec))
         ext = lag_extend_matrix(data, lag)
         summary = estimate_training(ext)
-        selection = tailor_axes(
-            summary.corr,
-            spec,
-            cutoff,
-            draws,
-            np.random.default_rng(seed),
-            raw_dim=raw_dim if lag > 0 else None,
-            lag=lag,
-        )
+        selection = tailor_axes(summary.corr, spec, cutoff, draws, np.random.default_rng(seed), lag=lag)
         model = build_monitor_model(summary, selection, ext, lag=lag)
         config = {
             "training": training,
@@ -113,9 +104,7 @@ def tailor_cmd(training, change_spec, cutoff, draws, lag, seed, out):
         }
         _fileio.dump_json(
             out,
-            _fileio.selection_document(
-                summary, selection, model.train_sum, model.train_sumsq, raw_dim, lag, config
-            ),
+            _fileio.selection_document(summary, selection, model.train_sum, model.train_sumsq, lag, config),
         )
         click.echo(f"selected {selection.n_axes} axes -> {out}")
 

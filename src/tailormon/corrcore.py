@@ -57,6 +57,10 @@ _PD_NOISE = 1e-14
 # noise scale of eigh) are nudged back to that floor.
 _PC_BOUND = 1.0 - 1e-6
 _EIG_SAFEGUARD = 1e-10
+# A draw so near singular that even the repair stalls (about 1 in 3000 at
+# dim 3, alpha_d 0.05) is redrawn from the same generator, up to this
+# many draws in all; a draw that repairs comes back as the first did.
+_VINE_DRAWS = 100
 
 # The invariants of a correlation matrix and of an eigensystem, in the
 # order they are tested; a fault code indexes these tuples.
@@ -384,7 +388,9 @@ def random_correlation(dim: int, alpha_d: float, rng: np.random.Generator) -> Co
     ``2 * Beta(b_k, b_k) - 1`` with ``b_k = alpha_d + (dim - 1 - k) / 2``,
     so the matrix density is proportional to ``det(R) ** (alpha_d - 1)``.
     Small ``alpha_d`` concentrates mass on strongly correlated matrices,
-    large ``alpha_d`` concentrates near the identity.
+    large ``alpha_d`` concentrates near the identity. A draw the repair
+    cannot make positive definite is redrawn, at most ``_VINE_DRAWS``
+    draws in all, after which ``NoConvergence`` is raised.
 
     Parameters
     ----------
@@ -399,13 +405,18 @@ def random_correlation(dim: int, alpha_d: float, rng: np.random.Generator) -> Co
         raise DimensionMismatch("random correlation needs dim >= 2")
     if alpha_d <= 0.0:
         raise ValueError("alpha_d must be positive")
-    pcs = np.zeros((dim, dim))
-    for lag in range(1, dim):
-        b = alpha_d + (dim - 1 - lag) / 2.0
-        u = rng.beta(b, b, size=dim - lag)
-        i = np.arange(dim - lag)
-        pcs[i, i + lag] = np.clip(2.0 * u - 1.0, -_PC_BOUND, _PC_BOUND)
-    return nearest_pd_correlation(_dvine_correlation(pcs), eps=_EIG_SAFEGUARD)
+    for _ in range(_VINE_DRAWS):
+        pcs = np.zeros((dim, dim))
+        for lag in range(1, dim):
+            b = alpha_d + (dim - 1 - lag) / 2.0
+            u = rng.beta(b, b, size=dim - lag)
+            i = np.arange(dim - lag)
+            pcs[i, i + lag] = np.clip(2.0 * u - 1.0, -_PC_BOUND, _PC_BOUND)
+        try:
+            return nearest_pd_correlation(_dvine_correlation(pcs), eps=_EIG_SAFEGUARD)
+        except NoConvergence:
+            pass
+    raise NoConvergence(f"no vine draw of {_VINE_DRAWS} could be repaired")
 
 
 def nearest_pd_correlation(sym, eps: float = 1e-8, max_iter: int = 100) -> CorrelationMatrix:

@@ -383,22 +383,13 @@ def build_monitor_model(
     bootstrap replicas with the same projector and training-sum
     arithmetic on stacks; this is the one-model case.
     """
-    projector = _projector(training, selection)
     x = np.asarray(training_data, dtype=float)
     if x.shape != (training.m, training.dim):
         raise DimensionMismatch("training data shape does not match the training summary")
-    z, train_sum, train_sumsq = _training_sums(x - training.mean, projector)
-    model = restore_monitor_model(
-        training,
-        selection,
-        train_sum,
-        train_sumsq,
-        p0=p0,
-        window=window,
-        lag=lag,
-        threshold=threshold,
-    )
-    return replace(model, training_projections=z)
+    # the sums need the model's projector, so they are filled in after it
+    model = restore_monitor_model(training, selection, (), (), p0=p0, window=window, lag=lag, threshold=threshold)
+    z, train_sum, train_sumsq = _training_sums(x - training.mean, model.projector)
+    return replace(model, training_projections=z, train_sum=train_sum, train_sumsq=train_sumsq)
 
 
 def restore_monitor_model(

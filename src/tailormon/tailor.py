@@ -102,7 +102,7 @@ def _as_correlation(base) -> CorrelationMatrix:
     return CorrelationMatrix(base)
 
 
-def _argmax_mc(base: CorrelationMatrix, es: EigenSystem, spec, draws, rng, raw_dim, lag):
+def _argmax_mc(base: CorrelationMatrix, es: EigenSystem, spec, draws, rng, lag):
     """Monte Carlo estimate of each axis's argmax probability.
 
     For each of ``draws`` sampled changes, the most sensitive projection
@@ -122,16 +122,11 @@ def _argmax_mc(base: CorrelationMatrix, es: EigenSystem, spec, draws, rng, raw_d
     order, so the result does not depend on the block size.
     """
     d = base.dim
-    if lag > 0:
-        # scenarios are sampled against the raw-stream correlation, read off
-        # the first diagonal block of the extended matrix
-        block = base.values[:raw_dim, :raw_dim].copy()
-        np.fill_diagonal(block, 1.0)
-        sample_vals = CorrelationMatrix(block).values
-    else:
-        sample_vals = base.values
-    raw = sample_vals.shape[0]
-    draw = change_sampler(spec, sample_vals)
+    raw = d // (lag + 1)
+    # scenarios are sampled against the raw-stream correlation, the first
+    # diagonal block of the (extended) matrix; a principal block of a
+    # valid correlation matrix is one too
+    draw = change_sampler(spec, base.values[:raw, :raw])
     vec = es.vectors
     # mean changes keep the covariance, so their projection variances are
     # the same for every draw
@@ -151,7 +146,7 @@ def _argmax_mc(base: CorrelationMatrix, es: EigenSystem, spec, draws, rng, raw_d
             if not rows.size:
                 continue
             sizes = stack_sizes(ctype, [batch[r][1:] for r in rows], raw)
-            post = post_change_stack(base.values, ctype, sizes, raw, lag)
+            post = post_change_stack(base.values, ctype, sizes)
             if ctype == MEAN:
                 h[rows] = sensitivity_stack(es, projected_means(vec, post), mean_vars)
             else:
@@ -202,7 +197,6 @@ def tailor(
     cutoff: float,
     draws: int = 10_000,
     rng: np.random.Generator | None = None,
-    raw_dim: int | None = None,
     lag: int = 0,
 ) -> ProjectionSelection:
     """Select the monitoring axes for a given change distribution.
@@ -210,6 +204,10 @@ def tailor(
     Composes the eigensystem, the Monte Carlo argmax-probability
     estimate and the cutoff selection. Deterministic for a fixed
     generator state. The arguments are checked before the first draw.
+
+    With ``lag > 0``, ``base`` is the correlation of the last ``lag + 1``
+    raw rows, oldest first; the raw dimension is its dimension over
+    ``lag + 1``, which must divide it.
     """
     base = _as_correlation(base)
     # checked before any draw runs; select_axes would only see a bad
@@ -220,12 +218,12 @@ def tailor(
         raise ValueError("draws must be at least 1")
     if lag < 0:
         raise ValueError("lag must be non-negative")
-    if lag > 0 and (raw_dim is None or base.dim != raw_dim * (lag + 1)):
-        raise DimensionMismatch("lag > 0 needs raw_dim with base.dim == raw_dim * (lag + 1)")
+    if base.dim % (lag + 1):
+        raise DimensionMismatch(f"dimension {base.dim} is not a multiple of lag + 1 = {lag + 1}")
     if rng is None:
         rng = np.random.default_rng()
     es = eigensystem(base)
-    phat, hbar, breakdown = _argmax_mc(base, es, spec, draws, rng, raw_dim, lag)
+    phat, hbar, breakdown = _argmax_mc(base, es, spec, draws, rng, lag)
     indices = select_axes(phat, cutoff)
     idx = np.asarray(indices, dtype=int)
     return ProjectionSelection(

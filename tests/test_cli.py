@@ -664,9 +664,7 @@ class TestArtifactFidelity:
             np.random.default_rng(5),
         )
         model = tm.build_monitor_model(summary, sel, train, window=30, threshold=9.0)
-        doc = _fileio.selection_document(
-            summary, sel, model.train_sum, model.train_sumsq, 2, 0, config={}
-        )
+        doc = _fileio.selection_document(summary, sel, model.train_sum, model.train_sumsq, 0, config={})
         path = tmp_path / "roundtrip.json"
         _fileio.dump_json(path, doc)
         summary2, sel2, tsum, tssq, raw_dim, lag = _fileio.parse_selection_document(

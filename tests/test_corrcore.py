@@ -14,6 +14,7 @@ from tailormon import (
     nearest_pd_correlation,
     random_correlation,
 )
+from tailormon import corrcore
 from tailormon.corrcore import nearest_pd_stack
 
 
@@ -189,6 +190,41 @@ class TestRandomCorrelation:
             root = np.random.SeedSequence([23, d, int(a * 100)])
             for ss in root.spawn(per_combo):
                 random_correlation(d, a, np.random.default_rng(ss))
+
+    def test_draw_the_repair_cannot_mend_is_redrawn(self):
+        # the first vine draw of this seed has smallest eigenvalue 4e-12
+        # and the repair stalls on it; the second draw is returned
+        rng = np.random.default_rng([3, 5, 35])
+        c = random_correlation(3, 0.05, rng)
+        assert np.linalg.eigvalsh(c.values)[0] > 1e-10
+        twice = np.random.default_rng([3, 5, 35])
+        for _ in range(2):
+            for lag in (1, 2):
+                b = 0.05 + (2 - lag) / 2.0
+                twice.beta(b, b, size=3 - lag)
+        assert rng.bit_generator.state == twice.bit_generator.state
+
+    def test_repaired_draw_keeps_the_single_draw_bits(self):
+        # this draw's smallest eigenvalue is 6.5e-12, so it goes through the
+        # repair; the entries are pinned from the construction without redraws
+        c = random_correlation(3, 0.05, np.random.default_rng([3, 5, 4]))
+        assert [c.values[i, j].hex() for i, j in ((0, 1), (0, 2), (1, 2))] == [
+            "0x1.ba238cc91a408p-1",
+            "-0x1.b97a2eb7630f8p-1",
+            "-0x1.ffff924f5b4d3p-1",
+        ]
+
+    def test_redraws_are_bounded(self, monkeypatch):
+        calls = []
+
+        def stalls(sym, eps):
+            calls.append(eps)
+            raise NoConvergence("stalled")
+
+        monkeypatch.setattr(corrcore, "nearest_pd_correlation", stalls)
+        with pytest.raises(NoConvergence, match="vine draw"):
+            random_correlation(3, 1.0, np.random.default_rng(0))
+        assert len(calls) == corrcore._VINE_DRAWS
 
     def test_rejects_bad_args(self):
         with pytest.raises(DimensionMismatch):

@@ -309,7 +309,7 @@ def assert_matches_reference(base, spec, draws, seed, raw_dim=None, lag=0):
     rng_ref = np.random.default_rng(seed)
     rng = np.random.default_rng(seed)
     phat, hbar, by_type, indices = ref_tailor(base, spec, 0.9, draws, rng_ref, raw_dim, lag)
-    sel = tailor(base, spec, 0.9, draws, rng, raw_dim=raw_dim, lag=lag)
+    sel = tailor(base, spec, 0.9, draws, rng, lag=lag)
     assert np.array_equal(sel.argmax_probs, phat)
     assert np.array_equal(sel.mean_sensitivity, hbar)
     assert sel.by_type == by_type
@@ -392,11 +392,25 @@ class TestOneChangeCaseMatchesPerDrawCode:
         rng = np.random.default_rng(6)
         for _ in range(300):
             sc = sample_change(ChangeDistributionSpec(), sample_base, rng)
-            post = apply_change_lagged(base, sc, raw_dim, lag)
+            post = apply_change_lagged(base, sc, lag)
             ref = ref_apply_change_lagged(base, sc, raw_dim, lag)
             assert np.array_equal(post.mean, ref.mean)
             assert np.array_equal(post.cov, ref.cov)
             assert np.array_equal(projection_sensitivities(es, post), ref_projection_sensitivities(es, ref))
+
+
+class TestApplyChangeLaggedArguments:
+    @pytest.mark.parametrize("lag", [3, 4, 6])
+    def test_lag_must_divide_the_dimension(self, lag):
+        base = random_correlation(6, 1.0, np.random.default_rng(0))
+        sc = ChangeScenario(ctype="mean", affected=(0,), mean_sizes=(1.0,))
+        with pytest.raises(DimensionMismatch, match="multiple of lag"):
+            apply_change_lagged(base, sc, lag)
+
+    def test_negative_lag(self):
+        sc = ChangeScenario(ctype="mean", affected=(0,), mean_sizes=(1.0,))
+        with pytest.raises(ValueError, match="lag"):
+            apply_change_lagged(corr2(0.5), sc, -1)
 
 
 class TestArgumentsCheckedBeforeDrawing:
@@ -421,8 +435,8 @@ class TestArgumentsCheckedBeforeDrawing:
         with pytest.raises(ValueError, match="lag"):
             tailor(corr2(0.5), ChangeDistributionSpec(), 0.9, 100, np.random.default_rng(0), lag=-1)
 
-    def test_lag_needs_matching_raw_dim(self, no_draws):
+    @pytest.mark.parametrize("lag", [3, 4, 6])
+    def test_lag_must_divide_the_dimension(self, no_draws, lag):
         base = random_correlation(6, 1.0, np.random.default_rng(0))
-        for raw_dim in (None, 2, 6):
-            with pytest.raises(DimensionMismatch):
-                tailor(base, ChangeDistributionSpec(), 0.9, 100, np.random.default_rng(0), raw_dim=raw_dim, lag=1)
+        with pytest.raises(DimensionMismatch, match="multiple of lag"):
+            tailor(base, ChangeDistributionSpec(), 0.9, 100, np.random.default_rng(0), lag=lag)
