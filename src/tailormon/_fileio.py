@@ -24,7 +24,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import __version__
-from .corrcore import CorrelationMatrix, TrainingSummary
+from .corrcore import CorrelationMatrix, TrainingSummary, raw_dimension
 from .errors import ConfigError, DimensionMismatch
 from .tailor import ProjectionSelection
 
@@ -315,7 +315,11 @@ def parse_selection_document(doc: dict, path: str):
         train_sumsq = np.asarray(stats["sumsq"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed selection document ({exc})") from None
-    if selection.dim != dim or dim != raw_dim * (lag + 1):
+    try:
+        layout_raw_dim = raw_dimension(dim, lag)
+    except (ValueError, DimensionMismatch) as exc:
+        raise DimensionMismatch(f"{path}: {exc}") from None
+    if selection.dim != dim or raw_dim != layout_raw_dim:
         raise DimensionMismatch(f"{path}: inconsistent dimensions in selection document")
     return summary, selection, train_sum, train_sumsq, raw_dim, lag
 

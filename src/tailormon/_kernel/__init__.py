@@ -11,22 +11,25 @@ stops at the first step that reaches it and returns that step's state.
 through ``advance_state``, and ``Monitor.feed`` resumes ``scan_trace``
 from it block after block, while calibration replicates and simulated
 trials scan their whole stream from a fresh state. Calibration scans a
-group of replicates at once, their streams side by side as one
-``scan_trace`` of (T, G, J) values. ``_kahan`` adds every
-row to the running totals on all these paths, so they agree bit for bit.
+batch of replicates at once, and simulation a group of trials, their
+streams side by side as one ``scan_trace`` of (T, G, J) values; with a
+threshold each set of a stacked scan stops at its own first crossing
+and leaves the later blocks. ``stack_size`` is the one rule that sizes
+those batches and groups. ``_kahan`` adds every row to the running
+totals on all these paths, so they agree bit for bit.
 
 The cell scan is stream-major: it holds its cells as (J, cells) arrays,
 so its elementwise passes run numpy loops over all the cells of a block
 rather than over the few (J) streams a tailored monitor watches. Each
-cell's J terms are summed left to right below J = 8 and by numpy's own
-contiguous row sum from J = 8 on, the order of a (cells, J) row sum, so
-the results stay bit for bit those of the per-step reference scan. A
+cell's J terms are summed by ``_row_sums`` in the order numpy sums a
+contiguous row of J values, the order of a (cells, J) row sum, so the
+results stay bit for bit those of the per-step reference scan. A
 stacked trace holds (G * J, cells) arrays; the clamp count, that sum and
 the tie rule run per set of J streams, and every other pass is
 elementwise, so each set's results are those of its own scan.
 """
 
-from ._scan_py import TRACE_BLOCK_CELLS, ScanState, advance_state, mixture_terms, scan_step, scan_trace
+from ._scan_py import ScanState, advance_state, mixture_terms, scan_step, scan_trace, stack_size
 
 # There is no compiled kernel. perfbench/run.py stamps both names into
 # every benchmark record.
@@ -34,7 +37,6 @@ USING_COMPILED = False
 scan_step_compiled = None
 
 __all__ = [
-    "TRACE_BLOCK_CELLS",
     "USING_COMPILED",
     "ScanState",
     "advance_state",
@@ -42,4 +44,5 @@ __all__ = [
     "scan_step",
     "scan_step_compiled",
     "scan_trace",
+    "stack_size",
 ]

@@ -15,15 +15,14 @@ Replicates are drawn one at a time, each from its own seed stream, in
 replicate order, and handled in batches. A batch is prepared as one
 stack: re-estimated, decomposed, built and checked together
 (``_prepared``), then scanned side by side as one stacked trace scan
-(``_stacked_maxima``). A batch holds as many replicates as fill one
-full-window step of a scan block, which keeps its scan within the
-kernel's budget, and no more than fill 8 scan blocks with their
-lag-extended training and monitoring rows and projections, which bounds
-the memory of the stack. A batch is prepared all or nothing: when a
-check fails any of its replicates, the same drawn rows are prepared
-again one replicate at a time, so the first failing replicate raises the
-error it raises alone, before any later batch is drawn. Each maximum is
-bit for bit what the replicate's own re-fit and scan
+(``_stacked_maxima``). Its size comes from the rule that also sizes the
+groups of simulated trials (``_kernel.stack_size``): as many replicates
+as fill one step of a scan block, and no more than fill a few blocks
+with what a replicate holds at its largest stage. A batch is prepared
+all or nothing: when a check fails any of its replicates, the same drawn
+rows are prepared again one replicate at a time, so the first failing
+replicate raises the error it raises alone, before any later batch is
+drawn. Each maximum is bit for bit what the replicate's own re-fit and scan
 (``replicate_maximum``, ``Monitor.step``) give, so the result depends
 neither on the batching nor on the worker count; a worker pool maps
 batches of seeds.
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from ._kernel import TRACE_BLOCK_CELLS
+from ._kernel import stack_size
 from .corrcore import (
     _correlation_error,
     _correlation_faults,
@@ -357,15 +356,12 @@ def calibrate_threshold(
         job = (model, _parametric_draw, (summary.mean, chol, m_raw, n_raw))
         block_len = None
 
-    # as many replicates per batch as fill one full-window step of a scan
-    # block, so the stacked scan's blocks stay within the kernel's budget,
-    # but no more than fill 8 such blocks with their lag-extended training
-    # and monitoring rows and the projections of those, which bounds the
-    # memory of the stack
+    # a replicate holds its drawn rows while it is prepared, and with them
+    # first its lag-extended training rows and their projections, then its
+    # lag-extended monitoring rows and theirs
     m = m_raw - model.lag
-    scan = TRACE_BLOCK_CELLS // (model.n_streams * (model.window + 1))
-    stack = 8 * TRACE_BLOCK_CELLS // max(1, (m + cfg.n) * model.dim + cfg.n * model.n_streams)
-    batch = max(1, min(stack, scan))
+    held = (m_raw + n_raw) * model.raw_dim + max(m, cfg.n) * (model.dim + model.n_streams)
+    batch = stack_size(model.n_streams, model.window, cfg.n, held)
     job = (*job, (m, batch))
     if threads > 1:
         # jobs carry only their seeds; the shared inputs reach each worker once

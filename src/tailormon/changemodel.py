@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .corrcore import PD_FLOOR, CorrelationMatrix, EigenSystem, nearest_pd_stack
+from .corrcore import PD_FLOOR, CorrelationMatrix, EigenSystem, nearest_pd_stack, raw_dimension
 from .errors import DimensionMismatch, NoConvergence, ZeroEigenvalue
 
 MEAN = "mean"
@@ -379,12 +379,7 @@ def apply_change_lagged(base_ext: CorrelationMatrix, sc: ChangeScenario, lag: in
     through the congruence transform). This is the one-scenario case of
     ``post_change_stack``.
     """
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    d_ext = base_ext.dim
-    raw_dim, rest = divmod(d_ext, lag + 1)
-    if rest:
-        raise DimensionMismatch(f"extended dimension {d_ext} is not a multiple of lag + 1 = {lag + 1}")
+    raw_dim = raw_dimension(base_ext.dim, lag)
     aff = np.asarray(sc.affected, dtype=int)
     if aff.max() >= raw_dim:
         raise DimensionMismatch("scenario indices exceed the raw dimension")
@@ -400,7 +395,7 @@ def apply_change_lagged(base_ext: CorrelationMatrix, sc: ChangeScenario, lag: in
         sizes = np.ones((1, raw_dim, raw_dim))
         for (p, q), a in sc.corr_factors.items():
             sizes[0, p, q] = sizes[0, q, p] = a
-    return PostChangeParams(mean=np.zeros(d_ext), cov=post_change_stack(base, sc.ctype, sizes)[0])
+    return PostChangeParams(mean=np.zeros(base_ext.dim), cov=post_change_stack(base, sc.ctype, sizes)[0])
 
 
 def projected_means(vec: np.ndarray, means: np.ndarray) -> np.ndarray:

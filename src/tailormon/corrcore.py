@@ -80,6 +80,23 @@ _SPECTRUM_FAULTS = (
 )
 
 
+def raw_dimension(dim: int, lag: int) -> int:
+    """The raw dimension of the lag-extended layout of dimension ``dim``.
+
+    A lag-extended vector holds the last ``lag + 1`` raw rows, oldest
+    first, so ``lag + 1`` must divide ``dim``; the raw dimension is the
+    quotient. A negative lag is a ValueError and a ``lag + 1`` that does
+    not divide ``dim`` a DimensionMismatch. Every entry point that takes a
+    lag with an extended dimension checks it here.
+    """
+    if lag < 0:
+        raise ValueError("lag must be non-negative")
+    raw, rest = divmod(dim, lag + 1)
+    if rest:
+        raise DimensionMismatch(f"dimension {dim} is not a multiple of lag + 1 = {lag + 1}")
+    return raw
+
+
 def _as_square(values, name: str = "matrix") -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

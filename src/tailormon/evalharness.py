@@ -7,6 +7,15 @@ classified as false alarms (alarm at or before kappa), detections, or
 censored runs (no alarm by the trial horizon). Grid runs share one
 training set and one calibrated threshold per detector, since thresholds
 are conditional on the exact training set.
+
+A grid cell's trials run in groups (``run_prepared_trials``). Each trial
+draws its stream in full from its own seed, and its rows are checked and
+projected on their own; only the projections are kept. A group is then
+scanned side by side as one stacked trace, each trial leaving the scan
+at its first alarm (``mixmonitor._stacked_crossings``). The group size
+comes from ``_kernel.stack_size``, the rule that also sizes calibration
+batches. Every outcome is bit for bit that of the trial scanned alone,
+so the rows depend neither on the grouping nor on the worker count.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernel import ScanState, stack_size
 from .calibrate import CalibrationConfig, calibrate_threshold, clopper_pearson, resolve_threads
 from .changemodel import (
     CHANGE_TYPES,
@@ -30,7 +40,7 @@ from .changemodel import (
 )
 from .corrcore import CorrelationMatrix, eigensystem, estimate_training, random_correlation
 from .errors import ConfigError, TooFewDetections
-from .mixmonitor import MonitorModel, build_monitor_model, trace_stats
+from .mixmonitor import MonitorModel, _checked_projections, _stacked_crossings, build_monitor_model
 from .tailor import (
     identity_selection,
     max_variance_selection,
@@ -158,6 +168,63 @@ def build_detector_model(
     return model, train
 
 
+def _trial_rows(base, chol0, kappa, scenario, horizon, rng) -> np.ndarray:
+    """A trial's stream in full: null rows, or null rows up to kappa and post-change rows after it."""
+    zeros = np.zeros(base.dim)
+    if scenario is None:
+        return gaussian_rows(rng, horizon, zeros, chol0)
+    post = apply_change(base, scenario)
+    return np.vstack(
+        [
+            gaussian_rows(rng, kappa, zeros, chol0),
+            gaussian_rows(rng, horizon - kappa, post.mean, np.linalg.cholesky(post.cov)),
+        ]
+    )
+
+
+def run_prepared_trials(
+    model: MonitorModel, base: CorrelationMatrix, kappa: int, trials, horizon: int
+) -> list[TrialOutcome]:
+    """Monitor synthetic streams with an already fitted and thresholded model, a group of them at a time.
+
+    ``trials`` yields each trial's (scenario, rng) in turn, the scenario
+    None for a null stream; the rng draws the trial's stream in full, as
+    ``run_prepared_trial`` does. Each stream is checked and projected on
+    its own as soon as it is drawn, and only its projections are kept. A
+    group of trials (``_kernel.stack_size``) is scanned side by side as
+    one stacked trace, each trial leaving the scan at its first alarm.
+    The outcomes, in trial order, are bit for bit those of each trial's
+    stream scanned alone (``mixmonitor.trace_stats`` with the model's
+    threshold), and the first trial whose rows fail a check raises its
+    own error.
+    """
+    chol0 = np.linalg.cholesky(base.values)
+    fresh = ScanState.fresh(model.n_streams)
+    group = stack_size(model.n_streams, model.window, max(1, horizon - model.lag), 0)
+    outcomes: list[TrialOutcome] = []
+    z = None
+    count = 0
+
+    def scan():
+        # every stream starts fresh, so each has the same ``short`` rows at its
+        # front that a lagged model cannot scan yet
+        for i in _stacked_crossings(model, z[:, :count], model.threshold).tolist():
+            outcomes.append(TrialOutcome(alarm_time=short + i + 1 if i >= 0 else None, kappa=kappa, horizon=horizon))
+
+    for scenario, rng in trials:
+        short, zt = _checked_projections(model, _trial_rows(base, chol0, kappa, scenario, horizon, rng), fresh, ())
+        if z is None:
+            z = np.empty((zt.shape[0], group, zt.shape[1]))
+        z[:, count] = zt
+        count += 1
+        if count == group:
+            scan()
+            count = 0
+    if count:
+        scan()
+    return outcomes
+
+
 def run_prepared_trial(
     model: MonitorModel,
     base: CorrelationMatrix,
@@ -170,24 +237,10 @@ def run_prepared_trial(
 
     The stream is drawn in full up front, so it is scanned as one trace;
     the alarm time is the first step whose statistic reaches the
-    threshold, as ``Monitor.run`` would report it.
+    threshold, as ``Monitor.run`` would report it. This is the one-trial
+    case of ``run_prepared_trials``.
     """
-    chol0 = np.linalg.cholesky(base.values)
-    zeros = np.zeros(base.dim)
-    if scenario is None:
-        stream = gaussian_rows(rng, horizon, zeros, chol0)
-    else:
-        post = apply_change(base, scenario)
-        stream = np.vstack(
-            [
-                gaussian_rows(rng, kappa, zeros, chol0),
-                gaussian_rows(rng, horizon - kappa, post.mean, np.linalg.cholesky(post.cov)),
-            ]
-        )
-    stat, _ = trace_stats(model, stream, model.threshold)
-    hits = np.flatnonzero(stat >= model.threshold)
-    alarm_time = int(hits[0]) + 1 if hits.size else None
-    return TrialOutcome(alarm_time=alarm_time, kappa=kappa, horizon=horizon)
+    return run_prepared_trials(model, base, kappa, [(scenario, rng)], horizon)[0]
 
 
 @dataclass(frozen=True)
@@ -551,16 +604,17 @@ def _run_cell(model, base, det, cell, n, horizon, replicates, grid_seed, c_idx, 
 
 def _cell_outcomes(model, base, cell, n, horizon, replicates, grid_seed, c_idx) -> list[TrialOutcome]:
     ctype = cell.get("ctype", "h0")
-    kappa = int(cell.get("kappa", 0))
-    outcomes = []
-    for rep in range(replicates):
-        # keyed on (grid seed, cell, replicate) only, so every detector is
-        # evaluated on the same simulated streams
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[grid_seed, c_idx, rep]))
-        if ctype == "h0":
-            outcome = run_prepared_trial(model, base, 0, None, n, rng)
-        else:
-            scenario = scenario_from_cell(ctype, int(cell["sparsity"]), float(cell["size"]), base.dim, rng)
-            outcome = run_prepared_trial(model, base, kappa, scenario, horizon, rng)
-        outcomes.append(outcome)
-    return outcomes
+
+    def trials():
+        for rep in range(replicates):
+            # keyed on (grid seed, cell, replicate) only, so every detector is
+            # evaluated on the same simulated streams
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=[grid_seed, c_idx, rep]))
+            if ctype == "h0":
+                yield None, rng
+            else:
+                yield scenario_from_cell(ctype, int(cell["sparsity"]), float(cell["size"]), base.dim, rng), rng
+
+    if ctype == "h0":
+        return run_prepared_trials(model, base, 0, trials(), n)
+    return run_prepared_trials(model, base, int(cell.get("kappa", 0)), trials(), horizon)

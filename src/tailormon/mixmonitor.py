@@ -22,7 +22,10 @@ threshold, it and ``feed(stop_on_alarm=True)`` stop at the first alarm.
 Calibration builds a batch of bootstrap replicas with the same projector,
 training-sum and row-check arithmetic, on stacks (``_projectors``,
 ``_training_sums``, ``_checked_stack``), and then scans the batch
-side by side in one stacked trace scan (``_stacked_maxima``).
+side by side in one stacked trace scan (``_stacked_maxima``). Simulated
+trials check and project each stream alone (``_checked_projections``)
+and scan a group of them side by side, each stream stopping at its first
+alarm (``_stacked_crossings``).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import digamma
 
 from . import _kernel
-from .corrcore import PD_FLOOR, TrainingSummary, _fault_codes, _raise_first
+from .corrcore import PD_FLOOR, TrainingSummary, _fault_codes, _raise_first, raw_dimension
 from .errors import (
     DegenerateSegment,
     DimensionMismatch,
@@ -309,10 +312,7 @@ class MonitorModel:
             raise ValueError("p0 must lie in (0, 1]")
         if self.window < 2:
             raise ValueError("window must be at least 2")
-        if self.lag < 0:
-            raise ValueError("lag must be non-negative")
-        if self.training.dim % (self.lag + 1) != 0:
-            raise DimensionMismatch("training dimension is not divisible by lag + 1")
+        raw_dimension(self.training.dim, self.lag)
         if self.selection.dim != self.training.dim:
             raise DimensionMismatch("selection and training dimensions disagree")
 
@@ -592,6 +592,27 @@ def _stacked_maxima(train_sum, train_sumsq, z, m: int, window: int, p0: float) -
         z, train_sum, train_sumsq, m, window, p0, _BartlettTable().upto(m + z.shape[0]), VAR_FLOOR
     )
     return stat.max(axis=1, initial=-math.inf)
+
+
+def _stacked_crossings(model: MonitorModel, z, threshold: float) -> np.ndarray:
+    """Per stream of G, the first of its scanned steps whose statistic reaches ``threshold``, or -1 where none does.
+
+    z (T, G, J) holds the checked projections (``_checked_projections``)
+    of G streams' rows from a fresh state, all monitored by ``model``.
+    They are scanned side by side as one stacked trace with the model's
+    training sums, each stream leaving the scan at its first crossing,
+    which is the step at which ``trace_stats`` of its rows stops, bit for
+    bit.
+    """
+    T, G, J = z.shape
+    if T == 0:
+        return np.full(G, -1)
+    stat, _, _, _ = _kernel.scan_trace(
+        z, np.broadcast_to(model.train_sum, (G, J)), np.broadcast_to(model.train_sumsq, (G, J)), model.m,
+        model.window, model.p0, _BartlettTable().upto(model.m + T), VAR_FLOOR, threshold,
+    )
+    hit = stat >= threshold
+    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
 
 
 class Monitor:

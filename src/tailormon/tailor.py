@@ -29,7 +29,7 @@ from .changemodel import (
     sensitivity_stack,
     stack_sizes,
 )
-from .corrcore import CorrelationMatrix, EigenSystem, eigensystem
+from .corrcore import CorrelationMatrix, EigenSystem, eigensystem, raw_dimension
 from .errors import DimensionMismatch
 
 PROB_SUM_TOL = 1e-12
@@ -216,10 +216,7 @@ def tailor(
         raise ValueError("cutoff must lie in [0, 1]")
     if draws < 1:
         raise ValueError("draws must be at least 1")
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    if base.dim % (lag + 1):
-        raise DimensionMismatch(f"dimension {base.dim} is not a multiple of lag + 1 = {lag + 1}")
+    raw_dimension(base.dim, lag)
     if rng is None:
         rng = np.random.default_rng()
     es = eigensystem(base)

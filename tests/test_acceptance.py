@@ -37,7 +37,7 @@ from tailormon import (
     verify_bivariate_propositions,
 )
 from tailormon.changemodel import _hellinger_arrays
-from tailormon.evalharness import build_detector_model, run_prepared_trial, scenario_from_cell
+from tailormon.evalharness import build_detector_model, run_prepared_trials, scenario_from_cell
 
 
 def report(announce, num, desc, passed, detail=""):
@@ -257,11 +257,14 @@ def test_criterion_06_desk_scale_delay_comparison(announce):
         model, train = build_detector_model(base, m, w, det, 618)
         res = calibrate_threshold(model, train, cfg, rng=np.random.default_rng([618, idx]))
         armed = model.with_threshold(res.threshold)
-        outcomes = []
-        for rep in range(500):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=[618, 7, rep]))
-            scenario = scenario_from_cell("mean", 1, 1.0, dim, rng)
-            outcomes.append(run_prepared_trial(armed, base, 0, scenario, 10 * n, rng))
+
+        def trials():
+            for rep in range(500):
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=[618, 7, rep]))
+                yield scenario_from_cell("mean", 1, 1.0, dim, rng), rng
+
+        # scanned in stacked groups, each trial's outcome bit for bit its own scan's
+        outcomes = run_prepared_trials(armed, base, 0, trials(), 10 * n)
         estimates[name] = estimate_edd(outcomes, min_detections=0)
     elapsed = time.time() - start
     edd_t = estimates["tpca"].mean

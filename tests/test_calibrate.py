@@ -22,6 +22,7 @@ from tailormon import (
     threshold_from_maxima,
 )
 from tailormon import calibrate
+from tailormon._kernel import stack_size
 from tailormon.calibrate import default_threads
 
 import refit_reference
@@ -212,16 +213,17 @@ def lagged_model(lag, dim=4, m=90, window=200, seed=20):
     return build_monitor_model(summary, sel, ext, window=window, lag=lag), raw
 
 
-def batch_size(model, m, n):
+def batch_size(model, m_raw, n):
     """How many replicates ``calibrate_threshold`` draws, prepares and scans as one batch.
 
-    As many as fill one full-window step of a scan block, and no more
-    than fill 8 scan blocks with their training and monitoring rows and
-    projections; ``m`` is the replicas' training length, ``n`` the horizon.
+    The stack rule ``_kernel.stack_size``, given what a replicate holds
+    while it is prepared: its drawn rows, and the larger of its training
+    and its monitoring stage, each with its lag-extended rows and their
+    projections; ``m_raw`` is the raw training length, ``n`` the horizon.
     """
-    scan = calibrate.TRACE_BLOCK_CELLS // (model.n_streams * (model.window + 1))
-    stack = 8 * calibrate.TRACE_BLOCK_CELLS // ((m + n) * model.dim + n * model.n_streams)
-    return max(1, min(stack, scan))
+    m = m_raw - model.lag
+    held = (m_raw + n + model.lag) * model.raw_dim + max(m, n) * (model.dim + model.n_streams)
+    return stack_size(model.n_streams, model.window, n, held)
 
 
 def replicate_draws(model, raw, mode, n):
@@ -240,18 +242,22 @@ class TestReplicateGroups:
     @pytest.mark.parametrize("lag", [0, 1])
     @pytest.mark.parametrize("mode", [calibrate.PARAMETRIC, calibrate.BLOCK])
     def test_maxima_do_not_depend_on_the_replicate_count(self, mode, lag, threads):
-        # J = 2 and w = 200 put 40 replicates in a batch: 7 replicates are
-        # part of one batch, 100 end in a batch of 20, 120 in a full third.
-        # Spawned seeds do not depend on the count, so the maxima must agree
+        # 7 replicates are part of one batch, 2 batches and a half end in a
+        # partial batch, 3 batches fill a third. Spawned seeds do not depend
+        # on the count, so the maxima must agree
         model, raw = lagged_model(lag)
+        size = batch_size(model, raw.shape[0], 20)
+        assert size > 7
         maxima = {}
-        for replicates in (7, 100, 120):
+        counts = (7, 2 * size + size // 2, 3 * size)
+        for replicates in counts:
             cfg = CalibrationConfig(alpha=0.8, n=20, confidence=0.5, replicates=replicates, mode=mode, seed=21)
             maxima[replicates] = calibrate_threshold(model, raw, cfg, threads=threads).replicate_maxima
-        assert maxima[100][:7].tobytes() == maxima[7].tobytes()
-        assert maxima[120][:7].tobytes() == maxima[7].tobytes()
-        assert maxima[120][:100].tobytes() == maxima[100].tobytes()
-        assert np.all(np.isfinite(maxima[120]))
+        few, some, full = counts
+        assert maxima[some][:few].tobytes() == maxima[few].tobytes()
+        assert maxima[full][:few].tobytes() == maxima[few].tobytes()
+        assert maxima[full][:some].tobytes() == maxima[some].tobytes()
+        assert np.all(np.isfinite(maxima[full]))
 
     @pytest.mark.parametrize("lag", [0, 1])
     @pytest.mark.parametrize("mode", [calibrate.PARAMETRIC, calibrate.BLOCK])
@@ -267,16 +273,16 @@ class TestReplicateGroups:
     @pytest.mark.parametrize("lag", [0, 1])
     @pytest.mark.parametrize("mode", [calibrate.PARAMETRIC, calibrate.BLOCK])
     def test_the_batch_loop_gives_each_replicate_alone_at_any_batch_size(self, mode, lag):
-        # 50 replicates end in a partial batch at every size, the computed
-        # one (40 here) included
+        # the replicates end in a partial batch at every size, the computed
+        # one included
         model, raw = lagged_model(lag)
         n = 20
+        computed = batch_size(model, raw.shape[0], n)
+        assert computed > 7
         draw, shared = replicate_draws(model, raw, mode, n)
-        seeds = np.random.SeedSequence(23).spawn(50)
+        seeds = np.random.SeedSequence(23).spawn(computed + 11)
         alone = np.array([replicate_maximum(model, *draw(*shared, s)) for s in seeds])
         m = raw.shape[0] - lag
-        computed = batch_size(model, m, n)
-        assert computed == 40
         for batch in (1, 2, 7, computed):
             got = calibrate._batch_maxima(model, draw, shared, (m, batch), seeds)
             assert got.tobytes() == alone.tobytes(), f"batch {batch}"

@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 
 from tailormon import (
+    ChangeDistributionSpec,
+    ChangeScenario,
     ConstantColumn,
     CorrelationMatrix,
     DegenerateCorrelation,
     DimensionMismatch,
+    apply_change_lagged,
+    build_monitor_model,
     eigensystem,
     NoConvergence,
     estimate_training,
+    identity_selection,
     nearest_pd_correlation,
     random_correlation,
+    restore_monitor_model,
+    tailor,
 )
-from tailormon import corrcore
+from tailormon import _fileio, corrcore
 from tailormon.corrcore import nearest_pd_stack
 
 
@@ -332,3 +339,58 @@ class TestNearestPdStack:
             nearest_pd_stack(good)
         with pytest.raises(ValueError):
             nearest_pd_stack(good[None], eps=0.0)
+
+
+class TestLagLayout:
+    """Every entry point that takes a lag with an extended dimension checks it through ``corrcore.raw_dimension``."""
+
+    def test_raw_dimension(self):
+        assert corrcore.raw_dimension(6, 0) == 6
+        assert corrcore.raw_dimension(6, 1) == 3
+        assert corrcore.raw_dimension(6, 5) == 1
+        with pytest.raises(DimensionMismatch, match=r"^dimension 6 is not a multiple of lag \+ 1 = 4$"):
+            corrcore.raw_dimension(6, 3)
+        with pytest.raises(ValueError, match="lag must be non-negative"):
+            corrcore.raw_dimension(6, -1)
+
+    @staticmethod
+    def entry_points(lag):
+        """Each entry point called with a 6-dim layout and ``lag``."""
+        base = random_correlation(6, 1.0, np.random.default_rng(0))
+        rows = np.random.default_rng(1).standard_normal((40, 6))
+        summary = estimate_training(rows)
+        selection = identity_selection(6)
+        doc = _fileio.selection_document(summary, selection, np.zeros(6), np.ones(6), 1, {})
+        doc.update(lag=lag, raw_dim=2)
+        sc = ChangeScenario(ctype="mean", affected=(0,), mean_sizes=(1.0,))
+        return {
+            "tailor": lambda: tailor(base, ChangeDistributionSpec(), 0.9, 10, np.random.default_rng(0), lag=lag),
+            "apply_change_lagged": lambda: apply_change_lagged(base, sc, lag),
+            "build_monitor_model": lambda: build_monitor_model(summary, selection, rows, lag=lag),
+            "restore_monitor_model": lambda: restore_monitor_model(
+                summary, selection, np.zeros(6), np.ones(6), lag=lag
+            ),
+            "parse_selection_document": lambda: _fileio.parse_selection_document(doc, "sel.json"),
+        }
+
+    @pytest.mark.parametrize("entry", ["tailor", "apply_change_lagged", "build_monitor_model",
+                                       "restore_monitor_model", "parse_selection_document"])
+    @pytest.mark.parametrize("lag", [3, 4])
+    def test_one_message_at_every_entry_point(self, entry, lag):
+        with pytest.raises(DimensionMismatch, match=rf"dimension 6 is not a multiple of lag \+ 1 = {lag + 1}$"):
+            self.entry_points(lag)[entry]()
+
+    @pytest.mark.parametrize("entry", ["tailor", "apply_change_lagged", "build_monitor_model",
+                                       "restore_monitor_model", "parse_selection_document"])
+    def test_negative_lag(self, entry):
+        # the document's reader reports it as a dimension fault of the file
+        error = DimensionMismatch if entry == "parse_selection_document" else ValueError
+        with pytest.raises(error, match="lag must be non-negative"):
+            self.entry_points(-1)[entry]()
+
+    def test_document_raw_dimension_must_match_the_layout(self):
+        rows = np.random.default_rng(1).standard_normal((40, 6))
+        doc = _fileio.selection_document(estimate_training(rows), identity_selection(6), np.zeros(6), np.ones(6), 1, {})
+        assert _fileio.parse_selection_document(dict(doc), "sel.json")[4:] == (3, 1)
+        with pytest.raises(DimensionMismatch, match="inconsistent dimensions"):
+            _fileio.parse_selection_document(dict(doc, raw_dim=2), "sel.json")

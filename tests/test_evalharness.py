@@ -20,9 +20,12 @@ from tailormon import (
     simulate_grid,
     verify_bivariate_propositions,
 )
+import trial_reference
+from tailormon import evalharness
 from tailormon.evalharness import (
     build_detector_model,
     run_prepared_trial,
+    run_prepared_trials,
     scenario_from_cell,
 )
 
@@ -344,6 +347,74 @@ class TestSimulateGrid:
         assert by_key[("maxpca", "mean")]["n_detected"] == 0
         assert by_key[("minpca", "h0")]["pfa"] <= 0.15
         assert by_key[("minpca", "mean")]["edd"] is not None
+
+    def test_rows_equal_the_per_trial_loop(self, monkeypatch):
+        # every detector kind, a p0 < 1 mixture, change cells of each type
+        # with kappa > 0, a change past the horizon, a fixed threshold and a
+        # window shorter than the horizon; the trials run in stacked groups,
+        # several to a cell, and must give the rows of trials run one by one
+        grid = dict(
+            self.GRID,
+            trial_replicates=70,
+            replicates_boot=100,
+            detectors=[
+                {"kind": "minpca", "n_axes": 2},
+                {"kind": "maxpca", "n_axes": 3},
+                {"kind": "mixture", "p0": 0.2},
+                {"kind": "mixture", "p0": 0.5, "threshold": 6.0},
+                {"kind": "tpca", "cutoff": 0.8, "draws": 200},
+            ],
+            cells=[
+                {"ctype": "h0"},
+                {"ctype": "mean", "sparsity": 2, "size": 1.0, "kappa": 15},
+                {"ctype": "variance", "sparsity": 2, "size": 2.5},
+                {"ctype": "correlation", "sparsity": 3, "size": 0.1, "kappa": 5},
+                {"ctype": "mean", "sparsity": 1, "size": 0.3, "kappa": 150},
+            ],
+        )
+        rows, manifest = simulate_grid(grid)
+        groups = []
+        stacked = evalharness._stacked_crossings
+
+        def counting(model, z, threshold):
+            groups.append(z.shape[1])
+            return stacked(model, z, threshold)
+
+        monkeypatch.setattr(evalharness, "_stacked_crossings", counting)
+        simulate_grid(grid)
+        assert max(groups) > 1 and len(groups) > len(grid["detectors"]) * len(grid["cells"])
+        monkeypatch.setattr(evalharness, "_cell_outcomes", trial_reference.cell_outcomes)
+        ref_rows, ref_manifest = simulate_grid(grid)
+        assert manifest == ref_manifest
+        assert rows == ref_rows
+
+    def test_run_prepared_trials_equal_trials_alone(self):
+        base = random_correlation(6, 1.0, np.random.default_rng(4))
+        model, _ = build_detector_model(base, 80, 30, DetectorSpec(kind="mixture", p0=0.3), 7)
+        model = model.with_threshold(12.0)
+        sc = ChangeScenario(ctype="mean", affected=(1, 4), mean_sizes=(1.0, 1.0))
+
+        def rngs():
+            return [np.random.default_rng(np.random.SeedSequence([3, rep])) for rep in range(45)]
+
+        for scenario, kappa, horizon in ((None, 0, 60), (sc, 10, 300)):
+            got = run_prepared_trials(model, base, kappa, ((scenario, r) for r in rngs()), horizon)
+            alone = [trial_reference.run_trial(model, base, kappa, scenario, horizon, r) for r in rngs()]
+            assert got == alone
+            # null streams that alarm and that do not; change streams alarming at many times
+            assert len({o.alarm_time for o in alone}) > 10 and (scenario or None in {o.alarm_time for o in alone})
+            assert [run_prepared_trial(model, base, kappa, scenario, horizon, r) for r in rngs()] == alone
+
+    def test_failing_trial_raises_its_own_error(self):
+        base = random_correlation(4, 1.0, np.random.default_rng(4))
+        model, _ = build_detector_model(base, 60, 20, DetectorSpec(kind="maxpca", n_axes=2), 7)
+        model = model.with_threshold(8.0)
+        huge = ChangeScenario(ctype="mean", affected=(2,), mean_sizes=(1e200,))
+        trials = [(None, np.random.default_rng(1)), (huge, np.random.default_rng(2)), (None, np.random.default_rng(3))]
+        with pytest.raises(ValueError, match="non-finite value or one whose square overflows"):
+            run_prepared_trials(model, base, 5, iter(trials), 40)
+        with pytest.raises(ValueError, match="non-finite value or one whose square overflows"):
+            trial_reference.run_trial(model, base, 5, huge, 40, np.random.default_rng(2))
 
     def test_failed_cell_lands_in_manifest(self):
         bad = dict(self.GRID)

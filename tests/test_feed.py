@@ -18,7 +18,7 @@ import tailormon as tm
 from scan_reference import RingStats, ring_state, same_state
 from scan_reference import scan_step as reference_step
 from tailormon import _kernel, mixmonitor
-from tailormon._kernel._scan_py import TRACE_BLOCK_STEPS, _block_end
+from tailormon._kernel._scan_py import TRACE_BLOCK_STEPS, _block_cells, _block_end
 from tailormon.mixmonitor import VAR_FLOOR, _BartlettTable
 
 WINDOW = 25
@@ -191,7 +191,7 @@ def test_stop_on_alarm_at_a_place_in_a_scan_block(lag, place):
     before = {"first": 0, "middle": TRACE_BLOCK_STEPS // 2, "last": TRACE_BLOCK_STEPS - 1}[place]
     start = alarm_t - 1 - before  # raw rows consumed before the block is fed
     t0 = start - lag + 1  # the fed block's first scan time, the start of its first scan block
-    assert _block_end(t0, rows.shape[0] - lag, 3, WINDOW) == t0 + TRACE_BLOCK_STEPS
+    assert _block_end(t0, rows.shape[0] - lag, 3, WINDOW, _block_cells(3)) == t0 + TRACE_BLOCK_STEPS
     armed = model.with_threshold(stats[alarm_t - 1])
 
     mon = tm.Monitor(armed)

@@ -163,3 +163,35 @@ def test_alternating_pattern_argmax():
     assert got[1] == 1
     assert got[0] > 0.0
     assert bitwise(got) == bitwise(call(reference_step, s))
+
+
+@pytest.mark.parametrize("kind", ["normal", "signed_zeros", "wide_range"])
+def test_row_sums_equal_numpys_row_sum_for_every_stream_count(kind):
+    # the cell scan sums each cell's J terms stream-major; the result must be
+    # numpy's contiguous (cells, J) row sum bit for bit, through the left to
+    # right sum below 8 terms, the 8-way pairwise sum and its split above 128
+    from tailormon._kernel._scan_py import _row_sums
+
+    rng = np.random.default_rng(["normal", "signed_zeros", "wide_range"].index(kind))
+    for J in range(1, 301):
+        x = rng.standard_normal((3, 37, J))
+        if kind == "signed_zeros":
+            x[rng.random(x.shape) < 0.6] = -0.0
+            x[:, :3] = -0.0
+        elif kind == "wide_range":
+            x *= 10.0 ** rng.uniform(-12, 12, x.shape)
+        stream_major = np.ascontiguousarray(x.transpose(0, 2, 1))  # (G, J, cells)
+        assert _row_sums(stream_major).tobytes() == x.sum(axis=2).tobytes(), f"J = {J}"
+
+
+@pytest.mark.parametrize("p0", [0.01, 0.1, 0.5])
+def test_mixture_terms_in_place_equal_the_expression(p0):
+    # the p0 < 1 form is computed pass by pass in its output array; each pass
+    # is an operation of x + log(p0 + (1 - p0) * exp(-x)), so the bits are the same
+    x = np.random.default_rng(3).standard_normal(4000) * 30.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.add(x, np.log(p0 + (1.0 - p0) * np.exp(-x)))
+    got = _kernel.mixture_terms(x, p0)
+    positive = x > 0.0
+    assert got[positive].tobytes() == expected[positive].tobytes()
+    assert got.tobytes() == reference_mixture_terms(x, p0).tobytes()

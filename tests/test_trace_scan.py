@@ -18,8 +18,8 @@ import tailormon as tm
 from scan_reference import RingStats, ring_state, same_state
 from scan_reference import scan_step as reference_step
 from tailormon import _kernel, calibrate, evalharness, mixmonitor
-from tailormon._kernel import ScanState
-from tailormon._kernel._scan_py import _block_end
+from tailormon._kernel import ScanState, _scan_py
+from tailormon._kernel._scan_py import TRACE_BLOCK_FIRST, _block_cells, _block_end
 from tailormon.mixmonitor import VAR_FLOOR, _BartlettTable
 
 
@@ -126,15 +126,33 @@ def test_ties_go_to_the_smallest_k():
     assert k[1:].tolist() == [max(0, t - 16) for t in range(2, 81)]
 
 
-def test_threshold_stops_after_the_crossing_block():
+def first_block_ends(T, n_streams, window, stacked):
+    """The last steps of the blocks of a thresholded scan from time 2, while no set leaves it.
+
+    A stacked scan's blocks start at TRACE_BLOCK_FIRST cells and double;
+    one monitor's take the whole budget.
+    """
+    ends, t0, cells = [], 2, TRACE_BLOCK_FIRST
+    while t0 <= T:
+        budget = min(cells, _block_cells(n_streams)) if stacked else _block_cells(n_streams)
+        t0 = _block_end(t0, T, n_streams, window, budget)
+        cells *= 2
+        ends.append(t0 - 1)
+    return ends
+
+
+@pytest.mark.parametrize("ahead", [None, 5, 64])
+def test_threshold_stops_after_the_crossing_block(monkeypatch, ahead):
+    # a thresholded scan copies the trace ahead of its blocks in stretches;
+    # short stretches make it copy again block after block
+    if ahead is not None:
+        monkeypatch.setattr(_scan_py, "TRACE_AHEAD", ahead)
     z, ts, tq = random_trace(6, 600, 2)
     z[300:, 0] += 1.0
     ref, ref_k, _ = step_loop(z, ts, tq, 60, 25, 1.0)
-    ends = [_block_end(2, 600, 2, 25)]
-    while ends[-1] <= 600:
-        ends.append(_block_end(ends[-1], 600, 2, 25))
-    # thresholds equal to a block's largest statistic test the crossing itself
-    block_max = [ref[: e - 1].max() for e in ends[:4]]
+    # thresholds equal to the largest statistic up to the end of one of the
+    # first blocks test a crossing at its last step
+    block_max = [ref[:e].max() for e in first_block_ends(600, 2, 25, stacked=False)[:6]]
     for threshold in [*block_max, *np.quantile(ref[1:], [0.5, 0.8, 0.9, 0.95, 0.99])]:
         first_t = int(np.flatnonzero(ref >= threshold)[0]) + 1
         stat, k = trace(z, ts, tq, 60, 25, 1.0, threshold)
@@ -161,9 +179,8 @@ def test_threshold_stops_after_the_crossing_block():
     window=st.integers(2, 30),
     T=st.integers(1, 70),
     flat=st.booleans(),
-    stop=st.booleans(),
 )
-def test_stacked_scan_equals_separate_scans(seed, G, J, p0, window, T, flat, stop):
+def test_stacked_scan_equals_separate_scans(seed, G, J, p0, window, T, flat):
     """G sets of streams scanned side by side give each set's own scan, bit for bit."""
     rng = np.random.default_rng(seed)
     m = 40
@@ -176,27 +193,87 @@ def test_stacked_scan_equals_separate_scans(seed, G, J, p0, window, T, flat, sto
     tq = m + rng.standard_normal((G, J))
     h = _BartlettTable().upto(m + T)
     alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, h, VAR_FLOOR) for g in range(G)]
-    threshold = None
-    n = T
-    if stop and T > 1:
-        # stop where the first set reaches the median of the statistics
-        threshold = float(np.median(np.concatenate([a[0][1:] for a in alone])))
-        n = min(int(np.argmax(a[0] >= threshold)) + 1 for a in alone if (a[0] >= threshold).any())
-    stat, k, clamped, state = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR, threshold)
-    assert stat.shape == k.shape == clamped.shape == (G, n)
+    stat, k, clamped, state = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR)
+    assert stat.shape == k.shape == clamped.shape == (G, T)
     for g, (a_stat, a_k, a_clamped, _) in enumerate(alone):
-        assert stat[g].tobytes() == a_stat[:n].tobytes()
-        assert k[g].tobytes() == a_k[:n].tobytes()
-        assert clamped[g].tobytes() == a_clamped[:n].tobytes()
-        ring = ring_state(z[:n, g], ts[g], tq[g], m, window)
+        assert stat[g].tobytes() == a_stat.tobytes()
+        assert k[g].tobytes() == a_k.tobytes()
+        assert clamped[g].tobytes() == a_clamped.tobytes()
+        ring = ring_state(z[:, g], ts[g], tq[g], m, window)
         assert same_state(ScanState(state.total[:, g], state.comp[:, g], state.tail[:, g], state.t), ring)
         # each set's scan is the reference's, so an order of summation that
         # differs from the reference's fails whether or not it is stacked
-        ref, ref_k, ref_clamps = step_loop(z[:n, g], ts[g], tq[g], m, window, p0)
+        ref, ref_k, ref_clamps = step_loop(z[:, g], ts[g], tq[g], m, window, p0)
         assert np.array_equal(stat[g], ref) and np.array_equal(k[g], ref_k)
         assert int(clamped[g].sum()) == ref_clamps
-    if flat and n > 1 and lo + 1 < n:
+    if flat and T > 1 and lo + 1 < T:
         assert clamped.sum() > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    G=st.sampled_from([1, 2, 3, 6]),
+    J=st.sampled_from([1, 2, 3, 8, 11]),
+    p0=st.sampled_from([1.0, 0.3]),
+    window=st.integers(2, 30),
+    T=st.integers(2, 90),
+    where=st.sampled_from(["quantile", "at_once", "block_edge", "never"]),
+    q=st.floats(0.3, 0.99),
+    # steps the scan copies ahead of its blocks, and the cells of a block:
+    # short stretches and small blocks make it copy again as blocks run
+    # past a stretch and as sets leave, at every alignment of the two
+    ahead=st.sampled_from([None, 1, 2, 5, 13]),
+    cells=st.sampled_from([None, 30, 100, 400]),
+)
+def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(
+    seed, G, J, p0, window, T, where, q, ahead, cells
+):
+    """Each set of a stacked thresholded scan keeps its own scan's steps up to its first crossing, and nothing after."""
+    rng = np.random.default_rng(seed)
+    m = 40
+    z = rng.standard_normal((T, G, J)) * rng.uniform(0.5, 2.0, (G, J))
+    z[T // 2:] += rng.uniform(-1.0, 1.0, (G, J))
+    ts = 0.2 * rng.standard_normal((G, J))
+    tq = m + rng.standard_normal((G, J))
+    h = _BartlettTable().upto(m + T)
+    alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, h, VAR_FLOOR) for g in range(G)]
+    stats = np.array([a[0] for a in alone])  # (G, T), -inf at t = 1
+    pick = rng.integers(G)
+    if where == "quantile":
+        threshold = float(np.quantile(stats[:, 1:], q))
+    elif where == "at_once":
+        # one set crosses at its first step with a candidate
+        threshold = float(stats[pick, 1])
+    elif where == "block_edge":
+        # one set's statistic at the last or first step of one of the first blocks
+        ends = first_block_ends(T, G * J, window, stacked=True)
+        t = int(rng.choice(ends + [e + 1 for e in ends if e < T]))
+        threshold = float(stats[pick, t - 1])
+    else:
+        threshold = math.inf
+    built = _scan_py.TRACE_AHEAD, _scan_py.TRACE_BLOCK_CELLS, _scan_py.TRACE_BLOCK_FIRST
+    # set by hand: a fixture would outlive the examples
+    if ahead is not None:
+        _scan_py.TRACE_AHEAD = ahead
+    if cells is not None:
+        _scan_py.TRACE_BLOCK_CELLS, _scan_py.TRACE_BLOCK_FIRST = cells, cells // 2
+    try:
+        stat, k, clamped, state = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR, threshold)
+    finally:
+        _scan_py.TRACE_AHEAD, _scan_py.TRACE_BLOCK_CELLS, _scan_py.TRACE_BLOCK_FIRST = built
+    assert state is None
+    hits = stats >= threshold
+    lengths = [int(np.argmax(row)) + 1 if row.any() else T for row in hits]
+    assert stat.shape == k.shape == clamped.shape == (G, max(lengths))
+    if where == "at_once":
+        assert lengths[pick] == 2
+    for g, (a_stat, a_k, a_clamped, _) in enumerate(alone):
+        n = lengths[g]
+        assert stat[g, :n].tobytes() == a_stat[:n].tobytes()
+        assert k[g, :n].tobytes() == a_k[:n].tobytes()
+        assert clamped[g, :n].tobytes() == a_clamped[:n].tobytes()
+        assert np.all(stat[g, n:] == -np.inf) and np.all(k[g, n:] == -1) and np.all(clamped[g, n:] == 0)
 
 
 def fitted(lag, p0=1.0, window=25, dim=4, m=80, seed=0):
@@ -230,6 +307,19 @@ def test_trace_stats_equal_monitor_steps(reference_step_kernel, lag, p0):
     ref, ref_k = monitor_stats(model, rows)
     assert np.array_equal(stat, ref)
     assert np.array_equal(k, ref_k)
+
+
+@pytest.mark.parametrize("lag", [0, 2])
+def test_trace_stats_with_a_threshold_ends_at_the_first_alarm(reference_step_kernel, lag):
+    model, _, chol, rng = fitted(lag, p0=0.3)
+    rows = rng.standard_normal((300, chol.shape[0])) @ chol.T
+    rows[150:, 0] += 1.5
+    ref, ref_k = monitor_stats(model, rows)
+    ends = [e + lag for e in first_block_ends(300 - lag, model.n_streams, model.window, stacked=False)]
+    for threshold in [ref[:e].max() for e in ends[:5]] + [float(np.max(ref)), math.inf]:
+        stat, k = mixmonitor.trace_stats(model, rows, threshold)
+        n = int(np.argmax(ref >= threshold)) + 1 if (ref >= threshold).any() else 300
+        assert stat.tobytes() == ref[:n].tobytes() and k.tobytes() == ref_k[:n].tobytes()
 
 
 def test_trace_stats_rejects_bad_rows():
@@ -319,11 +409,13 @@ def test_run_prepared_trial_alarm_equals_monitor_run(reference_step_kernel, monk
     base = tm.CorrelationMatrix(chol @ chol.T)
     streams = []
 
-    def spy(model, rows, threshold=None):
-        streams.append(np.array(rows))
-        return mixmonitor.trace_stats(model, rows, threshold)
+    drawn = evalharness._trial_rows
 
-    monkeypatch.setattr(evalharness, "trace_stats", spy)
+    def spy(*args):
+        streams.append(drawn(*args))
+        return streams[-1]
+
+    monkeypatch.setattr(evalharness, "_trial_rows", spy)
     times = []
     for seed in range(8):
         outcome = evalharness.run_prepared_trial(model, base, 5, scenario, horizon, np.random.default_rng(seed))
@@ -385,3 +477,41 @@ def test_trace_step_and_per_candidate_reference_agree(seed, p0, window, lag, T, 
             assert values[k[i] - lag - kmin] == pytest.approx(max(values), rel=rel, abs=1e-8)
     finally:
         _kernel.scan_step = built
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    G=st.sampled_from([1, 2, 4, 7]),
+    n_axes=st.sampled_from([1, 2, 3]),
+    lag=st.integers(0, 2),
+    p0=st.sampled_from([1.0, 0.3]),
+    window=st.integers(2, 25),
+    T=st.integers(1, 80),
+    q=st.floats(0.0, 1.0),
+)
+def test_stacked_crossings_equal_each_streams_trace_stats(seed, G, n_axes, lag, p0, window, T, q):
+    """Simulated trials' first alarms from one stacked scan are those ``trace_stats`` finds for each stream alone."""
+    rng = np.random.default_rng(seed)
+    dim = 4
+    base = tm.random_correlation(dim, 1.0, rng)
+    chol = np.linalg.cholesky(base.values)
+    raw = rng.standard_normal((60 + lag, dim)) @ chol.T
+    ext = tm.lag_extend_matrix(raw, lag)
+    summary = tm.estimate_training(ext)
+    sel = tm.min_variance_selection(tm.eigensystem(summary.corr), n_axes)
+    model = tm.build_monitor_model(summary, sel, ext, p0=p0, window=window, lag=lag)
+    streams = [rng.standard_normal((T, dim)) @ chol.T + rng.uniform(0.0, 1.5) * (np.arange(T) > T // 2)[:, None]
+               for _ in range(G)]
+    alone = [mixmonitor.trace_stats(model, rows)[0] for rows in streams]
+    finite = np.concatenate([a[np.isfinite(a)] for a in alone] + [[0.0]])
+    # a quantile of all statistics; q = 1 is the largest, crossed at one step at least
+    threshold = float(np.quantile(finite, q))
+    fresh = _kernel.ScanState.fresh(model.n_streams)
+    short, z = zip(*(mixmonitor._checked_projections(model, rows, fresh, ()) for rows in streams))
+    firsts = mixmonitor._stacked_crossings(model, np.stack(z, axis=1), threshold)
+    for g, rows in enumerate(streams):
+        stat, _ = mixmonitor.trace_stats(model, rows, threshold)
+        hits = np.flatnonzero(stat >= threshold)
+        assert firsts[g] == (hits[0] - short[g] if hits.size else -1)
+        assert stat.tobytes() == alone[g][:stat.shape[0]].tobytes()
