@@ -16,9 +16,16 @@ streams side by side as one ``scan_trace`` of (T, G, J) values; with a
 threshold each set of a stacked scan stops at its own first crossing
 and leaves the later blocks. ``stack_size`` is the one rule that sizes
 those batches and groups. ``_kahan`` adds every row to the running
-totals on all these paths, so they agree bit for bit.
+totals on all these paths, so they agree bit for bit. Besides the
+totals at its time and its last w + 1 values, a state carries the
+running totals before each of those values' times (its ``prefix``):
+every candidate's pre-change segment is the training plus the running
+totals at the candidate, and its term depends on the candidate alone, so
+each scan computes it once per stream and time
+(``_scan_py._pre_change_terms``) rather than once per cell.
 
-The cell scan is stream-major: it holds its cells as (J, cells) arrays,
+The cell scan is stream-major: it holds its cells as (J, steps, lengths)
+rectangles,
 so its elementwise passes run numpy loops over all the cells of a block
 rather than over the few (J) streams a tailored monitor watches. Each
 cell's J terms are summed by ``_row_sums`` in the order numpy sums a

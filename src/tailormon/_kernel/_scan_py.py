@@ -1,14 +1,18 @@
 """Pure-numpy windowed mixture-GLR scans.
 
 ``_scan_cells`` scans the candidate change points of a block of steps;
-it is the only place that computes the segment variances, clamps, llr,
-Bartlett division, mixture sum and tie rule. ``scan_step`` calls it for
-one monitoring step. ``scan_trace`` calls it block by block over a
-stretch of trace, of one monitor's streams or of several monitors' side
-by side, and resumes from the ``ScanState`` an earlier call returned.
-``ScanState`` is every monitor's running state, and ``_kahan`` is the
-one place its totals are added up, whether ``advance_state`` adds a row
-for ``Monitor.step`` or ``scan_trace`` adds a block.
+it is the only place that computes the post-change variances, the llr,
+Bartlett division, mixture sum and tie rule. ``_pre_change_terms`` is
+the only place that computes the pre-change and pooled terms, from the
+training plus the running totals at a time, once per stream and time.
+``scan_step`` calls both for one monitoring step. ``scan_trace`` calls
+them block by block over a stretch of trace, of one monitor's streams or
+of several monitors' side by side, and resumes from the ``ScanState`` an
+earlier call returned. ``ScanState`` is every monitor's running state,
+its prefix the running totals before each of its window's times, and
+``_kahan`` is the one place its totals are added up, whether
+``advance_state`` adds a row for ``Monitor.step`` or ``scan_trace`` adds
+a block.
 
 The cells are laid out stream-major, as (J, cells) arrays, from the
 window buffer to the sum over streams. A tailored monitor watches few
@@ -29,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# (t, n2, J) cells per block of ``scan_trace``. A block holds about a
-# dozen float64 temporaries of this size, so the budget bounds the scan's
+# (t, n2, J) cells per block of ``scan_trace``. A block holds three or
+# four float64 temporaries of this size, so the budget bounds the scan's
 # extra memory; fewer, larger blocks save numpy calls. A block of
 # WIDE_STREAMS or more streams (a stack of sets) takes twice as many: one
 # full-window step of 8 sets of 20 streams is 32160 cells.
@@ -89,8 +93,10 @@ def _mixture_terms(x: np.ndarray, p0: float, out: np.ndarray) -> np.ndarray:
             out += p0
             np.log(out, out=out)
             out += x
-    neg = ~(x > 0.0)
-    if neg.any():
+    # statistics are mostly positive: one minimum tells whether any entry,
+    # or a NaN, needs the mask at all
+    if x.size and not x.min() > 0.0:
+        neg = ~(x > 0.0)
         xn = x[neg]
         e = p0 * np.expm1(xn)
         if p0 == 1.0 and e.min() == -1.0:
@@ -118,6 +124,7 @@ def scan_step(
     p0: float,
     cvals: np.ndarray,
     var_floor: float,
+    prefix: np.ndarray,
 ):
     """Scan all candidate change points of one monitoring step.
 
@@ -141,6 +148,11 @@ def scan_step(
         Bartlett factors C(k, t) for k = kmin..t-2, K = L - 1.
     var_floor : float
         Segment variances below this are clamped (and counted).
+    prefix : (L, 2, J) array
+        Running totals over monitoring times 1..k, of the values (row 0)
+        and of their squares (row 1), for k = t-L..t-1: row i holds the
+        totals before the time of window_vals[i], as ``ScanState.prefix``
+        does.
 
     Returns
     -------
@@ -148,33 +160,61 @@ def scan_step(
         Maximum corrected mixture statistic over candidates, the smallest
         k attaining it, and the number of clamped segment variances.
     """
-    L = window_vals.shape[0]
+    L, J = window_vals.shape
+    # the totals at times t - L..t: the candidates t - L..t - 2, and t
+    tots = np.concatenate([prefix, np.stack([run_sum, run_sumsq])[None]])
+    a, low = _pre_change_terms(np.stack([train_sum, train_sumsq])[:, None], m, t - L, tots[:, :, None], var_floor)
+    low[L - 1] = 0  # time t - 1 is no candidate
+    a = a.reshape(L + 1, J).T
     rev = window_vals.T[:, None, ::-1]  # (J, 1, L), newest first
     stat, best, clamped = _scan_cells(
-        np.stack([train_sum + run_sum, train_sumsq + run_sumsq])[:, :, None],
-        np.array([float(m + t)]),
+        a[:, L:],
+        a[:, None, L - 1::-1],
         rev,
         rev * rev,
+        np.concatenate([[1.0], cvals[::-1]])[None],
         np.array([L - 1]),
-        cvals[::-1],
         p0,
         var_floor,
+        low.sum(keepdims=True),
     )
     return float(stat[0, 0]), t - 2 - int(best[0, 0]), int(clamped[0, 0])
 
 
-def _cell_lengths(counts: np.ndarray):
-    """Where each step's cells start, and the post-change segment length n2 of every cell.
+def _pre_change_terms(train, m: int, k0: int, tots, var_floor: float):
+    """The pre-change terms a(k) = n1 * log(max(var_1, floor)) of the times k = k0, k0 + 1, ... that ``tots`` holds.
 
-    Step b has counts[b] admissible cells, n2 = 2..counts[b] + 1; the
-    cells of a block are listed step after step.
+    ``tots`` (n, 2, G, J) holds the running totals over monitoring times
+    1..k of the values (row 0) and of their squares (row 1), k >= 0, and
+    ``train`` (2, G, J) the training totals. Candidate k's pre-change
+    segment holds the training values and those of times 1..k, so n1 =
+    m + k, sum1 = training sum + running sum at k, ssq1 likewise, and
+    var_1 = (ssq1 - sum1 * sum1 / n1) / n1: no segment sum is taken from
+    a total, and no cancellation grows with the stream's scale. a(k)
+    depends on k alone, so every step that has k as a candidate reads the
+    same a(k); a(t) is also the pooled term n_T * log(var_T) of the step
+    at time t. Returns a (n, G, J) and each set's count of streams whose
+    var_1 is below the floor, (n, G).
     """
-    starts = np.cumsum(counts) - counts
-    return starts, np.arange(2, counts.sum() + 2) - np.repeat(starts, counts)
+    n1 = np.arange(m + k0, m + k0 + tots.shape[0], dtype=float)[:, None, None]
+    sum1 = train[0] + tots[:, 0]
+    a = train[1] + tots[:, 1]  # ssq1
+    sum1 *= sum1
+    sum1 /= n1
+    a -= sum1
+    a /= n1
+    low = np.zeros(a.shape[:2], dtype=np.int64)
+    # with no entry below the floor the maximum changes no bit, NaN included
+    if a.min() < var_floor:
+        low = (a < var_floor).sum(axis=2)
+        np.maximum(a, var_floor, out=a)
+    np.log(a, out=a)
+    a *= n1
+    return a, low
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Each cell's sum over its J terms, (G, J, cells) to (G, cells), as numpy sums a contiguous row of J values.
+    """Each cell's sum over its J terms, (G, J, ...) to (G, ...), as numpy sums a contiguous row of J values.
 
     That is the order of a (cells, J) row sum, bit for bit, written as
     passes over whole (G, cells) rows. numpy adds a row of fewer than 8
@@ -194,7 +234,7 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 
 
 def _pairwise(terms: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of 8 or more terms per cell, along axis 1 of (G, J, cells)."""
+    """numpy's pairwise sum of 8 or more terms per cell, along axis 1 of (G, J, ...)."""
     J = terms.shape[1]
     if J > 128:
         half = J // 2
@@ -216,37 +256,46 @@ def _pairwise(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor, sets=1):
+def _scan_cells(log_t, pre, rev_z, rev_sq, cvals, counts, p0, var_floor, clamped, sets=1):
     """The windowed mixture-GLR scan of a block of B steps, for G sets of J streams.
 
-    Only the admissible cells are evaluated, listed step after step as n
-    cells. Every array is stream-major, (G * J, cells): monitors watch a
-    handful of streams, so a (cells, J) layout would give each of the
-    scan's elementwise passes numpy inner loops only J long. Per-step
-    totals reach the cells of their step by broadcasting when every step
-    has all its cells, and through ``np.repeat`` otherwise. A set is
-    one monitor's streams; every pass but three is elementwise per
-    stream, and those three (the clamp count, the mixture sum over the J
-    streams and the tie rule) run per set, so each set's results are
-    those of a scan of it alone, bit for bit. ``scan_step`` passes one
-    set; ``scan_trace`` passes as many as its trace holds.
+    The block is one (G * J, B, L) rectangle: step b's entry i stands for
+    the post-change segment of length n2 = i + 1, the candidate k = t -
+    n2. Entry 0 (n2 = 1) is no candidate; it only keeps every pass on
+    whole contiguous arrays, as the windows' cumulative sums come, and is
+    left out of the clamps and the maximum. Every array is stream-major:
+    monitors watch a handful of streams, so a (cells, J) layout would give
+    each of the scan's elementwise passes numpy inner loops only J long. A
+    step with fewer than L - 1 candidates (t <= L - 1, early in a trace)
+    has cells with k < 0 too, whose windows reach times before 1: they are
+    computed with the rest, kept out of the clamp counts and set to -inf
+    before the maximum. A set is one monitor's streams; every pass but
+    three is elementwise per stream, and those three (the clamp count, the
+    mixture sum over the J streams and the tie rule) run per set, so each
+    set's results are those of a scan of it alone, bit for bit.
+    ``scan_step`` passes one set; ``scan_trace`` passes as many as its
+    trace holds.
 
     Parameters
     ----------
-    tot : (2, G * J, B) array
-        Training plus running totals up to each step, of the values (row
-        0) and of their squares (row 1).
-    nT : (B,) array
-        m + t of each step, as floats.
+    log_t : (G * J, B) array
+        The pooled term n_T * log(var_T) of each step, a(t) of
+        ``_pre_change_terms``.
+    pre : (G * J, B, L) array
+        The pre-change term a(k) of each entry, a(t - 1), a(t - 2), ...;
+        -inf where k < 0.
     rev_z, rev_sq : (G * J, B, L) arrays
         The values at times t, t - 1, ..., t - L + 1 of each step, newest
         first, and their squares.
+    cvals : (B, L) array
+        The Bartlett factor C(k, t) of each entry; any value at entry 0,
+        finite and positive where k < 0.
     counts : (B,) int array
-        The admissible cells of each step, the post-change segments of
-        length n2 = 2..counts[b] + 1; at least 1, at most L - 1.
-    cvals : (n,) array
-        The Bartlett factor C(t - n2, t) of every admissible cell, in the
-        order of ``_cell_lengths``.
+        The admissible cells of each step, n2 = 2..counts[b] + 1; at least
+        1, at most L - 1.
+    clamped : (G, B) int array
+        Each set's clamped pre-change and pooled variances of each step;
+        the clamped post-change variances are added to it.
     sets : int
         G, the number of sets; each set's J streams are adjacent rows.
 
@@ -260,89 +309,49 @@ def _scan_cells(tot, nT, rev_z, rev_sq, counts, cvals, p0, var_floor, sets=1):
     G = sets
     S, B, L = rev_z.shape
     J = S // G
-    tot_sum, tot_ssq = tot
-    var_t = (tot_ssq - tot_sum * tot_sum / nT) / nT
-    clamped = (var_t < var_floor).reshape(G, J, B).sum(axis=1)
-    log_t = nT * np.log(np.maximum(var_t, var_floor))
-
-    starts, lengths = _cell_lengths(counts)
+    # a(k) is -inf where k < 0, so those cells' llr is +inf, which takes the
+    # mixture's x > 0 form and is masked below
+    llr = np.subtract(log_t[:, :, None], pre)
     # the sums of the newest n2 values of each window and of their squares:
-    # cumulative sums along the window axis, in which cell (b, n2) sits at
-    # (b, n2 - 1). When every step of the block has all L - 1 cells, as in
-    # a full window or a block of one step, the cells are the cumulative
-    # sums from n2 = 2 on, and the per-step totals and lengths reach them
-    # by broadcasting, as (S, B, L - 1) arrays; otherwise np.take gathers
-    # them, and np.repeat spreads the per-step values over the cells. Each
-    # result is the same either way, operation for operation. Values and
-    # squares go one at a time, so each temporary stays within the block
-    # budget, small enough for malloc to reuse
-    full = counts.size * (L - 1) == lengths.size
-    if full:
-        sum2 = np.cumsum(rev_z, axis=2)[:, :, 1:]
-        ssq2 = np.cumsum(rev_sq, axis=2)[:, :, 1:]
-        n2 = lengths.astype(float).reshape(B, L - 1)
-        n1 = nT[:, None] - n2
-        sum1 = tot_sum[:, :, None] - sum2
-        var_1 = tot_ssq[:, :, None] - ssq2  # ssq1
-    else:
-        cells = np.repeat(np.arange(B) * L - 1, counts) + lengths
-        sum2 = np.take(np.cumsum(rev_z, axis=2).reshape(S, B * L), cells, axis=1)
-        ssq2 = np.take(np.cumsum(rev_sq, axis=2).reshape(S, B * L), cells, axis=1)
-        n2 = lengths.astype(float)
-        n1 = np.repeat(nT, counts) - n2
-        sum1 = np.repeat(tot_sum, counts, axis=1)
-        sum1 -= sum2
-        var_1 = np.repeat(tot_ssq, counts, axis=1)
-        var_1 -= ssq2  # ssq1
-    # the segment variances (ssq - sum * sum / n) / n, computed in place to
-    # keep the block's memory small
-    sum1 *= sum1
-    sum1 /= n1
-    var_1 -= sum1
-    var_1 /= n1
-    var_2 = np.multiply(sum2, sum2, out=sum1)
+    # cumulative sums along the window axis
+    n2 = np.arange(1, L + 1, dtype=float)
+    var_2 = np.cumsum(rev_z, axis=2)  # sum2
+    ssq2 = np.cumsum(rev_sq, axis=2)
+    # the variances (ssq - sum * sum / n) / n, computed in place
+    var_2 *= var_2
     var_2 /= n2
     np.subtract(ssq2, var_2, out=var_2)
     var_2 /= n2
-    del sum2, ssq2
-    if full:
-        var_1, var_2, n1, n2 = var_1.reshape(S, -1), var_2.reshape(S, -1), n1.ravel(), n2.ravel()
+    del ssq2
+    var_2[:, :, 0] = 1.0  # no segment
     # the two-point segment, each step's first cell, is cancellation-prone
-    # in prefix form; its exact variance is ((a - b) / 2)^2
-    var_2[:, starts] = 0.25 * np.square(rev_z[:, :, 0] - rev_z[:, :, 1])
-    for var in (var_1, var_2):
-        low = var < var_floor
-        if low.any():
-            clamped += np.add.reduceat(low.reshape(G, J, -1).sum(axis=1), starts, axis=1)
-            # with no entry below the floor the maximum changes no bit, NaN included
-            np.maximum(var, var_floor, out=var)
-    np.log(var_1, out=var_1)
-    var_1 *= n1
+    # from cumulative sums; its exact variance is ((a - b) / 2)^2
+    var_2[:, :, 1] = 0.25 * np.square(rev_z[:, :, 0] - rev_z[:, :, 1])
+    outside = np.arange(L) > counts[:, None] if counts[0] < L - 1 else None  # cells with k < 0
+    # with no entry below the floor the maximum changes no bit, NaN included
+    if var_2.min() < var_floor:
+        low = var_2 < var_floor
+        low[:, :, 0] = False
+        if outside is not None:
+            low[:, outside] = False
+        clamped += low.reshape(G, J, B, L).sum(axis=(1, 3))
+        np.maximum(var_2, var_floor, out=var_2)
     np.log(var_2, out=var_2)
     var_2 *= n2
-    if full:
-        llr = var_1
-        np.subtract(log_t[:, :, None], llr.reshape(S, B, L - 1), out=llr.reshape(S, B, L - 1))
-    else:
-        llr = np.repeat(log_t, counts, axis=1)
-        llr -= var_1
     llr -= var_2
-    llr *= 0.5  # 0.5 * (nT * log(var_t) - n1 * log(var_1) - n2 * log(var_2))
+    llr *= 0.5  # 0.5 * ((n_T * log(var_T) - n1 * log(var_1)) - n2 * log(var_2))
     llr /= cvals
-    terms = _mixture_terms(llr, p0, llr if p0 == 1.0 else var_2).reshape(G, J, -1)
+    llr[:, :, 0] = 1.0  # any positive value takes the mixture's x > 0 form
+    terms = _mixture_terms(llr, p0, llr if p0 == 1.0 else var_2).reshape(G, J, B, L)
     # each cell's J terms are summed in the order numpy sums a contiguous
     # row of J values, as a (cells, J) scan sums them, so the statistics
     # match it bit for bit
-    cell = _row_sums(terms)
-    # every set's steps, set after set, as rows of L - 1 cells
-    if cell.shape[1] == B * (L - 1):  # every step has all L - 1 cells, as in a full window
-        lam = cell.reshape(G * B, L - 1)
-    else:
-        lam = np.full((G * B, L - 1), -np.inf)
-        lam[np.tile(np.arange(L - 1) < counts[:, None], (G, 1))] = cell.ravel()
+    lam = _row_sums(terms)
+    if outside is not None:
+        lam[:, outside] = -np.inf
     # the largest n2 is the smallest k, which wins ties
-    best = L - 2 - np.argmax(lam[:, ::-1], axis=1)
-    return lam[np.arange(G * B), best].reshape(G, B), best.reshape(G, B), clamped
+    at = L - 1 - np.argmax(lam[:, :, :0:-1], axis=2)
+    return lam.reshape(G * B, L)[np.arange(G * B), at.ravel()].reshape(G, B), at - 1, clamped
 
 
 class ScanState(NamedTuple):
@@ -351,21 +360,27 @@ class ScanState(NamedTuple):
     ``total`` holds the running sums over monitoring times 1..t of the
     values (row 0) and of their squares (row 1), and ``comp`` their Kahan
     compensations; ``tail`` holds the values at times t - L + 1..t, oldest
-    first, L = min(t, w + 1). No function changes a state's arrays in
-    place: each returns a new state. A monitor's state holds J streams,
-    total (2, J) and tail (L, J); a stacked trace scan's holds G sets of
-    them, total (2, G, J) and tail (L, G, J).
+    first, L = min(t, w + 1); ``prefix`` holds the running sums at the
+    times before the tail's, over times 1..k for k = t - L..t - 1 (row i
+    those before the time of tail[i]), from which each candidate's
+    pre-change segment is the training plus the running sums at k. No
+    function changes a state's arrays in place: each returns a new state.
+    A monitor's state holds J streams, total (2, J), tail (L, J) and
+    prefix (L, 2, J); a stacked trace scan's holds G sets of them, total
+    (2, G, J), tail (L, G, J) and prefix (L, 2, G, J).
     """
 
     total: np.ndarray
     comp: np.ndarray
     tail: np.ndarray
+    prefix: np.ndarray
     t: int
 
     @classmethod
     def fresh(cls, *streams: int) -> "ScanState":
         """The state before monitoring time 1 of J streams, ``fresh(J)``, or of G sets of them, ``fresh(G, J)``."""
-        return cls(np.zeros((2, *streams)), np.zeros((2, *streams)), np.zeros((0, *streams)), 0)
+        return cls(np.zeros((2, *streams)), np.zeros((2, *streams)), np.zeros((0, *streams)),
+                   np.zeros((0, 2, *streams)), 0)
 
 
 def _kahan(total, comp, v, run=None):
@@ -389,15 +404,18 @@ def _kahan(total, comp, v, run=None):
 def advance_state(state: ScanState, z: np.ndarray, window: int) -> ScanState:
     """The state after the rows of ``z``, (n, J), without scanning them.
 
-    The new tail is a copy of at most w + 1 rows, so it keeps neither the
-    old tail nor ``z`` alive.
+    The new tail and prefix are copies of at most w + 1 rows, so they keep
+    neither the old state nor ``z`` alive.
     """
     n, J = z.shape
+    run = np.empty((n, 2, J))
     # (n, 2, J) rows of values and squares; np.stack costs twice as much per call
-    total, comp = _kahan(state.total, state.comp, np.concatenate([z, z * z], axis=1).reshape(n, 2, J))
+    total, comp = _kahan(state.total, state.comp, np.concatenate([z, z * z], axis=1).reshape(n, 2, J), run)
     cap = window + 1
     tail = np.concatenate([state.tail[max(0, state.tail.shape[0] + n - cap):], z[-cap:]])
-    return ScanState(total, comp, tail, state.t + n)
+    # the totals at times t - held..t + n - 1, of which the last L are the new prefix
+    tots = np.concatenate([state.prefix, state.total[None], run])[:-1]
+    return ScanState(total, comp, tail, tots[tots.shape[0] - tail.shape[0]:], state.t + n)
 
 
 def _block_cells(n_streams: int) -> int:
@@ -466,11 +484,16 @@ def scan_trace(
 
     Steps are processed in blocks of about TRACE_BLOCK_CELLS (t, n2,
     stream) cells, where n2 = t - k is the post-change segment length.
-    Each block goes through the cell scan ``scan_step`` uses, restricted
-    to the admissible cells (2 <= n2 <= min(t, window + 1)); the running
-    totals go through ``_kahan``, as ``advance_state``'s do. A stacked
-    scan with a threshold starts with blocks of TRACE_BLOCK_FIRST cells and
-    doubles them, so little is scanned past early crossings.
+    Each block goes through the cell scan ``scan_step`` uses, as one
+    rectangle of n2 = 2..min(t1 - 1, window + 1) for its B steps; the
+    cells with k < 0 of its early steps are masked. Each block first adds
+    its rows to the running totals through ``_kahan``, as
+    ``advance_state`` does, and computes from them the pre-change term
+    a(k) of each of its times once per stream (``_pre_change_terms``);
+    every later cell reads a(k) through a strided window, as it reads the
+    values. A stacked scan with a threshold starts with blocks of
+    TRACE_BLOCK_FIRST cells and doubles them, so little is scanned past
+    early crossings.
 
     Parameters
     ----------
@@ -523,60 +546,108 @@ def scan_trace(
     # one monitor is a stack of one set inside the scan
     train = np.stack([train_sum, train_sumsq]).reshape(2, G, J)
     total, comp = state.total.reshape(2, G, J), state.comp.reshape(2, G, J)
+    held = state.tail.shape[0]
+    # h[m + k] for k = t_prev - w - 1..t_end, and hrev[t - t_prev, l] = h[m + t - 1 - l],
+    # the h[m + k] of step t's cell n2 = l + 1; k < 0 reads h[2], which keeps
+    # the factors of those cells finite and positive
+    hrev = sliding_window_view(h[np.maximum(np.arange(m + t_prev - cap, m + t_end + 1), 2)], cap)[:, ::-1]
 
     # The values and their squares, stream-major: both[0, i, s] holds
     # stream i (set after set, J streams each) at time first + s, and
     # both[1] its square. The columns reach w + 1 times back from the first
-    # step, zero columns standing for times before 1, which only
-    # inadmissible cells reach, and on to time ``filled``. A thresholded
-    # scan copies TRACE_AHEAD steps of the stretch at a time, since its sets
-    # may cross long before the end, and copies again what it still needs
-    # when a block runs past them or a set leaves the scan
+    # step, zero columns standing for times before 1, which only cells with
+    # k < 0 reach, and on to time ``filled``. Next to them, pre[i, s] holds
+    # stream i's pre-change term a(k) of k = first - 1 + s, up to k =
+    # filled, -inf where k < 0, and lows[g, s] set g's count of streams
+    # whose var_1 is clamped at that k. A thresholded scan copies
+    # TRACE_AHEAD steps of the stretch at a time, since its sets may cross
+    # long before the end, and copies again what it still needs when a
+    # block runs past them or a set leaves the scan
     zs = z.reshape(T, G, J)
-    held = state.tail.shape[0]
-    pad = max(0, cap - held)
-    first = t_prev - held - pad + 1
+    pad = cap - held
+    first = t_prev - cap + 1
     filled = t_prev + (T if threshold is None else min(T, TRACE_AHEAD))
     both = np.empty((2, G * J, filled - first + 1))
     both[0, :, :pad] = 0.0
     both[0, :, pad:pad + held] = state.tail.reshape(held, G * J).T
     both[0, :, pad + held:] = zs[:filled - t_prev].reshape(-1, G * J).T
     np.multiply(both[0], both[0], out=both[1])
+    pre = np.empty((G * J, filled - first + 2))
+    lows = np.empty((G, filled - first + 2), dtype=np.int64)
+    pre[:, :pad] = -np.inf
+    lows[:, :pad] = 0
+    # the running totals at times t_prev - held..t_prev; a returned state's
+    # prefix is cut from these and the blocks' totals, kept in ``hist`` as
+    # (first time, totals) pieces back to w + 1 times before the next step
+    known = np.concatenate([state.prefix.reshape(held, 2, G, J), total[None]])
+    a, low = _pre_change_terms(train, m, t_prev - held, known, var_floor)
+    pre[:, pad:pad + held + 1] = a.reshape(held + 1, G * J).T
+    lows[:, pad:pad + held + 1] = low.T
+    keep_state = threshold is None or not sets
+    hist = [(t_prev - held, known)]
 
     def recopy(keep, since, upto):
-        """``both`` from time ``since`` on for the sets ``keep`` picks, and rows up to ``upto`` of those in ``alive``."""
-        kept = both.reshape(2, -1, J, both.shape[2])[:, keep, :, since - first:]
-        n_kept, S = kept.shape[3], kept.shape[1] * J
-        out = np.empty((2, S, n_kept + upto - filled))
-        out[:, :, :n_kept] = kept.reshape(2, S, n_kept)
+        """``both``, ``pre`` and ``lows`` from time ``since`` on for the sets ``keep`` picks, with room up to ``upto``.
+
+        The values of the new times are those of the sets in ``alive``.
+        """
+        n_kept, G_kept = filled - since + 1, alive.size
+        S = G_kept * J
+        out = np.empty((2, S, upto - since + 1))
+        out[:, :, :n_kept] = both.reshape(2, -1, J, both.shape[2])[:, keep, :, since - first:].reshape(2, S, n_kept)
         new = out[:, :, n_kept:]
         new[0] = zs[filled - t_prev:upto - t_prev, alive].reshape(upto - filled, S).T
         np.multiply(new[0], new[0], out=new[1])
-        return out
+        out_pre = np.empty((S, upto - since + 2))
+        out_pre[:, :n_kept + 1] = pre.reshape(-1, J, pre.shape[1])[keep, :, since - first:].reshape(S, n_kept + 1)
+        out_lows = np.empty((G_kept, upto - since + 2), dtype=np.int64)
+        out_lows[:, :n_kept + 1] = lows[keep, since - first:]
+        return out, out_pre, out_lows
 
-    def views(both):
-        """The windows and the running totals' rows of ``both``, as views.
+    def views(both, pre):
+        """The windows of ``both`` and ``pre`` and the running totals' rows of ``both``, as views.
 
         rev[:, i, s, l] holds the values and squares of stream i at time
         first + s + w - l, strided along each stream's row, so no window
-        is copied. rows[s] holds the values and squares of every stream at
-        time first + s, (2, G, J), the rows the running totals add one
-        time at a time.
+        is copied, and prev[i, s, l] its a(k) of k = first - 1 + s + w - l.
+        rows[s] holds the values and squares of every stream at time
+        first + s, (2, G, J), the rows the running totals add one time at
+        a time.
         """
         rev = sliding_window_view(both, cap, axis=2)[..., ::-1]
-        return rev, np.moveaxis(both.reshape(2, -1, J, both.shape[2]), 3, 0)
+        prev = sliding_window_view(pre, cap, axis=1)[..., ::-1]
+        return rev, prev, np.moveaxis(both.reshape(2, -1, J, both.shape[2]), 3, 0)
 
-    rev, rows = views(both)
+    rev, prev, rows = views(both, pre)
+
+    def add_rows(t0, t1):
+        """Add the rows of times t0..t1 - 1 to the running totals and fill in their a(k).
+
+        Returns the new (total, comp) and a contiguous copy of the rows:
+        each of the running totals' small per-row numpy calls costs less on
+        it than on the strided view.
+        """
+        block_rows = np.ascontiguousarray(rows[t0 - first:t1 - first])
+        run = np.empty(block_rows.shape)
+        totals = _kahan(total, comp, block_rows, run)
+        a, low = _pre_change_terms(train, m, t0, run, var_floor)
+        pre[:, t0 - first + 1:t1 - first + 1] = a.reshape(t1 - t0, -1).T
+        lows[:, t0 - first + 1:t1 - first + 1] = low.T
+        if keep_state:
+            hist.append((t0, run))
+        return *totals, block_rows
 
     def results(t, total, comp):
         n = t - t_prev
         L = min(t, cap)
         tail = both[0, :, t - first + 1 - L:t - first + 1].T.reshape(L, *streams)
-        state = ScanState(total.reshape(2, *streams), comp.reshape(2, *streams), tail, t)
+        since = hist[0][0]
+        prefix = np.concatenate([tots for _, tots in hist])[t - L - since:t - since].reshape(L, 2, *streams)
+        state = ScanState(total.reshape(2, *streams), comp.reshape(2, *streams), tail, prefix, t)
         return *(a[:, :n].reshape(*sets, n) for a in (stat, argmax_k, clamped)), state
 
-    if t_prev == 0 and T:  # time 1 has no candidate; it only enters the totals
-        total, comp = _kahan(total, comp, rows[1 - first:2 - first])
+    if t_prev == 0 and T:  # time 1 has no candidate; it only enters the totals and a(1)
+        total, comp, _ = add_rows(1, 2)
     alive = np.arange(G)  # the sets still scanned, in the order of the arrays above
     ramp = TRACE_BLOCK_FIRST  # the cells of the next thresholded block
     t0 = max(2, t_prev + 1)
@@ -587,30 +658,39 @@ def scan_trace(
             budget, ramp = min(budget, ramp), 2 * ramp
         t1 = _block_end(t0, t_end, S, window, budget)
         if t1 - 1 > filled:
-            both = recopy(slice(None), t0 - window, min(t_end, t1 - 1 + TRACE_AHEAD))
-            first, filled = t0 - window, min(t_end, t1 - 1 + TRACE_AHEAD)
-            rev, rows = views(both)
+            upto = min(t_end, t1 - 1 + TRACE_AHEAD)
+            both, pre, lows = recopy(slice(None), t0 - window, upto)
+            first, filled = t0 - window, upto
+            rev, prev, rows = views(both, pre)
         B = t1 - t0
-        run = np.empty((B, 2, alive.size, J))
+        while len(hist) > 1 and hist[1][0] <= t0 - 1 - cap:
+            del hist[0]
         start = total, comp
-        # a contiguous copy of the block's rows: each of the running totals'
-        # small per-row numpy calls costs less on it than on the strided view
-        block_rows = np.ascontiguousarray(rows[t0 - first:t1 - first])
-        total, comp = _kahan(total, comp, block_rows, run)
+        total, comp, block_rows = add_rows(t0, t1)
         ts = np.arange(t0, t1)
         out = slice(t0 - t_prev - 1, t1 - t_prev - 1)
         L = min(t1 - 1, cap)  # longest admissible segment in the block
-        counts = np.minimum(ts, cap) - 1  # admissible cells, 2 <= n2 <= min(t, w + 1)
-        _, n2 = _cell_lengths(counts)
-        cvals = 0.5 * (h[np.repeat(m + ts, counts) - n2] + h[n2] - np.repeat(h[m + ts], counts))
+        # every step's clamped pooled variance, a(t)'s, and pre-change ones,
+        # those of a(k) for t - w - 1 <= k <= t - 2, from the counts of
+        # k = t0 - w - 1..t1 - 1, 0 where k < 0
+        c0 = t0 - first + 1  # the column of a(t0)
+        lows_b = lows[:, c0 - cap:c0 + B]
+        if lows_b.any():
+            run_lows = np.zeros((alive.size, cap + B + 1), dtype=np.int64)
+            np.cumsum(lows_b, axis=1, out=run_lows[:, 1:])
+            base = run_lows[:, cap - 1:cap - 1 + B] - run_lows[:, :B] + lows_b[:, cap:]
+        else:
+            base = np.zeros((alive.size, B), dtype=np.int64)
+        s0 = t0 - window - first  # the window of step t0
         block_stat, best, block_clamped = _scan_cells(
-            (train + run).reshape(B, 2, S).transpose(1, 2, 0),
-            (m + ts).astype(float),
-            *rev[:, :, t0 - window - first:t1 - window - first, :L],
-            counts,
-            cvals,
+            pre[:, c0:c0 + B],
+            prev[:, s0:s0 + B, :L],
+            *rev[:, :, s0:s0 + B, :L],
+            0.5 * ((hrev[t0 - t_prev:t1 - t_prev, :L] + h[1:L + 1]) - h[m + t0:m + t1, None]),
+            np.minimum(ts, cap) - 1,  # admissible cells, 2 <= n2 <= min(t, w + 1)
             p0,
             var_floor,
+            base,
             alive.size,
         )
         into = (slice(None), out) if alive.size == G else (alive, out)
@@ -645,9 +725,9 @@ def scan_trace(
             # the first time a later window reads, at least up to the next step
             alive = alive[keep]
             upto = max(filled, min(t_end, t0 - 1 + TRACE_AHEAD))
-            both = recopy(keep, t0 - window, upto)
+            both, pre, lows = recopy(keep, t0 - window, upto)
             first, filled = t0 - window, upto
-            rev, rows = views(both)
+            rev, prev, rows = views(both, pre)
             total, comp, train = total[:, keep], comp[:, keep], train[:, keep]
     if threshold is not None and sets:
         return *(a.reshape(*sets, T) for a in (stat, argmax_k, clamped)), None

@@ -45,6 +45,7 @@ from .corrcore import (
     _correlation_error,
     _correlation_faults,
     _eigen_stack,
+    _fault_codes,
     _raise_first,
     _spectrum_error,
     _spectrum_faults,
@@ -146,9 +147,14 @@ def _stack_prepared(model: MonitorModel, train, mon):
     from its training rows and keeps the original axis indices; it is
     built, and its monitoring rows checked and projected, as
     ``build_monitor_model`` and ``Monitor.feed`` would one replicate
-    alone, bit for bit, but on stacks. Returns (train_sum, train_sumsq,
-    z), (S, J), (S, J) and (S, n, J). Each check raises the error of the
-    first replicate that fails it, which for S = 1 is the replicate's own.
+    alone, bit for bit, but on stacks. One test differs: for a selection
+    of eigen-axes the positive-definiteness test reads the smallest
+    eigenvalue of the eigensystem the replicate needs anyway, where the
+    one-model path decomposes the matrix a second time (``eigvalsh``); the
+    two can differ in the last bits, so a verdict can differ only at the
+    floor. Returns (train_sum, train_sumsq, z), (S, J), (S, J) and
+    (S, n, J). Each check raises the error of the first replicate that
+    fails it, which for S = 1 is the replicate's own.
     """
     lag = model.lag
     for rows in (train, mon):
@@ -158,12 +164,17 @@ def _stack_prepared(model: MonitorModel, train, mon):
     centered = _lag_extend_stack(train, lag)
     m = centered.shape[1]
     mean, sdev, corr = _training_moments(centered)  # centres it in place
-    _raise_first(_correlation_faults(corr)[0], _correlation_error)
     if model.selection.identity:
+        _raise_first(_correlation_faults(corr)[0], _correlation_error)
         d = model.dim
         lam, vectors = np.ones((s, d)), np.broadcast_to(np.eye(d), (s, d, d))
     else:
+        # one decomposition per replicate: eigh runs once the entries are
+        # known to be finite, and the positive-definiteness test reads its
+        # smallest eigenvalue rather than a second decomposition's
+        _raise_first(_fault_codes([~np.isfinite(corr).all(axis=(1, 2))]), _correlation_error)
         lam, vectors = _eigen_stack(corr)
+        _raise_first(_correlation_faults(corr, lam[:, -1])[0], _correlation_error)
         _raise_first(_spectrum_faults(lam, vectors), _spectrum_error)
         idx = np.asarray(model.selection.indices)
         lam, vectors = lam[:, idx], vectors[:, :, idx]

@@ -132,13 +132,15 @@ def _constant_columns(spread: np.ndarray) -> np.ndarray:
     return np.where((spread <= 0.0).any(axis=1), np.argmin(spread, axis=1), -1)
 
 
-def _correlation_faults(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _correlation_faults(w: np.ndarray, smallest: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The first correlation-matrix invariant each matrix of an (n, D, D) stack breaks.
 
     Returns (codes, lam0): codes[i] indexes ``_CORRELATION_FAULTS``, -1
     where matrix i holds every invariant; lam0[i] is its smallest
     eigenvalue, NaN where an entry test already failed, so ``eigvalsh``
-    sees only the matrices that pass the cheaper tests.
+    sees only the matrices that pass the cheaper tests. A caller that has
+    decomposed the stack already passes each matrix's smallest eigenvalue
+    as ``smallest``, and the last test reads it instead.
     """
     n, d, _ = w.shape
     with np.errstate(invalid="ignore"):  # inf - inf; such a matrix fails the first test
@@ -153,7 +155,7 @@ def _correlation_faults(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam0 = np.full(n, np.nan)
     cand = np.flatnonzero(codes < 0)
     if cand.size:
-        lam0[cand] = np.linalg.eigvalsh(w[cand])[:, 0]
+        lam0[cand] = np.linalg.eigvalsh(w[cand])[:, 0] if smallest is None else smallest[cand]
         codes[cand[lam0[cand] <= d * _PD_NOISE]] = _NOT_PD
     return codes, lam0
 

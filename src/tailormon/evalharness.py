@@ -194,9 +194,9 @@ def run_prepared_trials(
     group of trials (``_kernel.stack_size``) is scanned side by side as
     one stacked trace, each trial leaving the scan at its first alarm.
     The outcomes, in trial order, are bit for bit those of each trial's
-    stream scanned alone (``mixmonitor.trace_stats`` with the model's
-    threshold), and the first trial whose rows fail a check raises its
-    own error.
+    stream scanned alone (``Monitor.feed(stop_on_alarm=True)`` from a
+    fresh monitor with the model's threshold), and the first trial whose
+    rows fail a check raises its own error.
     """
     chol0 = np.linalg.cholesky(base.values)
     fresh = ScanState.fresh(model.n_streams)

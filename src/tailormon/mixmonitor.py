@@ -16,9 +16,10 @@ or in blocks (``feed``, on the resumable trace scan). Both run on one
 state, the ``_kernel.ScanState`` its ``StreamStats`` holds, and give the
 same results bit for bit. ``feed`` builds its ``StepResult``s from the
 arrays of ``_feed_arrays``, which the ``monitor`` command writes its
-JSONL from directly. ``trace_stats`` scans a stream known in full
-through ``feed``'s row checks and scan, from a fresh state; with a
-threshold, it and ``feed(stop_on_alarm=True)`` stop at the first alarm.
+JSONL from directly; it is the library's one-stream scan, and with
+``stop_on_alarm`` it stops at the first alarm. The state keeps, next to
+its window, the running sums before each window time, so each candidate's
+pre-change sums are the training plus the running sums at it.
 Calibration builds a batch of bootstrap replicas with the same projector,
 training-sum and row-check arithmetic, on stacks (``_projectors``,
 ``_training_sums``, ``_checked_stack``), and then scans the batch
@@ -148,11 +149,12 @@ class StreamStats:
 
     Holds the frozen training sufficient statistics and the running
     ``_kernel.ScanState``: compensated running totals over all monitoring
-    values so far (Kahan summation keeps them drift-free on long streams)
-    and the last ``window + 1`` monitored vectors, from which window
-    segment sums are recomputed at every step. ``Monitor.step`` advances
-    the state one row at a time; ``Monitor.feed`` replaces it with the one
-    its trace scan returns.
+    values so far (Kahan summation keeps them drift-free on long streams),
+    the last ``window + 1`` monitored vectors, from which window segment
+    sums are recomputed at every step, and the running totals before each
+    of them, from which each candidate's pre-change sums are taken.
+    ``Monitor.step`` advances the state one row at a time;
+    ``Monitor.feed`` replaces it with the one its trace scan returns.
     """
 
     train_sum: np.ndarray
@@ -193,21 +195,24 @@ class StreamStats:
         """Counts, sums and sums of squares of the three segments at candidate k.
 
         Returns ((n1, sum1, ssq1), (n2, sum2, ssq2), (nT, sumT, ssqT)) for
-        the pre-candidate, post-candidate and pooled segments.
+        the pre-candidate, post-candidate and pooled segments. The
+        pre-candidate sums are the training sums plus the running sums at
+        time k, which the state keeps for every candidate, as the scans
+        take them.
         """
         t = self.t
         if not (0 <= k and 2 <= t - k <= self.window + 1):
             raise ValueError(f"candidate k={k} inadmissible at time t={t} with window {self.window}")
         win = self.window_values()
-        tail = win[win.shape[0] - (t - k):]
+        i = win.shape[0] - (t - k)  # the tail row of time k + 1, whose prefix row is the running sums at k
+        tail = win[i:]
         sum2 = tail.sum(axis=0)
         ssq2 = (tail * tail).sum(axis=0)
-        sum_t = self.train_sum + self.run_sum
-        ssq_t = self.train_sumsq + self.run_sumsq
+        run_k = self.state.prefix[i]
         return (
-            (self.m + k, sum_t - sum2, ssq_t - ssq2),
+            (self.m + k, self.train_sum + run_k[0], self.train_sumsq + run_k[1]),
             (t - k, sum2, ssq2),
-            (self.m + t, sum_t, ssq_t),
+            (self.m + t, self.train_sum + self.run_sum, self.train_sumsq + self.run_sumsq),
         )
 
 
@@ -561,22 +566,6 @@ def _scan_rows(model: MonitorModel, rows, state, history, table: _BartlettTable,
     return short, stat, np.where(k >= 0, k + model.lag, -1), clamped, state
 
 
-def trace_stats(model: MonitorModel, rows, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Step statistics of a stream known in full, as ``Monitor.step`` would report them.
-
-    ``Monitor.feed``'s scan of the rows, from a fresh state and without
-    building a ``Monitor``. Returns (stat, argmax_k) in raw time: entry i
-    is raw step i + 1, with -inf and -1 where no candidate exists. With
-    ``threshold`` the arrays end at the first step whose statistic
-    reaches it. Matches ``Monitor.step`` bit for bit, and rejects the
-    rows ``step`` rejects.
-    """
-    short, stat, argmax_k, _, _ = _scan_rows(
-        model, rows, _kernel.ScanState.fresh(model.n_streams), (), _BartlettTable(), threshold
-    )
-    return np.concatenate([np.full(short, -math.inf), stat]), np.concatenate([np.full(short, -1), argmax_k])
-
-
 def _stacked_maxima(train_sum, train_sumsq, z, m: int, window: int, p0: float) -> np.ndarray:
     """The largest statistic of each of G streams over its rows, from one stacked trace scan.
 
@@ -584,8 +573,9 @@ def _stacked_maxima(train_sum, train_sumsq, z, m: int, window: int, p0: float) -
     projections (``_checked_stack``) of their rows from a fresh
     state; the streams share m, the window and p0. They are scanned side
     by side as one (T, G, J) trace, which gives each stream's maximum bit
-    for bit as ``trace_stats`` of its rows does (-inf where no step has a
-    candidate), in fewer numpy calls than G scans.
+    for bit as ``Monitor.feed`` of its rows from a fresh monitor does
+    (-inf where no step has a candidate), in fewer numpy calls than G
+    scans.
     """
     z = np.swapaxes(z, 0, 1)
     stat, _, _, _ = _kernel.scan_trace(
@@ -601,8 +591,8 @@ def _stacked_crossings(model: MonitorModel, z, threshold: float) -> np.ndarray:
     of G streams' rows from a fresh state, all monitored by ``model``.
     They are scanned side by side as one stacked trace with the model's
     training sums, each stream leaving the scan at its first crossing,
-    which is the step at which ``trace_stats`` of its rows stops, bit for
-    bit.
+    which is the step at which ``Monitor.feed(stop_on_alarm=True)`` of its
+    rows from a fresh monitor stops, bit for bit.
     """
     T, G, J = z.shape
     if T == 0:
@@ -683,6 +673,7 @@ class Monitor:
             self.model.p0,
             self._cvals(t, kmin),
             VAR_FLOOR,
+            state.prefix,
         )
         self.total_warnings += clamped
         return StepResult(

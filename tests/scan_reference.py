@@ -1,12 +1,15 @@
 """The per-step scan and its running state as a test reference, written apart from ``tailormon._kernel``.
 
-``scan_step`` here is the numpy kernel, with its mixture terms, as it
-stood before the library's one-step and trace scans came to share one
-cell scan. ``RingStats`` is the running state ``StreamStats`` kept before
-it came to hold the kernel's ``ScanState``: a ring buffer of the last
-w + 1 values and running totals with their own Kahan steps, one array at
-a time. The bitwise tests compare the library against them, so a fault
-in the shared code cannot hide by being on both sides of a comparison.
+``scan_step`` here is the per-step numpy kernel with its own mixture
+terms, laid out (candidates, J) and taking every segment variance in one
+expression, apart from the library's one cell scan. Like the library it
+takes each candidate's pre-change sums as the training sums plus the
+running sums at the candidate. ``RingStats`` is a running state kept its
+own way: ring buffers of the last w + 1 values and of the running sums
+before each of them, and running totals with their own Kahan steps, one
+array at a time. The bitwise tests compare the library against them, so
+a fault in the shared code cannot hide by being on both sides of a
+comparison.
 """
 
 import numpy as np
@@ -22,6 +25,8 @@ class RingStats:
         self.window = window
         n_streams = train_sum.shape[0]
         self.ring = np.zeros((window + 1, n_streams))
+        # the running sums and sums of squares before each ring value's time
+        self.ring_prefix = np.zeros((window + 1, 2, n_streams))
         self.t = 0
         self.run_sum = np.zeros(n_streams)
         self.run_sumsq = np.zeros(n_streams)
@@ -31,6 +36,7 @@ class RingStats:
     def append(self, z):
         cap = self.window + 1
         self.ring[self.t % cap] = z
+        self.ring_prefix[self.t % cap] = self.run_sum, self.run_sumsq
         self.t += 1
         for total, comp, v in (
             (self.run_sum, self.comp_sum, z),
@@ -41,15 +47,22 @@ class RingStats:
             comp[:] = (s - total) - y
             total[:] = s
 
-    def window_values(self):
-        """Buffered values for times t-L+1..t, oldest first, L = min(t, w+1)."""
+    def _in_order(self, ring):
         cap = self.window + 1
         length = min(self.t, cap)
         start = (self.t - length) % cap
         end = self.t % cap
         if start < end or length == 0:
-            return self.ring[start:start + length]
-        return np.concatenate([self.ring[start:], self.ring[:end]])
+            return ring[start:start + length]
+        return np.concatenate([ring[start:], ring[:end]])
+
+    def window_values(self):
+        """Buffered values for times t-L+1..t, oldest first, L = min(t, w+1)."""
+        return self._in_order(self.ring)
+
+    def window_prefix(self):
+        """The running sums and sums of squares (L, 2, J) before each of those times: over times 1..k, k = t-L..t-1."""
+        return self._in_order(self.ring_prefix)
 
 
 def mixture_terms(x: np.ndarray, p0: float) -> np.ndarray:
@@ -90,6 +103,7 @@ def scan_step(
     p0: float,
     cvals: np.ndarray,
     var_floor: float,
+    prefix: np.ndarray,
 ):
     """Scan all candidate change points of one monitoring step.
 
@@ -113,6 +127,9 @@ def scan_step(
         Bartlett factors C(k, t) for k = kmin..t-2, K = L - 1.
     var_floor : float
         Segment variances below this are clamped (and counted).
+    prefix : (L, 2, J) array
+        Running totals over times 1..k of the values and of their squares,
+        k = t-L..t-1.
 
     Returns
     -------
@@ -125,13 +142,18 @@ def scan_step(
     tot_sum = train_sum + run_sum
     tot_ssq = train_sumsq + run_sumsq
 
+    # row i of every (L - 1, J) array is the candidate k = t - 2 - i, whose
+    # post-change segment holds the newest n2 = i + 2 values
     rev = window_vals[::-1]
     sum2 = np.cumsum(rev, axis=0)[1:]
     ssq2 = np.cumsum(rev * rev, axis=0)[1:]
     n2 = np.arange(2, L + 1, dtype=float)[:, None]
-    n1 = nT - n2
-    sum1 = tot_sum - sum2
-    ssq1 = tot_ssq - ssq2
+    # the pre-change segment holds the training values and those of times
+    # 1..k: training sums plus the running sums at k
+    run_k = prefix[L - 2::-1]
+    n1 = (m + t - np.arange(2, L + 1)).astype(float)[:, None]
+    sum1 = train_sum + run_k[:, 0]
+    ssq1 = train_sumsq + run_k[:, 1]
 
     var_t = (tot_ssq - tot_sum * tot_sum / nT) / nT
     var_1 = (ssq1 - sum1 * sum1 / n1) / n1
@@ -162,10 +184,11 @@ def ring_state(z, train_sum, train_sumsq, m, window) -> RingStats:
 
 
 def same_state(state, ring: RingStats) -> bool:
-    """Whether a ``ScanState`` holds ``ring``'s time, totals, compensations and window, bit for bit."""
+    """Whether a ``ScanState`` holds ``ring``'s time, totals, compensations, window and prefix sums, bit for bit."""
     return (
         state.t == ring.t
         and np.array_equal(state.total, np.stack([ring.run_sum, ring.run_sumsq]))
         and np.array_equal(state.comp, np.stack([ring.comp_sum, ring.comp_sumsq]))
         and np.array_equal(state.tail, ring.window_values())
+        and np.array_equal(state.prefix, ring.window_prefix())
     )

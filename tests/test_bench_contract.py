@@ -67,22 +67,25 @@ def test_names_the_benchmark_reads():
 
 
 def test_scan_step_takes_window_values_fifth_and_returns_three():
+    # the benchmark counts cells from args[5] and clamps from result[2]; the
+    # running sums before each window time come last
     rng = np.random.default_rng(0)
     m, t, n_streams = 40, 6, 3
     window_vals = np.ascontiguousarray(rng.standard_normal((t, n_streams)))
-    run = rng.standard_normal((t, n_streams))
+    sums = np.cumsum(np.stack([window_vals, window_vals * window_vals], axis=1), axis=0)
     args = (
         rng.standard_normal(n_streams),
         m + rng.standard_normal(n_streams),
         m,
-        run.sum(axis=0),
-        (run * run).sum(axis=0),
+        sums[-1, 0],
+        sums[-1, 1],
         window_vals,
         t,
         0,
         1.0,
         _BartlettTable().cvals(m, t, 0),
         1e-12,
+        np.concatenate([np.zeros((1, 2, n_streams)), sums[:-1]]),
     )
     assert args[5].shape == (t, n_streams)
     result = _kernel.scan_step(*args)

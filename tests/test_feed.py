@@ -2,8 +2,9 @@
 
 Feeding a block of rows must give the results and leave the state that
 stepping the same rows one at a time gives, bit for bit: every
-``StepResult`` field, the running totals, compensations and kept window
-of the monitor's ``ScanState``, the lag history and the warning count.
+``StepResult`` field, the running totals, compensations, kept window and
+prefix sums of the monitor's ``ScanState``, the lag history and the
+warning count.
 ``Monitor.step`` runs on the reference kernel of
 ``tests/scan_reference.py`` here, so the comparisons do not pass through
 the cell scan that ``feed`` shares with the library's ``scan_step``.
@@ -17,9 +18,11 @@ import pytest
 import tailormon as tm
 from scan_reference import RingStats, ring_state, same_state
 from scan_reference import scan_step as reference_step
-from tailormon import _kernel, mixmonitor
+from tailormon import _kernel
+from tailormon._kernel import _scan_py
 from tailormon._kernel._scan_py import TRACE_BLOCK_STEPS, _block_cells, _block_end
 from tailormon.mixmonitor import VAR_FLOOR, _BartlettTable
+from trial_reference import trace_stats
 
 WINDOW = 25
 
@@ -67,6 +70,8 @@ def snapshot(mon):
         s.comp.tobytes(),
         s.tail.shape,
         s.tail.tobytes(),
+        s.prefix.shape,
+        s.prefix.tobytes(),
         tuple(r.tobytes() for r in mon._raw_history),
     )
 
@@ -105,6 +110,23 @@ def test_feed_equals_step(lag, sizes):
     got = feed_in_chunks(tm.Monitor(model), rows, sizes)
     assert len(got) == 140
     assert any(r.alarm for r in got)
+
+
+@pytest.mark.parametrize("lag", [0, 1])
+def test_a_feed_cut_at_any_offset_equals_one_feed_and_steps(lag):
+    # the second piece's scan starts from the state the first leaves, whose
+    # window and prefix sums are shorter than w + 1 up to the cut at w + 1
+    model, chol, rng = fitted(lag, p0=0.3, n_axes=3, threshold=9.0)
+    rows = stream(chol, rng, 2 * WINDOW + 10, shift_at=WINDOW)
+    whole, ref = tm.Monitor(model), tm.Monitor(model)
+    one = [key(r) for r in whole.feed(rows)]
+    assert one == [key(ref.step(x)) for x in rows]
+    assert snapshot(whole) == snapshot(ref)
+    for cut in range(1, WINDOW + 3):
+        mon = tm.Monitor(model)
+        got = mon.feed(rows[:cut]) + mon.feed(rows[cut:])
+        assert [key(r) for r in got] == one, cut
+        assert snapshot(mon) == snapshot(whole), cut
 
 
 @pytest.mark.parametrize(
@@ -263,8 +285,8 @@ def test_rows_overflowing_the_sums_of_squares_together_rejected(lag):
         fed.feed(rows[bad:bad + 5])
     assert snapshot(fed) == snapshot(mon)
     with pytest.raises(ValueError, match="too large to scan"):
-        mixmonitor.trace_stats(model, rows[:bad + 1])
-    stat, _ = mixmonitor.trace_stats(model, rows[:bad])
+        trace_stats(model, rows[:bad + 1])
+    stat, _ = trace_stats(model, rows[:bad])
     assert [float.hex(s) for s in stat] == [k[1] for k in stepped]
 
 
@@ -296,17 +318,27 @@ def step_reference(z, train_sum, train_sumsq, m, window, p0):
         s, k, c = reference_step(
             stats.train_sum, stats.train_sumsq, m, stats.run_sum, stats.run_sumsq,
             np.ascontiguousarray(stats.window_values()), t, kmin, p0, table.cvals(m, t, kmin), VAR_FLOOR,
+            stats.window_prefix(),
         )
         out.append((s, k, c))
     return out
 
 
+@pytest.mark.parametrize("cells", [None, 100])
 @pytest.mark.parametrize("cuts", [(), (1,), (1, 2), (7, 26, 27, 90), (60,)])
-def test_scan_trace_in_pieces_counts_clamps_per_step(cuts):
+def test_scan_trace_in_pieces_counts_clamps_per_step(monkeypatch, cuts, cells):
+    if cells is not None:
+        # blocks of one step: a state's prefix sums come from many blocks
+        monkeypatch.setattr(_scan_py, "TRACE_BLOCK_CELLS", cells)
     rng = np.random.default_rng(4)
     z = rng.standard_normal((150, 3))
+    # zeros clamp the first post-change variances, as they would those of
+    # the cells whose change point falls before time 1, which do not count
+    z[:4, 0] = 0.0
     z[40:, 1] = 0.5  # a constant stretch clamps post-change variances
     ts, tq = rng.standard_normal(3) * 0.2, 60 + rng.standard_normal(3)
+    # training sums no data could give clamp the early pre-change and pooled variances
+    ts[2], tq[2] = 50.0, 0.0
     h = _BartlettTable().upto(60 + z.shape[0])
     state = _kernel.ScanState.fresh(3)
     got = []

@@ -10,25 +10,32 @@ from tailormon import _kernel
 from tailormon.mixmonitor import _BartlettTable
 
 
+def running_sums(run):
+    """The sums and sums of squares of the rows of ``run`` over times 1..k, k = 0..t, as (t + 1, 2, J)."""
+    sums = np.cumsum(np.stack([run, run * run], axis=1), axis=0)
+    return np.concatenate([np.zeros((1, *sums.shape[1:])), sums])
+
+
 def random_state(rng, n_streams, window, m=150):
     t = int(rng.integers(2, 3 * window))
     kmin = max(0, t - window - 1)
     L = t - kmin
-    vals = rng.standard_normal((L, n_streams))
     run = rng.standard_normal((t, n_streams))
+    sums = running_sums(run)
     table = _BartlettTable()
     return dict(
         train_sum=rng.standard_normal(n_streams) * 0.3,
         train_sumsq=m + rng.standard_normal(n_streams),
         m=m,
-        run_sum=run.sum(axis=0),
-        run_sumsq=(run * run).sum(axis=0),
-        window_vals=np.ascontiguousarray(vals),
+        run_sum=sums[t, 0],
+        run_sumsq=sums[t, 1],
+        window_vals=np.ascontiguousarray(run[kmin:]),
         t=t,
         kmin=kmin,
         p0=float(rng.choice([0.1, 0.5, 1.0])),
         cvals=np.ascontiguousarray(table.cvals(m, t, kmin)),
         var_floor=1e-12,
+        prefix=sums[kmin:t],
     )
 
 
@@ -45,6 +52,7 @@ def call(fn, s):
         s["p0"],
         s["cvals"],
         s["var_floor"],
+        s["prefix"],
     )
 
 
@@ -80,6 +88,7 @@ def test_kernel_equals_reference_on_degenerate_values():
     s["window_vals"] = np.zeros_like(s["window_vals"])
     s["run_sum"] = np.zeros(3)
     s["run_sumsq"] = np.zeros(3)
+    s["prefix"] = np.zeros_like(s["prefix"])
     got = call(_kernel.scan_step, s)
     assert got[2] > 0
     assert bitwise(got) == bitwise(call(reference_step, s))
@@ -146,18 +155,21 @@ def test_alternating_pattern_argmax():
     table = _BartlettTable()
     m, t, w = 50, 4, 10
     kmin = max(0, t - w - 1)
+    run = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    sums = running_sums(run)
     s = dict(
         train_sum=np.zeros(1),
         train_sumsq=np.full(1, float(m)),
         m=m,
-        run_sum=np.zeros(1),
-        run_sumsq=np.full(1, float(t)),
-        window_vals=np.ascontiguousarray(np.array([[1.0], [-1.0], [1.0], [-1.0]])),
+        run_sum=sums[t, 0],
+        run_sumsq=sums[t, 1],
+        window_vals=np.ascontiguousarray(run),
         t=t,
         kmin=kmin,
         p0=1.0,
         cvals=np.ascontiguousarray(table.cvals(m, t, kmin)),
         var_floor=1e-12,
+        prefix=sums[:t],
     )
     got = call(_kernel.scan_step, s)
     assert got[1] == 1

@@ -21,6 +21,7 @@ from tailormon import _kernel, calibrate, evalharness, mixmonitor
 from tailormon._kernel import ScanState, _scan_py
 from tailormon._kernel._scan_py import TRACE_BLOCK_FIRST, _block_cells, _block_end
 from tailormon.mixmonitor import VAR_FLOOR, _BartlettTable
+from trial_reference import trace_stats
 
 
 def step_loop(z, train_sum, train_sumsq, m, window, p0, var_floor=VAR_FLOOR):
@@ -48,6 +49,7 @@ def step_loop(z, train_sum, train_sumsq, m, window, p0, var_floor=VAR_FLOOR):
             p0,
             table.cvals(m, t, kmin),
             var_floor,
+            stats.window_prefix(),
         )
         out.append(s)
         ks.append(k)
@@ -200,7 +202,9 @@ def test_stacked_scan_equals_separate_scans(seed, G, J, p0, window, T, flat):
         assert k[g].tobytes() == a_k.tobytes()
         assert clamped[g].tobytes() == a_clamped.tobytes()
         ring = ring_state(z[:, g], ts[g], tq[g], m, window)
-        assert same_state(ScanState(state.total[:, g], state.comp[:, g], state.tail[:, g], state.t), ring)
+        assert same_state(
+            ScanState(state.total[:, g], state.comp[:, g], state.tail[:, g], state.prefix[:, :, g], state.t), ring
+        )
         # each set's scan is the reference's, so an order of summation that
         # differs from the reference's fails whether or not it is stacked
         ref, ref_k, ref_clamps = step_loop(z[:, g], ts[g], tq[g], m, window, p0)
@@ -303,7 +307,7 @@ def monitor_stats(model, rows):
 def test_trace_stats_equal_monitor_steps(reference_step_kernel, lag, p0):
     model, _, chol, rng = fitted(lag, p0)
     rows = rng.standard_normal((90, chol.shape[0])) @ chol.T
-    stat, k = mixmonitor.trace_stats(model, rows)
+    stat, k = trace_stats(model, rows)
     ref, ref_k = monitor_stats(model, rows)
     assert np.array_equal(stat, ref)
     assert np.array_equal(k, ref_k)
@@ -317,7 +321,7 @@ def test_trace_stats_with_a_threshold_ends_at_the_first_alarm(reference_step_ker
     ref, ref_k = monitor_stats(model, rows)
     ends = [e + lag for e in first_block_ends(300 - lag, model.n_streams, model.window, stacked=False)]
     for threshold in [ref[:e].max() for e in ends[:5]] + [float(np.max(ref)), math.inf]:
-        stat, k = mixmonitor.trace_stats(model, rows, threshold)
+        stat, k = trace_stats(model, rows, threshold)
         n = int(np.argmax(ref >= threshold)) + 1 if (ref >= threshold).any() else 300
         assert stat.tobytes() == ref[:n].tobytes() and k.tobytes() == ref_k[:n].tobytes()
 
@@ -329,11 +333,11 @@ def test_trace_stats_rejects_bad_rows():
         poisoned = rows.copy()
         poisoned[4, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            mixmonitor.trace_stats(model, poisoned)
+            trace_stats(model, poisoned)
     rows[4, 1] = math.nan
     with pytest.raises(tm.DimensionMismatch):
-        mixmonitor.trace_stats(model, rows[:, :2])
-    stat, k = mixmonitor.trace_stats(model, rows[:1])
+        trace_stats(model, rows[:, :2])
+    stat, k = trace_stats(model, rows[:1])
     assert stat.tolist() == [-math.inf] and k.tolist() == [-1]
 
 
@@ -359,7 +363,7 @@ def replicate_reference(model, train_synth, monitor_synth):
         s, _, _ = reference_step(
             stats.train_sum, stats.train_sumsq, stats.m, stats.run_sum, stats.run_sumsq,
             np.ascontiguousarray(stats.window_values()), t, kmin, replica.p0, table.cvals(stats.m, t, kmin),
-            VAR_FLOOR,
+            VAR_FLOOR, stats.window_prefix(),
         )
         best = max(best, s)
     return best
@@ -449,7 +453,7 @@ def test_trace_step_and_per_candidate_reference_agree(seed, p0, window, lag, T, 
     ratio = 10.0**log_ratio
     rows = rng.standard_normal((T, 3)) * (scale * ratio)
 
-    stat, k = mixmonitor.trace_stats(model, rows)
+    stat, k = trace_stats(model, rows)
     assert stat.shape == k.shape == (T,)
     mon = tm.Monitor(model)
     built = _kernel.scan_step
@@ -470,13 +474,36 @@ def test_trace_step_and_per_candidate_reference_agree(seed, p0, window, lag, T, 
                 )
                 for kk in range(kmin, t - 1)
             ]
-            # every scan takes the pre-change sums as total minus post-change
-            # sum, whose rounding error grows with the square of the ratio
-            rel = 1e-7 + np.finfo(float).eps * ratio**2
-            assert stat[i] == pytest.approx(max(values), rel=rel, abs=1e-8)
-            assert values[k[i] - lag - kmin] == pytest.approx(max(values), rel=rel, abs=1e-8)
+            # the pre-change sums are the training plus the running sums at k,
+            # so no error grows with the ratio
+            assert stat[i] == pytest.approx(max(values), rel=1e-7, abs=1e-8)
+            assert values[k[i] - lag - kmin] == pytest.approx(max(values), rel=1e-7, abs=1e-8)
     finally:
         _kernel.scan_step = built
+
+
+def test_a_stream_far_out_of_its_training_scale_keeps_its_digits():
+    # taken as total minus post-change sum, the pre-change sums of this stream,
+    # 1e7 training standard deviations out, lost about five digits: the scans
+    # and the per-candidate reference then read 1174.4645 and 1174.4592 at t = 3
+    rng = np.random.default_rng(0)
+    raw = rng.standard_normal((40, 3))
+    model = tm.build_monitor_model(tm.estimate_training(raw), tm.identity_selection(3), raw, p0=1.0, window=2)
+    rows = rng.standard_normal((3, 3)) * 1e7
+    stat, k = trace_stats(model, rows)
+    mon = tm.Monitor(model)
+    for i, x in enumerate(rows):
+        assert mon.step(x).stat == stat[i]
+        t = mon.stats.t
+        if t < 2:
+            continue
+        values = [
+            tm.mixture_statistic(tm.stream_llr(mon.stats, kk, clamp=True), tm.bartlett_correction(model.m, kk, t), 1.0)
+            for kk in range(max(0, t - 3), t - 1)
+        ]
+        assert stat[i] == pytest.approx(max(values), rel=1e-9)
+        assert values[k[i] - max(0, t - 3)] == max(values)
+    assert stat[2] == pytest.approx(1174.4645, rel=1e-7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -503,7 +530,7 @@ def test_stacked_crossings_equal_each_streams_trace_stats(seed, G, n_axes, lag, 
     model = tm.build_monitor_model(summary, sel, ext, p0=p0, window=window, lag=lag)
     streams = [rng.standard_normal((T, dim)) @ chol.T + rng.uniform(0.0, 1.5) * (np.arange(T) > T // 2)[:, None]
                for _ in range(G)]
-    alone = [mixmonitor.trace_stats(model, rows)[0] for rows in streams]
+    alone = [trace_stats(model, rows)[0] for rows in streams]
     finite = np.concatenate([a[np.isfinite(a)] for a in alone] + [[0.0]])
     # a quantile of all statistics; q = 1 is the largest, crossed at one step at least
     threshold = float(np.quantile(finite, q))
@@ -511,7 +538,7 @@ def test_stacked_crossings_equal_each_streams_trace_stats(seed, G, n_axes, lag, 
     short, z = zip(*(mixmonitor._checked_projections(model, rows, fresh, ()) for rows in streams))
     firsts = mixmonitor._stacked_crossings(model, np.stack(z, axis=1), threshold)
     for g, rows in enumerate(streams):
-        stat, _ = mixmonitor.trace_stats(model, rows, threshold)
+        stat, _ = trace_stats(model, rows, threshold)
         hits = np.flatnonzero(stat >= threshold)
         assert firsts[g] == (hits[0] - short[g] if hits.size else -1)
         assert stat.tobytes() == alone[g][:stat.shape[0]].tobytes()

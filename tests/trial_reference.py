@@ -5,14 +5,31 @@ computed afresh, and scans it alone through ``trace_stats`` with the
 model's threshold; ``cell_outcomes`` runs a grid cell's trials one after
 another with it. This is how ``simulate_grid`` ran its trials before it
 scanned them in stacked groups, so the grid's rows can be compared with
-those of the per-trial loop.
+those of the per-trial loop. ``trace_stats`` is ``Monitor.feed``, the
+library's one-stream scan, of a whole stream from a fresh monitor.
 """
 
 import numpy as np
 
 from tailormon.changemodel import apply_change
 from tailormon.evalharness import TrialOutcome, gaussian_rows, scenario_from_cell
-from tailormon.mixmonitor import trace_stats
+from tailormon.mixmonitor import Monitor
+
+
+def trace_stats(model, rows, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Step statistics of a stream known in full: ``Monitor.feed`` of its rows from a fresh monitor.
+
+    Returns (stat, argmax_k) in raw time: entry i is raw step i + 1, with
+    -inf and -1 where no candidate exists. With ``threshold`` the arrays
+    end at the first step whose statistic reaches it.
+    """
+    if threshold is not None:
+        model = model.with_threshold(threshold)
+    steps = Monitor(model).feed(rows, stop_on_alarm=threshold is not None)
+    return (
+        np.array([s.stat for s in steps], dtype=float),
+        np.array([-1 if s.argmax_k is None else s.argmax_k for s in steps], dtype=np.int64),
+    )
 
 
 def run_trial(model, base, kappa, scenario, horizon, rng) -> TrialOutcome:
