@@ -23,6 +23,13 @@ summed in the order numpy sums a contiguous row of J values, which keeps
 the statistics bit for bit those of a (cells, J) scan. A stacked trace
 scan lays G sets of J streams out as (G * J, cells) and keeps the sum
 over streams, the clamp count and the tie rule per set.
+
+The values and their squares travel together as one complex array, the
+value in the real part and its square in the imaginary part, from the
+trace scan's stream-major copy to the windows of the cell scan. One
+complex cumulative sum then gives both window sums: complex addition is
+two separate IEEE additions, so each part is its real cumulative sum bit
+for bit.
 """
 
 from __future__ import annotations
@@ -161,18 +168,28 @@ def scan_step(
         k attaining it, and the number of clamped segment variances.
     """
     L, J = window_vals.shape
-    # the totals at times t - L..t: the candidates t - L..t - 2, and t
-    tots = np.concatenate([prefix, np.stack([run_sum, run_sumsq])[None]])
-    a, low = _pre_change_terms(np.stack([train_sum, train_sumsq])[:, None], m, t - L, tots[:, :, None], var_floor)
+    # the step's arrays are filled in place: np.stack of a few small
+    # arrays costs several times their copies. The totals at times
+    # t - L..t: the candidates t - L..t - 2, and t
+    tots = np.empty((L + 1, 2, J))
+    tots[:L] = prefix
+    tots[L, 0] = run_sum
+    tots[L, 1] = run_sumsq
+    train = np.concatenate([train_sum, train_sumsq]).reshape(2, 1, J)
+    a, low = _pre_change_terms(train, m, t - L, tots[:, :, None], var_floor)
     low[L - 1] = 0  # time t - 1 is no candidate
     a = a.reshape(L + 1, J).T
-    rev = window_vals.T[:, None, ::-1]  # (J, 1, L), newest first
+    rev = np.empty((J, 1, L), dtype=complex)  # newest first, values and squares
+    rev.real[:, 0] = window_vals.T[:, ::-1]
+    np.multiply(rev.real, rev.real, out=rev.imag)
+    factors = np.empty((1, L))  # newest first; entry 0 (n2 = 1) only needs a positive value
+    factors[0, 0] = 1.0
+    factors[0, 1:] = cvals[::-1]
     stat, best, clamped = _scan_cells(
         a[:, L:],
         a[:, None, L - 1::-1],
         rev,
-        rev * rev,
-        np.concatenate([[1.0], cvals[::-1]])[None],
+        factors,
         np.array([L - 1]),
         p0,
         var_floor,
@@ -256,7 +273,7 @@ def _pairwise(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _scan_cells(log_t, pre, rev_z, rev_sq, cvals, counts, p0, var_floor, clamped, sets=1):
+def _scan_cells(log_t, pre, rev, cvals, counts, p0, var_floor, clamped, sets=1):
     """The windowed mixture-GLR scan of a block of B steps, for G sets of J streams.
 
     The block is one (G * J, B, L) rectangle: step b's entry i stands for
@@ -274,7 +291,9 @@ def _scan_cells(log_t, pre, rev_z, rev_sq, cvals, counts, p0, var_floor, clamped
     mixture sum over the J streams and the tie rule) run per set, so each
     set's results are those of a scan of it alone, bit for bit.
     ``scan_step`` passes one set; ``scan_trace`` passes as many as its
-    trace holds.
+    trace holds. The sums of each segment's values and squares come from
+    one cumulative sum of the complex windows, whose real and imaginary
+    parts are the two real cumulative sums bit for bit.
 
     Parameters
     ----------
@@ -284,9 +303,9 @@ def _scan_cells(log_t, pre, rev_z, rev_sq, cvals, counts, p0, var_floor, clamped
     pre : (G * J, B, L) array
         The pre-change term a(k) of each entry, a(t - 1), a(t - 2), ...;
         -inf where k < 0.
-    rev_z, rev_sq : (G * J, B, L) arrays
+    rev : (G * J, B, L) complex array
         The values at times t, t - 1, ..., t - L + 1 of each step, newest
-        first, and their squares.
+        first, as real parts, and their squares as imaginary parts.
     cvals : (B, L) array
         The Bartlett factor C(k, t) of each entry; any value at entry 0,
         finite and positive where k < 0.
@@ -307,26 +326,27 @@ def _scan_cells(log_t, pre, rev_z, rev_sq, cvals, counts, p0, var_floor, clamped
         attaining it, and the number of clamped segment variances.
     """
     G = sets
-    S, B, L = rev_z.shape
+    S, B, L = rev.shape
     J = S // G
     # a(k) is -inf where k < 0, so those cells' llr is +inf, which takes the
     # mixture's x > 0 form and is masked below
     llr = np.subtract(log_t[:, :, None], pre)
     # the sums of the newest n2 values of each window and of their squares:
-    # cumulative sums along the window axis
+    # one cumulative sum along the window axis. A complex addition is two
+    # separate IEEE additions, so the real and imaginary parts are the two
+    # real cumulative sums bit for bit, for the numpy calls of one
     n2 = np.arange(1, L + 1, dtype=float)
-    var_2 = np.cumsum(rev_z, axis=2)  # sum2
-    ssq2 = np.cumsum(rev_sq, axis=2)
+    sums = np.cumsum(rev, axis=2)
     # the variances (ssq - sum * sum / n) / n, computed in place
-    var_2 *= var_2
+    var_2 = np.square(sums.real)
     var_2 /= n2
-    np.subtract(ssq2, var_2, out=var_2)
+    np.subtract(sums.imag, var_2, out=var_2)
     var_2 /= n2
-    del ssq2
+    del sums
     var_2[:, :, 0] = 1.0  # no segment
     # the two-point segment, each step's first cell, is cancellation-prone
     # from cumulative sums; its exact variance is ((a - b) / 2)^2
-    var_2[:, :, 1] = 0.25 * np.square(rev_z[:, :, 0] - rev_z[:, :, 1])
+    var_2[:, :, 1] = 0.25 * np.square(rev.real[:, :, 0] - rev.real[:, :, 1])
     outside = np.arange(L) > counts[:, None] if counts[0] < L - 1 else None  # cells with k < 0
     # with no entry below the floor the maximum changes no bit, NaN included
     if var_2.min() < var_floor:
@@ -390,7 +410,32 @@ def _kahan(total, comp, v, run=None):
     totals after row i. Every running total of the library goes through
     here, one time after another, so they agree bit for bit however the
     times are grouped.
+
+    Each lane (a value or square of one stream) is added up alone, so a
+    block of more rows than lanes (a live monitor's scan block, 27 rows of
+    6 lanes at w = 200 and J = 3) is added lane by lane in Python floats,
+    the same four IEEE double operations per value in the same order, for
+    a Python loop over its values instead of four numpy calls per row. A
+    single row (``Monitor.step``) and the wide stacks of calibration and
+    simulated trials, whose rows hold hundreds of lanes, take the row loop.
     """
+    n = v.shape[0]
+    if n > total.size:
+        totals, comps, runs = total.ravel().tolist(), comp.ravel().tolist(), []
+        for j, lane in enumerate(v.reshape(n, -1).T.tolist()):
+            s, c = totals[j], comps[j]
+            sums = []
+            for x in lane:
+                y = x - c
+                t = s + y
+                c = (t - s) - y
+                s = t
+                sums.append(s)
+            totals[j], comps[j] = s, c
+            runs.append(sums)
+        if run is not None:
+            run[...] = np.array(runs).T.reshape(run.shape)
+        return np.array(totals).reshape(total.shape), np.array(comps).reshape(comp.shape)
     for i, row in enumerate(v):
         y = row - comp
         s = total + y
@@ -432,10 +477,17 @@ def _block_end(t0: int, T: int, n_streams: int, window: int, budget: int) -> int
     the streams of all the sets it still scans.
     """
     cap = window + 1
-    t1 = t0 + 1
-    while t1 <= T and t1 - t0 < TRACE_BLOCK_STEPS and (t1 + 1 - t0) * (min(t1, cap) - 1) * n_streams <= budget:
-        t1 += 1
-    return t1
+    # the block's cells grow with t1, so the end is the first t1 past the
+    # budget, found by bisection up to the step and stretch limits
+    lo = t0 + 1
+    hi = max(lo, min(T, t0 + TRACE_BLOCK_STEPS - 1) + 1)
+    while lo < hi:
+        t1 = (lo + hi) // 2
+        if (t1 + 1 - t0) * (min(t1, cap) - 1) * n_streams <= budget:
+            lo = t1 + 1
+        else:
+            hi = t1
+    return lo
 
 
 def stack_size(n_streams: int, window: int, steps: int, held: int) -> int:
@@ -491,7 +543,10 @@ def scan_trace(
     ``advance_state`` does, and computes from them the pre-change term
     a(k) of each of its times once per stream (``_pre_change_terms``);
     every later cell reads a(k) through a strided window, as it reads the
-    values. A stacked scan with a threshold starts with blocks of
+    values. The scan's copy of the stretch holds each value and its square
+    as one complex number; the windows are strided views of it, and the
+    running totals read its rows through a float view. A stacked scan
+    with a threshold starts with blocks of
     TRACE_BLOCK_FIRST cells and doubles them, so little is scanned past
     early crossings.
 
@@ -552,26 +607,28 @@ def scan_trace(
     # the factors of those cells finite and positive
     hrev = sliding_window_view(h[np.maximum(np.arange(m + t_prev - cap, m + t_end + 1), 2)], cap)[:, ::-1]
 
-    # The values and their squares, stream-major: both[0, i, s] holds
-    # stream i (set after set, J streams each) at time first + s, and
-    # both[1] its square. The columns reach w + 1 times back from the first
-    # step, zero columns standing for times before 1, which only cells with
-    # k < 0 reach, and on to time ``filled``. Next to them, pre[i, s] holds
-    # stream i's pre-change term a(k) of k = first - 1 + s, up to k =
-    # filled, -inf where k < 0, and lows[g, s] set g's count of streams
-    # whose var_1 is clamped at that k. A thresholded scan copies
-    # TRACE_AHEAD steps of the stretch at a time, since its sets may cross
-    # long before the end, and copies again what it still needs when a
-    # block runs past them or a set leaves the scan
+    # The values and their squares, stream-major: both[i, s] holds stream
+    # i (set after set, J streams each) at time first + s as its real part
+    # and the value's square as its imaginary part. The columns reach w + 1
+    # times back from the first step, zero columns standing for times
+    # before 1, which only cells with k < 0 reach, and on to time
+    # ``filled``. Next to them, pre[i, s] holds stream i's pre-change term
+    # a(k) of k = first - 1 + s, up to k = filled, -inf where k < 0, and
+    # lows[g, s] set g's count of streams whose var_1 is clamped at that
+    # k. A thresholded scan copies TRACE_AHEAD steps of the stretch at a
+    # time, since its sets may cross long before the end, and copies again
+    # what it still needs when a block runs past them or a set leaves the
+    # scan
     zs = z.reshape(T, G, J)
     pad = cap - held
     first = t_prev - cap + 1
     filled = t_prev + (T if threshold is None else min(T, TRACE_AHEAD))
-    both = np.empty((2, G * J, filled - first + 1))
-    both[0, :, :pad] = 0.0
-    both[0, :, pad:pad + held] = state.tail.reshape(held, G * J).T
-    both[0, :, pad + held:] = zs[:filled - t_prev].reshape(-1, G * J).T
-    np.multiply(both[0], both[0], out=both[1])
+    both = np.empty((G * J, filled - first + 1), dtype=complex)
+    values = both.real
+    values[:, :pad] = 0.0
+    values[:, pad:pad + held] = state.tail.reshape(held, G * J).T
+    values[:, pad + held:] = zs[:filled - t_prev].reshape(-1, G * J).T
+    np.multiply(values, values, out=both.imag)
     pre = np.empty((G * J, filled - first + 2))
     lows = np.empty((G, filled - first + 2), dtype=np.int64)
     pre[:, :pad] = -np.inf
@@ -593,11 +650,11 @@ def scan_trace(
         """
         n_kept, G_kept = filled - since + 1, alive.size
         S = G_kept * J
-        out = np.empty((2, S, upto - since + 1))
-        out[:, :, :n_kept] = both.reshape(2, -1, J, both.shape[2])[:, keep, :, since - first:].reshape(2, S, n_kept)
-        new = out[:, :, n_kept:]
-        new[0] = zs[filled - t_prev:upto - t_prev, alive].reshape(upto - filled, S).T
-        np.multiply(new[0], new[0], out=new[1])
+        out = np.empty((S, upto - since + 1), dtype=complex)
+        out[:, :n_kept] = both.reshape(-1, J, both.shape[1])[keep, :, since - first:].reshape(S, n_kept)
+        new = out[:, n_kept:]
+        new.real = zs[filled - t_prev:upto - t_prev, alive].reshape(upto - filled, S).T
+        np.multiply(new.real, new.real, out=new.imag)
         out_pre = np.empty((S, upto - since + 2))
         out_pre[:, :n_kept + 1] = pre.reshape(-1, J, pre.shape[1])[keep, :, since - first:].reshape(S, n_kept + 1)
         out_lows = np.empty((G_kept, upto - since + 2), dtype=np.int64)
@@ -607,16 +664,17 @@ def scan_trace(
     def views(both, pre):
         """The windows of ``both`` and ``pre`` and the running totals' rows of ``both``, as views.
 
-        rev[:, i, s, l] holds the values and squares of stream i at time
-        first + s + w - l, strided along each stream's row, so no window
-        is copied, and prev[i, s, l] its a(k) of k = first - 1 + s + w - l.
+        rev[i, s, l] holds the value and square of stream i at time first
+        + s + w - l, strided along each stream's row, so no window is
+        copied, and prev[i, s, l] its a(k) of k = first - 1 + s + w - l.
         rows[s] holds the values and squares of every stream at time
-        first + s, (2, G, J), the rows the running totals add one time at
-        a time.
+        first + s, (2, G, J), a float view of ``both``: the rows the
+        running totals add one time at a time.
         """
-        rev = sliding_window_view(both, cap, axis=2)[..., ::-1]
+        rev = sliding_window_view(both, cap, axis=1)[..., ::-1]
         prev = sliding_window_view(pre, cap, axis=1)[..., ::-1]
-        return rev, prev, np.moveaxis(both.reshape(2, -1, J, both.shape[2]), 3, 0)
+        rows = both.view(float).reshape(-1, J, both.shape[1], 2)
+        return rev, prev, np.moveaxis(rows, (2, 3), (0, 1))
 
     rev, prev, rows = views(both, pre)
 
@@ -640,7 +698,7 @@ def scan_trace(
     def results(t, total, comp):
         n = t - t_prev
         L = min(t, cap)
-        tail = both[0, :, t - first + 1 - L:t - first + 1].T.reshape(L, *streams)
+        tail = both.real[:, t - first + 1 - L:t - first + 1].T.reshape(L, *streams)
         since = hist[0][0]
         prefix = np.concatenate([tots for _, tots in hist])[t - L - since:t - since].reshape(L, 2, *streams)
         state = ScanState(total.reshape(2, *streams), comp.reshape(2, *streams), tail, prefix, t)
@@ -685,7 +743,7 @@ def scan_trace(
         block_stat, best, block_clamped = _scan_cells(
             pre[:, c0:c0 + B],
             prev[:, s0:s0 + B, :L],
-            *rev[:, :, s0:s0 + B, :L],
+            rev[:, s0:s0 + B, :L],
             0.5 * ((hrev[t0 - t_prev:t1 - t_prev, :L] + h[1:L + 1]) - h[m + t0:m + t1, None]),
             np.minimum(ts, cap) - 1,  # admissible cells, 2 <= n2 <= min(t, w + 1)
             p0,

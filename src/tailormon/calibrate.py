@@ -253,35 +253,44 @@ def threshold_from_maxima(maxima, alpha: float, confidence: float) -> tuple[floa
     return float(b), int(np.sum(maxima >= b))
 
 
-def _parametric_draw(mean, chol, m_raw, n_raw, seed_seq):
+def _parametric_draw(mean, chol, seed_seq, train, mon):
+    """Draw a replicate's raw training and monitoring rows into ``train`` and ``mon``."""
     rng = np.random.default_rng(seed_seq)
-    draws = mean + rng.standard_normal((m_raw + n_raw, mean.shape[0])) @ chol.T
-    return draws[:m_raw], draws[m_raw:]
+    m_raw = train.shape[0]
+    draws = rng.standard_normal((m_raw + mon.shape[0], mean.shape[0])) @ chol.T
+    np.add(mean, draws[:m_raw], out=train)
+    np.add(mean, draws[m_raw:], out=mon)
 
 
-def _block_draw(training_raw, block_len, m_raw, n_raw, seed_seq):
+def _block_draw(training_raw, block_len, seed_seq, train, mon):
+    """Resample a replicate's raw training and monitoring rows into ``train`` and ``mon``."""
     rng = np.random.default_rng(seed_seq)
-    train = block_bootstrap_sample(training_raw, block_len, m_raw, rng)
-    mon = block_bootstrap_sample(training_raw, block_len, n_raw, rng)
-    return train, mon
+    train[...] = block_bootstrap_sample(training_raw, block_len, train.shape[0], rng)
+    mon[...] = block_bootstrap_sample(training_raw, block_len, mon.shape[0], rng)
 
 
 def _batch_maxima(model, draw, shared, plan, seeds) -> np.ndarray:
     """The maxima of the replicates of ``seeds``, in seed order.
 
-    ``plan`` is (m, batch): the replicas' training length, and how many
-    replicates are drawn, prepared as one stack and scanned side by side.
-    A batch is drawn and prepared before the next is drawn, so the first
+    ``plan`` is (m_raw, n_raw, batch): the replicas' raw training and
+    monitoring lengths, and how many replicates are drawn, prepared as one
+    stack and scanned side by side. ``draw(*shared, seed, train, mon)``
+    writes a replicate's raw rows into its slots of the batch's arrays. A
+    batch is drawn and prepared before the next is drawn, so the first
     failing replicate raises its own error before any later batch is
     drawn.
     """
-    m, batch = plan
+    m_raw, n_raw, batch = plan
     maxima = []
     for start in range(0, len(seeds), batch):
-        train, mon = map(np.stack, zip(*(draw(*shared, s) for s in seeds[start:start + batch])))
+        chunk = seeds[start:start + batch]
+        train = np.empty((len(chunk), m_raw, model.raw_dim))
+        mon = np.empty((len(chunk), n_raw, model.raw_dim))
+        for i, s in enumerate(chunk):
+            draw(*shared, s, train[i], mon[i])
         prepared = _prepared(model, train, mon)
         del train, mon  # let the drawn rows go before the prepared ones are scanned
-        maxima.append(_stacked_maxima(*prepared, m, model.window, model.p0))
+        maxima.append(_stacked_maxima(*prepared, m_raw - model.lag, model.window, model.p0))
     return np.concatenate(maxima)
 
 
@@ -360,11 +369,11 @@ def calibrate_threshold(
             block_len = max(25, 2 * model.lag + 2)
         if block_len > m_raw:
             raise ConfigError(f"block_len {block_len} exceeds the training length {m_raw}")
-        job = (model, _block_draw, (x, block_len, m_raw, n_raw))
+        job = (model, _block_draw, (x, block_len))
     else:
         summary = estimate_training(x)
         chol = np.linalg.cholesky(summary.covariance())
-        job = (model, _parametric_draw, (summary.mean, chol, m_raw, n_raw))
+        job = (model, _parametric_draw, (summary.mean, chol))
         block_len = None
 
     # a replicate holds its drawn rows while it is prepared, and with them
@@ -373,7 +382,7 @@ def calibrate_threshold(
     m = m_raw - model.lag
     held = (m_raw + n_raw) * model.raw_dim + max(m, cfg.n) * (model.dim + model.n_streams)
     batch = stack_size(model.n_streams, model.window, cfg.n, held)
-    job = (*job, (m, batch))
+    job = (*job, (m_raw, n_raw, batch))
     if threads > 1:
         # jobs carry only their seeds; the shared inputs reach each worker once
         batches = [seeds[i:i + batch] for i in range(0, cfg.replicates, batch)]

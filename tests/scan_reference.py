@@ -175,6 +175,37 @@ def scan_step(
     return float(lam[idx]), kmin + idx, clamped
 
 
+def kahan_rows(total, comp, v, run=None):
+    """Add the rows of v, (n, 2, J) or (n, 2, G, J), to the running totals with Kahan's steps, one numpy row at a time.
+
+    The row loop the library's ``_kahan`` keeps for single rows and wide
+    stacks; returns the new (total, comp), and ``run[i]``, when given,
+    receives the totals after row i.
+    """
+    for i, row in enumerate(v):
+        y = row - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        if run is not None:
+            run[i] = s
+    return total, comp
+
+
+def block_end(t0, T, n_streams, window, budget, max_steps):
+    """The end (exclusive) of the scan block starting at t0, grown one step at a time.
+
+    The block holds at least one step, fewer than ``max_steps``, and
+    grows while its (steps, longest segment - 1, n_streams) cells stay
+    within ``budget``.
+    """
+    cap = window + 1
+    t1 = t0 + 1
+    while t1 <= T and t1 - t0 < max_steps and (t1 + 1 - t0) * (min(t1, cap) - 1) * n_streams <= budget:
+        t1 += 1
+    return t1
+
+
 def ring_state(z, train_sum, train_sumsq, m, window) -> RingStats:
     """The reference state after the rows of ``z``, appended one at a time."""
     ring = RingStats(train_sum.copy(), train_sumsq.copy(), m, window)

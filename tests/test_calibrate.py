@@ -229,10 +229,17 @@ def batch_size(model, m_raw, n):
 def replicate_draws(model, raw, mode, n):
     """The draw function of ``mode`` and its arguments before the seed, as ``calibrate_threshold`` sets them up."""
     if mode == calibrate.BLOCK:
-        return calibrate._block_draw, (raw, 25, raw.shape[0], n + model.lag)
+        return calibrate._block_draw, (raw, 25)
     summary = estimate_training(raw)
     chol = np.linalg.cholesky(summary.covariance())
-    return calibrate._parametric_draw, (summary.mean, chol, raw.shape[0], n + model.lag)
+    return calibrate._parametric_draw, (summary.mean, chol)
+
+
+def drawn_alone(draw, shared, seed, m_raw, n_raw, dim):
+    """One replicate's raw training and monitoring rows, drawn into arrays of their own."""
+    train, mon = np.empty((m_raw, dim)), np.empty((n_raw, dim))
+    draw(*shared, seed, train, mon)
+    return train, mon
 
 
 class TestReplicateGroups:
@@ -267,7 +274,8 @@ class TestReplicateGroups:
         got = calibrate_threshold(model, raw, cfg, threads=1).replicate_maxima
         draw, shared = replicate_draws(model, raw, mode, cfg.n)
         seeds = np.random.default_rng(cfg.seed).bit_generator.seed_seq.spawn(cfg.replicates)
-        alone = [replicate_maximum(model, *draw(*shared, s)) for s in seeds]
+        alone = [replicate_maximum(model, *drawn_alone(draw, shared, s, raw.shape[0], cfg.n + lag, raw.shape[1]))
+                 for s in seeds]
         assert got.tobytes() == np.array(alone).tobytes()
 
     @pytest.mark.parametrize("lag", [0, 1])
@@ -281,10 +289,10 @@ class TestReplicateGroups:
         assert computed > 7
         draw, shared = replicate_draws(model, raw, mode, n)
         seeds = np.random.SeedSequence(23).spawn(computed + 11)
-        alone = np.array([replicate_maximum(model, *draw(*shared, s)) for s in seeds])
-        m = raw.shape[0] - lag
+        alone = np.array([replicate_maximum(model, *drawn_alone(draw, shared, s, raw.shape[0], n + lag, raw.shape[1]))
+                          for s in seeds])
         for batch in (1, 2, 7, computed):
-            got = calibrate._batch_maxima(model, draw, shared, (m, batch), seeds)
+            got = calibrate._batch_maxima(model, draw, shared, (raw.shape[0], n + lag, batch), seeds)
             assert got.tobytes() == alone.tobytes(), f"batch {batch}"
 
     def test_first_failing_replicate_raises_before_the_next_slice_is_drawn(self, monkeypatch):
@@ -301,7 +309,7 @@ class TestReplicateGroups:
         seeds = np.random.default_rng(cfg.seed).bit_generator.seed_seq.spawn(cfg.replicates)
         first_bad = None
         for i, s in enumerate(seeds):
-            train, mon = calibrate._block_draw(raw, 25, raw.shape[0], cfg.n, s)
+            train, mon = drawn_alone(calibrate._block_draw, (raw, 25), s, raw.shape[0], cfg.n, raw.shape[1])
             if np.ptp(train[:, -1]) == 0.0:
                 first_bad = i
                 break
@@ -316,7 +324,7 @@ class TestReplicateGroups:
         draw = calibrate._block_draw
 
         def counting(*args):
-            drawn.append(args[-1])
+            drawn.append(args[-3])  # the seed, before the two slots
             return draw(*args)
 
         monkeypatch.setattr(calibrate, "_block_draw", counting)
@@ -329,6 +337,27 @@ class TestReplicateGroups:
                 # every replicate of the failing batch is drawn, and none after it
                 assert [s.spawn_key for s in drawn] == [s.spawn_key for s in seeds[:end]]
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("mode", [calibrate.PARAMETRIC, calibrate.BLOCK])
+    def test_a_draw_writes_its_replicates_rows_into_its_slots(self, mode):
+        # parametric: the normal rows times the Cholesky factor plus the
+        # mean, the first m_raw for training; block: two resamples, training first
+        model, raw = lagged_model(1)
+        draw, shared = replicate_draws(model, raw, mode, 20)
+        seed = np.random.SeedSequence(25)
+        m_raw, n_raw = raw.shape[0], 21
+        train, mon = np.full((2, m_raw, raw.shape[1]), np.nan), np.full((2, n_raw, raw.shape[1]), np.nan)
+        draw(*shared, seed, train[1], mon[1])
+        rng = np.random.default_rng(seed)
+        if mode == calibrate.BLOCK:
+            expected = np.concatenate([block_bootstrap_sample(raw, 25, m_raw, rng),
+                                       block_bootstrap_sample(raw, 25, n_raw, rng)])
+        else:
+            mean, chol = shared
+            expected = mean + rng.standard_normal((m_raw + n_raw, raw.shape[1])) @ chol.T
+        assert np.isnan(train[0]).all() and np.isnan(mon[0]).all()
+        assert train[1].tobytes() == expected[:m_raw].tobytes()
+        assert mon[1].tobytes() == expected[m_raw:].tobytes()
 
 
 class TestDefaultThreads:

@@ -112,6 +112,19 @@ def test_feed_equals_step(lag, sizes):
     assert any(r.alarm for r in got)
 
 
+@pytest.mark.parametrize("n_axes", [1, 3, 8])
+@pytest.mark.parametrize("size", ["one", "lanes", "lanes+1", "64"])
+def test_feed_equals_step_on_both_sides_of_the_lane_rule(n_axes, size):
+    # a block of more rows than the running totals' 2 * J lanes is added
+    # lane by lane, any other row by row, as every step adds its one row
+    lanes = 2 * n_axes
+    rows_per_chunk = {"one": 1, "lanes": lanes, "lanes+1": lanes + 1, "64": 64}[size]
+    model, chol, rng = fitted(0, p0=0.3, n_axes=n_axes, dim=max(5, n_axes), threshold=9.0)
+    rows = stream(chol, rng, 140, shift_at=90)
+    got = feed_in_chunks(tm.Monitor(model), rows, (rows_per_chunk,))
+    assert len(got) == 140
+
+
 @pytest.mark.parametrize("lag", [0, 1])
 def test_a_feed_cut_at_any_offset_equals_one_feed_and_steps(lag):
     # the second piece's scan starts from the state the first leaves, whose

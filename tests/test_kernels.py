@@ -3,10 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scan_reference import block_end as reference_block_end
+from scan_reference import kahan_rows
 from scan_reference import mixture_terms as reference_mixture_terms
 from scan_reference import scan_step as reference_step
 from tailormon import _kernel
+from tailormon._kernel import _scan_py
 from tailormon.mixmonitor import _BartlettTable
 
 
@@ -207,3 +212,56 @@ def test_mixture_terms_in_place_equal_the_expression(p0):
     positive = x > 0.0
     assert got[positive].tobytes() == expected[positive].tobytes()
     assert got.tobytes() == reference_mixture_terms(x, p0).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 70),
+    sets=st.sampled_from([(), (1,), (2,), (4,)]),
+    J=st.integers(1, 20),
+    lowest=st.integers(-300, 150),
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    cancel=st.booleans(),
+)
+def test_kahan_equals_the_row_loop_bit_for_bit(seed, n, sets, J, lowest, zeros, cancel):
+    # _kahan adds a block of more rows than lanes lane by lane in Python
+    # floats and any other block row by row in numpy; either way every total,
+    # compensation and per-row total must be the row loop's, signed zeros included
+    shape = (2, *sets, min(J, 20 // math.prod(sets)))  # 2 to 40 lanes
+    rng = np.random.default_rng(seed)
+
+    def draw(*lead):
+        size = (*lead, *shape)
+        x = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(lowest, 150, size)
+        zero = rng.random(size) < zeros
+        x[zero] = np.copysign(0.0, x[zero])
+        return x
+
+    v = draw(n)
+    if cancel:
+        # runs that cancel what came before: each odd row undoes the one before
+        v[1::2] = -v[0:n - 1:2]
+    total, comp = draw(), draw() * 1e-17
+    run, expected_run = np.empty(v.shape), np.empty(v.shape)
+    got = _scan_py._kahan(total, comp, v, run)
+    expected = kahan_rows(total, comp, v, expected_run)
+    assert got[0].shape == got[1].shape == shape
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1].tobytes() == expected[1].tobytes()
+    assert run.tobytes() == expected_run.tobytes()
+    assert _scan_py._kahan(total, comp, v)[0].tobytes() == expected[0].tobytes()
+
+
+def test_block_end_equals_growing_the_block_one_step_at_a_time():
+    steps = _scan_py.TRACE_BLOCK_STEPS
+    for window in (2, 25, 200):
+        for n_streams in (1, 3, 50, 320):
+            one_step = (window - 1) * n_streams  # a full-window block of one step
+            for budget in (0, 1, one_step - 1, one_step, 2 * one_step, _scan_py.TRACE_BLOCK_FIRST,
+                           _scan_py.TRACE_BLOCK_CELLS, 2 * _scan_py.TRACE_BLOCK_CELLS):
+                for t0 in (2, 3, window, window + 1, window + 2, 1000):
+                    for T in (t0, t0 + 1, t0 + 5, t0 + steps - 1, t0 + steps, t0 + steps + 1, t0 + 5000):
+                        got = _scan_py._block_end(t0, T, n_streams, window, budget)
+                        assert got == reference_block_end(t0, T, n_streams, window, budget, steps), \
+                            (t0, T, n_streams, window, budget)

@@ -47,13 +47,28 @@ def draws(model, raw, cfg):
     """The synthetic rows of every replicate of ``cfg``, as ``calibrate_threshold`` draws them."""
     n_raw = cfg.n + model.lag
     if cfg.mode == calibrate.BLOCK:
-        draw, shared = calibrate._block_draw, (raw, cfg.block_len or 25, raw.shape[0], n_raw)
+        draw, shared = calibrate._block_draw, (raw, cfg.block_len or 25)
     else:
         summary = estimate_training(raw)
         chol = np.linalg.cholesky(summary.covariance())
-        draw, shared = calibrate._parametric_draw, (summary.mean, chol, raw.shape[0], n_raw)
+        draw, shared = calibrate._parametric_draw, (summary.mean, chol)
     seeds = np.random.default_rng(cfg.seed).bit_generator.seed_seq.spawn(cfg.replicates)
-    return [draw(*shared, s) for s in seeds]
+    replicates = []
+    for s in seeds:
+        train, mon = np.empty(raw.shape), np.empty((n_raw, raw.shape[1]))
+        draw(*shared, s, train, mon)
+        replicates.append((train, mon))
+    return replicates
+
+
+def copy_replicate(train, mon):
+    """A draw function for ``calibrate._batch_maxima`` that copies replicate i of given rows into its slots."""
+
+    def draw(i, train_slot, mon_slot):
+        train_slot[...] = train[i]
+        mon_slot[...] = mon[i]
+
+    return draw
 
 
 def first_failure(model, replicates):
@@ -192,7 +207,7 @@ def test_the_first_failing_replicate_of_a_stack_raises(faults):
     index, alone = first_failure(model, zip(train, mon))
     assert index == min(faults)
     with pytest.raises(type(alone)) as stacked:
-        calibrate._batch_maxima(model, lambda i: (train[i], mon[i]), (), (train.shape[1] - model.lag, 5), range(5))
+        calibrate._batch_maxima(model, copy_replicate(train, mon), (), (train.shape[1], mon.shape[1], 5), range(5))
     assert str(stacked.value) == str(alone)
 
 
@@ -203,7 +218,7 @@ def test_only_a_failing_batch_is_prepared_again_one_replicate_at_a_time(monkeypa
     rng = np.random.default_rng(46)
     train = np.stack([raw[rng.integers(0, 300):][:100] for _ in range(5)])
     mon = rng.standard_normal((5, N + 1, 6))
-    plan = (train.shape[1] - model.lag, 5)
+    plan = (train.shape[1], mon.shape[1], 5)
     sizes = []
     stacked = calibrate._stack_prepared
 
@@ -212,10 +227,10 @@ def test_only_a_failing_batch_is_prepared_again_one_replicate_at_a_time(monkeypa
         return stacked(model, train, mon)
 
     monkeypatch.setattr(calibrate, "_stack_prepared", counting)
-    calibrate._batch_maxima(model, lambda i: (train[i], mon[i]), (), plan, range(5))
+    calibrate._batch_maxima(model, copy_replicate(train, mon), (), plan, range(5))
     assert sizes == [5]
     sizes.clear()
     spoil(train[3], mon[3], "constant", rng)
     with pytest.raises(ConstantColumn):
-        calibrate._batch_maxima(model, lambda i: (train[i], mon[i]), (), plan, range(5))
+        calibrate._batch_maxima(model, copy_replicate(train, mon), (), plan, range(5))
     assert sizes == [5, 1, 1, 1, 1]
