@@ -9,13 +9,15 @@ stops at the first step that reaches it and returns that step's state.
 ``ScanState`` is the one form of a monitor's running state:
 ``StreamStats`` holds it, ``Monitor.step`` advances it a row at a time
 through ``advance_state``, and ``Monitor.feed`` resumes ``scan_trace``
-from it block after block, while calibration replicates and simulated
-trials scan their whole stream from a fresh state. Calibration scans a
-batch of replicates at once, and simulation a group of trials, their
-streams side by side as one ``scan_trace`` of (T, G, J) values; with a
-threshold each set of a stacked scan stops at its own first crossing
-and leaves the later blocks. ``stack_size`` is the one rule that sizes
-those batches and groups. ``_kahan`` adds every row to the running
+from it block after block. Calibration scans a batch of replicates at
+once, and simulation a group of trials, their streams side by side as
+one ``scan_trace`` of (T, G, J) values. A replicate's whole stream is
+scanned from a fresh state, and its end state is not kept. A trial
+group is scanned a stretch at a time: with a threshold each set of a
+stacked scan stops at its own first crossing and leaves the later
+blocks, and the scan returns the state of the sets still running, from
+which the next stretch resumes. ``stack_size`` is the one rule that
+sizes those batches and groups. ``_kahan`` adds every row to the running
 totals on all these paths, so they agree bit for bit. Besides the
 totals at its time and its last w + 1 values, a state carries the
 running totals before each of those values' times (its ``prefix``):

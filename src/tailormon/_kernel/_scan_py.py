@@ -402,6 +402,10 @@ class ScanState(NamedTuple):
         return cls(np.zeros((2, *streams)), np.zeros((2, *streams)), np.zeros((0, *streams)),
                    np.zeros((0, 2, *streams)), 0)
 
+    def pick(self, g: int) -> "ScanState":
+        """The state of set g of a stacked state, as views of its arrays."""
+        return ScanState(self.total[:, g], self.comp[:, g], self.tail[:, g], self.prefix[:, :, g], self.t)
+
 
 def _kahan(total, comp, v, run=None):
     """Add the rows of v, (n, 2, J) or (n, 2, G, J), to the running totals with Kahan's compensated steps.
@@ -491,21 +495,25 @@ def _block_end(t0: int, T: int, n_streams: int, window: int, budget: int) -> int
 
 
 def stack_size(n_streams: int, window: int, steps: int, held: int) -> int:
-    """How many sets of ``n_streams`` streams, each scanned over ``steps`` steps, to handle as one stack.
+    """How many sets of ``n_streams`` streams, each holding ``steps`` steps at a time, to handle as one stack.
 
     The one sizing rule of calibration batches and of simulated trial
-    groups. As many sets as fill one step of a scan block at its longest
-    segment, so every block holds a step of each of them; the block is
-    taken as wide when 8 sets make it so, so sets of 8 or more streams
-    fill the doubled budget. And no more than fill STACK_BLOCKS blocks
-    with what one set holds at its largest stage: ``held`` floats while
-    its caller prepares it, or, while it is scanned, its projections and
-    the scan's stream-major copy of them and their squares, which hold its
-    rows from w + 1 steps back.
+    groups. A calibration replicate holds its whole stream at once; a
+    trial group is drawn and scanned a stretch of steps at a time, and
+    ``steps`` is its longest stretch. As many sets as fill one step of a
+    scan block at its longest segment, taken as min(steps, w + 1), so
+    every block holds a step of each of them; the block is taken as wide
+    when 8 sets make it so, so sets of 8 or more streams fill the doubled
+    budget. And no more than fill STACK_BLOCKS blocks with what one set
+    holds at its largest stage: ``held`` floats while its caller prepares
+    it, or, while it is scanned, its projections, and the scan's
+    stream-major copy of them with their squares (two floats each) and
+    the pre-change terms of their times (one float), which reach w + 1
+    steps back.
     """
     budget = _block_cells(8 * n_streams)
     scan = budget // (n_streams * min(steps, window + 1))
-    scanned = (3 * steps + 2 * (window + 1)) * n_streams
+    scanned = (4 * steps + 3 * (window + 1)) * n_streams
     return max(1, min(scan, STACK_BLOCKS * budget // max(held, scanned)))
 
 
@@ -520,6 +528,7 @@ def scan_trace(
     var_floor: float,
     threshold: float | None = None,
     state: ScanState | None = None,
+    keep_state: bool = True,
 ):
     """Scan every step of a stretch of trace, bit for bit as ``scan_step`` would.
 
@@ -569,6 +578,9 @@ def scan_trace(
         has crossed.
     state : ScanState, optional
         Where an earlier scan of the same trace stopped; it is not changed.
+    keep_state : bool
+        Whether to return the state after the last scanned step. A scan
+        that returns none keeps no running totals for it.
 
     Returns
     -------
@@ -579,12 +591,15 @@ def scan_trace(
         -inf, -1 and 0), as (T,) arrays, or (G, T) for G sets; and the
         state after the last scanned step. All T steps are scanned unless
         the scan stopped at a threshold: one monitor's arrays then end at
-        its crossing; a stacked scan's end at the last set's crossing, or
-        at T if a set never crossed, and hold -inf, -1 and 0 after each
-        set's own crossing. A stacked scan with a threshold returns no
-        state (None), since its sets stop at different times. The state's
-        tail is a view into the scan's copy of the stretch; copy it to
-        keep it without keeping the copy.
+        its crossing, and its state is the one there; a stacked scan's
+        end at the last set's crossing, or at T if a set never crossed,
+        and hold -inf, -1 and 0 after each set's own crossing. A stacked
+        scan with a threshold returns the state after time
+        state.t + T of the sets that never crossed, in their order, so
+        the next stretch of their traces can resume it; None when every
+        set crossed. The state is None too without ``keep_state``. The
+        state's tail may be a view into the scan's copy of the stretch;
+        copy it to keep it without keeping the copy.
     """
     z = np.asarray(z, dtype=float)
     T, *streams = z.shape
@@ -640,7 +655,6 @@ def scan_trace(
     a, low = _pre_change_terms(train, m, t_prev - held, known, var_floor)
     pre[:, pad:pad + held + 1] = a.reshape(held + 1, G * J).T
     lows[:, pad:pad + held + 1] = low.T
-    keep_state = threshold is None or not sets
     hist = [(t_prev - held, known)]
 
     def recopy(keep, since, upto):
@@ -696,12 +710,16 @@ def scan_trace(
         return *totals, block_rows
 
     def results(t, total, comp):
+        """The arrays up to time t, and the state there of the sets in ``alive``."""
         n = t - t_prev
-        L = min(t, cap)
-        tail = both.real[:, t - first + 1 - L:t - first + 1].T.reshape(L, *streams)
-        since = hist[0][0]
-        prefix = np.concatenate([tots for _, tots in hist])[t - L - since:t - since].reshape(L, 2, *streams)
-        state = ScanState(total.reshape(2, *streams), comp.reshape(2, *streams), tail, prefix, t)
+        state = None
+        if keep_state:
+            L = min(t, cap)
+            now = (alive.size, J) if sets else streams
+            tail = both.real[:, t - first + 1 - L:t - first + 1].T.reshape(L, *now)
+            since = hist[0][0]
+            prefix = np.concatenate([tots for _, tots in hist])[t - L - since:t - since].reshape(L, 2, *now)
+            state = ScanState(total.reshape(2, *now), comp.reshape(2, *now), tail, prefix, t)
         return *(a[:, :n].reshape(*sets, n) for a in (stat, argmax_k, clamped)), state
 
     if t_prev == 0 and T:  # time 1 has no candidate; it only enters the totals and a(1)
@@ -778,15 +796,16 @@ def scan_trace(
         if not keep.any():
             n = out.start + int(firsts.max()) + 1
             return *(a[:, :n].reshape(*sets, n) for a in (stat, argmax_k, clamped)), None
-        if t0 <= t_end:
-            # and leaves the later blocks: the others keep their columns from
-            # the first time a later window reads, at least up to the next step
-            alive = alive[keep]
+        # and leaves the later blocks and the returned state
+        alive = alive[keep]
+        total, comp, train = total[:, keep], comp[:, keep], train[:, keep]
+        if keep_state:
+            hist = [(since, tots[:, :, keep]) for since, tots in hist]
+        if t0 <= t_end or keep_state:
+            # the others keep their columns from the first time the state's
+            # tail or a later window reads, at least up to the next step
             upto = max(filled, min(t_end, t0 - 1 + TRACE_AHEAD))
-            both, pre, lows = recopy(keep, t0 - window, upto)
-            first, filled = t0 - window, upto
+            both, pre, lows = recopy(keep, t0 - cap, upto)
+            first, filled = t0 - cap, upto
             rev, prev, rows = views(both, pre)
-            total, comp, train = total[:, keep], comp[:, keep], train[:, keep]
-    if threshold is not None and sets:
-        return *(a.reshape(*sets, T) for a in (stat, argmax_k, clamped)), None
     return results(t_end, total, comp)

@@ -8,18 +8,23 @@ censored runs (no alarm by the trial horizon). Grid runs share one
 training set and one calibrated threshold per detector, since thresholds
 are conditional on the exact training set.
 
-A grid cell's trials run in groups (``run_prepared_trials``). Each trial
-draws its stream in full from its own seed, and its rows are checked and
-projected on their own; only the projections are kept. A group is then
-scanned side by side as one stacked trace, each trial leaving the scan
-at its first alarm (``mixmonitor._stacked_crossings``). The group size
-comes from ``_kernel.stack_size``, the rule that also sizes calibration
-batches. Every outcome is bit for bit that of the trial scanned alone,
-so the rows depend neither on the grouping nor on the worker count.
+A grid cell's trials run in groups (``run_prepared_trials``), a stretch
+of steps at a time. In each stretch every trial still running draws its
+rows from its own generator, the group's rows are checked and projected
+as one stack, and the group is scanned side by side as one stacked
+trace that resumes from where the last stretch left it, each trial
+leaving the scan at its first alarm (``mixmonitor._stacked_crossings``).
+A group stops once all of its trials have alarmed, so the rows after its
+last alarm are never drawn. The group size comes from
+``_kernel.stack_size``, the rule that also sizes calibration batches.
+Every outcome is bit for bit that of the trial drawn whole and scanned
+alone, so the rows depend neither on the grouping, nor on the
+stretches, nor on the worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +45,7 @@ from .changemodel import (
 )
 from .corrcore import CorrelationMatrix, eigensystem, estimate_training, random_correlation
 from .errors import ConfigError, TooFewDetections
-from .mixmonitor import MonitorModel, _checked_projections, _stacked_crossings, build_monitor_model
+from .mixmonitor import MonitorModel, _BartlettTable, _checked_projections, _stacked_crossings, build_monitor_model
 from .tailor import (
     identity_selection,
     max_variance_selection,
@@ -53,6 +58,34 @@ MINPCA = "minpca"
 MAXPCA = "maxpca"
 MIXTURE = "mixture"
 DETECTOR_KINDS = (TPCA, MINPCA, MAXPCA, MIXTURE)
+
+# Raw steps of a trial group's first stretch; each later stretch is twice
+# as long as the one before, up to TRIAL_STRETCH_MAX steps, the steps a
+# thresholded trace scan copies ahead (``_kernel._scan_py.TRACE_AHEAD``).
+# Most trials of a change cell alarm within the first stretch or two, and
+# a group is sized by its longest stretch, not by the horizon.
+TRIAL_STRETCH_FIRST = 64
+TRIAL_STRETCH_MAX = 256
+
+
+def _stretch_ends(horizon: int) -> list[int]:
+    """The raw step at which each stretch of a trial group ends.
+
+    The stretches double from TRIAL_STRETCH_FIRST up to TRIAL_STRETCH_MAX
+    steps; a rest shorter than TRIAL_STRETCH_FIRST joins the stretch
+    before it, since a stretch costs a scan call and a draw and a check
+    per trial whatever its length, and null trials (most of a null cell's)
+    run to the horizon. A horizon of at most 2 * TRIAL_STRETCH_FIRST - 1
+    steps is one stretch.
+    """
+    ends, end, size = [], 0, TRIAL_STRETCH_FIRST
+    while end < horizon:
+        end += size
+        if horizon - end < TRIAL_STRETCH_FIRST:
+            end = horizon
+        ends.append(end)
+        size = min(2 * size, TRIAL_STRETCH_MAX)
+    return ends
 
 
 @dataclass(frozen=True)
@@ -168,18 +201,81 @@ def build_detector_model(
     return model, train
 
 
-def _trial_rows(base, chol0, kappa, scenario, horizon, rng) -> np.ndarray:
-    """A trial's stream in full: null rows, or null rows up to kappa and post-change rows after it."""
-    zeros = np.zeros(base.dim)
-    if scenario is None:
-        return gaussian_rows(rng, horizon, zeros, chol0)
-    post = apply_change(base, scenario)
-    return np.vstack(
-        [
-            gaussian_rows(rng, kappa, zeros, chol0),
-            gaussian_rows(rng, horizon - kappa, post.mean, np.linalg.cholesky(post.cov)),
-        ]
-    )
+def _chunk_rows(rng, chunk: int, lo: int, hi: int, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Rows lo..hi - 1 of ``gaussian_rows(rng, chunk, mean, chol)``, bit for bit, drawing only their normals.
+
+    The generator's normals come in the same order however a draw is
+    split. The product with the factor does not: BLAS picks its kernel
+    by the shape of the call (one row, a small matrix, the thread
+    count), and kernels sum in different orders. So a part of a chunk is
+    multiplied as a matrix of the chunk's shape, its normals at their
+    rows and zeros elsewhere: a row of the product reads no other row.
+    """
+    if hi - lo == chunk:
+        return gaussian_rows(rng, chunk, mean, chol)
+    normals = np.zeros((chunk, mean.shape[0]))
+    normals[lo:hi] = rng.standard_normal((hi - lo, mean.shape[0]))
+    return mean + (normals @ chol.T)[lo:hi]
+
+
+def _trial_rows(rng, start: int, end: int, kappa: int, horizon: int, null, post) -> np.ndarray:
+    """Rows start..end - 1 of a trial's stream, drawn alone from the trial's generator.
+
+    ``null`` and ``post`` are (mean, Cholesky factor) pairs, ``post``
+    None for a null stream. A null stream drawn whole is one
+    ``gaussian_rows`` chunk of ``horizon`` rows; a change stream is a
+    chunk of ``kappa`` null rows, then one of ``horizon - kappa``
+    post-change rows. Drawn stretch after stretch through here, from
+    start 0 on, the stream is the same bit for bit (``_chunk_rows``).
+    """
+    if post is None:
+        return _chunk_rows(rng, horizon, start, end, *null)
+    cut = min(max(kappa, start), end)
+    pieces = []
+    if start < cut:
+        pieces.append(_chunk_rows(rng, kappa, start, cut, *null))
+    if cut < end:
+        pieces.append(_chunk_rows(rng, horizon - kappa, cut - kappa, end - kappa, *post))
+    return np.vstack(pieces) if len(pieces) > 1 else pieces[0]
+
+
+def _group_outcomes(model: MonitorModel, group, kappa: int, horizon: int, null, table) -> list[TrialOutcome]:
+    """The outcomes of a group of trials, each a (generator, post) pair as ``_trial_rows`` takes them.
+
+    The group's streams are drawn, checked, projected and scanned a
+    stretch of steps at a time (``_stretch_ends``), and only the trials
+    that have not alarmed go on to the next. In a stretch each
+    trial's rows are drawn, checked and projected alone, as a block that
+    follows its running state (``_checked_projections``), and only the
+    projections are kept; a lagged model carries each trial's last
+    ``lag`` raw rows across. The group's projections are then scanned
+    side by side from the stacked state the last stretch left
+    (``_stacked_crossings``).
+    """
+    alarms = [None] * len(group)
+    live = np.arange(len(group))  # the trials still running, in trial order
+    state = ScanState.fresh(len(group), model.n_streams)
+    history = [()] * len(group)  # each trial's last raw rows, up to lag
+    start = 0
+    for end in _stretch_ends(horizon):
+        for i, g in enumerate(live.tolist()):
+            rng, post = group[g]
+            rows = _trial_rows(rng, start, end, kappa, horizon, null, post)
+            short, zg = _checked_projections(model, rows, state.pick(i), history[g])
+            if i == 0:
+                z = np.empty((zg.shape[0], live.size, model.n_streams))
+            z[:, i] = zg
+            if model.lag:
+                history[g] = np.vstack([*history[g], rows])[-model.lag:]
+        firsts, state = _stacked_crossings(model, z, model.threshold, state, table)
+        for g, i in zip(live.tolist(), firsts.tolist()):
+            if i >= 0:
+                alarms[g] = start + short + i + 1
+        live = live[firsts < 0]
+        if not live.size:
+            break
+        start = end
+    return [TrialOutcome(alarm_time=a, kappa=kappa, horizon=horizon) for a in alarms]
 
 
 def run_prepared_trials(
@@ -188,40 +284,42 @@ def run_prepared_trials(
     """Monitor synthetic streams with an already fitted and thresholded model, a group of them at a time.
 
     ``trials`` yields each trial's (scenario, rng) in turn, the scenario
-    None for a null stream; the rng draws the trial's stream in full, as
-    ``run_prepared_trial`` does. Each stream is checked and projected on
-    its own as soon as it is drawn, and only its projections are kept. A
-    group of trials (``_kernel.stack_size``) is scanned side by side as
-    one stacked trace, each trial leaving the scan at its first alarm.
-    The outcomes, in trial order, are bit for bit those of each trial's
-    stream scanned alone (``Monitor.feed(stop_on_alarm=True)`` from a
-    fresh monitor with the model's threshold), and the first trial whose
-    rows fail a check raises its own error.
+    None for a null stream; the rng draws the trial's stream, as
+    ``run_prepared_trial`` does. A group of trials (``_kernel.stack_size``)
+    is taken from ``trials``, and its streams are drawn, checked,
+    projected and scanned side by side a stretch of steps at a time
+    (``_group_outcomes``), each trial leaving at its first alarm: its rows
+    past the stretch of that alarm are never drawn. The outcomes, in
+    trial order, are bit for bit those of each trial's stream drawn whole
+    and scanned alone (``Monitor.feed(stop_on_alarm=True)`` from a fresh
+    monitor with the model's threshold).
+
+    Errors: a group's post-change parameters are computed before any of
+    its rows are drawn. Of the rows that are drawn, the first that fail a
+    check raise their own error: groups in trial order, within a group
+    stretch by stretch, and within a stretch trial by trial. A bad row
+    past the stretch of its trial's alarm is never drawn, so it raises
+    nothing; Gaussian rows hold none.
     """
     chol0 = np.linalg.cholesky(base.values)
-    fresh = ScanState.fresh(model.n_streams)
-    group = stack_size(model.n_streams, model.window, max(1, horizon - model.lag), 0)
+    null = (np.zeros(base.dim), chol0)
+    # a stretch is drawn, checked and projected trial by trial, and only its
+    # projections are kept, so a group holds nothing more while it is prepared
+    ends = _stretch_ends(horizon)
+    longest = max((b - a for a, b in zip([0, *ends], ends)), default=1)
+    size = stack_size(model.n_streams, model.window, longest, 0)
+    table = _BartlettTable()
     outcomes: list[TrialOutcome] = []
-    z = None
-    count = 0
-
-    def scan():
-        # every stream starts fresh, so each has the same ``short`` rows at its
-        # front that a lagged model cannot scan yet
-        for i in _stacked_crossings(model, z[:, :count], model.threshold).tolist():
-            outcomes.append(TrialOutcome(alarm_time=short + i + 1 if i >= 0 else None, kappa=kappa, horizon=horizon))
-
-    for scenario, rng in trials:
-        short, zt = _checked_projections(model, _trial_rows(base, chol0, kappa, scenario, horizon, rng), fresh, ())
-        if z is None:
-            z = np.empty((zt.shape[0], group, zt.shape[1]))
-        z[:, count] = zt
-        count += 1
-        if count == group:
-            scan()
-            count = 0
-    if count:
-        scan()
+    trials = iter(trials)
+    while group := list(itertools.islice(trials, size)):
+        prepared = []
+        for scenario, rng in group:
+            if scenario is None:
+                prepared.append((rng, None))
+            else:
+                post = apply_change(base, scenario)
+                prepared.append((rng, (post.mean, np.linalg.cholesky(post.cov))))
+        outcomes += _group_outcomes(model, prepared, kappa, horizon, null, table)
     return outcomes
 
 
@@ -235,10 +333,10 @@ def run_prepared_trial(
 ) -> TrialOutcome:
     """Monitor one synthetic stream with an already fitted and thresholded model.
 
-    The stream is drawn in full up front, so it is scanned as one trace;
-    the alarm time is the first step whose statistic reaches the
-    threshold, as ``Monitor.run`` would report it. This is the one-trial
-    case of ``run_prepared_trials``.
+    The stream is drawn and scanned a stretch at a time up to its first
+    alarm; the alarm time is the first step whose statistic reaches the
+    threshold, as ``Monitor.run`` of the stream drawn whole would report
+    it. This is the one-trial case of ``run_prepared_trials``.
     """
     return run_prepared_trials(model, base, kappa, [(scenario, rng)], horizon)[0]
 

@@ -24,8 +24,9 @@ Calibration builds a batch of bootstrap replicas with the same projector,
 training-sum and row-check arithmetic, on stacks (``_projectors``,
 ``_training_sums``, ``_checked_stack``), and then scans the batch
 side by side in one stacked trace scan (``_stacked_maxima``). Simulated
-trials check and project each stream alone (``_checked_projections``)
-and scan a group of them side by side, each stream stopping at its first
+trials check and project each stream alone a stretch at a time
+(``_checked_projections``), and scan a group of them side by side from
+the state the last stretch left, each stream stopping at its first
 alarm (``_stacked_crossings``).
 """
 
@@ -579,30 +580,35 @@ def _stacked_maxima(train_sum, train_sumsq, z, m: int, window: int, p0: float) -
     """
     z = np.swapaxes(z, 0, 1)
     stat, _, _, _ = _kernel.scan_trace(
-        z, train_sum, train_sumsq, m, window, p0, _BartlettTable().upto(m + z.shape[0]), VAR_FLOOR
+        z, train_sum, train_sumsq, m, window, p0, _BartlettTable().upto(m + z.shape[0]), VAR_FLOOR,
+        keep_state=False,
     )
     return stat.max(axis=1, initial=-math.inf)
 
 
-def _stacked_crossings(model: MonitorModel, z, threshold: float) -> np.ndarray:
+def _stacked_crossings(model: MonitorModel, z, threshold: float, state, table: _BartlettTable):
     """Per stream of G, the first of its scanned steps whose statistic reaches ``threshold``, or -1 where none does.
 
     z (T, G, J) holds the checked projections (``_checked_projections``)
-    of G streams' rows from a fresh state, all monitored by ``model``.
-    They are scanned side by side as one stacked trace with the model's
+    of the next T rows of G streams, all monitored by ``model``, and
+    ``state`` their stacked ``_kernel.ScanState`` before those rows. They
+    are scanned side by side as one stacked trace with the model's
     training sums, each stream leaving the scan at its first crossing,
-    which is the step at which ``Monitor.feed(stop_on_alarm=True)`` of its
-    rows from a fresh monitor stops, bit for bit.
+    which is the step at which ``Monitor.feed(stop_on_alarm=True)`` of
+    its rows from a fresh monitor stops, bit for bit, however its rows
+    were split into stretches. Returns the crossings and the state after
+    the T rows of the streams that did not cross, in their order (None
+    when every stream crossed).
     """
     T, G, J = z.shape
     if T == 0:
-        return np.full(G, -1)
-    stat, _, _, _ = _kernel.scan_trace(
+        return np.full(G, -1), state
+    stat, _, _, state = _kernel.scan_trace(
         z, np.broadcast_to(model.train_sum, (G, J)), np.broadcast_to(model.train_sumsq, (G, J)), model.m,
-        model.window, model.p0, _BartlettTable().upto(model.m + T), VAR_FLOOR, threshold,
+        model.window, model.p0, table.upto(model.m + state.t + T), VAR_FLOOR, threshold, state=state,
     )
     hit = stat >= threshold
-    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
+    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1), state
 
 
 class Monitor:

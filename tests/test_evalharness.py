@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -12,9 +13,15 @@ from tailormon import (
     PostChangeParams,
     TooFewDetections,
     TrialOutcome,
+    apply_change,
+    build_monitor_model,
     eigensystem,
     estimate_edd,
     estimate_pfa,
+    estimate_training,
+    identity_selection,
+    lag_extend_matrix,
+    min_variance_selection,
     projection_sensitivities,
     random_correlation,
     simulate_grid,
@@ -23,7 +30,10 @@ from tailormon import (
 import trial_reference
 from tailormon import evalharness
 from tailormon.evalharness import (
+    TRIAL_STRETCH_FIRST,
+    TRIAL_STRETCH_MAX,
     build_detector_model,
+    gaussian_rows,
     run_prepared_trial,
     run_prepared_trials,
     scenario_from_cell,
@@ -376,9 +386,9 @@ class TestSimulateGrid:
         groups = []
         stacked = evalharness._stacked_crossings
 
-        def counting(model, z, threshold):
+        def counting(model, z, *rest):
             groups.append(z.shape[1])
-            return stacked(model, z, threshold)
+            return stacked(model, z, *rest)
 
         monkeypatch.setattr(evalharness, "_stacked_crossings", counting)
         simulate_grid(grid)
@@ -423,3 +433,229 @@ class TestSimulateGrid:
         assert rows == []
         assert len(manifest) == 2
         assert "sparsity" in manifest[0]["error"] or "ConfigError" in manifest[0]["error"]
+
+
+def stretch_model(lag=0, p0=1.0, dim=5, window=30):
+    """A model of ``lag`` over a random base: two least varying axes, or at p0 < 1 every standardized stream."""
+    rng = np.random.default_rng(11)
+    base = random_correlation(dim, 1.0, rng)
+    raw = rng.standard_normal((80 + lag, dim)) @ np.linalg.cholesky(base.values).T
+    ext = lag_extend_matrix(raw, lag)
+    summary = estimate_training(ext)
+    if p0 < 1.0:
+        selection = identity_selection(summary.dim)
+    else:
+        selection = min_variance_selection(eigensystem(summary.corr), 2)
+    return build_monitor_model(summary, selection, ext, p0=p0, window=window, lag=lag), base
+
+
+def whole_stream(base, kappa, scenario, horizon, seed):
+    """A trial's stream drawn whole from ``default_rng(seed)``, as ``trial_reference.run_trial`` draws it."""
+    rng = np.random.default_rng(seed)
+    chol0 = np.linalg.cholesky(base.values)
+    if scenario is None:
+        return gaussian_rows(rng, horizon, np.zeros(base.dim), chol0)
+    post = apply_change(base, scenario)
+    return np.vstack([
+        gaussian_rows(rng, kappa, np.zeros(base.dim), chol0),
+        gaussian_rows(rng, horizon - kappa, post.mean, np.linalg.cholesky(post.cov)),
+    ])
+
+
+def stretch_ends(horizon):
+    """The last raw step of each trial stretch: 64, 128, then 256 steps, a rest under 64 joining the last."""
+    ends = [0]
+    for size in itertools.chain([TRIAL_STRETCH_FIRST, 2 * TRIAL_STRETCH_FIRST], itertools.repeat(TRIAL_STRETCH_MAX)):
+        if ends[-1] + size + TRIAL_STRETCH_FIRST > horizon:
+            return ends[1:] + [horizon] if ends[-1] < horizon else ends[1:]
+        ends.append(ends[-1] + size)
+
+
+def test_stretch_ends():
+    assert evalharness._stretch_ends(0) == []
+    assert evalharness._stretch_ends(1) == [1]
+    assert evalharness._stretch_ends(127) == [127]
+    assert evalharness._stretch_ends(128) == [64, 128]
+    assert evalharness._stretch_ends(100) == [100]
+    assert evalharness._stretch_ends(1000) == [64, 192, 448, 704, 1000]
+    assert evalharness._stretch_ends(1024) == [64, 192, 448, 704, 960, 1024]
+    for horizon in range(0, 2000, 7):
+        assert evalharness._stretch_ends(horizon) == stretch_ends(horizon)
+
+
+class TestStretchRunner:
+    """``run_prepared_trials`` runs a trial group stretch by stretch; every outcome is the trial's alone."""
+
+    SHIFT = ChangeScenario(ctype="mean", affected=(1, 3), mean_sizes=(1.0, 1.0))
+
+    @staticmethod
+    def run_both(model, base, kappa, scenario, horizon, seeds, monkeypatch=None):
+        """The runner's outcomes, checked against ``trial_reference.run_trial``, and the raw rows drawn per trial."""
+        drawn = {}
+        if monkeypatch is not None:
+            rows = evalharness._trial_rows
+
+            def spy(rng, start, end, *rest):
+                drawn[rng] = end
+                return rows(rng, start, end, *rest)
+
+            monkeypatch.setattr(evalharness, "_trial_rows", spy)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        got = run_prepared_trials(model, base, kappa, [(scenario, r) for r in rngs], horizon)
+        alone = [
+            trial_reference.run_trial(model, base, kappa, scenario, horizon, np.random.default_rng(s)) for s in seeds
+        ]
+        assert got == alone
+        return got, [drawn.get(r) for r in rngs]
+
+    @pytest.mark.parametrize("lag, p0", [(0, 1.0), (1, 1.0), (0, 0.3), (1, 0.3)])
+    def test_alarms_at_and_beside_stretch_edges(self, monkeypatch, lag, p0):
+        model, base = stretch_model(lag, p0)
+        horizon = 500
+        first, second = stretch_ends(horizon)[:2]
+        # one step before, at and after the end of each of the first two
+        # stretches, and in the third; the change comes 12 steps earlier, for
+        # the last four beyond the first stretch
+        for target in (first - 1, first, first + 1, second - 1, second, second + 1, second + 70):
+            kappa = target - 12
+            for seed in range(200):
+                stat = trial_reference.trace_stats(model, whole_stream(base, kappa, self.SHIFT, horizon, seed))[0]
+                # a strict record at the target: it is the first step to reach its own value
+                if stat[target - 1] > stat[:target - 1].max(initial=-math.inf):
+                    break
+            else:
+                pytest.fail(f"no trial has a record at step {target}")
+            armed = model.with_threshold(float(stat[target - 1]))
+            got, drawn = self.run_both(armed, base, kappa, self.SHIFT, horizon, [seed, *range(500, 511)], monkeypatch)
+            assert got[0].alarm_time == target
+            # each trial's rows end with the stretch of its alarm
+            ends = stretch_ends(horizon)
+            for outcome, rows in zip(got, drawn):
+                t = outcome.alarm_time
+                assert rows == (horizon if t is None else min(e for e in ends if e >= t))
+
+    @pytest.mark.parametrize("lag, p0", [(0, 1.0), (1, 0.3)])
+    def test_trials_that_never_alarm_are_drawn_to_the_horizon(self, monkeypatch, lag, p0):
+        model, base = stretch_model(lag, p0)
+        # a short fourth stretch ends at the horizon, and the change comes in the second
+        horizon, kappa = stretch_ends(10_000)[2] + TRIAL_STRETCH_FIRST + 37, TRIAL_STRETCH_FIRST + 20
+        assert len(stretch_ends(horizon)) == 4
+        seeds = list(range(24))
+        small = ChangeScenario(ctype="mean", affected=(2,), mean_sizes=(0.3,))
+        maxima = [
+            trial_reference.trace_stats(model, whole_stream(base, kappa, small, horizon, s))[0].max() for s in seeds
+        ]
+        # half of the trials alarm, at many times, and the others never do
+        armed = model.with_threshold(float(np.median(maxima)))
+        got, drawn = self.run_both(armed, base, kappa, small, horizon, seeds, monkeypatch)
+        censored = [o.censored for o in got]
+        assert 0 < sum(censored) < len(got)
+        assert all(rows == horizon for rows, c in zip(drawn, censored) if c)
+        nowhere = model.with_threshold(math.inf)
+        got, drawn = self.run_both(nowhere, base, kappa, small, horizon, seeds[:5], monkeypatch)
+        assert all(o.censored for o in got) and drawn == [horizon] * 5
+
+    def test_bad_rows_in_two_trials_raise_the_error_of_the_first_stretch(self):
+        model, base = stretch_model()
+        model = model.with_threshold(math.inf)
+        first, second = stretch_ends(10_000)[:2]
+        raw_reject = "non-finite value or one whose square overflows"
+        totals_reject = "running sums of squares too large"
+
+        def shift(size):
+            return ChangeScenario(ctype="mean", affected=(0, 3), mean_sizes=(size, size))
+
+        def error(run, scenario, horizon):
+            try:
+                run(scenario, horizon)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        def alone(scenario, horizon):
+            trial_reference.run_trial(model, base, 5, scenario, horizon, np.random.default_rng(1))
+
+        def stretched(scenario, horizon):
+            run_prepared_trials(model, base, 5, [(scenario, np.random.default_rng(1))], horizon)
+
+        # the smallest shift whose rows each pass every check, but whose
+        # running sums of squares grow too large for the scan by the end of the
+        # second stretch: the runner checks each stretch after the sums before it
+        for size in 10.0 ** np.arange(150.0, 154.0, 0.125):
+            if error(alone, shift(size), first) is None and totals_reject in (error(alone, shift(size), second) or ""):
+                late = shift(size)
+                break
+        else:
+            pytest.fail("no shift fails in the second stretch alone")
+        assert error(stretched, late, first) is None
+        assert totals_reject in error(stretched, late, second)
+        # squares that overflow in the first stretch
+        early = shift(1e200)
+
+        def trials(*scenarios):
+            return [(sc, np.random.default_rng(1)) for sc in scenarios]
+
+        # drawn whole, each trial raises its own error
+        with pytest.raises(ValueError, match=totals_reject):
+            trial_reference.run_trial(model, base, 5, late, second, np.random.default_rng(1))
+        with pytest.raises(ValueError, match=raw_reject):
+            trial_reference.run_trial(model, base, 5, early, second, np.random.default_rng(1))
+        # in a group, the first stretch's failure comes first, whatever the trial
+        # order; within a stretch, the first trial's
+        for order in ((late, early), (early, late), (None, late, early)):
+            with pytest.raises(ValueError, match=raw_reject):
+                run_prepared_trials(model, base, 5, trials(*order), second)
+        with pytest.raises(ValueError, match=totals_reject):
+            run_prepared_trials(model, base, 5, trials(None, late, shift(1.0)), second)
+
+    def test_a_bad_row_after_the_groups_last_alarm_is_never_drawn(self):
+        model, base = stretch_model()
+        # every trial alarms within the first stretch, long before the change
+        armed = model.with_threshold(0.0)
+        kappa, horizon = 3 * TRIAL_STRETCH_FIRST, 4 * TRIAL_STRETCH_FIRST
+        huge = ChangeScenario(ctype="mean", affected=(2,), mean_sizes=(1e200,))
+        trials = [(huge, np.random.default_rng(s)) for s in range(6)]
+        outcomes = run_prepared_trials(armed, base, kappa, trials, horizon)
+        assert all(o.alarm_time < TRIAL_STRETCH_FIRST for o in outcomes)
+        # drawn whole, the stream holds the bad rows, and they raise
+        with pytest.raises(ValueError, match="non-finite value or one whose square overflows"):
+            trial_reference.run_trial(armed, base, kappa, huge, horizon, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("cuts", [[1], [1, 2, 3], [64, 192, 448], [5, 6, 7, 500], [999]])
+def test_normals_drawn_in_stretches_equal_one_draw(cuts):
+    """The numpy property the stretch runner relies on: normals drawn in stretches are one draw's, bit for bit."""
+    whole = np.random.default_rng(3).standard_normal((1000, 7))
+    rng = np.random.default_rng(3)
+    edges = [0, *cuts, 1000]
+    pieces = [rng.standard_normal((b - a, 7)) for a, b in zip(edges, edges[1:])]
+    assert np.vstack(pieces).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 20, 40, 100])
+@pytest.mark.parametrize("kappa, horizon", [(0, 1000), (63, 300), (65, 200), (150, 200), (1, 65), (999, 1000)])
+def test_trial_rows_drawn_in_stretches_equal_the_whole_stream(dim, kappa, horizon):
+    """A trial's stream drawn stretch by stretch is the stream drawn whole, bit for bit, one-row stretches included.
+
+    A product with the Cholesky factor taken over a part of a chunk's rows
+    need not give the bits of the chunk's product: BLAS picks its kernel
+    by the shape of the call. ``_trial_rows`` multiplies each part in the
+    shape of its chunk, so the parts are exact at every dimension.
+    """
+    rng = np.random.default_rng(dim)
+    base = random_correlation(dim, 1.0, rng)
+    null = (np.zeros(dim), np.linalg.cholesky(base.values))
+    post = (rng.standard_normal(dim), 1.5 * null[1])
+    for scenario_post in (None, post):
+        g = np.random.default_rng(8)
+        if scenario_post is None:
+            whole = gaussian_rows(g, horizon, *null)
+        else:
+            whole = np.vstack([gaussian_rows(g, kappa, *null), gaussian_rows(g, horizon - kappa, *post)])
+        for ends in (stretch_ends(horizon), [1, 2, 64, 65, 66, horizon], [kappa - 1, kappa, kappa + 1, horizon]):
+            edges = sorted({0, horizon, *(e for e in ends if 0 < e < horizon)})
+            g = np.random.default_rng(8)
+            got = [
+                evalharness._trial_rows(g, a, b, kappa, horizon, null, scenario_post) for a, b in zip(edges, edges[1:])
+            ]
+            assert np.vstack(got).tobytes() == whole.tobytes()

@@ -266,8 +266,16 @@ def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(
         stat, k, clamped, state = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR, threshold)
     finally:
         _scan_py.TRACE_AHEAD, _scan_py.TRACE_BLOCK_CELLS, _scan_py.TRACE_BLOCK_FIRST = built
-    assert state is None
     hits = stats >= threshold
+    # the state is that of the sets that never crossed, after the last step
+    running = [g for g in range(G) if not hits[g].any()]
+    if running:
+        assert state.total.shape == (2, len(running), J)
+        for i, g in enumerate(running):
+            set_state = ScanState(state.total[:, i], state.comp[:, i], state.tail[:, i], state.prefix[:, :, i], state.t)
+            assert same_state(set_state, ring_state(z[:, g], ts[g], tq[g], m, window))
+    else:
+        assert state is None
     lengths = [int(np.argmax(row)) + 1 if row.any() else T for row in hits]
     assert stat.shape == k.shape == clamped.shape == (G, max(lengths))
     if where == "at_once":
@@ -278,6 +286,71 @@ def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(
         assert k[g, :n].tobytes() == a_k[:n].tobytes()
         assert clamped[g, :n].tobytes() == a_clamped[:n].tobytes()
         assert np.all(stat[g, n:] == -np.inf) and np.all(k[g, n:] == -1) and np.all(clamped[g, n:] == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    G=st.sampled_from([1, 2, 5]),
+    J=st.sampled_from([1, 3, 8]),
+    p0=st.sampled_from([1.0, 0.3]),
+    window=st.integers(2, 30),
+    T=st.integers(2, 90),
+    cuts=st.lists(st.integers(1, 89), max_size=4),
+    q=st.floats(0.3, 1.0),
+    ahead=st.sampled_from([None, 2, 7]),
+)
+def test_stacked_thresholded_scan_resumes_stretch_by_stretch(seed, G, J, p0, window, T, cuts, q, ahead):
+    """A stacked thresholded scan in stretches, each resumed from the sets still running, is the whole trace's scan."""
+    rng = np.random.default_rng(seed)
+    m = 40
+    z = rng.standard_normal((T, G, J)) * rng.uniform(0.5, 2.0, (G, J))
+    z[T // 2:] += rng.uniform(-1.0, 1.0, (G, J))
+    ts = 0.2 * rng.standard_normal((G, J))
+    tq = m + rng.standard_normal((G, J))
+    h = _BartlettTable().upto(m + T)
+    alone = np.array([_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, h, VAR_FLOOR)[0] for g in range(G)])
+    threshold = float(np.quantile(alone[:, 1:], q))
+    built = _scan_py.TRACE_AHEAD
+    # set by hand: a fixture would outlive the examples
+    if ahead is not None:
+        _scan_py.TRACE_AHEAD = ahead
+    try:
+        whole = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR, threshold)[0]
+        got = np.full((G, T), -np.inf)
+        live, state = np.arange(G), None
+        edges = sorted({0, T, *(c for c in cuts if c < T)})
+        for a, b in zip(edges, edges[1:]):
+            stat, _, _, state = _kernel.scan_trace(
+                z[a:b, live], ts[live], tq[live], m, window, p0, h, VAR_FLOOR, threshold, state=state
+            )
+            got[live, a:a + stat.shape[1]] = stat
+            live = live[~(stat >= threshold).any(axis=1)]
+            # the state holds the sets still running, in their order, or is None
+            assert (state is None) == (live.size == 0)
+            if state is not None:
+                assert state.t == b and state.total.shape == (2, live.size, J)
+            if not live.size:
+                break
+    finally:
+        _scan_py.TRACE_AHEAD = built
+    n = whole.shape[1]
+    assert got[:, :n].tobytes() == whole.tobytes()
+    assert np.all(got[:, n:] == -np.inf)
+    hits = alone >= threshold
+    assert live.tolist() == [g for g in range(G) if not hits[g].any()]
+
+
+def test_a_scan_that_keeps_no_state_returns_the_same_statistics():
+    z, ts, tq = random_trace(3, 120, 3)
+    zs = np.stack([z, z[::-1]], axis=1)
+    h = _BartlettTable().upto(60 + 120)
+    for stacked, sums in ((z, (ts, tq)), (zs, (np.stack([ts, ts]), np.stack([tq, tq])))):
+        kept = _kernel.scan_trace(stacked, *sums, 60, 25, 0.4, h, VAR_FLOOR)
+        dropped = _kernel.scan_trace(stacked, *sums, 60, 25, 0.4, h, VAR_FLOOR, keep_state=False)
+        assert kept[3] is not None and dropped[3] is None
+        for a, b in zip(kept[:3], dropped[:3]):
+            assert a.tobytes() == b.tobytes()
 
 
 def fitted(lag, p0=1.0, window=25, dim=4, m=80, seed=0):
@@ -411,25 +484,32 @@ def test_run_prepared_trial_alarm_equals_monitor_run(reference_step_kernel, monk
     model, _, chol, _ = fitted(0, window=40)
     model = model.with_threshold(threshold)
     base = tm.CorrelationMatrix(chol @ chol.T)
-    streams = []
+    stretches = []
 
     drawn = evalharness._trial_rows
 
     def spy(*args):
-        streams.append(drawn(*args))
-        return streams[-1]
+        stretches.append(drawn(*args))
+        return stretches[-1]
 
     monkeypatch.setattr(evalharness, "_trial_rows", spy)
-    times = []
+    times, lengths = [], []
     for seed in range(8):
+        stretches.clear()
         outcome = evalharness.run_prepared_trial(model, base, 5, scenario, horizon, np.random.default_rng(seed))
-        run = tm.Monitor(model).run(streams[-1], collect_trace=False)
+        # the rows drawn, up to the end of the stretch that alarmed
+        stream = np.vstack(stretches)
+        run = tm.Monitor(model).run(stream, collect_trace=False)
         assert outcome.alarm_time == run.alarm_time
+        assert len(stream) == horizon if outcome.censored else outcome.alarm_time <= len(stream)
         times.append(outcome.alarm_time)
+        lengths.append(len(stream))
     if threshold == math.inf:
         assert times == [None] * 8
     if scenario is not None:
         assert all(t is not None and t < horizon // 2 for t in times)
+        # the rows after an early alarm's stretch are never drawn
+        assert max(lengths) < horizon
 
 
 @settings(max_examples=60, deadline=None)
@@ -536,7 +616,9 @@ def test_stacked_crossings_equal_each_streams_trace_stats(seed, G, n_axes, lag, 
     threshold = float(np.quantile(finite, q))
     fresh = _kernel.ScanState.fresh(model.n_streams)
     short, z = zip(*(mixmonitor._checked_projections(model, rows, fresh, ()) for rows in streams))
-    firsts = mixmonitor._stacked_crossings(model, np.stack(z, axis=1), threshold)
+    firsts, _ = mixmonitor._stacked_crossings(
+        model, np.stack(z, axis=1), threshold, _kernel.ScanState.fresh(G, n_axes), _BartlettTable()
+    )
     for g, rows in enumerate(streams):
         stat, _ = trace_stats(model, rows, threshold)
         hits = np.flatnonzero(stat >= threshold)
