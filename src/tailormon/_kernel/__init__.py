@@ -38,7 +38,7 @@ the tie rule run per set of J streams, and every other pass is
 elementwise, so each set's results are those of its own scan.
 """
 
-from ._scan_py import ScanState, advance_state, mixture_terms, scan_step, scan_trace, stack_size
+from ._scan_py import TRACE_AHEAD, ScanState, advance_state, mixture_terms, scan_step, scan_trace, stack_size
 
 # There is no compiled kernel. perfbench/run.py stamps both names into
 # every benchmark record.
@@ -46,6 +46,7 @@ USING_COMPILED = False
 scan_step_compiled = None
 
 __all__ = [
+    "TRACE_AHEAD",
     "USING_COMPILED",
     "ScanState",
     "advance_state",

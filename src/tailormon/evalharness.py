@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernel import ScanState, stack_size
+from ._kernel import TRACE_AHEAD, ScanState, stack_size
 from .calibrate import CalibrationConfig, calibrate_threshold, clopper_pearson, resolve_threads
 from .changemodel import (
     CHANGE_TYPES,
@@ -61,30 +61,37 @@ DETECTOR_KINDS = (TPCA, MINPCA, MAXPCA, MIXTURE)
 
 # Raw steps of a trial group's first stretch; each later stretch is twice
 # as long as the one before, up to TRIAL_STRETCH_MAX steps, the steps a
-# thresholded trace scan copies ahead (``_kernel._scan_py.TRACE_AHEAD``).
-# Most trials of a change cell alarm within the first stretch or two, and
-# a group is sized by its longest stretch, not by the horizon.
+# thresholded trace scan copies ahead. Most trials of a change cell alarm
+# within the first stretch or two, and a group is sized by its longest
+# stretch, not by the horizon. A longer horizon is cut into about
+# TRIAL_LONG_STRETCHES stretches past the first few instead: each stretch
+# of a trial multiplies a matrix the length of its whole chunk
+# (``_chunk_rows``), so a trial that runs to the horizon (a null or
+# censored one) pays that product a bounded number of times.
 TRIAL_STRETCH_FIRST = 64
-TRIAL_STRETCH_MAX = 256
+TRIAL_STRETCH_MAX = TRACE_AHEAD
+TRIAL_LONG_STRETCHES = 8
 
 
 def _stretch_ends(horizon: int) -> list[int]:
     """The raw step at which each stretch of a trial group ends.
 
-    The stretches double from TRIAL_STRETCH_FIRST up to TRIAL_STRETCH_MAX
-    steps; a rest shorter than TRIAL_STRETCH_FIRST joins the stretch
-    before it, since a stretch costs a scan call and a draw and a check
-    per trial whatever its length, and null trials (most of a null cell's)
-    run to the horizon. A horizon of at most 2 * TRIAL_STRETCH_FIRST - 1
-    steps is one stretch.
+    The stretches double from TRIAL_STRETCH_FIRST up to the larger of
+    TRIAL_STRETCH_MAX and horizon // TRIAL_LONG_STRETCHES steps; a rest
+    shorter than TRIAL_STRETCH_FIRST joins the stretch before it, since a
+    stretch costs a scan call and a draw and a check per trial whatever
+    its length, and null trials (most of a null cell's) run to the
+    horizon. A horizon of at most 2 * TRIAL_STRETCH_FIRST - 1 steps is one
+    stretch.
     """
+    longest = max(TRIAL_STRETCH_MAX, horizon // TRIAL_LONG_STRETCHES)
     ends, end, size = [], 0, TRIAL_STRETCH_FIRST
     while end < horizon:
         end += size
         if horizon - end < TRIAL_STRETCH_FIRST:
             end = horizon
         ends.append(end)
-        size = min(2 * size, TRIAL_STRETCH_MAX)
+        size = min(2 * size, longest)
     return ends
 
 
@@ -211,8 +218,6 @@ def _chunk_rows(rng, chunk: int, lo: int, hi: int, mean: np.ndarray, chol: np.nd
     multiplied as a matrix of the chunk's shape, its normals at their
     rows and zeros elsewhere: a row of the product reads no other row.
     """
-    if hi - lo == chunk:
-        return gaussian_rows(rng, chunk, mean, chol)
     normals = np.zeros((chunk, mean.shape[0]))
     normals[lo:hi] = rng.standard_normal((hi - lo, mean.shape[0]))
     return mean + (normals @ chol.T)[lo:hi]

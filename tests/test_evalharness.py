@@ -30,6 +30,7 @@ from tailormon import (
 import trial_reference
 from tailormon import evalharness
 from tailormon.evalharness import (
+    TRIAL_LONG_STRETCHES,
     TRIAL_STRETCH_FIRST,
     TRIAL_STRETCH_MAX,
     build_detector_model,
@@ -463,9 +464,11 @@ def whole_stream(base, kappa, scenario, horizon, seed):
 
 
 def stretch_ends(horizon):
-    """The last raw step of each trial stretch: 64, 128, then 256 steps, a rest under 64 joining the last."""
+    """The last raw step of each trial stretch: 64, 128, 256, ... steps up to 256 or an eighth of the horizon, a rest under 64 joining the last."""
+    longest = max(TRIAL_STRETCH_MAX, horizon // TRIAL_LONG_STRETCHES)
     ends = [0]
-    for size in itertools.chain([TRIAL_STRETCH_FIRST, 2 * TRIAL_STRETCH_FIRST], itertools.repeat(TRIAL_STRETCH_MAX)):
+    for k in itertools.count():
+        size = min(TRIAL_STRETCH_FIRST << k, longest)
         if ends[-1] + size + TRIAL_STRETCH_FIRST > horizon:
             return ends[1:] + [horizon] if ends[-1] < horizon else ends[1:]
         ends.append(ends[-1] + size)
@@ -479,7 +482,11 @@ def test_stretch_ends():
     assert evalharness._stretch_ends(100) == [100]
     assert evalharness._stretch_ends(1000) == [64, 192, 448, 704, 1000]
     assert evalharness._stretch_ends(1024) == [64, 192, 448, 704, 960, 1024]
-    for horizon in range(0, 2000, 7):
+    assert evalharness._stretch_ends(2048) == [64, 192, 448, 704, 960, 1216, 1472, 1728, 1984, 2048]
+    assert evalharness._stretch_ends(5000) == [64, 192, 448, 960, 1585, 2210, 2835, 3460, 4085, 4710, 5000]
+    # a long horizon is cut into a few more stretches than the ramp, however long it is
+    assert len(evalharness._stretch_ends(50_000)) == 14
+    for horizon in itertools.chain(range(0, 2000, 7), range(2000, 12_000, 97)):
         assert evalharness._stretch_ends(horizon) == stretch_ends(horizon)
 
 
@@ -534,12 +541,17 @@ class TestStretchRunner:
                 t = outcome.alarm_time
                 assert rows == (horizon if t is None else min(e for e in ends if e >= t))
 
-    @pytest.mark.parametrize("lag, p0", [(0, 1.0), (1, 0.3)])
-    def test_trials_that_never_alarm_are_drawn_to_the_horizon(self, monkeypatch, lag, p0):
+    # a short fourth stretch ends the horizon, and the change comes in the
+    # second; or a horizon long enough for stretches of more than
+    # TRIAL_STRETCH_MAX steps
+    @pytest.mark.parametrize(
+        "lag, p0, horizon, kappa",
+        [(0, 1.0, 549, 84), (1, 0.3, 549, 84), (0, 0.3, TRIAL_LONG_STRETCHES * TRIAL_STRETCH_MAX + 600, 300)],
+    )
+    def test_trials_that_never_alarm_are_drawn_to_the_horizon(self, monkeypatch, lag, p0, horizon, kappa):
         model, base = stretch_model(lag, p0)
-        # a short fourth stretch ends at the horizon, and the change comes in the second
-        horizon, kappa = stretch_ends(10_000)[2] + TRIAL_STRETCH_FIRST + 37, TRIAL_STRETCH_FIRST + 20
-        assert len(stretch_ends(horizon)) == 4
+        ends = stretch_ends(horizon)
+        assert len(ends) == 4 or max(np.diff([0, *ends])) > TRIAL_STRETCH_MAX
         seeds = list(range(24))
         small = ChangeScenario(ctype="mean", affected=(2,), mean_sizes=(0.3,))
         maxima = [
@@ -548,9 +560,11 @@ class TestStretchRunner:
         # half of the trials alarm, at many times, and the others never do
         armed = model.with_threshold(float(np.median(maxima)))
         got, drawn = self.run_both(armed, base, kappa, small, horizon, seeds, monkeypatch)
-        censored = [o.censored for o in got]
-        assert 0 < sum(censored) < len(got)
-        assert all(rows == horizon for rows, c in zip(drawn, censored) if c)
+        alarms = [o.alarm_time for o in got if not o.censored]
+        assert 0 < len(alarms) < len(got) and max(alarms) > ends[2]
+        for outcome, rows in zip(got, drawn):
+            t = outcome.alarm_time
+            assert rows == (horizon if t is None else min(e for e in ends if e >= t))
         nowhere = model.with_threshold(math.inf)
         got, drawn = self.run_both(nowhere, base, kappa, small, horizon, seeds[:5], monkeypatch)
         assert all(o.censored for o in got) and drawn == [horizon] * 5
