@@ -21,11 +21,9 @@ from .calibrate import (
 from .changemodel import (
     ChangeDistributionSpec,
     ChangeScenario,
-    NormalParams,
     PostChangeParams,
     apply_change,
     apply_change_lagged,
-    hellinger_normal,
     projection_sensitivities,
     sample_change,
 )

@@ -11,20 +11,22 @@ stops at the first step that reaches it and returns that step's state.
 through ``advance_state``, and ``Monitor.feed`` resumes ``scan_trace``
 from it block after block. Calibration scans a batch of replicates at
 once, and simulation a group of trials, their streams side by side as
-one ``scan_trace`` of (T, G, J) values. A replicate's whole stream is
-scanned from a fresh state, and its end state is not kept. A trial
-group is scanned a stretch at a time: with a threshold each set of a
-stacked scan stops at its own first crossing and leaves the later
-blocks, and the scan returns the state of the sets still running, from
-which the next stretch resumes. ``stack_size`` is the one rule that
-sizes those batches and groups. ``_kahan`` adds every row to the running
-totals on all these paths, so they agree bit for bit. Besides the
-totals at its time and its last w + 1 values, a state carries the
-running totals before each of those values' times (its ``prefix``):
-every candidate's pre-change segment is the training plus the running
-totals at the candidate, and its term depends on the candidate alone, so
-each scan computes it once per stream and time
-(``_scan_py._pre_change_terms``) rather than once per cell.
+one ``scan_trace`` of (T, G, J) values. Every scan copies the stretch
+it is given whole, sizes its blocks by their cell budget alone and
+returns its state. A replicate's whole stream is scanned from a fresh
+state, and its caller drops the end state. A trial group is scanned a
+stretch at a time: with a threshold each set of a stacked scan stops at
+its own first crossing and leaves the later blocks, and the scan returns
+the state of the sets still running, from which the next stretch
+resumes; the short stretches are what stop a group early.
+``stack_size`` is the one rule that sizes those batches and groups.
+``_kahan`` adds every row to the running totals on all these paths, so
+they agree bit for bit. Besides the totals at its time and its last
+w + 1 values, a state carries the running totals before each of those
+values' times (its ``prefix``): every candidate's pre-change segment is
+the training plus the running totals at the candidate, and its term
+depends on the candidate alone, so each scan computes it once per stream
+and time (``_scan_py._pre_change_terms``) rather than once per cell.
 
 The cell scan is stream-major: it holds its cells as (J, steps, lengths)
 rectangles,
@@ -38,7 +40,7 @@ the tie rule run per set of J streams, and every other pass is
 elementwise, so each set's results are those of its own scan.
 """
 
-from ._scan_py import TRACE_AHEAD, ScanState, advance_state, mixture_terms, scan_step, scan_trace, stack_size
+from ._scan_py import ScanState, advance_state, mixture_terms, scan_step, scan_trace, stack_size
 
 # There is no compiled kernel. perfbench/run.py stamps both names into
 # every benchmark record.
@@ -46,7 +48,6 @@ USING_COMPILED = False
 scan_step_compiled = None
 
 __all__ = [
-    "TRACE_AHEAD",
     "USING_COMPILED",
     "ScanState",
     "advance_state",

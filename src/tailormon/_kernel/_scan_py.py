@@ -51,16 +51,6 @@ WIDE_STREAMS = 64
 # steps in the cell budget; a scan that stops at a threshold would finish
 # them all after the crossing.
 TRACE_BLOCK_STEPS = 64
-# A stacked thresholded scan's first block holds at most this many cells,
-# and each later one twice as many as the one before, up to the budget, so
-# sets that cross early waste few cells past their crossing. One monitor's
-# scan keeps whole blocks: below about J = 8 a block's own numpy calls
-# cost about what a half block of cells does (0.3-0.5 ms), so for it a
-# smaller first block costs more on a stream that does not alarm early
-# than it saves on one that does.
-TRACE_BLOCK_FIRST = TRACE_BLOCK_CELLS // 2
-# Steps of the stretch that a thresholded scan copies ahead of its blocks.
-TRACE_AHEAD = 4 * TRACE_BLOCK_STEPS
 # A stack of sets (calibration replicates, simulated trials) holds no more
 # than fill this many blocks at any one stage (``stack_size``).
 STACK_BLOCKS = 16
@@ -168,7 +158,7 @@ def scan_step(
         k attaining it, and the number of clamped segment variances.
     """
     L, J = window_vals.shape
-    # the step's arrays are filled in place: np.stack of a few small
+    # the step's arrays are written in place: np.stack of a few small
     # arrays costs several times their copies. The totals at times
     # t - L..t: the candidates t - L..t - 2, and t
     tots = np.empty((L + 1, 2, J))
@@ -528,7 +518,6 @@ def scan_trace(
     var_floor: float,
     threshold: float | None = None,
     state: ScanState | None = None,
-    keep_state: bool = True,
 ):
     """Scan every step of a stretch of trace, bit for bit as ``scan_step`` would.
 
@@ -552,12 +541,12 @@ def scan_trace(
     ``advance_state`` does, and computes from them the pre-change term
     a(k) of each of its times once per stream (``_pre_change_terms``);
     every later cell reads a(k) through a strided window, as it reads the
-    values. The scan's copy of the stretch holds each value and its square
-    as one complex number; the windows are strided views of it, and the
-    running totals read its rows through a float view. A stacked scan
-    with a threshold starts with blocks of
-    TRACE_BLOCK_FIRST cells and doubles them, so little is scanned past
-    early crossings.
+    values. The scan copies the whole stretch once, each value and its
+    square as one complex number; the windows are strided views of that
+    copy, and the running totals read its rows through a float view. Every
+    block is sized by the cell budget of the streams it scans, with or
+    without a threshold: a caller that expects an early stop hands over a
+    short stretch, as simulated trials do.
 
     Parameters
     ----------
@@ -578,9 +567,6 @@ def scan_trace(
         has crossed.
     state : ScanState, optional
         Where an earlier scan of the same trace stopped; it is not changed.
-    keep_state : bool
-        Whether to return the state after the last scanned step. A scan
-        that returns none keeps no running totals for it.
 
     Returns
     -------
@@ -597,9 +583,8 @@ def scan_trace(
         scan with a threshold returns the state after time
         state.t + T of the sets that never crossed, in their order, so
         the next stretch of their traces can resume it; None when every
-        set crossed. The state is None too without ``keep_state``. The
-        state's tail may be a view into the scan's copy of the stretch;
-        copy it to keep it without keeping the copy.
+        set crossed. The state's tail may be a view into the scan's copy of
+        the stretch; copy it to keep it without keeping the copy.
     """
     z = np.asarray(z, dtype=float)
     T, *streams = z.shape
@@ -626,29 +611,25 @@ def scan_trace(
     # i (set after set, J streams each) at time first + s as its real part
     # and the value's square as its imaginary part. The columns reach w + 1
     # times back from the first step, zero columns standing for times
-    # before 1, which only cells with k < 0 reach, and on to time
-    # ``filled``. Next to them, pre[i, s] holds stream i's pre-change term
-    # a(k) of k = first - 1 + s, up to k = filled, -inf where k < 0, and
-    # lows[g, s] set g's count of streams whose var_1 is clamped at that
-    # k. A thresholded scan copies TRACE_AHEAD steps of the stretch at a
-    # time, since its sets may cross long before the end, and copies again
-    # what it still needs when a block runs past them or a set leaves the
-    # scan
-    zs = z.reshape(T, G, J)
+    # before 1, which only cells with k < 0 reach, and on to the stretch's
+    # last time. Next to them, pre[i, s] holds stream i's pre-change term
+    # a(k) of k = first - 1 + s, -inf where k < 0, and lows[g, s] set g's
+    # count of streams whose var_1 is clamped at that k; each block fills in
+    # those of its own times. When sets leave a stacked scan, the columns
+    # the others still read are copied apart
     pad = cap - held
     first = t_prev - cap + 1
-    filled = t_prev + (T if threshold is None else min(T, TRACE_AHEAD))
-    both = np.empty((G * J, filled - first + 1), dtype=complex)
+    both = np.empty((G * J, t_end - first + 1), dtype=complex)
     values = both.real
     values[:, :pad] = 0.0
     values[:, pad:pad + held] = state.tail.reshape(held, G * J).T
-    values[:, pad + held:] = zs[:filled - t_prev].reshape(-1, G * J).T
+    values[:, pad + held:] = z.reshape(T, G * J).T
     np.multiply(values, values, out=both.imag)
-    pre = np.empty((G * J, filled - first + 2))
-    lows = np.empty((G, filled - first + 2), dtype=np.int64)
+    pre = np.empty((G * J, t_end - first + 2))
+    lows = np.empty((G, t_end - first + 2), dtype=np.int64)
     pre[:, :pad] = -np.inf
     lows[:, :pad] = 0
-    # the running totals at times t_prev - held..t_prev; a returned state's
+    # the running totals at times t_prev - held..t_prev; the returned state's
     # prefix is cut from these and the blocks' totals, kept in ``hist`` as
     # (first time, totals) pieces back to w + 1 times before the next step
     known = np.concatenate([state.prefix.reshape(held, 2, G, J), total[None]])
@@ -656,24 +637,6 @@ def scan_trace(
     pre[:, pad:pad + held + 1] = a.reshape(held + 1, G * J).T
     lows[:, pad:pad + held + 1] = low.T
     hist = [(t_prev - held, known)]
-
-    def recopy(keep, since, upto):
-        """``both``, ``pre`` and ``lows`` from time ``since`` on for the sets ``keep`` picks, with room up to ``upto``.
-
-        The values of the new times are those of the sets in ``alive``.
-        """
-        n_kept, G_kept = filled - since + 1, alive.size
-        S = G_kept * J
-        out = np.empty((S, upto - since + 1), dtype=complex)
-        out[:, :n_kept] = both.reshape(-1, J, both.shape[1])[keep, :, since - first:].reshape(S, n_kept)
-        new = out[:, n_kept:]
-        new.real = zs[filled - t_prev:upto - t_prev, alive].reshape(upto - filled, S).T
-        np.multiply(new.real, new.real, out=new.imag)
-        out_pre = np.empty((S, upto - since + 2))
-        out_pre[:, :n_kept + 1] = pre.reshape(-1, J, pre.shape[1])[keep, :, since - first:].reshape(S, n_kept + 1)
-        out_lows = np.empty((G_kept, upto - since + 2), dtype=np.int64)
-        out_lows[:, :n_kept + 1] = lows[keep, since - first:]
-        return out, out_pre, out_lows
 
     def views(both, pre):
         """The windows of ``both`` and ``pre`` and the running totals' rows of ``both``, as views.
@@ -705,39 +668,27 @@ def scan_trace(
         a, low = _pre_change_terms(train, m, t0, run, var_floor)
         pre[:, t0 - first + 1:t1 - first + 1] = a.reshape(t1 - t0, -1).T
         lows[:, t0 - first + 1:t1 - first + 1] = low.T
-        if keep_state:
-            hist.append((t0, run))
+        hist.append((t0, run))
         return *totals, block_rows
 
     def results(t, total, comp):
         """The arrays up to time t, and the state there of the sets in ``alive``."""
         n = t - t_prev
-        state = None
-        if keep_state:
-            L = min(t, cap)
-            now = (alive.size, J) if sets else streams
-            tail = both.real[:, t - first + 1 - L:t - first + 1].T.reshape(L, *now)
-            since = hist[0][0]
-            prefix = np.concatenate([tots for _, tots in hist])[t - L - since:t - since].reshape(L, 2, *now)
-            state = ScanState(total.reshape(2, *now), comp.reshape(2, *now), tail, prefix, t)
+        L = min(t, cap)
+        now = (alive.size, J) if sets else streams
+        tail = both.real[:, t - first + 1 - L:t - first + 1].T.reshape(L, *now)
+        since = hist[0][0]
+        prefix = np.concatenate([tots for _, tots in hist])[t - L - since:t - since].reshape(L, 2, *now)
+        state = ScanState(total.reshape(2, *now), comp.reshape(2, *now), tail, prefix, t)
         return *(a[:, :n].reshape(*sets, n) for a in (stat, argmax_k, clamped)), state
 
     if t_prev == 0 and T:  # time 1 has no candidate; it only enters the totals and a(1)
         total, comp, _ = add_rows(1, 2)
     alive = np.arange(G)  # the sets still scanned, in the order of the arrays above
-    ramp = TRACE_BLOCK_FIRST  # the cells of the next thresholded block
     t0 = max(2, t_prev + 1)
     while t0 <= t_end:
         S = alive.size * J
-        budget = _block_cells(S)
-        if threshold is not None and sets:
-            budget, ramp = min(budget, ramp), 2 * ramp
-        t1 = _block_end(t0, t_end, S, window, budget)
-        if t1 - 1 > filled:
-            upto = min(t_end, t1 - 1 + TRACE_AHEAD)
-            both, pre, lows = recopy(slice(None), t0 - window, upto)
-            first, filled = t0 - window, upto
-            rev, prev, rows = views(both, pre)
+        t1 = _block_end(t0, t_end, S, window, _block_cells(S))
         B = t1 - t0
         while len(hist) > 1 and hist[1][0] <= t0 - 1 - cap:
             del hist[0]
@@ -799,13 +750,13 @@ def scan_trace(
         # and leaves the later blocks and the returned state
         alive = alive[keep]
         total, comp, train = total[:, keep], comp[:, keep], train[:, keep]
-        if keep_state:
-            hist = [(since, tots[:, :, keep]) for since, tots in hist]
-        if t0 <= t_end or keep_state:
-            # the others keep their columns from the first time the state's
-            # tail or a later window reads, at least up to the next step
-            upto = max(filled, min(t_end, t0 - 1 + TRACE_AHEAD))
-            both, pre, lows = recopy(keep, t0 - cap, upto)
-            first, filled = t0 - cap, upto
-            rev, prev, rows = views(both, pre)
+        hist = [(since, tots[:, :, keep]) for since, tots in hist]
+        # the others keep their columns from time t0 - w - 1 on, the first
+        # that the state's tail or a later window reads
+        s = t0 - cap - first
+        both = both.reshape(-1, J, both.shape[1])[keep, :, s:].reshape(alive.size * J, -1)
+        pre = pre.reshape(-1, J, pre.shape[1])[keep, :, s:].reshape(alive.size * J, -1)
+        lows = lows[keep, s:]
+        first = t0 - cap
+        rev, prev, rows = views(both, pre)
     return results(t_end, total, comp)

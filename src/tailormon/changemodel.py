@@ -34,29 +34,6 @@ CHANGE_TYPES = (MEAN, VARIANCE, CORRELATION)
 _MAX_REDRAWS = 100
 
 
-@dataclass(frozen=True)
-class NormalParams:
-    """Mean and standard deviation of a univariate normal."""
-
-    mean: float
-    sdev: float
-
-    def __post_init__(self):
-        if not self.sdev > 0.0:
-            raise ValueError("sdev must be positive")
-
-
-def hellinger_normal(p: NormalParams, q: NormalParams) -> float:
-    """Hellinger distance between two univariate normals, in [0, 1].
-
-    H^2 = 1 - sqrt(2*s1*s2 / (s1^2 + s2^2)) * exp(-(m1 - m2)^2 / (4*(s1^2 + s2^2)))
-
-    Symmetric in its arguments, and symmetric in whether a variance is
-    multiplied or divided by a factor. Zero exactly when p == q.
-    """
-    return float(_hellinger_arrays(p.mean, p.sdev, q.mean, q.sdev))
-
-
 def _hellinger_arrays(m1, s1, m2, s2):
     s1 = np.asarray(s1, dtype=float)
     s2 = np.asarray(s2, dtype=float)

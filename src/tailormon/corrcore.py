@@ -374,7 +374,7 @@ def _dvine_correlation(pcs: np.ndarray) -> np.ndarray:
     """Correlation matrix from D-vine partial correlations.
 
     ``pcs[i, j]`` (i < j) holds the partial correlation of variables i and
-    j given the variables strictly between them. Pairs are filled in
+    j given the variables strictly between them. Pairs are solved in
     increasing lag order; each unconditional correlation follows from the
     partial-correlation identity with the conditioning block solved as a
     batched linear system.

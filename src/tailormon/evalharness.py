@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernel import TRACE_AHEAD, ScanState, stack_size
+from ._kernel import ScanState, stack_size
 from .calibrate import CalibrationConfig, calibrate_threshold, clopper_pearson, resolve_threads
 from .changemodel import (
     CHANGE_TYPES,
@@ -60,16 +60,19 @@ MIXTURE = "mixture"
 DETECTOR_KINDS = (TPCA, MINPCA, MAXPCA, MIXTURE)
 
 # Raw steps of a trial group's first stretch; each later stretch is twice
-# as long as the one before, up to TRIAL_STRETCH_MAX steps, the steps a
-# thresholded trace scan copies ahead. Most trials of a change cell alarm
-# within the first stretch or two, and a group is sized by its longest
-# stretch, not by the horizon. A longer horizon is cut into about
+# as long as the one before, up to TRIAL_STRETCH_MAX steps. Most trials of
+# a change cell alarm within the first stretch or two, and a group is
+# sized by its longest stretch, not by the horizon. The cap bounds what a
+# trial costs past its alarm, since its rows are drawn, checked, projected
+# and copied into the scan to the end of its stretch; 256 steps still
+# spreads a stretch's fixed costs (a scan call, and a draw and a check per
+# trial) over many steps. A longer horizon is cut into about
 # TRIAL_LONG_STRETCHES stretches past the first few instead: each stretch
 # of a trial multiplies a matrix the length of its whole chunk
 # (``_chunk_rows``), so a trial that runs to the horizon (a null or
 # censored one) pays that product a bounded number of times.
 TRIAL_STRETCH_FIRST = 64
-TRIAL_STRETCH_MAX = TRACE_AHEAD
+TRIAL_STRETCH_MAX = 256
 TRIAL_LONG_STRETCHES = 8
 
 

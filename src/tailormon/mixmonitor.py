@@ -392,7 +392,7 @@ def build_monitor_model(
     x = np.asarray(training_data, dtype=float)
     if x.shape != (training.m, training.dim):
         raise DimensionMismatch("training data shape does not match the training summary")
-    # the sums need the model's projector, so they are filled in after it
+    # the sums need the model's projector, so they are added after it
     model = restore_monitor_model(training, selection, (), (), p0=p0, window=window, lag=lag, threshold=threshold)
     z, train_sum, train_sumsq = _training_sums(x - training.mean, model.projector)
     return replace(model, training_projections=z, train_sum=train_sum, train_sumsq=train_sumsq)
@@ -519,6 +519,16 @@ def _checked_stack(raw, ext, mean, projector, sumsq, n: int) -> np.ndarray:
     return z
 
 
+def _raw_block(model: MonitorModel, rows) -> np.ndarray:
+    """A block of raw rows as a (n, raw_dim) array; an empty sequence is a block of no rows."""
+    x = np.asarray(rows, dtype=float)
+    if x.shape == (0,):
+        return x.reshape(0, model.raw_dim)
+    if x.ndim != 2 or x.shape[1] != model.raw_dim:
+        raise DimensionMismatch(f"expected raw vectors of dimension {model.raw_dim}, got shape {x.shape}")
+    return x
+
+
 def _checked_projections(model: MonitorModel, rows, state, history):
     """Check, lag-extend and project a block of raw rows that follows a running state.
 
@@ -529,9 +539,7 @@ def _checked_projections(model: MonitorModel, rows, state, history):
     first ``short`` rows still lack the lag + 1 rows an extended vector
     needs, and z holds the standardized projections of the others.
     """
-    x = np.asarray(rows, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.raw_dim:
-        raise DimensionMismatch(f"expected raw vectors of dimension {model.raw_dim}, got shape {x.shape}")
+    x = _raw_block(model, rows)
     lag = model.lag
     held = len(history)
     short = min(x.shape[0], max(0, lag - held))
@@ -580,8 +588,7 @@ def _stacked_maxima(train_sum, train_sumsq, z, m: int, window: int, p0: float) -
     """
     z = np.swapaxes(z, 0, 1)
     stat, _, _, _ = _kernel.scan_trace(
-        z, train_sum, train_sumsq, m, window, p0, _BartlettTable().upto(m + z.shape[0]), VAR_FLOOR,
-        keep_state=False,
+        z, train_sum, train_sumsq, m, window, p0, _BartlettTable().upto(m + z.shape[0]), VAR_FLOOR
     )
     return stat.max(axis=1, initial=-math.inf)
 
@@ -722,9 +729,9 @@ class Monitor:
         its count of clamped variances.
         """
         model = self.model
-        x = np.asarray(rows, dtype=float)
+        x = _raw_block(model, rows)  # its shape is checked even when it holds no row
         t_first = self._t_raw + 1
-        if x.shape[:1] == (0,):
+        if not x.shape[0]:
             none = np.empty(0, dtype=np.int64)
             return t_first, 0, np.empty(0), none, none.astype(bool), none
         lag = model.lag

@@ -12,13 +12,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import beta, betabinom, norm
 
+from hellinger_reference import NormalParams, hellinger_normal
 from tailormon import (
     CalibrationConfig,
     ChangeDistributionSpec,
     CorrelationMatrix,
     DetectorSpec,
     Monitor,
-    NormalParams,
     StreamStats,
     bartlett_correction,
     build_monitor_model,
@@ -26,7 +26,6 @@ from tailormon import (
     eigensystem,
     estimate_edd,
     estimate_training,
-    hellinger_normal,
     lag_extend_matrix,
     manual_selection,
     min_variance_selection,

@@ -5,15 +5,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chisquare, norm
 
+from hellinger_reference import NormalParams, hellinger_normal
 from tailormon import (
     ChangeDistributionSpec,
     ChangeScenario,
     CorrelationMatrix,
-    NormalParams,
     PostChangeParams,
     apply_change,
     eigensystem,
-    hellinger_normal,
     projection_sensitivities,
     random_correlation,
     sample_change,

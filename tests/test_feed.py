@@ -269,6 +269,25 @@ def test_bad_row_mid_block_leaves_state_untouched(bad):
 
 
 @pytest.mark.parametrize("lag", [0, 1])
+def test_an_empty_block_of_the_wrong_shape_is_rejected(lag):
+    # an empty block is checked as a block of rows is: a width or a rank
+    # other than the model's raises before any state changes
+    model, chol, rng = fitted(lag, dim=4)
+    mon = tm.Monitor(model)
+    mon.feed(stream(chol, rng, 30))
+    before = snapshot(mon)
+    for shape in [(0, 7), (0, 3), (0, 0), (0, 4, 3), (0, 1, 4)]:
+        with pytest.raises(tm.DimensionMismatch):
+            mon.feed(np.empty(shape))
+        with pytest.raises(tm.DimensionMismatch):
+            mon.feed(np.empty(shape), stop_on_alarm=True)
+        assert snapshot(mon) == before
+    # an empty sequence and an empty slice of rows are blocks of no rows
+    assert mon.feed([]) == [] and mon.feed(np.empty((0, 4))) == [] and mon.feed(np.empty(0)) == []
+    assert snapshot(mon) == before
+
+
+@pytest.mark.parametrize("lag", [0, 1])
 def test_rows_overflowing_the_sums_of_squares_together_rejected(lag):
     # every huge row passes the per-value test (its projections square to
     # finite values), but enough of them make the training-plus-running

@@ -258,7 +258,7 @@ def test_block_end_equals_growing_the_block_one_step_at_a_time():
     for window in (2, 25, 200):
         for n_streams in (1, 3, 50, 320):
             one_step = (window - 1) * n_streams  # a full-window block of one step
-            for budget in (0, 1, one_step - 1, one_step, 2 * one_step, _scan_py.TRACE_BLOCK_FIRST,
+            for budget in (0, 1, one_step - 1, one_step, 2 * one_step, _scan_py.TRACE_BLOCK_CELLS // 2,
                            _scan_py.TRACE_BLOCK_CELLS, 2 * _scan_py.TRACE_BLOCK_CELLS):
                 for t0 in (2, 3, window, window + 1, window + 2, 1000):
                     for T in (t0, t0 + 1, t0 + 5, t0 + steps - 1, t0 + steps, t0 + steps + 1, t0 + 5000):

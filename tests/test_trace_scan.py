@@ -19,7 +19,7 @@ from scan_reference import RingStats, ring_state, same_state
 from scan_reference import scan_step as reference_step
 from tailormon import _kernel, calibrate, evalharness, mixmonitor
 from tailormon._kernel import ScanState, _scan_py
-from tailormon._kernel._scan_py import TRACE_BLOCK_FIRST, _block_cells, _block_end
+from tailormon._kernel._scan_py import _block_cells, _block_end
 from tailormon.mixmonitor import VAR_FLOOR, _BartlettTable
 from trial_reference import trace_stats
 
@@ -128,33 +128,22 @@ def test_ties_go_to_the_smallest_k():
     assert k[1:].tolist() == [max(0, t - 16) for t in range(2, 81)]
 
 
-def first_block_ends(T, n_streams, window, stacked):
-    """The last steps of the blocks of a thresholded scan from time 2, while no set leaves it.
-
-    A stacked scan's blocks start at TRACE_BLOCK_FIRST cells and double;
-    one monitor's take the whole budget.
-    """
-    ends, t0, cells = [], 2, TRACE_BLOCK_FIRST
+def first_block_ends(T, n_streams, window):
+    """The last steps of the blocks of a scan from time 2, while no set leaves it."""
+    ends, t0 = [], 2
     while t0 <= T:
-        budget = min(cells, _block_cells(n_streams)) if stacked else _block_cells(n_streams)
-        t0 = _block_end(t0, T, n_streams, window, budget)
-        cells *= 2
+        t0 = _block_end(t0, T, n_streams, window, _block_cells(n_streams))
         ends.append(t0 - 1)
     return ends
 
 
-@pytest.mark.parametrize("ahead", [None, 5, 64])
-def test_threshold_stops_after_the_crossing_block(monkeypatch, ahead):
-    # a thresholded scan copies the trace ahead of its blocks in stretches;
-    # short stretches make it copy again block after block
-    if ahead is not None:
-        monkeypatch.setattr(_scan_py, "TRACE_AHEAD", ahead)
+def test_threshold_stops_after_the_crossing_block():
     z, ts, tq = random_trace(6, 600, 2)
     z[300:, 0] += 1.0
     ref, ref_k, _ = step_loop(z, ts, tq, 60, 25, 1.0)
     # thresholds equal to the largest statistic up to the end of one of the
     # first blocks test a crossing at its last step
-    block_max = [ref[:e].max() for e in first_block_ends(600, 2, 25, stacked=False)[:6]]
+    block_max = [ref[:e].max() for e in first_block_ends(600, 2, 25)[:6]]
     for threshold in [*block_max, *np.quantile(ref[1:], [0.5, 0.8, 0.9, 0.95, 0.99])]:
         first_t = int(np.flatnonzero(ref >= threshold)[0]) + 1
         stat, k = trace(z, ts, tq, 60, 25, 1.0, threshold)
@@ -224,15 +213,11 @@ def test_stacked_scan_equals_separate_scans(seed, G, J, p0, window, T, flat):
     T=st.integers(2, 90),
     where=st.sampled_from(["quantile", "at_once", "block_edge", "never"]),
     q=st.floats(0.3, 0.99),
-    # steps the scan copies ahead of its blocks, and the cells of a block:
-    # short stretches and small blocks make it copy again as blocks run
-    # past a stretch and as sets leave, at every alignment of the two
-    ahead=st.sampled_from([None, 1, 2, 5, 13]),
+    # the cells of a block: small blocks make the sets leave, and the scan
+    # copy the columns of the others, at every block alignment
     cells=st.sampled_from([None, 30, 100, 400]),
 )
-def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(
-    seed, G, J, p0, window, T, where, q, ahead, cells
-):
+def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(seed, G, J, p0, window, T, where, q, cells):
     """Each set of a stacked thresholded scan keeps its own scan's steps up to its first crossing, and nothing after."""
     rng = np.random.default_rng(seed)
     m = 40
@@ -244,28 +229,27 @@ def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(
     alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, h, VAR_FLOOR) for g in range(G)]
     stats = np.array([a[0] for a in alone])  # (G, T), -inf at t = 1
     pick = rng.integers(G)
-    if where == "quantile":
-        threshold = float(np.quantile(stats[:, 1:], q))
-    elif where == "at_once":
-        # one set crosses at its first step with a candidate
-        threshold = float(stats[pick, 1])
-    elif where == "block_edge":
-        # one set's statistic at the last or first step of one of the first blocks
-        ends = first_block_ends(T, G * J, window, stacked=True)
-        t = int(rng.choice(ends + [e + 1 for e in ends if e < T]))
-        threshold = float(stats[pick, t - 1])
-    else:
-        threshold = math.inf
-    built = _scan_py.TRACE_AHEAD, _scan_py.TRACE_BLOCK_CELLS, _scan_py.TRACE_BLOCK_FIRST
+    built = _scan_py.TRACE_BLOCK_CELLS
     # set by hand: a fixture would outlive the examples
-    if ahead is not None:
-        _scan_py.TRACE_AHEAD = ahead
     if cells is not None:
-        _scan_py.TRACE_BLOCK_CELLS, _scan_py.TRACE_BLOCK_FIRST = cells, cells // 2
+        _scan_py.TRACE_BLOCK_CELLS = cells
     try:
+        if where == "quantile":
+            threshold = float(np.quantile(stats[:, 1:], q))
+        elif where == "at_once":
+            # one set crosses at its first step with a candidate
+            threshold = float(stats[pick, 1])
+        elif where == "block_edge":
+            # one set's statistic at the last or first step of one of the
+            # first blocks of the budget in force
+            ends = first_block_ends(T, G * J, window)
+            t = int(rng.choice(ends + [e + 1 for e in ends if e < T]))
+            threshold = float(stats[pick, t - 1])
+        else:
+            threshold = math.inf
         stat, k, clamped, state = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR, threshold)
     finally:
-        _scan_py.TRACE_AHEAD, _scan_py.TRACE_BLOCK_CELLS, _scan_py.TRACE_BLOCK_FIRST = built
+        _scan_py.TRACE_BLOCK_CELLS = built
     hits = stats >= threshold
     # the state is that of the sets that never crossed, after the last step
     running = [g for g in range(G) if not hits[g].any()]
@@ -298,9 +282,9 @@ def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(
     T=st.integers(2, 90),
     cuts=st.lists(st.integers(1, 89), max_size=4),
     q=st.floats(0.3, 1.0),
-    ahead=st.sampled_from([None, 2, 7]),
+    cells=st.sampled_from([None, 30, 100]),
 )
-def test_stacked_thresholded_scan_resumes_stretch_by_stretch(seed, G, J, p0, window, T, cuts, q, ahead):
+def test_stacked_thresholded_scan_resumes_stretch_by_stretch(seed, G, J, p0, window, T, cuts, q, cells):
     """A stacked thresholded scan in stretches, each resumed from the sets still running, is the whole trace's scan."""
     rng = np.random.default_rng(seed)
     m = 40
@@ -311,10 +295,10 @@ def test_stacked_thresholded_scan_resumes_stretch_by_stretch(seed, G, J, p0, win
     h = _BartlettTable().upto(m + T)
     alone = np.array([_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, h, VAR_FLOOR)[0] for g in range(G)])
     threshold = float(np.quantile(alone[:, 1:], q))
-    built = _scan_py.TRACE_AHEAD
+    built = _scan_py.TRACE_BLOCK_CELLS
     # set by hand: a fixture would outlive the examples
-    if ahead is not None:
-        _scan_py.TRACE_AHEAD = ahead
+    if cells is not None:
+        _scan_py.TRACE_BLOCK_CELLS = cells
     try:
         whole = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR, threshold)[0]
         got = np.full((G, T), -np.inf)
@@ -333,7 +317,7 @@ def test_stacked_thresholded_scan_resumes_stretch_by_stretch(seed, G, J, p0, win
             if not live.size:
                 break
     finally:
-        _scan_py.TRACE_AHEAD = built
+        _scan_py.TRACE_BLOCK_CELLS = built
     n = whole.shape[1]
     assert got[:, :n].tobytes() == whole.tobytes()
     assert np.all(got[:, n:] == -np.inf)
@@ -341,16 +325,38 @@ def test_stacked_thresholded_scan_resumes_stretch_by_stretch(seed, G, J, p0, win
     assert live.tolist() == [g for g in range(G) if not hits[g].any()]
 
 
-def test_a_scan_that_keeps_no_state_returns_the_same_statistics():
-    z, ts, tq = random_trace(3, 120, 3)
-    zs = np.stack([z, z[::-1]], axis=1)
-    h = _BartlettTable().upto(60 + 120)
-    for stacked, sums in ((z, (ts, tq)), (zs, (np.stack([ts, ts]), np.stack([tq, tq])))):
-        kept = _kernel.scan_trace(stacked, *sums, 60, 25, 0.4, h, VAR_FLOOR)
-        dropped = _kernel.scan_trace(stacked, *sums, 60, 25, 0.4, h, VAR_FLOOR, keep_state=False)
-        assert kept[3] is not None and dropped[3] is None
-        for a, b in zip(kept[:3], dropped[:3]):
-            assert a.tobytes() == b.tobytes()
+def test_a_long_stacked_thresholded_scan_keeps_each_sets_own_scan(monkeypatch):
+    """Three sets over 700 steps in small blocks: one crosses before step 256, one after it, one never."""
+    rng = np.random.default_rng(21)
+    T, G, J, m, window = 700, 3, 2, 60, 25
+    z = rng.standard_normal((T, G, J))
+    z[100:, 0, 0] += 4.0
+    z[450:, 1, 1] += 4.0
+    ts = 0.2 * rng.standard_normal((G, J))
+    tq = m + rng.standard_normal((G, J))
+    h = _BartlettTable().upto(m + T)
+    alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, 0.5, h, VAR_FLOOR) for g in range(G)]
+    stats = np.array([a[0] for a in alone])
+    # above every statistic before each set's shift, so only the shifts cross
+    threshold = 1.0 + max(stats[0, :100].max(), stats[1, :450].max(), stats[2].max())
+    firsts = [int(np.argmax(row >= threshold)) + 1 if (row >= threshold).any() else None for row in stats]
+    assert firsts[0] < 256 < firsts[1] and firsts[2] is None
+    # a few steps a block, so the sets leave the scan at a block's edge or inside it
+    monkeypatch.setattr(_scan_py, "TRACE_BLOCK_CELLS", 300)
+    # the whole trace, and the trace cut at the second set's crossing, so that
+    # it leaves the scan in the last block and the state is cut right after
+    for end in (T, firsts[1]):
+        stat, k, clamped, state = _kernel.scan_trace(z[:end], ts, tq, m, window, 0.5, h, VAR_FLOOR, threshold)
+        assert stat.shape == (G, end)
+        for g, (a_stat, a_k, a_clamped, _) in enumerate(alone):
+            n = min(firsts[g] or end, end)
+            assert stat[g, :n].tobytes() == a_stat[:n].tobytes()
+            assert k[g, :n].tobytes() == a_k[:n].tobytes()
+            assert clamped[g, :n].tobytes() == a_clamped[:n].tobytes()
+            assert np.all(stat[g, n:] == -np.inf) and np.all(k[g, n:] == -1) and np.all(clamped[g, n:] == 0)
+        # the state is the last set's alone, after the last step
+        assert state.total.shape == (2, 1, J)
+        assert same_state(state.pick(0), ring_state(z[:end, 2], ts[2], tq[2], m, window))
 
 
 def fitted(lag, p0=1.0, window=25, dim=4, m=80, seed=0):
@@ -392,7 +398,7 @@ def test_trace_stats_with_a_threshold_ends_at_the_first_alarm(reference_step_ker
     rows = rng.standard_normal((300, chol.shape[0])) @ chol.T
     rows[150:, 0] += 1.5
     ref, ref_k = monitor_stats(model, rows)
-    ends = [e + lag for e in first_block_ends(300 - lag, model.n_streams, model.window, stacked=False)]
+    ends = [e + lag for e in first_block_ends(300 - lag, model.n_streams, model.window)]
     for threshold in [ref[:e].max() for e in ends[:5]] + [float(np.max(ref)), math.inf]:
         stat, k = trace_stats(model, rows, threshold)
         n = int(np.argmax(ref >= threshold)) + 1 if (ref >= threshold).any() else 300
