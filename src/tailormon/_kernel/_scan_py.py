@@ -54,6 +54,10 @@ TRACE_BLOCK_STEPS = 64
 # A stack of sets (calibration replicates, simulated trials) holds no more
 # than fill this many blocks at any one stage (``stack_size``).
 STACK_BLOCKS = 16
+# One row of ``_kahan``'s numpy row loop costs about as much as this many
+# values added lane by lane (2.6 us against 75 ns a value, timed on 64-row
+# blocks), so a block of this many lanes or more takes the row loop.
+KAHAN_ROW_VALUES = 32
 
 
 def mixture_terms(x: np.ndarray, p0: float) -> np.ndarray:
@@ -397,6 +401,11 @@ class ScanState(NamedTuple):
         return ScanState(self.total[:, g], self.comp[:, g], self.tail[:, g], self.prefix[:, :, g], self.t)
 
 
+def _lane_by_lane(rows: int, lanes: int) -> bool:
+    """Whether ``_kahan`` adds a block of ``rows`` x ``lanes`` values lane by lane."""
+    return lanes < min(rows, KAHAN_ROW_VALUES)
+
+
 def _kahan(total, comp, v, run=None):
     """Add the rows of v, (n, 2, J) or (n, 2, G, J), to the running totals with Kahan's compensated steps.
 
@@ -406,15 +415,20 @@ def _kahan(total, comp, v, run=None):
     times are grouped.
 
     Each lane (a value or square of one stream) is added up alone, so a
-    block of more rows than lanes (a live monitor's scan block, 27 rows of
-    6 lanes at w = 200 and J = 3) is added lane by lane in Python floats,
-    the same four IEEE double operations per value in the same order, for
-    a Python loop over its values instead of four numpy calls per row. A
-    single row (``Monitor.step``) and the wide stacks of calibration and
-    simulated trials, whose rows hold hundreds of lanes, take the row loop.
+    block can be added lane by lane in Python floats, the same four IEEE
+    double operations per value in the same order, for a Python loop over
+    its values instead of four numpy calls per row. The path follows the
+    block's value count, rows x lanes, against its rows: lane by lane when
+    the block holds fewer values than rows squared (more rows than lanes,
+    so the conversions are shared by many values) and fewer than
+    ``KAHAN_ROW_VALUES`` per row. A live monitor's scan block (27 rows of 6
+    lanes at w = 200 and J = 3) goes lane by lane; a single row
+    (``Monitor.step``), a 64-row block of 40 lanes and the wide stacks of
+    calibration and simulated trials, whose rows hold hundreds of lanes,
+    take the row loop.
     """
     n = v.shape[0]
-    if n > total.size:
+    if _lane_by_lane(n, total.size):
         totals, comps, runs = total.ravel().tolist(), comp.ravel().tolist(), []
         for j, lane in enumerate(v.reshape(n, -1).T.tolist()):
             s, c = totals[j], comps[j]

@@ -17,6 +17,7 @@ one-scenario cases and give the same bits.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -173,15 +174,13 @@ class PostChangeParams:
         return self.mean.shape[0]
 
 
-def _draw_sdev_factors(spec: ChangeDistributionSpec, k: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_sdev_factors(spec: ChangeDistributionSpec, bounds: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    # bounds is np.asarray(spec.sdev_ranges), built once per sampler
     if spec.equal_across_dims:
         lo, hi = spec.sdev_ranges[int(rng.integers(0, 2))]
         return np.full(k, rng.uniform(lo, hi))
     which = rng.integers(0, 2, size=k)
-    bounds = np.asarray(spec.sdev_ranges, dtype=float)
-    lo = bounds[which, 0]
-    hi = bounds[which, 1]
-    return rng.uniform(lo, hi)
+    return rng.uniform(bounds[which, 0], bounds[which, 1])
 
 
 @lru_cache(maxsize=None)
@@ -194,11 +193,16 @@ def _pair_index(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_corr_factors(
-    spec: ChangeDistributionSpec, base_vals: np.ndarray, aff: np.ndarray, rng: np.random.Generator
+    spec: ChangeDistributionSpec, base_vals: np.ndarray, aff: np.ndarray, rng: np.random.Generator, redraws: bool
 ) -> np.ndarray:
+    """The factors of the affected pairs; ``redraws`` is False when no factor can scale a correlation out of (-1, 1)."""
     iu, ju = _pair_index(aff.size)
-    rho = base_vals[aff[iu], aff[ju]]
     lo, hi = spec.corr_factor_range
+    if not redraws:
+        if spec.equal_across_dims:
+            return np.full(iu.size, rng.uniform(lo, hi))
+        return rng.uniform(lo, hi, size=iu.size)
+    rho = base_vals[aff[iu], aff[ju]]
     if spec.equal_across_dims:
         for _ in range(_MAX_REDRAWS):
             a = float(rng.uniform(lo, hi))
@@ -243,11 +247,19 @@ def change_sampler(spec: ChangeDistributionSpec, base_vals: np.ndarray):
     # the search Generator.choice(3, p=type_probs) makes, on its own
     # normalized cumulative probabilities
     cdf = np.cumsum(np.asarray(spec.type_probs, dtype=float))
-    cdf /= cdf[-1]
+    cdf = (cdf / cdf[-1]).tolist()
     mean_lo, mean_hi = spec.mean_range
+    sdev_bounds = np.asarray(spec.sdev_ranges, dtype=float)
+    # a factor can take a scaled correlation out of (-1, 1) only when the
+    # largest factor times the largest correlation reaches 1 (the slack
+    # covers the rounding of a uniform draw and of the product); never for
+    # the default factors in (0, 1) and a base with no correlation near 1
+    off = np.abs(base_vals[~np.eye(d, dtype=bool)])
+    bound = max(abs(x) for x in spec.corr_factor_range)
+    redraws = bool(off.size) and bound * off.max() * (1.0 + 1e-12) >= 1.0
 
     def draw(rng: np.random.Generator) -> tuple[int, np.ndarray, np.ndarray]:
-        t = int(np.searchsorted(cdf, rng.random(), side="right"))
+        t = bisect_right(cdf, rng.random())
         k = int(rng.integers(1, kmax + 1))
         aff = np.sort(rng.choice(d, size=k, replace=False))
         if t == 0:
@@ -255,8 +267,8 @@ def change_sampler(spec: ChangeDistributionSpec, base_vals: np.ndarray):
                 return t, aff, np.full(k, rng.uniform(mean_lo, mean_hi))
             return t, aff, rng.uniform(mean_lo, mean_hi, size=k)
         if t == 1:
-            return t, aff, _draw_sdev_factors(spec, k, rng)
-        return t, aff, _draw_corr_factors(spec, base_vals, aff, rng)
+            return t, aff, _draw_sdev_factors(spec, sdev_bounds, k, rng)
+        return t, aff, _draw_corr_factors(spec, base_vals, aff, rng, redraws)
 
     return draw
 

@@ -57,10 +57,19 @@ _PD_NOISE = 1e-14
 # noise scale of eigh) are nudged back to that floor.
 _PC_BOUND = 1.0 - 1e-6
 _EIG_SAFEGUARD = 1e-10
-# A draw so near singular that even the repair stalls (about 1 in 3000 at
-# dim 3, alpha_d 0.05) is redrawn from the same generator, up to this
-# many draws in all; a draw that repairs comes back as the first did.
+# A draw the repair cannot mend is redrawn from the same generator, up to
+# this many draws in all; a draw that repairs comes back as the first did.
+# The one-pass repair mended all of 200,000 draws at dim 3, alpha_d 0.05
+# (the earlier repair stalled on about 1 in 3000 there), so this is a
+# safety net.
 _VINE_DRAWS = 100
+
+# The nearest-PD repair aims a repaired matrix's smallest eigenvalue at
+# eps * (1 + _FLOOR_MARGIN), so that the rounding of the rebuild and of the
+# eigvalsh check does not take it below eps. At eps = 1e-10 that rounding
+# reached 2.3e-4 * eps (rank-deficient inputs, D up to 80); a margin of
+# 1e-4 left a rank-one input of D = 29 short of eps for three passes.
+_FLOOR_MARGIN = 1e-3
 
 # The invariants of a correlation matrix and of an eigensystem, in the
 # order they are tested; a fault code indexes these tuples.
@@ -132,7 +141,9 @@ def _constant_columns(spread: np.ndarray) -> np.ndarray:
     return np.where((spread <= 0.0).any(axis=1), np.argmin(spread, axis=1), -1)
 
 
-def _correlation_faults(w: np.ndarray, smallest: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _correlation_faults(
+    w: np.ndarray, smallest: np.ndarray | None = None, entries_checked: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """The first correlation-matrix invariant each matrix of an (n, D, D) stack breaks.
 
     Returns (codes, lam0): codes[i] indexes ``_CORRELATION_FAULTS``, -1
@@ -140,15 +151,20 @@ def _correlation_faults(w: np.ndarray, smallest: np.ndarray | None = None) -> tu
     eigenvalue, NaN where an entry test already failed, so ``eigvalsh``
     sees only the matrices that pass the cheaper tests. A caller that has
     decomposed the stack already passes each matrix's smallest eigenvalue
-    as ``smallest``, and the last test reads it instead.
+    as ``smallest``, and the last test reads it instead. A caller that
+    knows every entry finite and the stack symmetric says so with
+    ``entries_checked``, and those two tests are not run.
     """
     n, d, _ = w.shape
-    with np.errstate(invalid="ignore"):  # inf - inf; such a matrix fails the first test
-        tests = [
-            ~np.isfinite(w).all(axis=(1, 2)),
-            np.abs(w - w.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL,
-            (np.diagonal(w, axis1=1, axis2=2) != 1.0).any(axis=1),
-        ]
+    if entries_checked:
+        tests = [np.zeros(n, dtype=bool)] * 2
+    else:
+        with np.errstate(invalid="ignore"):  # inf - inf; such a matrix fails the first test
+            tests = [
+                ~np.isfinite(w).all(axis=(1, 2)),
+                np.abs(w - w.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL,
+            ]
+    tests.append((np.diagonal(w, axis1=1, axis2=2) != 1.0).any(axis=1))
     if d > 1:
         tests.append(np.abs(w[:, ~np.eye(d, dtype=bool)]).max(axis=1) >= 1.0)
     codes = _fault_codes(tests)
@@ -441,8 +457,10 @@ def random_correlation(dim: int, alpha_d: float, rng: np.random.Generator) -> Co
 def nearest_pd_correlation(sym, eps: float = 1e-8, max_iter: int = 100) -> CorrelationMatrix:
     """Repair a symmetric matrix into a valid correlation matrix.
 
-    Eigenvalues are clipped to a floor of ``eps`` and the diagonal is
-    renormalized to 1, alternating until both hold. Inputs that already
+    Eigenvalues are clipped at a floor just high enough that, once the
+    diagonal is renormalized to 1, the smallest eigenvalue is still at
+    least ``eps``; a pass that rounding leaves short is repeated, up to
+    ``max_iter`` passes in all. Inputs that already
     satisfy every correlation-matrix invariant with smallest eigenvalue
     at least ``eps`` are returned unchanged, which makes the repair
     idempotent. This is the one-matrix case of ``nearest_pd_stack``.
@@ -452,24 +470,56 @@ def nearest_pd_correlation(sym, eps: float = 1e-8, max_iter: int = 100) -> Corre
 
 
 def _valid_stack(w: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Which matrices of a symmetric stack are repaired, and their ``_correlation_faults`` codes.
+    """Which matrices of a finite, symmetric stack are repaired, and their ``_correlation_faults`` codes.
 
     Repaired means unit diagonal, off-diagonal entries strictly inside
-    (-1, 1) and smallest eigenvalue at least ``eps``.
+    (-1, 1) and smallest eigenvalue at least ``eps``. The stack's
+    entries are not tested: ``nearest_pd_stack`` tests the whole input
+    for finiteness and symmetry before its first pass, and each pass
+    rebuilds a finite, exactly symmetric matrix.
     """
-    codes, lam0 = _correlation_faults(w)
+    codes, lam0 = _correlation_faults(w, entries_checked=True)
     # lam0 is NaN, and so fails the floor, where an entry test failed
     return lam0 >= eps, codes
+
+
+def _repair_floor(lam: np.ndarray, vec: np.ndarray, c: float) -> np.ndarray:
+    """Per eigensystem of a stack, (n, D) values and (n, D, D) vectors, the eigenvalue floor of one repair pass.
+
+    A pass clips the eigenvalues of a matrix at a floor f and rescales it
+    to a unit diagonal. Write R(f) = V max(L, f) V'. The rescaled matrix
+    S^-1 R(f) S^-1, S = diag(R(f))^1/2, has smallest eigenvalue at least
+    f / max_i R_ii(f), as R(f) - f I is positive semidefinite. R_ii grows
+    with f, so f = c * max_i R_ii(g) leaves it at least c for any g >= f.
+    Take g = 2c * M with M = max(max_i R_ii(0), 1). The rows of V are unit
+    vectors, so R_ii(g) <= R_ii(0) + g, and f <= c * M * (1 + 2c) <= g
+    whenever c <= 1/2. For a unit-diagonal input A, R_ii(0) >= 1 already
+    (R(0) - A is positive semidefinite), so the maximum with 1 changes
+    nothing there; it keeps g, and so f, positive for an input with no
+    positive eigenvalue, such as the zero matrix.
+
+    The diagonals are sums over the rows of V * V, so a matrix gets the
+    same floor alone as in a stack.
+    """
+    sq = vec * vec
+
+    def max_diagonal(floor):
+        return (sq * np.maximum(lam, floor[:, None])[:, None, :]).sum(axis=2).max(axis=1)
+
+    g = 2.0 * c * np.maximum(max_diagonal(np.zeros(len(lam))), 1.0)
+    return c * max_diagonal(g)
 
 
 def nearest_pd_stack(stack, eps: float = 1e-8, max_iter: int = 100) -> np.ndarray:
     """Repair every matrix of an (n, D, D) stack into a valid correlation matrix.
 
-    Each matrix goes through exactly the iterations ``nearest_pd_correlation``
+    Each matrix goes through exactly the passes ``nearest_pd_correlation``
     would give it alone: matrices that are already valid come back
     unchanged, and the others are repaired together, with stacked
-    eigendecompositions over the shrinking subset that is still invalid.
-    The result also passes the ``CorrelationMatrix`` invariants.
+    eigendecompositions over the subset that is still invalid. One pass
+    mends every matrix for ``eps`` up to about 1/2 (``_repair_floor``);
+    further passes only catch rounding. The result also passes the
+    ``CorrelationMatrix`` invariants.
 
     Raises
     ------
@@ -477,7 +527,7 @@ def nearest_pd_stack(stack, eps: float = 1e-8, max_iter: int = 100) -> np.ndarra
         If an entry is not finite ("entries must be finite"), before any
         other test.
     NoConvergence
-        If some matrix is still invalid after ``max_iter`` iterations.
+        If some matrix is still invalid after ``max_iter`` passes.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -495,14 +545,16 @@ def nearest_pd_stack(stack, eps: float = 1e-8, max_iter: int = 100) -> np.ndarra
     ok, codes = _valid_stack(a, eps)
     todo = np.flatnonzero(~ok)
     if todo.size:
-        # Clip slightly above eps: diagonal renormalization shrinks the
-        # smallest eigenvalue by an O(eps) relative amount.
-        floor = eps * (1.0 + 1e-6)
+        # one pass leaves each matrix's smallest eigenvalue at least c in
+        # exact arithmetic (``_repair_floor``); the margin above eps covers
+        # the rounding of the rebuild and of the eigvalsh check, and the
+        # pass loop catches what it does not
+        c = eps * (1.0 + _FLOOR_MARGIN)
         diag = np.arange(d)
         work = (a[todo] + at[todo]) / 2.0
         for _ in range(max_iter):
             lam, vec = np.linalg.eigh(work)
-            lam = np.maximum(lam, floor)
+            lam = np.maximum(lam, _repair_floor(lam, vec, c)[:, None])
             work = np.matmul(vec * lam[:, None, :], vec.transpose(0, 2, 1))
             scale = np.sqrt(work[:, diag, diag])
             work = work / (scale[:, :, None] * scale[:, None, :])
@@ -515,7 +567,7 @@ def nearest_pd_stack(stack, eps: float = 1e-8, max_iter: int = 100) -> np.ndarra
             if not todo.size:
                 break
         else:
-            raise NoConvergence(f"nearest-PD repair did not converge in {max_iter} iterations")
+            raise NoConvergence(f"nearest-PD repair did not converge in {max_iter} passes")
     # a repaired matrix can still sit below the CorrelationMatrix
     # positive-definiteness floor when eps does
     _raise_first(codes, _correlation_error)

@@ -118,8 +118,8 @@ def _argmax_mc(base: CorrelationMatrix, es: EigenSystem, spec, draws, rng, lag):
     The changes are sampled one after another, in the generator order of
     ``sample_change``, in blocks of at most ``SCORE_BLOCK_CELLS / D**2``
     draws. Each block's changes are applied and scored as one stack per
-    change type, and the sums are then taken one draw at a time in draw
-    order, so the result does not depend on the block size.
+    change type, and the sums then add the block's draws one at a time in
+    draw order, so the result does not depend on the block size.
     """
     d = base.dim
     raw = d // (lag + 1)
@@ -134,13 +134,14 @@ def _argmax_mc(base: CorrelationMatrix, es: EigenSystem, spec, draws, rng, lag):
     per_block = max(1, SCORE_BLOCK_CELLS // (d * d))
 
     counts = np.zeros(d)
-    hsum = np.zeros(d)
     type_counts = np.zeros((len(CHANGE_TYPES), d))
-    type_hsum = np.zeros((len(CHANGE_TYPES), d))
+    # row 0 sums every draw's sensitivities, row 1 + t those of type t
+    sums = np.zeros((1 + len(CHANGE_TYPES), d))
     for start in range(0, draws, per_block):
-        batch = [draw(rng) for _ in range(min(per_block, draws - start))]
+        n = min(per_block, draws - start)
+        batch = [draw(rng) for _ in range(n)]
         types = np.array([t for t, _, _ in batch])
-        h = np.empty((len(batch), d))
+        h = np.empty((n, d))
         for t, ctype in enumerate(CHANGE_TYPES):
             rows = np.flatnonzero(types == t)
             if not rows.size:
@@ -154,9 +155,14 @@ def _argmax_mc(base: CorrelationMatrix, es: EigenSystem, spec, draws, rng, lag):
         top = np.argmax(h, axis=1)
         counts += np.bincount(top, minlength=d)
         np.add.at(type_counts, (types, top), 1.0)
-        for t, row in zip(types, h):
-            hsum += row
-            type_hsum[t] += row
+        # a cumulative sum adds the draws one at a time, in draw order, as a
+        # loop over them would; adding 0.0 leaves the other types' sums as they are
+        steps = np.zeros((n + 1,) + sums.shape)
+        steps[0] = sums
+        steps[1:, 0] = h
+        steps[np.arange(1, n + 1), 1 + types] = h
+        sums = np.cumsum(steps, axis=0)[-1]
+    hsum, type_hsum = sums[0], sums[1:]
     type_draws = type_counts.sum(axis=1)
     breakdown = {
         c: {

@@ -1,7 +1,10 @@
+import contextlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailormon import (
     ChangeDistributionSpec,
@@ -23,6 +26,8 @@ from tailormon import (
 )
 from tailormon import _fileio, corrcore
 from tailormon.corrcore import nearest_pd_stack
+
+from pd_reference import ref_nearest_pd
 
 
 def corr2(rho):
@@ -198,28 +203,64 @@ class TestRandomCorrelation:
             for ss in root.spawn(per_combo):
                 random_correlation(d, a, np.random.default_rng(ss))
 
-    def test_draw_the_repair_cannot_mend_is_redrawn(self):
-        # the first vine draw of this seed has smallest eigenvalue 4e-12
-        # and the repair stalls on it; the second draw is returned
+    @staticmethod
+    def skip_vine_draws(rng, n, dim=3, alpha=0.05):
+        """Advance ``rng`` past ``n`` vine draws of ``random_correlation(dim, alpha)``."""
+        for _ in range(n):
+            for lag in range(1, dim):
+                b = alpha + (dim - 1 - lag) / 2.0
+                rng.beta(b, b, size=dim - lag)
+        return rng
+
+    def test_draw_the_repair_used_to_stall_on_is_mended_at_once(self):
+        # the first vine draw of this seed has smallest eigenvalue 4e-12;
+        # the repair used to stall on it for 100 passes and the draw was
+        # redrawn, and it now mends it in one pass
         rng = np.random.default_rng([3, 5, 35])
         c = random_correlation(3, 0.05, rng)
-        assert np.linalg.eigvalsh(c.values)[0] > 1e-10
-        twice = np.random.default_rng([3, 5, 35])
-        for _ in range(2):
-            for lag in (1, 2):
-                b = 0.05 + (2 - lag) / 2.0
-                twice.beta(b, b, size=3 - lag)
-        assert rng.bit_generator.state == twice.bit_generator.state
+        assert np.linalg.eigvalsh(c.values)[0] >= 1e-10
+        once = self.skip_vine_draws(np.random.default_rng([3, 5, 35]), 1)
+        assert rng.bit_generator.state == once.bit_generator.state
+
+    def test_draw_the_repair_cannot_mend_is_redrawn(self, monkeypatch):
+        # a repair that fails once: the next draw of the same generator is returned
+        repair = corrcore.nearest_pd_correlation
+        calls = []
+
+        def fails_once(sym, eps):
+            calls.append(eps)
+            if len(calls) == 1:
+                raise NoConvergence("stalled")
+            return repair(sym, eps=eps)
+
+        monkeypatch.setattr(corrcore, "nearest_pd_correlation", fails_once)
+        rng = np.random.default_rng([3, 5, 35])
+        c = random_correlation(3, 0.05, rng)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        second = self.skip_vine_draws(np.random.default_rng([3, 5, 35]), 1)
+        assert np.array_equal(c.values, random_correlation(3, 0.05, second).values)
+        assert rng.bit_generator.state == second.bit_generator.state
 
     def test_repaired_draw_keeps_the_single_draw_bits(self):
         # this draw's smallest eigenvalue is 6.5e-12, so it goes through the
-        # repair; the entries are pinned from the construction without redraws
+        # repair; the entries are the per-matrix reference repair of the
+        # first vine draw, with no redraw
         c = random_correlation(3, 0.05, np.random.default_rng([3, 5, 4]))
         assert [c.values[i, j].hex() for i, j in ((0, 1), (0, 2), (1, 2))] == [
-            "0x1.ba238cc91a408p-1",
-            "-0x1.b97a2eb7630f8p-1",
-            "-0x1.ffff924f5b4d3p-1",
+            "0x1.ba238cc91a343p-1",
+            "-0x1.b97a2eb763039p-1",
+            "-0x1.ffff924f5b14fp-1",
         ]
+        rng = np.random.default_rng([3, 5, 4])
+        pcs = np.zeros((3, 3))
+        for lag in (1, 2):
+            b = 0.05 + (2 - lag) / 2.0
+            i = np.arange(3 - lag)
+            pcs[i, i + lag] = np.clip(2.0 * rng.beta(b, b, size=3 - lag) - 1.0, -corrcore._PC_BOUND, corrcore._PC_BOUND)
+        ref, passes = ref_nearest_pd(corrcore._dvine_correlation(pcs), corrcore._EIG_SAFEGUARD)
+        assert passes == 1
+        assert np.array_equal(c.values, ref.values)
 
     def test_redraws_are_bounded(self, monkeypatch):
         calls = []
@@ -287,8 +328,8 @@ class TestNearestPdCorrelation:
                 nearest_pd_stack(stack)
 
 
-def repair_iterations(a, eps):
-    """Iterations the one-matrix repair needs: the smallest max_iter that works."""
+def repair_passes(a, eps):
+    """Passes the one-matrix repair needs: the smallest max_iter that works."""
     for m in range(101):
         try:
             nearest_pd_correlation(a, eps=eps, max_iter=m)
@@ -304,31 +345,48 @@ def unit_diag_symmetric(d, spread, seed):
     return np.eye(d) + a + a.T
 
 
+def repair_inputs(d):
+    """Valid matrices, the zero matrix and unit-diagonal symmetric ones, many indefinite."""
+    mats = [random_correlation(d, 1.0, np.random.default_rng(s)).values for s in range(3)]
+    return mats + [np.eye(d), np.zeros((d, d))] + [unit_diag_symmetric(d, 1.5, s) for s in range(12)]
+
+
 class TestNearestPdStack:
-    @pytest.mark.parametrize("eps", [1e-8, 0.2])
-    def test_equals_one_matrix_repair(self, eps):
-        d = 8
-        mats = [random_correlation(d, 1.0, np.random.default_rng(s)).values for s in range(3)]
-        mats += [np.eye(d), np.zeros((d, d))] + [unit_diag_symmetric(d, 1.5, s) for s in range(12)]
+    @pytest.mark.parametrize("eps, passes_seen", [(1e-8, {0, 1}), (0.2, {0, 1}), (0.9, {0, 1, 2})])
+    def test_equals_one_matrix_repair(self, eps, passes_seen):
+        # valid inputs come back unchanged after no pass, and up to eps = 1/2
+        # one pass mends every other one; above that one pass need not be
+        # enough, and matrices that leave the loop at 0, 1 and 2 passes share
+        # a stack. Each gets the reference's bits, alone or stacked.
+        mats = repair_inputs(8)
         stack = np.stack(mats)
-        iterations = [repair_iterations(m, eps) for m in mats]
-        # valid inputs, one-step repairs and several-step repairs side by side
-        assert 0 in iterations and 1 in iterations
-        assert max(iterations) >= (6 if eps > 0.1 else 2)
-        if eps > 0.1:
-            assert len(set(iterations)) >= 4
+        passes = [repair_passes(m, eps) for m in mats]
+        assert set(passes) == passes_seen
         out = nearest_pd_stack(stack, eps=eps)
-        for m, o in zip(mats, out):
+        for m, o, n in zip(mats, out, passes):
+            ref, ref_passes = ref_nearest_pd(m, eps)
+            assert ref_passes == n
+            assert np.array_equal(o, ref.values)
             assert np.array_equal(o, nearest_pd_correlation(m, eps=eps).values)
+            if n == 0:
+                assert np.array_equal(o, m)
         assert np.array_equal(stack, np.stack(mats))  # input untouched
 
     def test_no_convergence_when_any_matrix_needs_more(self):
-        eps = 0.2
+        eps = 0.9
         mats = [unit_diag_symmetric(8, 1.5, s) for s in range(6)]
-        need = max(repair_iterations(m, eps) for m in mats)
+        need = max(repair_passes(m, eps) for m in mats)
+        assert need == 2
         nearest_pd_stack(np.stack(mats), eps=eps, max_iter=need)
         with pytest.raises(NoConvergence):
             nearest_pd_stack(np.stack(mats), eps=eps, max_iter=need - 1)
+
+    def test_no_pass_allowed(self):
+        mats = repair_inputs(5)
+        with pytest.raises(NoConvergence, match="0 passes"):
+            nearest_pd_stack(np.stack(mats), max_iter=0)
+        valid = np.stack(mats[:4])
+        assert np.array_equal(nearest_pd_stack(valid, max_iter=0), valid)
 
     def test_rejects_asymmetric_and_bad_shapes(self):
         good = np.eye(3)
@@ -339,6 +397,76 @@ class TestNearestPdStack:
             nearest_pd_stack(good)
         with pytest.raises(ValueError):
             nearest_pd_stack(good[None], eps=0.0)
+
+
+@contextlib.contextmanager
+def counted_eigh():
+    """Count the ``np.linalg.eigh`` calls of the enclosed block, one per repair pass."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(w):
+        calls.append(w.shape)
+        return eigh(w)
+
+    np.linalg.eigh = counting
+    try:
+        yield calls
+    finally:
+        np.linalg.eigh = eigh
+
+
+def repair_input(draw, d, kind, seed):
+    """A symmetric (d, d) test input of one of four kinds, from ``seed``."""
+    rng = np.random.default_rng(seed)
+    if kind == "valid":
+        return random_correlation(d, 1.0, rng).values
+    if kind == "uniform":
+        return unit_diag_symmetric(d, draw(st.sampled_from([0.5, 1.0, 1.5, 3.0])), seed)
+    if kind == "rank_deficient":
+        # the correlation of fewer samples than streams: eigenvalues at 0
+        x = rng.standard_normal((d, draw(st.integers(1, d - 1))))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        w = x @ x.T
+        w = (w + w.T) / 2.0
+        np.fill_diagonal(w, 1.0)
+        return w
+    # a valid matrix with some correlations scaled, as a correlation change makes them
+    base = random_correlation(d, draw(st.sampled_from([0.05, 0.3, 1.0])), rng).values
+    factors = np.triu(rng.uniform(0.0, 1.0, (d, d)), 1)
+    keep = np.triu(rng.random((d, d)) < 0.5, 1)
+    factors = np.where(keep, 1.0, factors)
+    factors = factors + factors.T
+    np.fill_diagonal(factors, 1.0)
+    return base * factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(2, 40),
+    eps=st.sampled_from([1e-10, 1e-8, 0.2]),
+    kind=st.sampled_from(["valid", "uniform", "rank_deficient", "changed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_repair_property(data, d, eps, kind, seed):
+    # every output is a correlation matrix with eigvalsh's smallest
+    # eigenvalue at least eps; valid inputs come back unchanged; a stack
+    # gives each matrix its own bits; no input takes more than two passes
+    mats = [repair_input(data.draw, d, kind, seed + i) for i in range(3)]
+    outs = []
+    for m in mats:
+        with counted_eigh() as calls:
+            out = nearest_pd_correlation(m, eps=eps)
+        assert len(calls) <= 2
+        assert np.linalg.eigvalsh(out.values)[0] >= eps
+        ref, passes = ref_nearest_pd(m, eps)
+        assert passes == len(calls)
+        assert np.array_equal(out.values, ref.values)
+        if kind == "valid" and np.linalg.eigvalsh(m)[0] >= eps:
+            assert np.array_equal(out.values, m)
+        outs.append(out.values)
+    assert np.array_equal(nearest_pd_stack(np.stack(mats), eps=eps), np.stack(outs))
 
 
 class TestLagLayout:

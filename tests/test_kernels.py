@@ -225,9 +225,10 @@ def test_mixture_terms_in_place_equal_the_expression(p0):
     cancel=st.booleans(),
 )
 def test_kahan_equals_the_row_loop_bit_for_bit(seed, n, sets, J, lowest, zeros, cancel):
-    # _kahan adds a block of more rows than lanes lane by lane in Python
-    # floats and any other block row by row in numpy; either way every total,
-    # compensation and per-row total must be the row loop's, signed zeros included
+    # _kahan adds a block of more rows than lanes, and fewer than
+    # KAHAN_ROW_VALUES lanes, lane by lane in Python floats and any other
+    # block row by row in numpy; either way every total, compensation and
+    # per-row total must be the row loop's, signed zeros included
     shape = (2, *sets, min(J, 20 // math.prod(sets)))  # 2 to 40 lanes
     rng = np.random.default_rng(seed)
 
@@ -251,6 +252,25 @@ def test_kahan_equals_the_row_loop_bit_for_bit(seed, n, sets, J, lowest, zeros, 
     assert got[1].tobytes() == expected[1].tobytes()
     assert run.tobytes() == expected_run.tobytes()
     assert _scan_py._kahan(total, comp, v)[0].tobytes() == expected[0].tobytes()
+
+
+# (rows, lanes) of the blocks _kahan adds in the perfbench stream,
+# calibrate and grid workloads (seeds 1-3) and in Monitor.step at J = 3
+LANE_BY_LANE_BLOCKS = [(7, 6), (25, 6), (27, 6), (30, 6), (36, 6), (36, 24), (43, 8), (48, 6), (64, 6)]
+ROW_LOOP_BLOCKS = [
+    (1, 6), (1, 24), (1, 42), (1, 640), (2, 64), (3, 40), (5, 42), (8, 24), (8, 42), (13, 40),
+    (15, 24), (16, 40), (17, 24), (20, 160), (22, 64), (23, 24), (27, 42),
+]
+
+
+def test_kahan_path_follows_the_value_count():
+    for rows, lanes in LANE_BY_LANE_BLOCKS:
+        assert _scan_py._lane_by_lane(rows, lanes), (rows, lanes)
+    for rows, lanes in ROW_LOOP_BLOCKS:
+        assert not _scan_py._lane_by_lane(rows, lanes), (rows, lanes)
+    # 386 us lane by lane against 170 us in the row loop when it went lane by lane
+    assert not _scan_py._lane_by_lane(64, 40)
+    assert not _scan_py._lane_by_lane(64, _scan_py.KAHAN_ROW_VALUES)
 
 
 def test_block_end_equals_growing_the_block_one_step_at_a_time():

@@ -27,6 +27,8 @@ from tailormon import (
 from tailormon.changemodel import CHANGE_TYPES, PD_FLOOR, _hellinger_arrays
 from tailormon.corrcore import eigensystem
 
+from pd_reference import ref_nearest_pd
+
 
 def corr2(rho):
     return CorrelationMatrix(np.array([[1.0, rho], [rho, 1.0]]))
@@ -195,32 +197,6 @@ def ref_sample_change(spec, base, rng):
     return ChangeScenario(ctype=ctype, affected=affected, corr_factors=factors)
 
 
-def ref_nearest_pd(a, eps):
-    def valid(w):
-        if np.any(np.diag(w) != 1.0):
-            return False
-        off = w[~np.eye(w.shape[0], dtype=bool)]
-        if off.size and np.abs(off).max() >= 1.0:
-            return False
-        return np.linalg.eigvalsh(w)[0] >= eps
-
-    if valid(a):
-        return CorrelationMatrix(a)
-    floor = eps * (1.0 + 1e-6)
-    work = (a + a.T) / 2.0
-    for _ in range(100):
-        lam, vec = np.linalg.eigh(work)
-        lam = np.maximum(lam, floor)
-        work = (vec * lam) @ vec.T
-        scale = np.sqrt(np.diag(work))
-        work = work / np.outer(scale, scale)
-        work = (work + work.T) / 2.0
-        np.fill_diagonal(work, 1.0)
-        if valid(work):
-            return CorrelationMatrix(work)
-    raise NoConvergence("repair")
-
-
 def ref_apply_change_lagged(base_ext, sc, raw_dim, lag):
     d_ext = base_ext.dim
     aff = np.asarray(sc.affected, dtype=int)
@@ -239,7 +215,7 @@ def ref_apply_change_lagged(base_ext, sc, raw_dim, lag):
     for (p, q), a in sc.corr_factors.items():
         for b in blocks:
             r[p + b, q + b] = r[q + b, p + b] = a * r[p + b, q + b]
-    return PostChangeParams(mean=mu, cov=ref_nearest_pd(r, PD_FLOOR).values)
+    return PostChangeParams(mean=mu, cov=ref_nearest_pd(r, PD_FLOOR)[0].values)
 
 
 def ref_projection_sensitivities(es, post):
