@@ -1,35 +1,39 @@
 """Pure-numpy windowed mixture-GLR scans.
 
-``_scan_cells`` scans the candidate change points of a block of steps;
-it is the only place that computes the post-change variances, the llr,
-Bartlett division, mixture sum and tie rule. ``_pre_change_terms`` is
-the only place that computes the pre-change and pooled terms, from the
+A scan scores every candidate change point k of every step, one cell per
+step, stream and post-change length n2 = t - k. ``_cell_terms`` is the
+only place that computes a cell's term (the llr from the post-change
+variance, Bartlett division, the mixture), ``_pre_change_terms`` the
+only place that computes the pre-change and pooled terms, from the
 training plus the running totals at a time, once per stream and time.
-``scan_step`` calls both for one monitoring step. ``scan_trace`` calls
-them block by block over a stretch of trace, of one monitor's streams or
-of several monitors' side by side, and resumes from the ``ScanState`` an
-earlier call returned. ``ScanState`` is every monitor's running state,
-its prefix the running totals before each of its window's times, and
-``_kahan`` is the one place its totals are added up, whether
+Two layouts of cells call them. ``_scan_cells`` scans a block of steps
+as one rectangle, steps by lengths, stream-major; ``_sweep_cells`` sweeps
+a block by segment length, each pass one length of every step and
+stream, time-major. ``scan_step`` scans one monitoring step as a
+rectangle. ``scan_trace`` scans a stretch of trace block by block, of
+one monitor's streams or of several monitors' side by side, sweeping the
+blocks wide enough to pay for it (``_next_block``), and resumes from the
+``ScanState`` an earlier call returned. ``ScanState`` is every monitor's
+running state, its prefix the running totals before each of its window's
+times, and ``_kahan`` is the one place its totals are added up, whether
 ``advance_state`` adds a row for ``Monitor.step`` or ``scan_trace`` adds
 a block.
 
-The cells are laid out stream-major, as (J, cells) arrays, from the
-window buffer to the sum over streams. A tailored monitor watches few
-streams (two or three is usual), so a (cells, J) layout would run every
+The rectangle is laid out stream-major, as (J, cells) arrays, from the
+windows to the sum over streams: a tailored monitor watches few streams
+(two or three is usual), so a (cells, J) layout would run every
 elementwise pass as numpy inner loops only J long; stream-major, they
-run over all the cells of a block. Each cell's J mixture terms are then
-summed in the order numpy sums a contiguous row of J values, which keeps
-the statistics bit for bit those of a (cells, J) scan. A stacked trace
-scan lays G sets of J streams out as (G * J, cells) and keeps the sum
-over streams, the clamp count and the tie rule per set.
-
-The values and their squares travel together as one complex array, the
-value in the real part and its square in the imaginary part, from the
-trace scan's stream-major copy to the windows of the cell scan. One
-complex cumulative sum then gives both window sums: complex addition is
-two separate IEEE additions, so each part is its real cumulative sum bit
-for bit.
+run over all the cells of a block. Its windows hold each value and its
+square as one complex number, so one complex cumulative sum gives both
+window sums: complex addition is two separate IEEE additions, so each
+part is its real cumulative sum bit for bit. The sweep needs no window:
+a pass adds one time-major row of values, and one of squares, to the
+window sums of the pass before, the same additions in the same order.
+Each cell's J mixture terms are summed in the order numpy sums a
+contiguous row of J values on either path, which keeps the statistics
+bit for bit those of a (cells, J) scan. A stacked trace scan lays G sets
+of J streams side by side and keeps the sum over streams, the clamp
+count and the tie rule per set.
 """
 
 from __future__ import annotations
@@ -40,24 +44,36 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# (t, n2, J) cells per block of ``scan_trace``. A block holds three or
-# four float64 temporaries of this size, so the budget bounds the scan's
-# extra memory; fewer, larger blocks save numpy calls. A block of
-# WIDE_STREAMS or more streams (a stack of sets) takes twice as many: one
-# full-window step of 8 sets of 20 streams is 32160 cells.
+# (t, n2, J) cells per rectangle block of ``scan_trace``. A block holds
+# three or four float64 temporaries of this size, so the budget bounds
+# the scan's extra memory; fewer, larger blocks save numpy calls. A block
+# of WIDE_STREAMS or more streams (a stack of sets) takes twice as many:
+# one full-window step of 8 sets of 20 streams is 32160 cells.
 TRACE_BLOCK_CELLS = 16384
 WIDE_STREAMS = 64
-# Steps per block at most. Narrow, short-window traces fit hundreds of
-# steps in the cell budget; a scan that stops at a threshold would finish
-# them all after the crossing.
+# Steps per block at most, but for a swept block without a threshold.
+# Narrow, short-window traces fit hundreds of steps in the cell budget; a
+# scan that stops at a threshold would finish them all after the crossing.
 TRACE_BLOCK_STEPS = 64
 # A stack of sets (calibration replicates, simulated trials) holds no more
 # than fill this many blocks at any one stage (``stack_size``).
 STACK_BLOCKS = 16
 # One row of ``_kahan``'s numpy row loop costs about as much as this many
-# values added lane by lane (2.6 us against 75 ns a value, timed on 64-row
-# blocks), so a block of this many lanes or more takes the row loop.
-KAHAN_ROW_VALUES = 32
+# values added lane by lane (1.9 us a row of up to 160 lanes against
+# 115 ns a value, timed on blocks of 27 to 3000 rows), so a block of this
+# many lanes or more takes the row loop.
+KAHAN_ROW_VALUES = 16
+# A block whose every segment length holds this many values or more,
+# steps x streams, is swept by segment length rather than scanned as one
+# rectangle; a swept block holds at most SWEEP_MAX_VALUES values a pass,
+# and SWEEP_CHUNK_VALUES with a threshold (``_next_block``). Timed on one
+# full-window stretch (w = 200) each way, the rectangle took 0.65 to 0.92
+# of the sweep's time at 900 to 1800 values a pass (J = 2, 3 and 20); the
+# sweep won x1.21 at 3072 values (J = 3), x1.28 at 2560 (J = 20) and x1.5
+# to x1.7 at 5000 values or more.
+SWEEP_VALUES = 3000
+SWEEP_MAX_VALUES = 1 << 16
+SWEEP_CHUNK_VALUES = 12000
 
 
 def mixture_terms(x: np.ndarray, p0: float) -> np.ndarray:
@@ -176,14 +192,11 @@ def scan_step(
     rev = np.empty((J, 1, L), dtype=complex)  # newest first, values and squares
     rev.real[:, 0] = window_vals.T[:, ::-1]
     np.multiply(rev.real, rev.real, out=rev.imag)
-    factors = np.empty((1, L))  # newest first; entry 0 (n2 = 1) only needs a positive value
-    factors[0, 0] = 1.0
-    factors[0, 1:] = cvals[::-1]
     stat, best, clamped = _scan_cells(
         a[:, L:],
-        a[:, None, L - 1::-1],
+        a[:, None, L - 2::-1],
         rev,
-        factors,
+        cvals[None, ::-1],
         np.array([L - 1]),
         p0,
         var_floor,
@@ -267,42 +280,73 @@ def _pairwise(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _scan_cells(log_t, pre, rev, cvals, counts, p0, var_floor, clamped, sets=1):
-    """The windowed mixture-GLR scan of a block of B steps, for G sets of J streams.
+def _segment_variances(sums, ssq, n2):
+    """The post-change variances (ssq - sum * sum / n2) / n2 of segments of n2 values, as a new array."""
+    var_2 = np.square(sums)
+    var_2 /= n2
+    np.subtract(ssq, var_2, out=var_2)
+    var_2 /= n2
+    return var_2
 
-    The block is one (G * J, B, L) rectangle: step b's entry i stands for
-    the post-change segment of length n2 = i + 1, the candidate k = t -
-    n2. Entry 0 (n2 = 1) is no candidate; it only keeps every pass on
-    whole contiguous arrays, as the windows' cumulative sums come, and is
-    left out of the clamps and the maximum. Every array is stream-major:
-    monitors watch a handful of streams, so a (cells, J) layout would give
-    each of the scan's elementwise passes numpy inner loops only J long. A
-    step with fewer than L - 1 candidates (t <= L - 1, early in a trace)
-    has cells with k < 0 too, whose windows reach times before 1: they are
-    computed with the rest, kept out of the clamp counts and set to -inf
-    before the maximum. A set is one monitor's streams; every pass but
-    three is elementwise per stream, and those three (the clamp count, the
-    mixture sum over the J streams and the tie rule) run per set, so each
-    set's results are those of a scan of it alone, bit for bit.
-    ``scan_step`` passes one set; ``scan_trace`` passes as many as its
-    trace holds. The sums of each segment's values and squares come from
-    one cumulative sum of the complex windows, whose real and imaginary
-    parts are the two real cumulative sums bit for bit.
+
+def _cell_terms(var_2, llr, n2, cvals, p0, var_floor):
+    """The mixture terms of a batch of cells, from their post-change variances and pre-change and pooled terms.
+
+    The one place the scans compute a cell's statistic term, elementwise:
+    var_2 holds each cell's post-change variance, llr its a(t) - a(k)
+    (``_pre_change_terms``), and n2 and cvals, which broadcast against
+    them, its post-change length and Bartlett factor C(k, t). Both arrays
+    are overwritten. The variances below ``var_floor`` are clamped to it;
+    with none below, the maximum would change no bit, NaN included, so it
+    is skipped. Returns the terms, held in llr's or var_2's memory, and
+    the mask of the clamped variances, or None when there are none.
+    """
+    low = None
+    if var_2.min() < var_floor:
+        low = var_2 < var_floor
+        np.maximum(var_2, var_floor, out=var_2)
+    np.log(var_2, out=var_2)
+    var_2 *= n2
+    llr -= var_2
+    llr *= 0.5  # 0.5 * ((n_T * log(var_T) - n1 * log(var_1)) - n2 * log(var_2))
+    llr /= cvals
+    return _mixture_terms(llr, p0, llr if p0 == 1.0 else var_2), low
+
+
+def _scan_cells(log_t, pre, rev, cvals, counts, p0, var_floor, clamped, sets=1):
+    """The windowed mixture-GLR scan of a block of B steps as one rectangle, for G sets of J streams.
+
+    The block is one (G * J, B, L - 1) rectangle: step b's entry i stands
+    for the post-change segment of length n2 = i + 2, the candidate k = t
+    - n2. Every array is stream-major: monitors watch a handful of
+    streams, so a (cells, J) layout would give each of the scan's
+    elementwise passes numpy inner loops only J long. A step with fewer
+    than L - 1 candidates (t <= L - 1, early in a trace) has cells with k
+    < 0 too, whose windows reach times before 1: they are computed with
+    the rest, kept out of the clamp counts and set to -inf before the
+    maximum. A set is one monitor's streams; every pass but three is
+    elementwise per stream, and those three (the clamp count, the mixture
+    sum over the J streams and the tie rule) run per set, so each set's
+    results are those of a scan of it alone, bit for bit. ``scan_step``
+    passes one set; ``scan_trace`` passes the sets of a block too narrow
+    for its sweep (``_sweep_cells``). The sums of each segment's values
+    and squares come from one cumulative sum of the complex windows, whose
+    real and imaginary parts are the two real cumulative sums bit for bit.
 
     Parameters
     ----------
     log_t : (G * J, B) array
         The pooled term n_T * log(var_T) of each step, a(t) of
         ``_pre_change_terms``.
-    pre : (G * J, B, L) array
-        The pre-change term a(k) of each entry, a(t - 1), a(t - 2), ...;
+    pre : (G * J, B, L - 1) array
+        The pre-change term a(k) of each entry, a(t - 2), a(t - 3), ...;
         -inf where k < 0.
     rev : (G * J, B, L) complex array
         The values at times t, t - 1, ..., t - L + 1 of each step, newest
         first, as real parts, and their squares as imaginary parts.
-    cvals : (B, L) array
-        The Bartlett factor C(k, t) of each entry; any value at entry 0,
-        finite and positive where k < 0.
+    cvals : (B, L - 1) array
+        The Bartlett factor C(k, t) of each entry; finite and positive
+        where k < 0.
     counts : (B,) int array
         The admissible cells of each step, n2 = 2..counts[b] + 1; at least
         1, at most L - 1.
@@ -322,50 +366,140 @@ def _scan_cells(log_t, pre, rev, cvals, counts, p0, var_floor, clamped, sets=1):
     G = sets
     S, B, L = rev.shape
     J = S // G
-    # a(k) is -inf where k < 0, so those cells' llr is +inf, which takes the
-    # mixture's x > 0 form and is masked below
-    llr = np.subtract(log_t[:, :, None], pre)
     # the sums of the newest n2 values of each window and of their squares:
     # one cumulative sum along the window axis. A complex addition is two
     # separate IEEE additions, so the real and imaginary parts are the two
     # real cumulative sums bit for bit, for the numpy calls of one
-    n2 = np.arange(1, L + 1, dtype=float)
-    sums = np.cumsum(rev, axis=2)
-    # the variances (ssq - sum * sum / n) / n, computed in place
-    var_2 = np.square(sums.real)
-    var_2 /= n2
-    np.subtract(sums.imag, var_2, out=var_2)
-    var_2 /= n2
+    n2 = np.arange(2, L + 1, dtype=float)
+    sums = np.cumsum(rev, axis=2)[:, :, 1:]
+    var_2 = _segment_variances(sums.real, sums.imag, n2)
     del sums
-    var_2[:, :, 0] = 1.0  # no segment
     # the two-point segment, each step's first cell, is cancellation-prone
     # from cumulative sums; its exact variance is ((a - b) / 2)^2
-    var_2[:, :, 1] = 0.25 * np.square(rev.real[:, :, 0] - rev.real[:, :, 1])
-    outside = np.arange(L) > counts[:, None] if counts[0] < L - 1 else None  # cells with k < 0
-    # with no entry below the floor the maximum changes no bit, NaN included
-    if var_2.min() < var_floor:
-        low = var_2 < var_floor
-        low[:, :, 0] = False
+    var_2[:, :, 0] = 0.25 * np.square(rev.real[:, :, 0] - rev.real[:, :, 1])
+    llr = np.subtract(log_t[:, :, None], pre)
+    terms, low = _cell_terms(var_2, llr, n2, cvals, p0, var_floor)
+    outside = np.arange(L - 1) >= counts[:, None] if counts[0] < L - 1 else None  # cells with k < 0
+    if low is not None:
         if outside is not None:
             low[:, outside] = False
-        clamped += low.reshape(G, J, B, L).sum(axis=(1, 3))
-        np.maximum(var_2, var_floor, out=var_2)
-    np.log(var_2, out=var_2)
-    var_2 *= n2
-    llr -= var_2
-    llr *= 0.5  # 0.5 * ((n_T * log(var_T) - n1 * log(var_1)) - n2 * log(var_2))
-    llr /= cvals
-    llr[:, :, 0] = 1.0  # any positive value takes the mixture's x > 0 form
-    terms = _mixture_terms(llr, p0, llr if p0 == 1.0 else var_2).reshape(G, J, B, L)
+        clamped += low.reshape(G, J, B, L - 1).sum(axis=(1, 3))
     # each cell's J terms are summed in the order numpy sums a contiguous
     # row of J values, as a (cells, J) scan sums them, so the statistics
     # match it bit for bit
-    lam = _row_sums(terms)
+    lam = _row_sums(terms.reshape(G, J, B, L - 1))
     if outside is not None:
         lam[:, outside] = -np.inf
     # the largest n2 is the smallest k, which wins ties
-    at = L - 1 - np.argmax(lam[:, :, :0:-1], axis=2)
-    return lam.reshape(G * B, L)[np.arange(G * B), at.ravel()].reshape(G, B), at - 1, clamped
+    at = L - 2 - np.argmax(lam[:, :, ::-1], axis=2)
+    return lam.reshape(G * B, L - 1)[np.arange(G * B), at.ravel()].reshape(G, B), at, clamped
+
+
+def _set_sums(terms, sets):
+    """Each cell's sum over its set's J terms, (cells, G * J) to (cells, G), as numpy sums a contiguous row of J values.
+
+    From 8 streams on that is numpy's own sum of each row. Below 8 numpy
+    adds a row left to right from 0, which a pass per stream does at a
+    tenth to a quarter of the cost of numpy's sum along the short axis.
+    """
+    cells, J = terms.shape[0], terms.shape[1] // sets
+    if J >= 8:
+        return terms.reshape(-1, J).sum(axis=1).reshape(cells, sets)
+    terms = terms.reshape(cells, sets, J)
+    total = terms[:, :, 0] + 0.0  # which only turns -0.0 into 0.0
+    for j in range(1, J):
+        total += terms[:, :, j]
+    return total
+
+
+def _keep_best(best, at, lam, n2):
+    """Fold the statistics ``lam`` of the segments of length n2 into the running maxima ``best``, in place.
+
+    The segment lengths come in increasing order, so ``>=`` lets the
+    longer of two equal statistics, the smaller k, take the maximum, as
+    the tie rule asks; ``at`` records its n2. A NaN never takes it, which
+    np.argmax would give it, but no NaN reaches a scan's statistics: the
+    rows are checked finite and every variance is at least the floor.
+    """
+    take = lam >= best
+    np.copyto(best, lam, where=take)
+    np.copyto(at, n2, where=take)
+
+
+def _sweep_cells(x, xx, a, t0, h_k, h, p0, var_floor, clamped, sets):
+    """The windowed mixture-GLR scan of a block of B steps swept by segment length, for G sets of J streams.
+
+    Every array is time-major, one row per time and one column per
+    stream, set after set. The outer loop runs over the post-change length
+    n2 = 2..L, and each pass takes the cells of that length of every step
+    and stream of the block at once: each step's window sums grow by one
+    value, S(t, n2) = S(t, n2 - 1) + x(t - n2 + 1), the same IEEE
+    additions in the same newest-first order as a cumulative sum along the
+    step's window, so every cell is that of ``_scan_cells`` bit for bit.
+    The values and a(k) of a pass are plain slices, and a step takes part
+    only from the first n2 whose candidate k = t - n2 is at least 0. Each
+    cell's J terms are summed as numpy sums a contiguous row of J values,
+    and ``_keep_best`` applies the tie rule per set.
+
+    Parameters
+    ----------
+    x, xx : (B + e, G * J) arrays
+        The values, and their squares, at times t0 - e..t0 + B - 1, e =
+        min(L - 1, t0 - 1): every time a segment of the block reaches,
+        none before time 1.
+    a : (B + e + 1, G * J) array
+        The pre-change term a(k) of k = t0 - e - 1..t0 + B - 1; a(t) is the
+        pooled term of the step at time t.
+    t0 : int
+        The time of the block's first step, at least 2.
+    h_k : (L - 1, B) array or view
+        Row n2 - 2 holds h[m + t - n2] of each step, ``mixmonitor._h`` at
+        the pre-change length of the candidate; the Bartlett factors C(t -
+        n2, t) = 0.5 * ((h[m + t - n2] + h[n2]) - h[m + t]) are computed
+        from it a few lengths at a time, so they take no more memory than
+        the block's values.
+    h : (h_n, h_t) pair of arrays
+        h_n[a] = ``mixmonitor._h(a)`` for 2 <= a <= L, and h_t (B,) holds
+        h[m + t] of each step, at its pooled length.
+    clamped : (B, G) int array
+        Each set's clamped pre-change and pooled variances of each step;
+        the clamped post-change variances are added to it.
+
+    Returns
+    -------
+    (stat, n2, clamped) : (B, G) arrays
+        Per step and set, the largest corrected mixture statistic, the
+        longest segment length n2 attaining it, and the number of clamped
+        segment variances.
+    """
+    L, B = h_k.shape[0] + 1, h_k.shape[1]
+    h_n, h_t = h
+    e = x.shape[0] - B  # the rows before time t0
+    J = x.shape[1] // sets
+    chunk = x.shape[1]  # lengths whose factors are computed at once: a (chunk, B) block, as large as x
+    sums, ssq = x[e:].copy(), xx[e:].copy()  # S(t, 1) = x(t)
+    a_t = a[e + 1:]
+    best = np.full((B, sets), -np.inf)
+    at = np.zeros((B, sets), dtype=np.int64)
+    for n2 in range(2, L + 1):
+        i = max(0, n2 - t0)  # the first step with k >= 0
+        lo, hi = i + e + 1 - n2, B + e + 1 - n2  # the rows of x(t - n2 + 1), and of a(t - n2)
+        sums[i:] += x[lo:hi]
+        ssq[i:] += xx[lo:hi]
+        if n2 == 2:
+            # the two-point segment's exact variance, as ``_scan_cells`` takes it
+            var_2 = 0.25 * np.square(x[e + i:] - x[lo:hi])
+        else:
+            var_2 = _segment_variances(sums[i:], ssq[i:], float(n2))
+        if (n2 - 2) % chunk == 0:
+            h_kb = h_k[n2 - 2:n2 - 2 + chunk]
+            cvals = 0.5 * ((h_kb + h_n[n2:n2 + h_kb.shape[0], None]) - h_t)
+        terms, low = _cell_terms(var_2, np.subtract(a_t[i:], a[lo:hi]), float(n2),
+                                 cvals[(n2 - 2) % chunk, i:, None], p0, var_floor)
+        if low is not None:
+            clamped[i:] += low.reshape(B - i, sets, J).sum(axis=2)
+        _keep_best(best[i:], at[i:], _set_sums(terms, sets), n2)
+    return best, at, clamped
 
 
 class ScanState(NamedTuple):
@@ -421,11 +555,11 @@ def _kahan(total, comp, v, run=None):
     block's value count, rows x lanes, against its rows: lane by lane when
     the block holds fewer values than rows squared (more rows than lanes,
     so the conversions are shared by many values) and fewer than
-    ``KAHAN_ROW_VALUES`` per row. A live monitor's scan block (27 rows of 6
-    lanes at w = 200 and J = 3) goes lane by lane; a single row
-    (``Monitor.step``), a 64-row block of 40 lanes and the wide stacks of
-    calibration and simulated trials, whose rows hold hundreds of lanes,
-    take the row loop.
+    ``KAHAN_ROW_VALUES`` per row. A live monitor's blocks (27 rows of 6
+    lanes at w = 200 and J = 3, or a swept 1024-row chunk of the
+    ``monitor`` command) go lane by lane; a single row (``Monitor.step``),
+    a 36-row block of 24 lanes and the wide stacks of calibration and
+    simulated trials, whose rows hold hundreds of lanes, take the row loop.
     """
     n = v.shape[0]
     if _lane_by_lane(n, total.size):
@@ -498,6 +632,42 @@ def _block_end(t0: int, T: int, n_streams: int, window: int, budget: int) -> int
     return lo
 
 
+def _newest_first(rows: np.ndarray, n: int, L: int) -> np.ndarray:
+    """The first n windows of L columns of a C-contiguous (S, ...) array, newest first, as a (S, n, L) view.
+
+    Window s holds columns s + L - 1, s + L - 2, ..., s. Built straight from
+    the array's buffer: ``sliding_window_view`` costs about 11 us a call,
+    a sizable share of a narrow block.
+    """
+    step = rows.strides[1]
+    return np.ndarray((rows.shape[0], n, L), rows.dtype, rows, (L - 1) * step, (rows.strides[0], step, -step))
+
+
+def _next_block(t0: int, T: int, n_streams: int, window: int, thresholded: bool) -> tuple[int, bool]:
+    """End (exclusive) of the block of steps starting at t0, and whether it is swept by segment length.
+
+    A block is swept (``_sweep_cells``) when each pass over one segment
+    length holds at least SWEEP_VALUES values, steps x streams; each pass
+    then costs less than its share of a rectangle. The swept block of a
+    scan without a threshold holds up to SWEEP_MAX_VALUES values a pass,
+    the whole stretch when it fits; with a threshold it is held to about
+    SWEEP_CHUNK_VALUES a pass and to TRACE_BLOCK_STEPS steps, so a set
+    that crosses early pays for few steps after its crossing, and a stacked
+    scan drops the sets that crossed between blocks. A block with fewer
+    values a pass is a rectangle of ``_block_end``'s size.
+    """
+    most = max(1, (SWEEP_CHUNK_VALUES if thresholded else SWEEP_MAX_VALUES) // n_streams)
+    if thresholded:
+        most = min(most, TRACE_BLOCK_STEPS, t0 - 1)
+    # the rest of the stretch in equal blocks of at most ``most`` steps, so
+    # that no short last block falls below the sweep
+    left = T + 1 - t0
+    steps = -(-left // -(-left // most))
+    if steps * n_streams >= SWEEP_VALUES:
+        return t0 + steps, True
+    return _block_end(t0, T, n_streams, window, _block_cells(n_streams)), False
+
+
 def stack_size(n_streams: int, window: int, steps: int, held: int) -> int:
     """How many sets of ``n_streams`` streams, each holding ``steps`` steps at a time, to handle as one stack.
 
@@ -505,15 +675,16 @@ def stack_size(n_streams: int, window: int, steps: int, held: int) -> int:
     groups. A calibration replicate holds its whole stream at once; a
     trial group is drawn and scanned a stretch of steps at a time, and
     ``steps`` is its longest stretch. As many sets as fill one step of a
-    scan block at its longest segment, taken as min(steps, w + 1), so
-    every block holds a step of each of them; the block is taken as wide
-    when 8 sets make it so, so sets of 8 or more streams fill the doubled
-    budget. And no more than fill STACK_BLOCKS blocks with what one set
-    holds at its largest stage: ``held`` floats while its caller prepares
-    it, or, while it is scanned, its projections, and the scan's
-    stream-major copy of them with their squares (two floats each) and
-    the pre-change terms of their times (one float), which reach w + 1
-    steps back.
+    rectangle block at its longest segment, taken as min(steps, w + 1);
+    the block is taken as wide when 8 sets make it so, so sets of 8 or
+    more streams fill the doubled budget. A stack that wide is swept
+    (``_next_block``), and a wider one would not be cheaper a set: timed
+    over 100 full-window steps, 16 and 32 sets of 20 streams took 1.18
+    and 1.21 ms a set. And no more than fill STACK_BLOCKS blocks with
+    what one set holds at its largest stage: ``held`` floats while its
+    caller prepares it, or, while it is scanned, its projections, and the
+    scan's copies of them and of their squares and the pre-change terms
+    of their times (one float each), which reach w + 1 steps back.
     """
     budget = _block_cells(8 * n_streams)
     scan = budget // (n_streams * min(steps, window + 1))
@@ -546,21 +717,24 @@ def scan_trace(
     are bit for bit those of a scan of it alone, and a stacked scan
     saves the numpy calls of G scans.
 
-    Steps are processed in blocks of about TRACE_BLOCK_CELLS (t, n2,
-    stream) cells, where n2 = t - k is the post-change segment length.
-    Each block goes through the cell scan ``scan_step`` uses, as one
-    rectangle of n2 = 2..min(t1 - 1, window + 1) for its B steps; the
-    cells with k < 0 of its early steps are masked. Each block first adds
-    its rows to the running totals through ``_kahan``, as
-    ``advance_state`` does, and computes from them the pre-change term
-    a(k) of each of its times once per stream (``_pre_change_terms``);
-    every later cell reads a(k) through a strided window, as it reads the
-    values. The scan copies the whole stretch once, each value and its
-    square as one complex number; the windows are strided views of that
-    copy, and the running totals read its rows through a float view. Every
-    block is sized by the cell budget of the streams it scans, with or
-    without a threshold: a caller that expects an early stop hands over a
-    short stretch, as simulated trials do.
+    Steps are processed in blocks (``_next_block``). A block whose every
+    segment length holds SWEEP_VALUES values or more, steps x streams,
+    is swept by segment length (``_sweep_cells``): without a threshold
+    that is the whole stretch, up to SWEEP_MAX_VALUES values a pass; with
+    one, blocks of about SWEEP_CHUNK_VALUES values a pass, and of no more
+    steps than the trace has behind them, so a set that crosses early
+    pays for few steps after its crossing. A narrower block is one
+    rectangle of about TRACE_BLOCK_CELLS (t, n2, stream) cells, n2 =
+    2..min(t1 - 1, window + 1) for its B steps (``_scan_cells``), whose
+    cells with k < 0 in its early steps are masked; the sweep computes no
+    such cell. Each block first adds its rows to the running totals
+    through ``_kahan``, as ``advance_state`` does, and computes from them
+    the pre-change term a(k) of each of its times once per stream
+    (``_pre_change_terms``). The scan copies the whole stretch once,
+    stream-major, each value and its square as one complex number; a
+    rectangle reads its windows, and those of the a(k), as strided views
+    of the copies, and a swept block takes time-major copies of its own
+    values, squares and a(k), whose rows its passes read as plain slices.
 
     Parameters
     ----------
@@ -625,12 +799,12 @@ def scan_trace(
     # i (set after set, J streams each) at time first + s as its real part
     # and the value's square as its imaginary part. The columns reach w + 1
     # times back from the first step, zero columns standing for times
-    # before 1, which only cells with k < 0 reach, and on to the stretch's
-    # last time. Next to them, pre[i, s] holds stream i's pre-change term
-    # a(k) of k = first - 1 + s, -inf where k < 0, and lows[g, s] set g's
-    # count of streams whose var_1 is clamped at that k; each block fills in
-    # those of its own times. When sets leave a stacked scan, the columns
-    # the others still read are copied apart
+    # before 1, which only a rectangle's cells with k < 0 read, and on to the
+    # stretch's last time. Next to them, pre[i, s] holds stream i's
+    # pre-change term a(k) of k = first - 1 + s, -inf where k < 0, and
+    # lows[g, s] set g's count of streams whose var_1 is clamped at that k;
+    # each block fills in those of its own times. When sets leave a stacked
+    # scan, the columns the others still read are copied apart
     pad = cap - held
     first = t_prev - cap + 1
     both = np.empty((G * J, t_end - first + 1), dtype=complex)
@@ -652,38 +826,35 @@ def scan_trace(
     lows[:, pad:pad + held + 1] = low.T
     hist = [(t_prev - held, known)]
 
-    def views(both, pre):
-        """The windows of ``both`` and ``pre`` and the running totals' rows of ``both``, as views.
+    def windows(both, pre):
+        """Every step's window of ``both`` and of ``pre``, newest first, as views: (values, a(k)).
 
-        rev[i, s, l] holds the value and square of stream i at time first
-        + s + w - l, strided along each stream's row, so no window is
-        copied, and prev[i, s, l] its a(k) of k = first - 1 + s + w - l.
-        rows[s] holds the values and squares of every stream at time
-        first + s, (2, G, J), a float view of ``both``: the rows the
-        running totals add one time at a time.
+        Window s of the values holds columns s + w, ..., s, and window s of
+        the a(k) columns s + w - 1, ..., s: those of the step at time first
+        + s + w.
         """
-        rev = sliding_window_view(both, cap, axis=1)[..., ::-1]
-        prev = sliding_window_view(pre, cap, axis=1)[..., ::-1]
-        rows = both.view(float).reshape(-1, J, both.shape[1], 2)
-        return rev, prev, np.moveaxis(rows, (2, 3), (0, 1))
+        n = both.shape[1] - window
+        return _newest_first(both, n, cap), _newest_first(pre, n, window)
 
-    rev, prev, rows = views(both, pre)
+    rev, prev = windows(both, pre)
 
     def add_rows(t0, t1):
         """Add the rows of times t0..t1 - 1 to the running totals and fill in their a(k).
 
-        Returns the new (total, comp) and a contiguous copy of the rows:
-        each of the running totals' small per-row numpy calls costs less on
-        it than on the strided view.
+        Returns the new (total, comp) and the rows, (n, 2, G, J): a
+        contiguous copy, on which each of the running totals' small per-row
+        numpy calls costs less than on a strided view.
         """
-        block_rows = np.ascontiguousarray(rows[t0 - first:t1 - first])
-        run = np.empty(block_rows.shape)
-        totals = _kahan(total, comp, block_rows, run)
+        n = t1 - t0
+        rows = np.ascontiguousarray(both[:, t0 - first:t1 - first].view(float).reshape(-1, n, 2).transpose(1, 2, 0))
+        rows = rows.reshape(n, 2, -1, J)
+        run = np.empty(rows.shape)
+        totals = _kahan(total, comp, rows, run)
         a, low = _pre_change_terms(train, m, t0, run, var_floor)
-        pre[:, t0 - first + 1:t1 - first + 1] = a.reshape(t1 - t0, -1).T
+        pre[:, t0 - first + 1:t1 - first + 1] = a.reshape(n, -1).T
         lows[:, t0 - first + 1:t1 - first + 1] = low.T
         hist.append((t0, run))
-        return *totals, block_rows
+        return *totals, rows
 
     def results(t, total, comp):
         """The arrays up to time t, and the state there of the sets in ``alive``."""
@@ -702,7 +873,7 @@ def scan_trace(
     t0 = max(2, t_prev + 1)
     while t0 <= t_end:
         S = alive.size * J
-        t1 = _block_end(t0, t_end, S, window, _block_cells(S))
+        t1, sweep = _next_block(t0, t_end, S, window, threshold is not None)
         B = t1 - t0
         while len(hist) > 1 and hist[1][0] <= t0 - 1 - cap:
             del hist[0]
@@ -722,21 +893,36 @@ def scan_trace(
             base = run_lows[:, cap - 1:cap - 1 + B] - run_lows[:, :B] + lows_b[:, cap:]
         else:
             base = np.zeros((alive.size, B), dtype=np.int64)
-        s0 = t0 - window - first  # the window of step t0
-        block_stat, best, block_clamped = _scan_cells(
-            pre[:, c0:c0 + B],
-            prev[:, s0:s0 + B, :L],
-            rev[:, s0:s0 + B, :L],
-            0.5 * ((hrev[t0 - t_prev:t1 - t_prev, :L] + h[1:L + 1]) - h[m + t0:m + t1, None]),
-            np.minimum(ts, cap) - 1,  # admissible cells, 2 <= n2 <= min(t, w + 1)
-            p0,
-            var_floor,
-            base,
-            alive.size,
-        )
+        # C(t - n2, t) of each step and n2 = 2..L, h[m + k] of k = t - n2
+        h_k = hrev[t0 - t_prev:t1 - t_prev, 1:L]
+        r = t0 - L + 1 - first  # the column of time t0 - L + 1, and of a(t0 - L)
+        if sweep:
+            # time-major copies of the block's values, squares and a(k), from
+            # time 1 on: the sweep reads no cell with k < 0
+            c = max(r, 1 - first)
+            x, xx = (np.ascontiguousarray(part[:, c:t1 - first].T) for part in (both.real, both.imag))
+            block_stat, n2, block_clamped = _sweep_cells(
+                x, xx, np.ascontiguousarray(pre[:, c:c0 + B].T), t0, h_k.T, (h, h[m + t0:m + t1]), p0,
+                var_floor, base.T, alive.size,
+            )
+            block_stat, block_k, block_clamped = block_stat.T, ts - n2.T, block_clamped.T
+        else:
+            s0 = t0 - window - first  # the window of step t0
+            block_stat, best, block_clamped = _scan_cells(
+                pre[:, c0:c0 + B],
+                prev[:, s0:s0 + B, :L - 1],  # a(t - 2), a(t - 3), ... of each step
+                rev[:, s0:s0 + B, :L],
+                0.5 * ((h_k + h[2:L + 1]) - h[m + t0:m + t1, None]),
+                np.minimum(ts, cap) - 1,  # admissible cells, 2 <= n2 <= min(t, w + 1)
+                p0,
+                var_floor,
+                base,
+                alive.size,
+            )
+            block_k = ts - 2 - best
         into = (slice(None), out) if alive.size == G else (alive, out)
         stat[into] = block_stat
-        argmax_k[into] = ts - 2 - best
+        argmax_k[into] = block_k
         clamped[into] = block_clamped
         t0 = t1
         if threshold is None:
@@ -772,5 +958,5 @@ def scan_trace(
         pre = pre.reshape(-1, J, pre.shape[1])[keep, :, s:].reshape(alive.size * J, -1)
         lows = lows[keep, s:]
         first = t0 - cap
-        rev, prev, rows = views(both, pre)
+        rev, prev = windows(both, pre)
     return results(t_end, total, comp)

@@ -1,4 +1,5 @@
 import pytest
+from scan_paths import PATHS, pinned
 
 
 @pytest.fixture
@@ -10,3 +11,14 @@ def announce(capsys):
             print(line, flush=True)
 
     return _announce
+
+
+@pytest.fixture(scope="module", params=PATHS)
+def scan_path(request):
+    """Every trace scan of a module's tests on one block path, then on the other.
+
+    Module-scoped, so Hypothesis tests may use it: it is set once for all
+    the examples of a test.
+    """
+    with pinned(request.param):
+        yield request.param

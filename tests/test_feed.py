@@ -8,6 +8,8 @@ warning count.
 ``Monitor.step`` runs on the reference kernel of
 ``tests/scan_reference.py`` here, so the comparisons do not pass through
 the cell scan that ``feed`` shares with the library's ``scan_step``.
+Every test runs twice, with each block of the trace scan swept by segment
+length and scanned as one rectangle (``tests/scan_paths.py``).
 """
 
 import math
@@ -16,15 +18,17 @@ import numpy as np
 import pytest
 
 import tailormon as tm
+from scan_paths import pinned
 from scan_reference import RingStats, ring_state, same_state
 from scan_reference import scan_step as reference_step
 from tailormon import _kernel
 from tailormon._kernel import _scan_py
-from tailormon._kernel._scan_py import TRACE_BLOCK_STEPS, _block_cells, _block_end
 from tailormon.mixmonitor import VAR_FLOOR, _BartlettTable
 from trial_reference import trace_stats
 
 WINDOW = 25
+
+pytestmark = pytest.mark.usefixtures("scan_path")
 
 
 @pytest.fixture(autouse=True)
@@ -115,8 +119,9 @@ def test_feed_equals_step(lag, sizes):
 @pytest.mark.parametrize("n_axes", [1, 3, 8])
 @pytest.mark.parametrize("size", ["one", "lanes", "lanes+1", "64"])
 def test_feed_equals_step_on_both_sides_of_the_lane_rule(n_axes, size):
-    # a block of more rows than the running totals' 2 * J lanes is added
-    # lane by lane, any other row by row, as every step adds its one row
+    # a block of more rows than the running totals' 2 * J lanes, and of fewer
+    # than KAHAN_ROW_VALUES lanes, is added lane by lane, any other row by
+    # row, as every step adds its one row
     lanes = 2 * n_axes
     rows_per_chunk = {"one": 1, "lanes": lanes, "lanes+1": lanes + 1, "64": 64}[size]
     model, chol, rng = fitted(0, p0=0.3, n_axes=n_axes, dim=max(5, n_axes), threshold=9.0)
@@ -223,10 +228,16 @@ def test_stop_on_alarm_at_a_place_in_a_scan_block(lag, place):
     stats = [r.stat for r in tm.Monitor(model).feed(rows)]
     # a statistic above every earlier one, so the first to reach it as a threshold
     alarm_t = next(t for t in range(100, 300) if stats[t - 1] > max(stats[: t - 1]))
-    before = {"first": 0, "middle": TRACE_BLOCK_STEPS // 2, "last": TRACE_BLOCK_STEPS - 1}[place]
-    start = alarm_t - 1 - before  # raw rows consumed before the block is fed
-    t0 = start - lag + 1  # the fed block's first scan time, the start of its first scan block
-    assert _block_end(t0, rows.shape[0] - lag, 3, WINDOW, _block_cells(3)) == t0 + TRACE_BLOCK_STEPS
+    # the fed rows' scan starts at time t0 = start - lag + 1, a block of the
+    # path in force that holds the alarm there
+    for steps in range(_scan_py.TRACE_BLOCK_STEPS, 2, -1):
+        before = {"first": 0, "middle": steps // 2, "last": steps - 1}[place]
+        t0 = alarm_t - lag - before
+        if _scan_py._next_block(t0, rows.shape[0] - lag, 3, WINDOW, True)[0] == t0 + steps:
+            break
+    else:
+        pytest.fail("no block holds the alarm at that place")
+    start = t0 + lag - 1  # raw rows consumed before the block is fed
     armed = model.with_threshold(stats[alarm_t - 1])
 
     mon = tm.Monitor(armed)
@@ -358,10 +369,7 @@ def step_reference(z, train_sum, train_sumsq, m, window, p0):
 
 @pytest.mark.parametrize("cells", [None, 100])
 @pytest.mark.parametrize("cuts", [(), (1,), (1, 2), (7, 26, 27, 90), (60,)])
-def test_scan_trace_in_pieces_counts_clamps_per_step(monkeypatch, cuts, cells):
-    if cells is not None:
-        # blocks of one step: a state's prefix sums come from many blocks
-        monkeypatch.setattr(_scan_py, "TRACE_BLOCK_CELLS", cells)
+def test_scan_trace_in_pieces_counts_clamps_per_step(scan_path, cuts, cells):
     rng = np.random.default_rng(4)
     z = rng.standard_normal((150, 3))
     # zeros clamp the first post-change variances, as they would those of
@@ -375,7 +383,9 @@ def test_scan_trace_in_pieces_counts_clamps_per_step(monkeypatch, cuts, cells):
     state = _kernel.ScanState.fresh(3)
     got = []
     for lo, hi in zip((0, *cuts), (*cuts, z.shape[0])):
-        stat, k, clamped, state = _kernel.scan_trace(z[lo:hi], ts, tq, 60, 25, 0.4, h, VAR_FLOOR, state=state)
+        # with ``cells``, blocks of a step or a few: a state's prefix sums come from many blocks
+        with pinned(scan_path, cells):
+            stat, k, clamped, state = _kernel.scan_trace(z[lo:hi], ts, tq, 60, 25, 0.4, h, VAR_FLOOR, state=state)
         got += list(zip(stat.tolist(), k.tolist(), clamped.tolist()))
         assert state.t == hi
     ref = step_reference(z, ts, tq, 60, 25, 0.4)

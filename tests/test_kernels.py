@@ -184,10 +184,11 @@ def test_alternating_pattern_argmax():
 
 @pytest.mark.parametrize("kind", ["normal", "signed_zeros", "wide_range"])
 def test_row_sums_equal_numpys_row_sum_for_every_stream_count(kind):
-    # the cell scan sums each cell's J terms stream-major; the result must be
-    # numpy's contiguous (cells, J) row sum bit for bit, through the left to
-    # right sum below 8 terms, the 8-way pairwise sum and its split above 128
-    from tailormon._kernel._scan_py import _row_sums
+    # the rectangle sums each cell's J terms stream-major, the sweep
+    # time-major; the result must be numpy's contiguous (cells, J) row sum
+    # bit for bit, through the left to right sum below 8 terms, the 8-way
+    # pairwise sum and its split above 128
+    from tailormon._kernel._scan_py import _row_sums, _set_sums
 
     rng = np.random.default_rng(["normal", "signed_zeros", "wide_range"].index(kind))
     for J in range(1, 301):
@@ -199,6 +200,9 @@ def test_row_sums_equal_numpys_row_sum_for_every_stream_count(kind):
             x *= 10.0 ** rng.uniform(-12, 12, x.shape)
         stream_major = np.ascontiguousarray(x.transpose(0, 2, 1))  # (G, J, cells)
         assert _row_sums(stream_major).tobytes() == x.sum(axis=2).tobytes(), f"J = {J}"
+        # and the sweep's sums over its time-major (cells, G * J) terms
+        time_major = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(37, 3 * J)
+        assert _set_sums(time_major, 3).tobytes() == x.sum(axis=2).T.tobytes(), f"J = {J}"
 
 
 @pytest.mark.parametrize("p0", [0.01, 0.1, 0.5])
@@ -254,12 +258,38 @@ def test_kahan_equals_the_row_loop_bit_for_bit(seed, n, sets, J, lowest, zeros, 
     assert _scan_py._kahan(total, comp, v)[0].tobytes() == expected[0].tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.integers(1, 40),
+    cells=st.integers(1, 30),
+    levels=st.integers(1, 4),
+    neg_inf=st.floats(0.0, 1.0),
+)
+def test_running_maximum_picks_what_argmax_over_the_longest_first_picks(seed, lengths, cells, levels, neg_inf):
+    # the sweep folds each segment length's statistics into running maxima in
+    # increasing length with >=; the rectangle takes np.argmax over the
+    # lengths reversed, longest first. Both must pick the same statistic and
+    # the same length, the longest among exact ties, -inf entries included
+    rng = np.random.default_rng(seed)
+    lam = rng.integers(0, levels, (lengths, cells, 2)).astype(float)  # few levels: many exact ties
+    lam[rng.random(lam.shape) < neg_inf] = -np.inf
+    best = np.full((cells, 2), -np.inf)
+    at = np.zeros((cells, 2), dtype=np.int64)
+    for i, row in enumerate(lam):
+        _scan_py._keep_best(best, at, row, i + 2)  # length n2 = i + 2
+    first = lengths - 1 - np.argmax(lam[::-1], axis=0)
+    assert best.tobytes() == np.take_along_axis(lam, first[None], axis=0)[0].tobytes()
+    assert np.array_equal(at, first + 2)
+
+
 # (rows, lanes) of the blocks _kahan adds in the perfbench stream,
-# calibrate and grid workloads (seeds 1-3) and in Monitor.step at J = 3
-LANE_BY_LANE_BLOCKS = [(7, 6), (25, 6), (27, 6), (30, 6), (36, 6), (36, 24), (43, 8), (48, 6), (64, 6)]
+# calibrate and grid workloads (seeds 1-3), swept or not, and in
+# Monitor.step at J = 3
+LANE_BY_LANE_BLOCKS = [(7, 6), (27, 6), (43, 8), (1022, 6), (1024, 6)]
 ROW_LOOP_BLOCKS = [
-    (1, 6), (1, 24), (1, 42), (1, 640), (2, 64), (3, 40), (5, 42), (8, 24), (8, 42), (13, 40),
-    (15, 24), (16, 40), (17, 24), (20, 160), (22, 64), (23, 24), (27, 42),
+    (1, 6), (1, 24), (1, 42), (1, 640), (3, 80), (5, 42), (8, 24), (8, 42), (10, 640), (13, 40), (15, 24),
+    (17, 24), (20, 160), (23, 24), (27, 42), (29, 640), (36, 24), (50, 160), (99, 64), (99, 640),
 ]
 
 
@@ -268,9 +298,11 @@ def test_kahan_path_follows_the_value_count():
         assert _scan_py._lane_by_lane(rows, lanes), (rows, lanes)
     for rows, lanes in ROW_LOOP_BLOCKS:
         assert not _scan_py._lane_by_lane(rows, lanes), (rows, lanes)
-    # 386 us lane by lane against 170 us in the row loop when it went lane by lane
-    assert not _scan_py._lane_by_lane(64, 40)
+    # timed alone, 36 x 24 took 105 us lane by lane against 66 us in the row
+    # loop, and 1024 x 6 took 750 us against 2030 us
+    assert not _scan_py._lane_by_lane(64, 16)
     assert not _scan_py._lane_by_lane(64, _scan_py.KAHAN_ROW_VALUES)
+    assert _scan_py._lane_by_lane(3000, 14)
 
 
 def test_block_end_equals_growing_the_block_one_step_at_a_time():

@@ -4,7 +4,9 @@
 loop bit for bit, and the calibration replicates and simulated trials
 built on it must match a per-step monitor exactly. The per-step side runs
 ``tests/scan_reference.py``, not the library's ``scan_step``, which shares
-its cell scan with ``scan_trace``.
+its cell scan with ``scan_trace``. Every test runs twice, with each block
+of a trace scan swept by segment length and scanned as one rectangle
+(``tests/scan_paths.py``), so both paths meet the same reference.
 """
 
 import math
@@ -15,13 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailormon as tm
+from scan_paths import block_ends, pinned
 from scan_reference import RingStats, ring_state, same_state
 from scan_reference import scan_step as reference_step
 from tailormon import _kernel, calibrate, evalharness, mixmonitor
-from tailormon._kernel import ScanState, _scan_py
-from tailormon._kernel._scan_py import _block_cells, _block_end
+from tailormon._kernel import ScanState
 from tailormon.mixmonitor import VAR_FLOOR, _BartlettTable
 from trial_reference import trace_stats
+
+pytestmark = pytest.mark.usefixtures("scan_path")
 
 
 def step_loop(z, train_sum, train_sumsq, m, window, p0, var_floor=VAR_FLOOR):
@@ -128,22 +132,13 @@ def test_ties_go_to_the_smallest_k():
     assert k[1:].tolist() == [max(0, t - 16) for t in range(2, 81)]
 
 
-def first_block_ends(T, n_streams, window):
-    """The last steps of the blocks of a scan from time 2, while no set leaves it."""
-    ends, t0 = [], 2
-    while t0 <= T:
-        t0 = _block_end(t0, T, n_streams, window, _block_cells(n_streams))
-        ends.append(t0 - 1)
-    return ends
-
-
 def test_threshold_stops_after_the_crossing_block():
     z, ts, tq = random_trace(6, 600, 2)
     z[300:, 0] += 1.0
     ref, ref_k, _ = step_loop(z, ts, tq, 60, 25, 1.0)
     # thresholds equal to the largest statistic up to the end of one of the
     # first blocks test a crossing at its last step
-    block_max = [ref[:e].max() for e in first_block_ends(600, 2, 25)[:6]]
+    block_max = [ref[:e].max() for e in block_ends(600, 2, 25, thresholded=True)[:6]]
     for threshold in [*block_max, *np.quantile(ref[1:], [0.5, 0.8, 0.9, 0.95, 0.99])]:
         first_t = int(np.flatnonzero(ref >= threshold)[0]) + 1
         stat, k = trace(z, ts, tq, 60, 25, 1.0, threshold)
@@ -186,6 +181,9 @@ def test_stacked_scan_equals_separate_scans(seed, G, J, p0, window, T, flat):
     alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, h, VAR_FLOOR) for g in range(G)]
     stat, k, clamped, state = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR)
     assert stat.shape == k.shape == clamped.shape == (G, T)
+    # no NaN reaches the tie rule: every statistic of a step with a candidate
+    # is finite, clamped variances included
+    assert np.all(np.isfinite(stat[:, 1:]))
     for g, (a_stat, a_k, a_clamped, _) in enumerate(alone):
         assert stat[g].tobytes() == a_stat.tobytes()
         assert k[g].tobytes() == a_k.tobytes()
@@ -217,7 +215,8 @@ def test_stacked_scan_equals_separate_scans(seed, G, J, p0, window, T, flat):
     # copy the columns of the others, at every block alignment
     cells=st.sampled_from([None, 30, 100, 400]),
 )
-def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(seed, G, J, p0, window, T, where, q, cells):
+def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(scan_path, seed, G, J, p0, window, T, where, q,
+                                                                      cells):
     """Each set of a stacked thresholded scan keeps its own scan's steps up to its first crossing, and nothing after."""
     rng = np.random.default_rng(seed)
     m = 40
@@ -229,11 +228,7 @@ def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(seed, G, J,
     alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, h, VAR_FLOOR) for g in range(G)]
     stats = np.array([a[0] for a in alone])  # (G, T), -inf at t = 1
     pick = rng.integers(G)
-    built = _scan_py.TRACE_BLOCK_CELLS
-    # set by hand: a fixture would outlive the examples
-    if cells is not None:
-        _scan_py.TRACE_BLOCK_CELLS = cells
-    try:
+    with pinned(scan_path, cells):
         if where == "quantile":
             threshold = float(np.quantile(stats[:, 1:], q))
         elif where == "at_once":
@@ -242,14 +237,12 @@ def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(seed, G, J,
         elif where == "block_edge":
             # one set's statistic at the last or first step of one of the
             # first blocks of the budget in force
-            ends = first_block_ends(T, G * J, window)
+            ends = block_ends(T, G * J, window, thresholded=True)
             t = int(rng.choice(ends + [e + 1 for e in ends if e < T]))
             threshold = float(stats[pick, t - 1])
         else:
             threshold = math.inf
         stat, k, clamped, state = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR, threshold)
-    finally:
-        _scan_py.TRACE_BLOCK_CELLS = built
     hits = stats >= threshold
     # the state is that of the sets that never crossed, after the last step
     running = [g for g in range(G) if not hits[g].any()]
@@ -284,7 +277,7 @@ def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(seed, G, J,
     q=st.floats(0.3, 1.0),
     cells=st.sampled_from([None, 30, 100]),
 )
-def test_stacked_thresholded_scan_resumes_stretch_by_stretch(seed, G, J, p0, window, T, cuts, q, cells):
+def test_stacked_thresholded_scan_resumes_stretch_by_stretch(scan_path, seed, G, J, p0, window, T, cuts, q, cells):
     """A stacked thresholded scan in stretches, each resumed from the sets still running, is the whole trace's scan."""
     rng = np.random.default_rng(seed)
     m = 40
@@ -295,11 +288,7 @@ def test_stacked_thresholded_scan_resumes_stretch_by_stretch(seed, G, J, p0, win
     h = _BartlettTable().upto(m + T)
     alone = np.array([_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, h, VAR_FLOOR)[0] for g in range(G)])
     threshold = float(np.quantile(alone[:, 1:], q))
-    built = _scan_py.TRACE_BLOCK_CELLS
-    # set by hand: a fixture would outlive the examples
-    if cells is not None:
-        _scan_py.TRACE_BLOCK_CELLS = cells
-    try:
+    with pinned(scan_path, cells):
         whole = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR, threshold)[0]
         got = np.full((G, T), -np.inf)
         live, state = np.arange(G), None
@@ -316,8 +305,6 @@ def test_stacked_thresholded_scan_resumes_stretch_by_stretch(seed, G, J, p0, win
                 assert state.t == b and state.total.shape == (2, live.size, J)
             if not live.size:
                 break
-    finally:
-        _scan_py.TRACE_BLOCK_CELLS = built
     n = whole.shape[1]
     assert got[:, :n].tobytes() == whole.tobytes()
     assert np.all(got[:, n:] == -np.inf)
@@ -325,7 +312,7 @@ def test_stacked_thresholded_scan_resumes_stretch_by_stretch(seed, G, J, p0, win
     assert live.tolist() == [g for g in range(G) if not hits[g].any()]
 
 
-def test_a_long_stacked_thresholded_scan_keeps_each_sets_own_scan(monkeypatch):
+def test_a_long_stacked_thresholded_scan_keeps_each_sets_own_scan(scan_path):
     """Three sets over 700 steps in small blocks: one crosses before step 256, one after it, one never."""
     rng = np.random.default_rng(21)
     T, G, J, m, window = 700, 3, 2, 60, 25
@@ -341,12 +328,12 @@ def test_a_long_stacked_thresholded_scan_keeps_each_sets_own_scan(monkeypatch):
     threshold = 1.0 + max(stats[0, :100].max(), stats[1, :450].max(), stats[2].max())
     firsts = [int(np.argmax(row >= threshold)) + 1 if (row >= threshold).any() else None for row in stats]
     assert firsts[0] < 256 < firsts[1] and firsts[2] is None
-    # a few steps a block, so the sets leave the scan at a block's edge or inside it
-    monkeypatch.setattr(_scan_py, "TRACE_BLOCK_CELLS", 300)
     # the whole trace, and the trace cut at the second set's crossing, so that
     # it leaves the scan in the last block and the state is cut right after
     for end in (T, firsts[1]):
-        stat, k, clamped, state = _kernel.scan_trace(z[:end], ts, tq, m, window, 0.5, h, VAR_FLOOR, threshold)
+        # a few steps a block, so the sets leave the scan at a block's edge or inside it
+        with pinned(scan_path, 300):
+            stat, k, clamped, state = _kernel.scan_trace(z[:end], ts, tq, m, window, 0.5, h, VAR_FLOOR, threshold)
         assert stat.shape == (G, end)
         for g, (a_stat, a_k, a_clamped, _) in enumerate(alone):
             n = min(firsts[g] or end, end)
@@ -398,7 +385,7 @@ def test_trace_stats_with_a_threshold_ends_at_the_first_alarm(reference_step_ker
     rows = rng.standard_normal((300, chol.shape[0])) @ chol.T
     rows[150:, 0] += 1.5
     ref, ref_k = monitor_stats(model, rows)
-    ends = [e + lag for e in first_block_ends(300 - lag, model.n_streams, model.window)]
+    ends = [e + lag for e in block_ends(300 - lag, model.n_streams, model.window, thresholded=True)]
     for threshold in [ref[:e].max() for e in ends[:5]] + [float(np.max(ref)), math.inf]:
         stat, k = trace_stats(model, rows, threshold)
         n = int(np.argmax(ref >= threshold)) + 1 if (ref >= threshold).any() else 300
