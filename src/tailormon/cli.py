@@ -41,15 +41,6 @@ EXIT_NO_ALARM = 5
 
 _INPUT_ERRORS = (ConfigError, DimensionMismatch, ConstantColumn, OSError)
 
-# lines of a monitored file that are parsed at once, scanned by one
-# Monitor._feed_arrays call and written by one write; stdin is read and
-# stepped one row at a time. On the benchmark's 3000-row, 20-column
-# stream (lag 1, 3 axes), 1024 lines took a median 0.96 of the time of
-# 256 lines per `monitor --continue` pass (30 alternating in-process
-# passes, 2 cores, numpy 2.4); such a chunk holds about 160 KB of values
-FEED_CHUNK_ROWS = 1024
-
-
 def _fail(code: int, exc: BaseException):
     click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
     sys.exit(code)
@@ -193,39 +184,40 @@ def _step_line(monitor: Monitor, row, path: str, line_no: int):
     return _fileio.step_result_line(res) + "\n", res.t if res.alarm else None
 
 
+def _fed_lines(monitor: Monitor, rows, lines, path: str, stop_on_alarm: bool):
+    """(text, alarm_time) of file rows fed as one block; at a rejected row, the rows before it, then its error."""
+    try:
+        t_first, short, stat, argmax_k, alarm, clamped = monitor._feed_arrays(rows, stop_on_alarm)
+    except ValueError as exc:
+        if exc.row:
+            yield from _fed_lines(monitor, rows[:exc.row], lines[:exc.row], path, stop_on_alarm)
+        raise ValueError(f"{path}:{lines[exc.row]}: {exc}") from None
+    alarms = np.flatnonzero(alarm)
+    text = _fileio._step_lines(t_first, short, stat, argmax_k, alarm, clamped)
+    yield text, (t_first + short + int(alarms[0]) if alarms.size else None)
+
+
 def _result_lines(monitor: Monitor, source, path: str, raw_dim: int, stop_on_alarm: bool):
     """(text, alarm_time) for runs of the rows of ``source``, in order.
 
     ``text`` holds the JSONL lines of a run of steps and ``alarm_time``
     is the time of its first alarm, or None. A file is read and fed to
-    ``monitor`` a chunk of FEED_CHUNK_ROWS lines at a time, and a chunk's
-    lines are written from the arrays of its scan; stdin is read and
-    stepped one row at a time, so each row's line is out as the row
-    arrives. A row of the wrong width raises DimensionMismatch naming its
-    line, as the CSV reader's own errors do; it can only be the first,
-    since the reader holds every row to the first one's width.
+    ``monitor`` a chunk of ``_fileio.CSV_CHUNK_LINES`` lines at a time
+    (``_fed_lines``), and a chunk's lines are written from the arrays of
+    its scan; stdin is read and stepped one row at a time, so each row's
+    line is out as the row arrives. A row of the wrong width raises
+    DimensionMismatch naming its line, as the CSV reader's own errors do;
+    it can only be the first, since the reader holds every row to the
+    first one's width.
     """
     if source is sys.stdin:
         for line_no, row in _fileio.iter_csv_rows(source, path):
             _check_width(row.shape[0], raw_dim, path, line_no)
             yield _step_line(monitor, row, path, line_no)
         return
-    for lines, rows in _fileio.iter_csv_chunks(source, path, FEED_CHUNK_ROWS):
+    for lines, rows in _fileio.iter_csv_chunks(source, path, _fileio.CSV_CHUNK_LINES):
         _check_width(rows.shape[1], raw_dim, path, lines[0])
-        try:
-            t_first, short, stat, argmax_k, alarm, clamped = monitor._feed_arrays(rows, stop_on_alarm)
-        except ValueError:
-            # the monitor rejects a chunk before changing any state, and it
-            # can reject a row the CSV reader passes: one holding a value, or
-            # projecting to one, whose square overflows (such as 1e200).
-            # Stepping the chunk gives the lines before that row, then
-            # raises at it
-            for line_no, row in zip(lines, rows):
-                yield _step_line(monitor, row, path, line_no)
-            continue
-        alarms = np.flatnonzero(alarm)
-        text = _fileio._step_lines(t_first, short, stat, argmax_k, alarm, clamped)
-        yield text, (t_first + short + int(alarms[0]) if alarms.size else None)
+        yield from _fed_lines(monitor, rows, lines, path, stop_on_alarm)
 
 
 @main.command("monitor")

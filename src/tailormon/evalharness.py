@@ -45,7 +45,9 @@ from .changemodel import (
 )
 from .corrcore import CorrelationMatrix, eigensystem, estimate_training, random_correlation
 from .errors import ConfigError, TooFewDetections
-from .mixmonitor import MonitorModel, _BartlettTable, _checked_projections, _stacked_crossings, build_monitor_model
+from .mixmonitor import (
+    MonitorModel, _BartlettTable, _checked_projections, _held_rows, _stacked_crossings, build_monitor_model,
+)
 from .tailor import (
     identity_selection,
     max_variance_selection,
@@ -263,7 +265,7 @@ def _group_outcomes(model: MonitorModel, group, kappa: int, horizon: int, null, 
     alarms = [None] * len(group)
     live = np.arange(len(group))  # the trials still running, in trial order
     state = ScanState.fresh(len(group), model.n_streams)
-    history = [()] * len(group)  # each trial's last raw rows, up to lag
+    history = [np.empty((0, model.raw_dim))] * len(group)  # each trial's last raw rows, up to lag
     start = 0
     for end in _stretch_ends(horizon):
         for i, g in enumerate(live.tolist()):
@@ -273,8 +275,7 @@ def _group_outcomes(model: MonitorModel, group, kappa: int, horizon: int, null, 
             if i == 0:
                 z = np.empty((zg.shape[0], live.size, model.n_streams))
             z[:, i] = zg
-            if model.lag:
-                history[g] = np.vstack([*history[g], rows])[-model.lag:]
+            history[g] = _held_rows(history[g], rows, model.lag)
         firsts, state = _stacked_crossings(model, z, model.threshold, state, table)
         for g, i in zip(live.tolist(), firsts.tolist()):
             if i >= 0:
@@ -601,6 +602,9 @@ def simulate_grid(cfg: dict, *, threads: int | None = None, progress=None) -> tu
     Returns tidy result rows and a manifest of failed cells (empty on a
     clean run); on a cell failure the remaining cells still run. Shares
     one training set, selection and calibrated threshold per detector.
+    Raises ConfigError before any detector is built when
+    ``trial_replicates`` or ``horizon_mult`` is below 1, or a change
+    cell's ``kappa`` lies outside [0, horizon).
     """
     threads = resolve_threads(threads)
     seed = int(cfg.get("seed", 0))
@@ -608,8 +612,15 @@ def simulate_grid(cfg: dict, *, threads: int | None = None, progress=None) -> tu
     m = int(cfg["m"])
     n = int(cfg["n"])
     w = int(cfg.get("window", 200))
-    horizon = int(cfg.get("horizon_mult", 10)) * n
+    horizon_mult = int(cfg.get("horizon_mult", 10))
+    horizon = horizon_mult * n
     replicates = int(cfg.get("trial_replicates", 500))
+    cells = cfg["cells"]
+    if replicates < 1 or horizon_mult < 1:
+        raise ConfigError(f"trial_replicates and horizon_mult must be at least 1, got {replicates} and {horizon_mult}")
+    kappas = [int(c.get("kappa", 0)) for c in cells if isinstance(c, dict) and c.get("ctype", "h0") != "h0"]
+    if not all(0 <= kappa < horizon for kappa in kappas):
+        raise ConfigError(f"every change cell's kappa must lie in [0, horizon = {horizon}), got {kappas}")
 
     root = np.random.SeedSequence(seed)
     base_ss, detector_root = root.spawn(2)
@@ -634,7 +645,6 @@ def simulate_grid(cfg: dict, *, threads: int | None = None, progress=None) -> tu
     )
 
     detectors = [_detector_from_dict(d) for d in cfg["detectors"]]
-    cells = cfg["cells"]
     rows: list[dict] = []
     manifest: list[dict] = []
 

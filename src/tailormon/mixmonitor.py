@@ -27,17 +27,20 @@ side by side in one stacked trace scan (``_stacked_maxima``). Simulated
 trials check and project each stream alone a stretch at a time
 (``_checked_projections``), and scan a group of them side by side from
 the state the last stretch left, each stream stopping at its first
-alarm (``_stacked_crossings``).
+alarm (``_stacked_crossings``). One row check serves all of them
+(``_checked_stack``): a row is rejected when a raw value is NaN or
+squares to infinity, else when a projection does, else when the running
+sums of squares with it are too large to scan. A block is tested whole,
+and one that fails raises the error ``step`` raises at its first
+rejected row, before any state changes.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import digamma
 
 from . import _kernel
@@ -135,13 +138,11 @@ def lag_extend_matrix(data, lag: int) -> np.ndarray:
 
 def _lag_extend_stack(x: np.ndarray, lag: int) -> np.ndarray:
     """``lag_extend_matrix`` of every (n, D) matrix of a stack, as a new (G, n - lag, D*(lag+1)) array."""
-    g, n, d = x.shape
+    n = x.shape[1]
     if n < lag + 1:
         raise InsufficientHistory(f"need at least {lag + 1} rows, have {n}")
-    if lag == 0:
-        return x.copy()
-    w = sliding_window_view(x, lag + 1, axis=1)
-    return w.transpose(0, 1, 3, 2).reshape(g, n - lag, d * (lag + 1)).copy()
+    # block j of every vector: the row j steps after its oldest
+    return np.concatenate([x[:, j:n - lag + j] for j in range(lag + 1)], axis=2)
 
 
 @dataclass
@@ -449,11 +450,12 @@ def _project_rows(x: np.ndarray, mean: np.ndarray, projector: np.ndarray) -> np.
     return np.matmul((x - mean[..., None, :])[..., None, :], projector[..., None, :, :])[..., 0, :]
 
 
-_RAW_REJECT = "observation contains a non-finite value or one whose square overflows"
-_PROJECTED_REJECT = "observation projects to a value whose square is non-finite"
-_TOTALS_REJECT = "observation makes the running sums of squares too large to scan"
-# the row checks of a block in the order they run; a fault code indexes this
-_ROW_REJECTS = (_RAW_REJECT, _PROJECTED_REJECT, _TOTALS_REJECT)
+# the errors of the row checks in the order they run; a fault code indexes this
+_ROW_REJECTS = (
+    "observation contains a non-finite value or one whose square overflows",
+    "observation projects to a value whose square is non-finite",
+    "observation makes the running sums of squares too large to scan",
+)
 
 
 def _unsquarable(v: np.ndarray, axis=None):
@@ -485,94 +487,90 @@ def _sums_unsquarable(sumsq: np.ndarray, n: int):
     return ~(sumsq.max(axis=-1) * (2.0 * n) < math.inf)
 
 
-def _checked(v: np.ndarray, message: str) -> np.ndarray:
-    """``v``, unless ``_unsquarable(v)``."""
-    if _unsquarable(v):
-        raise ValueError(message)
-    return v
-
-
-def _check_totals(sumsq: np.ndarray, n: int):
-    """Reject values whose training-plus-running sums of squares the scan cannot square (``_sums_unsquarable``)."""
-    if _sums_unsquarable(sumsq, n):
-        raise ValueError(_TOTALS_REJECT)
-
-
 def _checked_stack(raw, ext, mean, projector, sumsq, n: int) -> np.ndarray:
-    """Standardized projections of blocks of rows, each block checked as ``Monitor.step`` checks its rows one by one.
+    """Standardized projections of blocks of rows, each row checked as ``Monitor.step`` checks a row.
 
     Stacks of G blocks: raw (G, R, D_raw) holds each block's raw rows and
-    ext (G, T, D) their lag-extended vectors; mean (G, D) and projector
-    (G, D, J) are each block's model, and sumsq (G, J) its training plus
-    running sums of squares over its n values before the block. Returns
-    z (G, T, J); the first block that fails a row check raises its
-    ``ValueError``.
+    ext (G, T, D) the lag-extended vectors of its last T; mean (G, D) and
+    projector (G, D, J) are each block's model, and sumsq (G, J) its
+    training plus running sums of squares over its n values before the
+    block. Returns z (G, T, J).
+
+    The library's one row check: a row is rejected when a raw value is
+    NaN or squares to infinity, else when a projection does, else when
+    the running sums of squares with it are too large to scan
+    (``_sums_unsquarable``). A block is tested whole, so one that passes
+    costs no test per row; the first that fails raises the error of its
+    first rejected row (``_first_rejected_row``). Squares are not
+    negative, so a finite sum of them holds only finite ones: a finite
+    bound passes every block at once, and a projection's square that is
+    not finite makes its sums so, so two tests decide a block.
     """
+    n_after = n + ext.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         z = _project_rows(ext, mean, projector)
-        codes = _fault_codes([
-            _unsquarable(raw, (1, 2)),
-            _unsquarable(z, (1, 2)),
-            _sums_unsquarable(sumsq + (z * z).sum(axis=1), n + z.shape[1]),
-        ])
-    _raise_first(codes, lambda code: ValueError(_ROW_REJECTS[code]))
-    return z
+        if math.isfinite((sumsq.sum() + np.vdot(z, z)) * (2.0 * n_after) + np.vdot(raw, raw)):
+            return z
+        zz = z * z
+        failed = _unsquarable(raw, (1, 2)) | _sums_unsquarable(sumsq + zz.sum(axis=1), n_after)
+    if not failed.any():  # only the bound overflowed
+        return z
+    g = int(np.argmax(failed))
+    raise _first_rejected_row(raw[g], zz[g], sumsq[g], n)
 
 
-def _raw_block(model: MonitorModel, rows) -> np.ndarray:
-    """A block of raw rows as a (n, raw_dim) array; an empty sequence is a block of no rows."""
-    x = np.asarray(rows, dtype=float)
-    if x.shape == (0,):
-        return x.reshape(0, model.raw_dim)
-    if x.ndim != 2 or x.shape[1] != model.raw_dim:
-        raise DimensionMismatch(f"expected raw vectors of dimension {model.raw_dim}, got shape {x.shape}")
-    return x
+def _first_rejected_row(raw: np.ndarray, zz: np.ndarray, sumsq: np.ndarray, n: int) -> ValueError:
+    """The ``ValueError`` of a rejected block's first rejected row, with the row's position in the block as ``row``.
+
+    raw, zz and sumsq are a block's rows, squared projections and sums
+    before it (``_checked_stack``); the cumulative sums of zz, the running
+    sums after each row, round apart from the block's one sum, and where
+    only that one fails the last row takes the error.
+    """
+    short = raw.shape[0] - zz.shape[0]
+    tests = np.zeros((3, raw.shape[0]), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tests[0] = _unsquarable(raw, 1)
+        tests[1, short:] = ~np.isfinite(zz).all(axis=1)
+        tests[2, short:] = _sums_unsquarable(sumsq + np.cumsum(zz, axis=0), n + np.arange(1, zz.shape[0] + 1))
+    tests[2, -1] = True
+    codes = _fault_codes(tests)
+    exc = ValueError(_ROW_REJECTS[codes[codes >= 0][0]])
+    exc.row = int(np.argmax(codes >= 0))
+    return exc
 
 
-def _checked_projections(model: MonitorModel, rows, state, history):
+def _checked_projections(model: MonitorModel, x: np.ndarray, state, history: np.ndarray):
     """Check, lag-extend and project a block of raw rows that follows a running state.
 
-    ``state`` is the ``_kernel.ScanState`` before the block and
-    ``history`` the raw rows held before it, the last ``model.lag`` or
-    more of them; neither is changed. The rows are tested as
-    ``_checked_stack`` tests a block of one. Returns (short, z): the
-    first ``short`` rows still lack the lag + 1 rows an extended vector
-    needs, and z holds the standardized projections of the others.
+    x (R, raw_dim) holds the rows, ``state`` is the ``_kernel.ScanState``
+    before them and ``history`` the last ``model.lag`` or fewer raw rows
+    before them (``_held_rows``); none is changed. The rows take the one
+    row check, ``_checked_stack`` of a block of one. Returns (short, z):
+    the first ``short`` rows still lack the lag + 1 rows an extended
+    vector needs, and z holds the standardized projections of the others.
     """
-    x = _raw_block(model, rows)
     lag = model.lag
-    held = len(history)
-    short = min(x.shape[0], max(0, lag - held))
+    short = min(x.shape[0], lag - history.shape[0])
     if lag == 0:
-        ext = x
+        ext = x[None]
     elif short < x.shape[0]:
-        ext = lag_extend_matrix(np.vstack([*history, x]), lag)[held + short - lag:]
+        ext = _lag_extend_stack(np.concatenate([history, x])[None], lag)
     else:
-        ext = np.empty((0, model.dim))
+        ext = np.empty((1, 0, model.dim))
     z = _checked_stack(
-        x[None], ext[None], model.training.mean[None], model.projector[None],
+        x[None], ext, model.training.mean[None], model.projector[None],
         (model.train_sumsq + state.total[1])[None], model.m + state.t,
     )
     return short, z[0]
 
 
-def _scan_rows(model: MonitorModel, rows, state, history, table: _BartlettTable, threshold: float | None):
-    """Check, lag-extend, project and scan a block of raw rows from a running state.
-
-    ``state``, ``history`` and the checks are those of
-    ``_checked_projections``; nothing is scanned unless every row passes.
-    Returns (short, stat, argmax_k, clamped, state): the first ``short``
-    rows are not scanned; the arrays hold every scanned step, argmax_k in
-    raw time and -1 where no candidate exists; the state is the one after
-    the last scanned step. With ``threshold`` the scan stops at the first
-    step whose statistic reaches it.
-    """
-    short, z = _checked_projections(model, rows, state, history)
-    h = table.upto(model.m + state.t + z.shape[0])
-    stat, k, clamped, state = _kernel.scan_trace(
-        z, model.train_sum, model.train_sumsq, model.m, model.window, model.p0, h, VAR_FLOOR, threshold, state=state
-    )
-    return short, stat, np.where(k >= 0, k + model.lag, -1), clamped, state
+def _held_rows(history: np.ndarray, x: np.ndarray, lag: int) -> np.ndarray:
+    """The last ``lag`` raw rows of ``history`` followed by x, as a new array: a caller may refill x's buffer."""
+    n = x.shape[0]
+    if n >= lag:
+        return x[n - lag:].copy()
+    return np.concatenate([history, x])[-lag:]
 
 
 def _stacked_maxima(train_sum, train_sumsq, z, m: int, window: int, p0: float) -> np.ndarray:
@@ -629,7 +627,7 @@ class Monitor:
             m=model.m,
             window=model.window,
         )
-        self._raw_history: deque = deque(maxlen=model.lag + 1)
+        self._raw_history = np.empty((0, model.raw_dim))  # the last raw rows, up to lag (``_held_rows``)
         self._t_raw = 0
         self._table = _BartlettTable()  # each monitor owns its correction table
         self.total_warnings = 0
@@ -642,38 +640,24 @@ class Monitor:
     def t(self) -> int:
         return self._t_raw
 
-    def _cvals(self, t: int, kmin: int) -> np.ndarray:
-        return self._table.cvals(self._stats.m, t, kmin)
-
     def step(self, x) -> StepResult:
-        """Consume one raw observation and scan all admissible candidates."""
+        """Consume one raw observation and scan all admissible candidates; rejects what ``feed`` rejects."""
+        model = self.model
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.model.raw_dim,):
-            raise DimensionMismatch(
-                f"expected a raw vector of dimension {self.model.raw_dim}, got shape {x.shape}"
-            )
-        lag = self.model.lag
-        history = self._raw_history
+        if x.shape != (model.raw_dim,):
+            raise DimensionMismatch(f"expected a raw vector of dimension {model.raw_dim}, got shape {x.shape}")
         stats = self._stats
-        # every test comes before any state changes
-        with np.errstate(over="ignore", invalid="ignore"):
-            _checked(x, _RAW_REJECT)
-            if lag == 0 or len(history) >= lag:
-                xe = np.concatenate([*history, x][-(lag + 1):]) if lag else x
-                z = _checked(project_observation(self.model, xe), _PROJECTED_REJECT)
-                _check_totals(stats.train_sumsq + stats.run_sumsq + z * z, stats.m + stats.t + 1)
+        x = x[None]
+        short, z = _checked_projections(model, x, stats.state, self._raw_history)
         self._t_raw += 1
-        if lag > 0:
-            # a copy: callers may refill one buffer for every row
-            history.append(x.copy())
-            if len(history) < lag + 1:
-                return StepResult(t=self._t_raw, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
-        stats.append(z)
-        t = stats.t
+        self._raw_history = _held_rows(self._raw_history, x, model.lag)
+        if short:
+            return StepResult(t=self._t_raw, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
+        stats.state = state = _kernel.advance_state(stats.state, z, model.window)
+        t = state.t
         if t < 2:
             return StepResult(t=self._t_raw, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
-        kmin = max(0, t - self.model.window - 1)
-        state = stats.state
+        kmin = max(0, t - model.window - 1)
         stat, argmax_k, clamped = _kernel.scan_step(
             stats.train_sum,
             stats.train_sumsq,
@@ -683,8 +667,8 @@ class Monitor:
             state.tail,
             t,
             kmin,
-            self.model.p0,
-            self._cvals(t, kmin),
+            model.p0,
+            self._table.cvals(stats.m, t, kmin),
             VAR_FLOOR,
             state.prefix,
         )
@@ -692,8 +676,8 @@ class Monitor:
         return StepResult(
             t=self._t_raw,
             stat=float(stat),
-            argmax_k=int(argmax_k) + lag,
-            alarm=bool(stat >= self.model.threshold),
+            argmax_k=int(argmax_k) + model.lag,
+            alarm=bool(stat >= model.threshold),
             warnings=int(clamped),
         )
 
@@ -704,9 +688,11 @@ class Monitor:
         included, but scans the block with ``_kernel.scan_trace``, resumed
         from the monitor's state, and keeps the state it returns, so
         ``step`` and ``feed`` calls may be mixed. Every row is checked
-        before any state changes. With ``stop_on_alarm`` the scan stops at
-        the first alarm; the rows after it are left unconsumed and get no
-        result.
+        before any state changes: a block raises the error of the first
+        row ``step`` would reject, with that row's position as the error's
+        ``row``, and consumes no row. With ``stop_on_alarm`` the scan stops
+        at the first alarm; the rows after it are left unconsumed and get
+        no result.
         """
         t_first, short, stat, argmax_k, alarm, clamped = self._feed_arrays(rows, stop_on_alarm)
         results = [
@@ -729,23 +715,29 @@ class Monitor:
         its count of clamped variances.
         """
         model = self.model
-        x = _raw_block(model, rows)  # its shape is checked even when it holds no row
+        x = np.asarray(rows, dtype=float)
+        if x.shape == (0,):  # an empty sequence is a block of no rows
+            x = x.reshape(0, model.raw_dim)
+        elif x.ndim != 2 or x.shape[1] != model.raw_dim:  # checked even when it holds no row
+            raise DimensionMismatch(f"expected raw vectors of dimension {model.raw_dim}, got shape {x.shape}")
         t_first = self._t_raw + 1
         if not x.shape[0]:
             none = np.empty(0, dtype=np.int64)
             return t_first, 0, np.empty(0), none, none.astype(bool), none
-        lag = model.lag
-        short, stat, argmax_k, clamped, state = _scan_rows(
-            model, x, self._stats.state, self._raw_history, self._table,
-            model.threshold if stop_on_alarm else None,
+        state = self._stats.state
+        short, z = _checked_projections(model, x, state, self._raw_history)
+        stat, k, clamped, state = _kernel.scan_trace(
+            z, model.train_sum, model.train_sumsq, model.m, model.window, model.p0,
+            self._table.upto(model.m + state.t + z.shape[0]), VAR_FLOOR,
+            model.threshold if stop_on_alarm else None, state=state,
         )
         # the tail is a view into the whole scanned block; a copy lets the block go
         self._stats.state = state._replace(tail=state.tail.copy())
         consumed = short + stat.shape[0]
-        if lag > 0:
-            self._raw_history.extend(x[max(0, consumed - lag - 1):consumed].copy())
+        self._raw_history = _held_rows(self._raw_history, x[:consumed], model.lag)
         self._t_raw += consumed
         self.total_warnings += int(clamped.sum())
+        argmax_k = np.where(k >= 0, k + model.lag, -1)
         alarm = (argmax_k >= 0) & (stat >= model.threshold)
         return t_first, short, stat, argmax_k, alarm, clamped
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tailormon import cli
+from tailormon import _fileio
 from tailormon.cli import main
 
 
@@ -407,14 +407,14 @@ class TestMonitorFileFeed:
     @pytest.mark.parametrize("chunk", [None, 10])
     def test_file_equals_stdin(self, workdir, lagged_workdir, tmp_path, monkeypatch, lag, flags, chunk):
         if chunk is not None:
-            monkeypatch.setattr(cli, "FEED_CHUNK_ROWS", chunk)
+            monkeypatch.setattr(_fileio, "CSV_CHUNK_LINES", chunk)
         artifacts = workdir[0] if lag == 0 else lagged_workdir
         fed, stepped = self.run_both(artifacts, tmp_path, self.stream_text(3.0), *flags)
         assert fed == stepped
         code, lines, _ = fed
         summary = json.loads(lines[-1])
         assert code == 0
-        assert summary["alarm_time"] % cli.FEED_CHUNK_ROWS != 0  # the alarm falls inside a chunk
+        assert summary["alarm_time"] % _fileio.CSV_CHUNK_LINES != 0  # the alarm falls inside a chunk
         assert summary["steps"] == (self.ROWS if flags else summary["alarm_time"])
         assert len(lines) == summary["steps"] + 1
 
@@ -425,7 +425,7 @@ class TestMonitorFileFeed:
     @pytest.mark.parametrize("bad_line", [None, 1050, 2300])
     @pytest.mark.parametrize("flags", [(), ("--continue",)])
     def test_long_stream_at_the_default_chunk_size(self, workdir, tmp_path, flags, bad_line):
-        assert cli.FEED_CHUNK_ROWS == 1024
+        assert _fileio.CSV_CHUNK_LINES == 1024
         lines = self.stream_text(0.0, rows=2500).splitlines()
         if bad_line is not None:
             lines[bad_line - 1] = "1e200," + lines[bad_line - 1].split(",")[1]
@@ -454,7 +454,7 @@ class TestMonitorFileFeed:
     @pytest.mark.parametrize("flags", [(), ("--continue",)])
     @pytest.mark.parametrize("bad_row", BAD_ROWS)
     def test_bad_row_after_first_chunk(self, workdir, tmp_path, monkeypatch, chunk, at, flags, bad_row):
-        monkeypatch.setattr(cli, "FEED_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(_fileio, "CSV_CHUNK_LINES", chunk)
         lines = self.stream_text(0.0).splitlines()
         lines[at] = bad_row
         fed, stepped = self.run_both(workdir[0], tmp_path, "\n".join(lines) + "\n", *flags)
@@ -464,13 +464,32 @@ class TestMonitorFileFeed:
         assert len(out) == at  # every row before the bad one, no summary
         assert json.loads(err.splitlines()[-1])["message"].startswith(f"-:{at + 1}: ")
 
+    # two kinds of bad row in one chunk: a row that overflows the running
+    # sums of squares, then a value whose square overflows. The chunk is
+    # rejected at the first, where stepping rejects, after the rows before it
+    @pytest.mark.parametrize("lag", [0, 1])
+    @pytest.mark.parametrize("flags", [(), ("--continue",)])
+    def test_two_kinds_of_bad_row_in_one_chunk(self, workdir, lagged_workdir, tmp_path, lag, flags):
+        lines = self.stream_text(0.0).splitlines()
+        lines[40] = "1e154,0.3"
+        lines[45] = "1e200,0.3"
+        artifacts = workdir[0] if lag == 0 else lagged_workdir
+        fed, stepped = self.run_both(artifacts, tmp_path, "\n".join(lines) + "\n", *flags)
+        assert fed == stepped
+        code, out, err = fed
+        assert (code, len(out)) == (2, 40)  # every row before the bad one, no summary
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "ValueError",
+            "message": "-:41: observation makes the running sums of squares too large to scan",
+        }
+
     @pytest.mark.parametrize("chunk", [1, 7, 256])
     @pytest.mark.parametrize(
         "layout",
         ["header only", "crlf", "no final newline", "blank mid-chunk", "blank, then a bad row", "header, crlf"],
     )
     def test_layouts_equal_stdin(self, workdir, tmp_path, monkeypatch, chunk, layout):
-        monkeypatch.setattr(cli, "FEED_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(_fileio, "CSV_CHUNK_LINES", chunk)
         lines = self.stream_text(3.0).splitlines()
         end = "\n"
         if layout == "header only":
@@ -499,7 +518,7 @@ class TestMonitorFileFeed:
     @pytest.mark.parametrize("chunk", [1, 7, 256])
     @pytest.mark.parametrize("header, line_no", [(None, 1), ("s0,s1,s2", 2)])
     def test_wrong_width_names_the_first_row(self, workdir, tmp_path, monkeypatch, chunk, header, line_no):
-        monkeypatch.setattr(cli, "FEED_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(_fileio, "CSV_CHUNK_LINES", chunk)
         rows = [f"{i}.5,0.25,-1" for i in range(20)]
         text = "\n".join(rows if header is None else [header, *rows]) + "\n"
         fed, stepped = self.run_both(workdir[0], tmp_path, text)
@@ -591,6 +610,27 @@ class TestSimulateCommand:
         failures = json.loads((tmp_path / "r.csv.manifest.json").read_text())["failures"]
         assert [f["cell"] for f in failures] == [grid["cells"][1]]
         assert failures[0]["error"] == "ConfigError: a correlation change needs sparsity >= 2"
+
+    def test_zero_trial_replicates_exit_2(self, tmp_path):
+        grid = {
+            "schema": "tailormon/grid@1",
+            "dim": 4,
+            "m": 60,
+            "n": 20,
+            "window": 20,
+            "alpha": 0.05,
+            "confidence": 0.5,
+            "trial_replicates": 0,
+            "detectors": [{"kind": "minpca", "n_axes": 2}],
+            "cells": [{"ctype": "h0"}, {"ctype": "mean", "sparsity": 1, "size": 2.0}],
+        }
+        gpath = tmp_path / "grid.json"
+        gpath.write_text(json.dumps(grid))
+        out = tmp_path / "r.csv"
+        res = invoke("simulate", gpath, "--out", out)
+        assert res.exit_code == 2, res.output
+        assert json.loads(res.stderr.strip().splitlines()[-1])["error"] == "ConfigError"
+        assert not out.exists()
 
     def test_zero_threads_exit_2(self, tmp_path):
         grid = {

@@ -427,6 +427,47 @@ class TestSimulateGrid:
         with pytest.raises(ValueError, match="non-finite value or one whose square overflows"):
             trial_reference.run_trial(model, base, 5, huge, 40, np.random.default_rng(2))
 
+    # a D = 4 grid whose change cell runs to a horizon of 10 * 20 = 200 steps
+    SMALL = {
+        "schema": "tailormon/grid@1", "seed": 3, "dim": 4, "m": 60, "n": 20, "window": 20, "alpha": 0.05,
+        "confidence": 0.5, "replicates_boot": 100, "trial_replicates": 10, "horizon_mult": 10,
+        "detectors": [{"kind": "minpca", "n_axes": 2}],
+        "cells": [{"ctype": "h0"}, {"ctype": "mean", "sparsity": 1, "size": 2.0}],
+    }
+
+    @pytest.mark.parametrize(
+        "change, ok",
+        [
+            ({"trial_replicates": 0}, False),
+            ({"trial_replicates": -3}, False),
+            ({"trial_replicates": 1}, True),
+            ({"horizon_mult": 0}, False),
+            ({"horizon_mult": -1}, False),
+            ({"horizon_mult": 1}, True),
+            ({"kappa": 500}, False),
+            ({"kappa": 200}, False),
+            ({"kappa": -5}, False),
+            ({"kappa": 199}, True),
+            ({"kappa": 0}, True),
+        ],
+    )
+    def test_bad_grid_fails_before_any_detector_is_built(self, monkeypatch, change, ok):
+        # such grids once calibrated every detector and then failed each cell
+        # (ZeroDivisionError, TooFewDetections) or wrote delays of 0, -20 or
+        # -300 steps
+        class Built(Exception):
+            pass
+
+        def build(*args):
+            raise Built
+
+        monkeypatch.setattr(evalharness, "build_detector_model", build)
+        grid = dict(self.SMALL, **{k: v for k, v in change.items() if k != "kappa"})
+        if "kappa" in change:
+            grid["cells"] = [{"ctype": "h0"}, dict(grid["cells"][1], kappa=change["kappa"])]
+        with pytest.raises(Built if ok else ConfigError):
+            simulate_grid(grid)
+
     def test_failed_cell_lands_in_manifest(self):
         bad = dict(self.GRID)
         bad["cells"] = [{"ctype": "mean", "sparsity": 99, "size": 1.0}]

@@ -13,9 +13,12 @@ length and scanned as one rectangle (``tests/scan_paths.py``).
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tailormon as tm
 from scan_paths import pinned
@@ -36,12 +39,15 @@ def reference_step_kernel(monkeypatch):
     monkeypatch.setattr(_kernel, "scan_step", reference_step)
 
 
-def fitted(lag=0, p0=1.0, n_axes=2, dim=5, window=WINDOW, m=80, seed=0, threshold=math.inf):
-    """A model on the ``n_axes`` least varying axes, or on every stream when ``n_axes`` is None."""
+def fitted(lag=0, p0=1.0, n_axes=2, dim=5, window=WINDOW, m=80, seed=0, threshold=math.inf, scale=1.0):
+    """A model on the ``n_axes`` least varying axes, or on every stream when ``n_axes`` is None.
+
+    It is trained on values of about ``scale``.
+    """
     rng = np.random.default_rng(seed)
     base = tm.random_correlation(dim, 1.0, rng)
     chol = np.linalg.cholesky(base.values)
-    raw = rng.standard_normal((m + lag, dim)) @ chol.T
+    raw = scale * (rng.standard_normal((m + lag, dim)) @ chol.T)
     ext = tm.lag_extend_matrix(raw, lag)
     summary = tm.estimate_training(ext)
     if n_axes is None:
@@ -331,6 +337,90 @@ def test_rows_overflowing_the_sums_of_squares_together_rejected(lag):
         trace_stats(model, rows[:bad + 1])
     stat, _ = trace_stats(model, rows[:bad])
     assert [float.hex(s) for s in stat] == [k[1] for k in stepped]
+
+
+@lru_cache
+def small_scale(lag):
+    """(model, chol, c): a model trained on values of about 1e-3, so its projector is large, and a huge value c.
+
+    A raw value of 1e154 squares to a finite value, but projects to one
+    whose square is not. Rows of c in every column project to at most
+    6e152, whose squares pass one by one, but four to six of them
+    overflow the running sums of squares together.
+    """
+    model, chol, _ = fitted(lag, p0=0.3, n_axes=2, dim=3, window=10, m=60, seed=lag, scale=1e-3)
+    # a vector of c in every slot projects to c times the projector's column sums
+    return model, chol, 6e152 / np.abs(model.projector.sum(axis=0)).max()
+
+
+BAD_ROWS = ("nan", "inf", "1e200", "projection", "sums")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lag=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+    bad=st.lists(st.tuples(st.sampled_from(BAD_ROWS), st.integers(0, 39), st.integers(0, 2)), min_size=1, max_size=3),
+    sizes=st.lists(st.integers(1, 16), min_size=1, max_size=6),
+)
+def test_feed_rejects_as_stepping_does(lag, seed, bad, sizes):
+    # bad rows of every kind at any place of a stream fed in any split: feed
+    # raises the error stepping raises, at stepping's row, and consumes no
+    # row; the rows before it fed alone, and the rest of the stream after
+    # it, come out as stepping gives them, bit for bit
+    model, chol, c = small_scale(lag)
+    rows = 1e-3 * stream(chol, np.random.default_rng(seed), 40)
+    for kind, at, col in bad:
+        if kind == "sums":
+            rows[min(at, 34):min(at, 34) + 6] = c
+        else:
+            rows[at, col] = {"nan": math.nan, "inf": -math.inf, "1e200": 1e200, "projection": 1e154}[kind]
+    mon, ref = tm.Monitor(model), tm.Monitor(model)
+    start, i, rejected = 0, 0, 0
+    while start < rows.shape[0]:
+        chunk = rows[start:start + sizes[i % len(sizes)]]
+        i += 1
+        stepped, error = [], None
+        for x in chunk:
+            try:
+                stepped.append(ref.step(x))
+            except ValueError as exc:
+                error = str(exc)
+                break
+        before = snapshot(mon)
+        if error is None:
+            assert [key(r) for r in mon.feed(chunk)] == [key(r) for r in stepped]
+            start += chunk.shape[0]
+        else:
+            with pytest.raises(ValueError) as info:
+                mon.feed(chunk)
+            assert (str(info.value), info.value.row) == (error, len(stepped))
+            assert snapshot(mon) == before
+            assert [key(r) for r in mon.feed(chunk[:len(stepped)])] == [key(r) for r in stepped]
+            start += len(stepped) + 1  # the rejected row is left out
+            rejected += 1
+        assert snapshot(mon) == snapshot(ref)
+    assert rejected >= 1
+
+
+def test_a_block_fails_at_the_row_stepping_rejects():
+    # row 2 makes the running sums of squares too large to scan and row 5
+    # holds a value whose square overflows: the block raises row 2's error
+    rng = np.random.default_rng(0)
+    train = rng.standard_normal((100, 3))
+    model = tm.build_monitor_model(tm.estimate_training(train), tm.identity_selection(3), train, window=10)
+    block = rng.standard_normal((8, 3))
+    block[2], block[5] = 1e153, 1e200
+    stepped = tm.Monitor(model)
+    with pytest.raises(ValueError, match="too large to scan"):
+        for x in block:
+            stepped.step(x)
+    assert stepped.t == 2
+    fed = tm.Monitor(model)
+    with pytest.raises(ValueError, match="too large to scan") as info:
+        fed.feed(block)
+    assert info.value.row == 2
+    assert snapshot(fed) == snapshot(tm.Monitor(model))
 
 
 def test_feed_copies_its_rows():

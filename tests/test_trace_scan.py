@@ -608,7 +608,8 @@ def test_stacked_crossings_equal_each_streams_trace_stats(seed, G, n_axes, lag, 
     # a quantile of all statistics; q = 1 is the largest, crossed at one step at least
     threshold = float(np.quantile(finite, q))
     fresh = _kernel.ScanState.fresh(model.n_streams)
-    short, z = zip(*(mixmonitor._checked_projections(model, rows, fresh, ()) for rows in streams))
+    none = np.empty((0, dim))  # no raw row held before a stream
+    short, z = zip(*(mixmonitor._checked_projections(model, rows, fresh, none) for rows in streams))
     firsts, _ = mixmonitor._stacked_crossings(
         model, np.stack(z, axis=1), threshold, _kernel.ScanState.fresh(G, n_axes), _BartlettTable()
     )
