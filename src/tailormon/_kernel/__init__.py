@@ -3,13 +3,15 @@
 Both scans compute every cell with ``_scan_py._cell_terms``.
 ``Monitor.step`` scans one step at a time through ``scan_step``.
 ``scan_trace`` scans a stretch of trace in blocks of steps and gives
-``scan_step``'s results bit for bit, clamp counts included. It takes and
-returns a ``ScanState``, so a trace can be scanned in pieces; with a
-threshold it stops at the first step that reaches it and returns that
-step's state. ``ScanState`` is the one form of a monitor's running
-state: ``StreamStats`` holds it, ``Monitor.step`` advances it a row at a
-time through ``advance_state``, and ``Monitor.feed`` resumes
-``scan_trace`` from it block after block. Calibration scans a batch of
+``scan_step``'s results bit for bit, clamp counts included. It takes the
+rows and a ``ScanState`` and returns the state after them, so a trace
+can be scanned in pieces; with a threshold it stops at the first step
+that reaches it and returns that step's state. ``ScanState`` is the one
+form of a monitor's running state: a ``Monitor`` holds it,
+``Monitor.step`` advances it a row at a time through ``advance_state``,
+and ``Monitor.feed`` resumes ``scan_trace`` from it block after block.
+Every scan's Bartlett factors come from one read-only table that
+threads share (``h_table``). Calibration scans a batch of
 replicates at once, and simulation a group of trials, their streams side
 by side as one ``scan_trace`` of (T, G, J) values. Every scan copies the
 stretch it is given whole and returns its state. A replicate's whole
@@ -43,7 +45,7 @@ streams, and every other pass is elementwise, so each set's results are
 those of its own scan.
 """
 
-from ._scan_py import ScanState, advance_state, mixture_terms, scan_step, scan_trace, stack_size
+from ._scan_py import ScanState, advance_state, h_table, mixture_terms, scan_step, scan_trace, stack_size
 
 # There is no compiled kernel. perfbench/run.py stamps both names into
 # every benchmark record.
@@ -54,6 +56,7 @@ __all__ = [
     "USING_COMPILED",
     "ScanState",
     "advance_state",
+    "h_table",
     "mixture_terms",
     "scan_step",
     "scan_step_compiled",

@@ -17,7 +17,10 @@ blocks wide enough to pay for it (``_next_block``), and resumes from the
 running state, its prefix the running totals before each of its window's
 times, and ``_kahan`` is the one place its totals are added up, whether
 ``advance_state`` adds a row for ``Monitor.step`` or ``scan_trace`` adds
-a block.
+a block. The Bartlett factor of a cell, C(k, t) = (h[m + k] + h[t - k] -
+h[m + t]) / 2, comes from one read-only table h[a] = ``_h(a)``
+(``h_table``), which ``scan_trace`` reads for itself: it takes the rows,
+the model's training sums, m, w, p0 and the variance floor, and a state.
 
 The rectangle is laid out stream-major, as (J, cells) arrays, from the
 windows to the sum over streams: a tailored monitor watches few streams
@@ -43,6 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import digamma
 
 # (t, n2, J) cells per rectangle block of ``scan_trace``. A block holds
 # three or four float64 temporaries of this size, so the budget bounds
@@ -74,6 +78,36 @@ KAHAN_ROW_VALUES = 16
 SWEEP_VALUES = 3000
 SWEEP_MAX_VALUES = 1 << 16
 SWEEP_CHUNK_VALUES = 12000
+
+
+def _h(a) -> np.ndarray:
+    """a * log(a) - a * digamma((a - 1) / 2), the per-segment term of the Bartlett correction."""
+    a = np.asarray(a, dtype=float)
+    return a * np.log(a) - a * digamma((a - 1.0) / 2.0)
+
+
+# h[a] = _h(a) for the segment lengths a = 2..len - 1 (0 and 1 hold NaN),
+# read-only. ``h_table`` swaps in a longer table rather than growing this
+# one in place, so threads may share it: a scan keeps the table it read,
+# and of two threads that grow it at once the later swap only decides
+# which valid table the next reader starts from.
+_H_TABLE = np.full(2, np.nan)
+_H_TABLE.flags.writeable = False
+
+
+def h_table(amax: int) -> np.ndarray:
+    """The kernel's read-only table h[a] = ``_h(a)``, valid for segment lengths 2..amax."""
+    global _H_TABLE
+    h = _H_TABLE
+    n = h.shape[0]
+    if amax < n:
+        return h
+    grown = np.empty(max(amax + 1, 2 * n, 512))
+    grown[:n] = h
+    grown[n:] = _h(np.arange(n, grown.shape[0]))
+    grown.flags.writeable = False
+    _H_TABLE = grown
+    return grown
 
 
 def mixture_terms(x: np.ndarray, p0: float) -> np.ndarray:
@@ -240,44 +274,14 @@ def _pre_change_terms(train, m: int, k0: int, tots, var_floor: float):
 def _row_sums(terms: np.ndarray) -> np.ndarray:
     """Each cell's sum over its J terms, (G, J, ...) to (G, ...), as numpy sums a contiguous row of J values.
 
-    That is the order of a (cells, J) row sum, bit for bit, written as
-    passes over whole (G, cells) rows. numpy adds a row of fewer than 8
-    values left to right, which a sum over axis 1 also does; it adds a
-    row of 8 to 128 into 8 running sums, stride 8, which it combines
-    pairwise and then adds the rest to; and a longer row as the sum of two
-    halves, the first a multiple of 8 long. The reduction starts from 0,
-    which only turns a sum of -0.0 into 0.0. At G * J = 320 streams the
-    passes took a half to a quarter of the time of a row sum over a
-    (G, cells, J) copy, for J = 8 to 20.
+    numpy adds a row of fewer than 8 values left to right, which a sum
+    over axis 1 also does, at a fraction of the cost of a copy; a longer
+    row it sums pairwise, so those cells are summed as rows of a
+    contiguous (G, ..., J) copy.
     """
     if terms.shape[1] < 8:
         return terms.sum(axis=1)
-    total = _pairwise(terms)
-    total += 0.0
-    return total
-
-
-def _pairwise(terms: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of 8 or more terms per cell, along axis 1 of (G, J, ...)."""
-    J = terms.shape[1]
-    if J > 128:
-        half = J // 2
-        half -= half % 8
-        total = _pairwise(terms[:, :half])
-        total += _pairwise(terms[:, half:])
-        return total
-    acc = terms[:, :8].copy()
-    end = J - J % 8
-    for i in range(8, end, 8):
-        acc += terms[:, i:i + 8]
-    total = acc[:, 0] + acc[:, 1]
-    total += acc[:, 2] + acc[:, 3]
-    right = acc[:, 4] + acc[:, 5]
-    right += acc[:, 6] + acc[:, 7]
-    total += right
-    for j in range(end, J):
-        total += terms[:, j]
-    return total
+    return np.ascontiguousarray(np.moveaxis(terms, 1, -1)).sum(axis=-1)
 
 
 def _segment_variances(sums, ssq, n2):
@@ -453,13 +457,13 @@ def _sweep_cells(x, xx, a, t0, h_k, h, p0, var_floor, clamped, sets):
     t0 : int
         The time of the block's first step, at least 2.
     h_k : (L - 1, B) array or view
-        Row n2 - 2 holds h[m + t - n2] of each step, ``mixmonitor._h`` at
+        Row n2 - 2 holds h[m + t - n2] of each step, ``_h`` at
         the pre-change length of the candidate; the Bartlett factors C(t -
         n2, t) = 0.5 * ((h[m + t - n2] + h[n2]) - h[m + t]) are computed
         from it a few lengths at a time, so they take no more memory than
         the block's values.
     h : (h_n, h_t) pair of arrays
-        h_n[a] = ``mixmonitor._h(a)`` for 2 <= a <= L, and h_t (B,) holds
+        h_n[a] = ``_h(a)`` for 2 <= a <= L, and h_t (B,) holds
         h[m + t] of each step, at its pooled length.
     clamped : (B, G) int array
         Each set's clamped pre-change and pooled variances of each step;
@@ -529,10 +533,6 @@ class ScanState(NamedTuple):
         """The state before monitoring time 1 of J streams, ``fresh(J)``, or of G sets of them, ``fresh(G, J)``."""
         return cls(np.zeros((2, *streams)), np.zeros((2, *streams)), np.zeros((0, *streams)),
                    np.zeros((0, 2, *streams)), 0)
-
-    def pick(self, g: int) -> "ScanState":
-        """The state of set g of a stacked state, as views of its arrays."""
-        return ScanState(self.total[:, g], self.comp[:, g], self.tail[:, g], self.prefix[:, :, g], self.t)
 
 
 def _lane_by_lane(rows: int, lanes: int) -> bool:
@@ -699,7 +699,6 @@ def scan_trace(
     m: int,
     window: int,
     p0: float,
-    h: np.ndarray,
     var_floor: float,
     threshold: float | None = None,
     state: ScanState | None = None,
@@ -713,7 +712,8 @@ def scan_trace(
 
     ``z`` holds one monitor's J streams, (T, J), or G monitors' side by
     side, (T, G, J), each set with its own training totals; the sets
-    share m, the window, p0 and the Bartlett factors. Each set's results
+    share m, the window and p0, and so the Bartlett factors, which the
+    scan reads off the kernel's table (``h_table``). Each set's results
     are bit for bit those of a scan of it alone, and a stacked scan
     saves the numpy calls of G scans.
 
@@ -746,8 +746,6 @@ def scan_trace(
         As for ``scan_step``.
     window : int
         Window length w; segments are at most w + 1 long.
-    h : array
-        h[a] = ``mixmonitor._h(a)`` for 2 <= a <= m + state.t + T.
     threshold : float, optional
         Stop each set at its first step whose statistic reaches it. One
         monitor's scan ends there. In a stacked scan a set that has
@@ -790,6 +788,7 @@ def scan_trace(
     train = np.stack([train_sum, train_sumsq]).reshape(2, G, J)
     total, comp = state.total.reshape(2, G, J), state.comp.reshape(2, G, J)
     held = state.tail.shape[0]
+    h = h_table(m + t_end)
     # h[m + k] for k = t_prev - w - 1..t_end, and hrev[t - t_prev, l] = h[m + t - 1 - l],
     # the h[m + k] of step t's cell n2 = l + 1; k < 0 reads h[2], which keeps
     # the factors of those cells finite and positive

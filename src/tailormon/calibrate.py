@@ -55,7 +55,7 @@ from .corrcore import (
 from .errors import ConfigError, DimensionMismatch, InsufficientReplicates
 from .mixmonitor import (
     MonitorModel,
-    _checked_stack,
+    _checked_projections,
     _lag_extend_stack,
     _projectors,
     _stacked_maxima,
@@ -181,12 +181,9 @@ def _stack_prepared(model: MonitorModel, train, mon):
     projector = _projectors(vectors, sdev, lam)
     train_sum, train_sumsq = _training_sums(centered, projector)[1:]
     del centered  # the stack's largest array, no longer needed
-    if lag == 0:
-        ext = mon
-    else:
-        ext = _lag_extend_stack(mon, lag) if mon.shape[1] > lag else np.empty((s, 0, model.dim))
-    # a fresh state: its running sums of squares are 0 and add nothing
-    return train_sum, train_sumsq, _checked_stack(mon, ext, mean, projector, train_sumsq, m)
+    # from a fresh state: no raw row held, and running sums of squares of 0
+    _, z = _checked_projections(mon, mon[:, :0], lag, mean, projector, train_sumsq, m)
+    return train_sum, train_sumsq, z
 
 
 def _prepared(model: MonitorModel, train, mon):

@@ -10,10 +10,11 @@ are conditional on the exact training set.
 
 A grid cell's trials run in groups (``run_prepared_trials``), a stretch
 of steps at a time. In each stretch every trial still running draws its
-rows from its own generator, the group's rows are checked and projected
-as one stack, and the group is scanned side by side as one stacked
-trace that resumes from where the last stretch left it, each trial
-leaving the scan at its first alarm (``mixmonitor._stacked_crossings``).
+rows from its own generator, the group's rows are checked, lag-extended
+and projected as one stack in one call, and the group is scanned side
+by side as one stacked trace that resumes from where the last stretch
+left it, each trial leaving the scan at its first alarm
+(``mixmonitor._stacked_crossings``).
 A group stops once all of its trials have alarmed, so the rows after its
 last alarm are never drawn. The group size comes from
 ``_kernel.stack_size``, the rule that also sizes calibration batches.
@@ -45,9 +46,7 @@ from .changemodel import (
 )
 from .corrcore import CorrelationMatrix, eigensystem, estimate_training, random_correlation
 from .errors import ConfigError, TooFewDetections
-from .mixmonitor import (
-    MonitorModel, _BartlettTable, _checked_projections, _held_rows, _stacked_crossings, build_monitor_model,
-)
+from .mixmonitor import MonitorModel, _checked_projections, _held_rows, _stacked_crossings, build_monitor_model
 from .tailor import (
     identity_selection,
     max_variance_selection,
@@ -249,42 +248,49 @@ def _trial_rows(rng, start: int, end: int, kappa: int, horizon: int, null, post)
     return np.vstack(pieces) if len(pieces) > 1 else pieces[0]
 
 
-def _group_outcomes(model: MonitorModel, group, kappa: int, horizon: int, null, table) -> list[TrialOutcome]:
+def _group_outcomes(model: MonitorModel, group, kappa: int, horizon: int, null) -> list[TrialOutcome]:
     """The outcomes of a group of trials, each a (generator, post) pair as ``_trial_rows`` takes them.
 
     The group's streams are drawn, checked, projected and scanned a
     stretch of steps at a time (``_stretch_ends``), and only the trials
-    that have not alarmed go on to the next. In a stretch each
-    trial's rows are drawn, checked and projected alone, as a block that
-    follows its running state (``_checked_projections``), and only the
-    projections are kept; a lagged model carries each trial's last
-    ``lag`` raw rows across. The group's projections are then scanned
-    side by side from the stacked state the last stretch left
-    (``_stacked_crossings``).
+    that have not alarmed go on to the next. In a stretch each live
+    trial's rows are drawn alone, into one stack, which is checked,
+    lag-extended and projected as one block per trial that follows its
+    running state and its last ``lag`` raw rows (``_checked_projections``,
+    ``_held_rows``). The projections are then scanned side by side from
+    the stacked state the last stretch left (``_stacked_crossings``).
     """
     alarms = [None] * len(group)
     live = np.arange(len(group))  # the trials still running, in trial order
     state = ScanState.fresh(len(group), model.n_streams)
-    history = [np.empty((0, model.raw_dim))] * len(group)  # each trial's last raw rows, up to lag
+    held = np.empty((len(group), 0, model.raw_dim))  # each live trial's last raw rows, up to lag
     start = 0
     for end in _stretch_ends(horizon):
+        rows = np.empty((live.size, end - start, model.raw_dim))
         for i, g in enumerate(live.tolist()):
             rng, post = group[g]
-            rows = _trial_rows(rng, start, end, kappa, horizon, null, post)
-            short, zg = _checked_projections(model, rows, state.pick(i), history[g])
-            if i == 0:
-                z = np.empty((zg.shape[0], live.size, model.n_streams))
-            z[:, i] = zg
-            history[g] = _held_rows(history[g], rows, model.lag)
-        firsts, state = _stacked_crossings(model, z, model.threshold, state, table)
+            rows[i] = _trial_rows(rng, start, end, kappa, horizon, null, post)
+        short, z = _checked_projections(
+            rows, held, model.lag, model.training.mean, model.projector,
+            model.train_sumsq + state.total[1], model.m + state.t,
+        )
+        held = _held_rows(held, rows, model.lag)
+        firsts, state = _stacked_crossings(model, np.swapaxes(z, 0, 1), model.threshold, state)
         for g, i in zip(live.tolist(), firsts.tolist()):
             if i >= 0:
                 alarms[g] = start + short + i + 1
-        live = live[firsts < 0]
+        live, held = live[firsts < 0], held[firsts < 0]
         if not live.size:
             break
         start = end
     return [TrialOutcome(alarm_time=a, kappa=kappa, horizon=horizon) for a in alarms]
+
+
+def _group_size(n_streams: int, window: int, raw_dim: int, horizon: int) -> int:
+    """How many trials to run as one group (``_kernel.stack_size``), each holding the raw rows of its longest stretch."""
+    ends = _stretch_ends(horizon)
+    longest = max((b - a for a, b in zip([0, *ends], ends)), default=1)
+    return stack_size(n_streams, window, longest, longest * raw_dim)
 
 
 def run_prepared_trials(
@@ -312,12 +318,7 @@ def run_prepared_trials(
     """
     chol0 = np.linalg.cholesky(base.values)
     null = (np.zeros(base.dim), chol0)
-    # a stretch is drawn, checked and projected trial by trial, and only its
-    # projections are kept, so a group holds nothing more while it is prepared
-    ends = _stretch_ends(horizon)
-    longest = max((b - a for a, b in zip([0, *ends], ends)), default=1)
-    size = stack_size(model.n_streams, model.window, longest, 0)
-    table = _BartlettTable()
+    size = _group_size(model.n_streams, model.window, model.raw_dim, horizon)
     outcomes: list[TrialOutcome] = []
     trials = iter(trials)
     while group := list(itertools.islice(trials, size)):
@@ -328,7 +329,7 @@ def run_prepared_trials(
             else:
                 post = apply_change(base, scenario)
                 prepared.append((rng, (post.mean, np.linalg.cholesky(post.cov))))
-        outcomes += _group_outcomes(model, prepared, kappa, horizon, null, table)
+        outcomes += _group_outcomes(model, prepared, kappa, horizon, null)
     return outcomes
 
 
@@ -596,6 +597,29 @@ def _detector_from_dict(doc: dict) -> tuple[DetectorSpec, float | None]:
     return DetectorSpec(**kwargs), (float(override) if override is not None else None)
 
 
+def _check_cells(cells, horizon: int):
+    """Raise ConfigError unless every grid cell is an object, and every change cell is well formed.
+
+    A change cell has a known type, a sparsity, a size and a kappa in [0,
+    horizon). A value its scenario rejects, such as a sparsity above the
+    dimension, fails only that cell's runs, into the manifest.
+    """
+    for cell in cells:
+        if not isinstance(cell, dict):
+            raise ConfigError(f"every grid cell must be an object, got {cell!r}")
+        ctype = cell.get("ctype", "h0")
+        if ctype == "h0":
+            continue
+        if ctype not in CHANGE_TYPES:
+            raise ConfigError(f"unknown change type {ctype!r}")
+        missing = [key for key in ("sparsity", "size") if key not in cell]
+        if missing:
+            raise ConfigError(f"a {ctype} cell needs {' and '.join(missing)}")
+    kappas = [int(c.get("kappa", 0)) for c in cells if c.get("ctype", "h0") != "h0"]
+    if not all(0 <= kappa < horizon for kappa in kappas):
+        raise ConfigError(f"every change cell's kappa must lie in [0, horizon = {horizon}), got {kappas}")
+
+
 def simulate_grid(cfg: dict, *, threads: int | None = None, progress=None) -> tuple[list[dict], list[dict]]:
     """Run a grid of (detector, change-cell) experiments.
 
@@ -603,8 +627,8 @@ def simulate_grid(cfg: dict, *, threads: int | None = None, progress=None) -> tu
     clean run); on a cell failure the remaining cells still run. Shares
     one training set, selection and calibrated threshold per detector.
     Raises ConfigError before any detector is built when
-    ``trial_replicates`` or ``horizon_mult`` is below 1, or a change
-    cell's ``kappa`` lies outside [0, horizon).
+    ``trial_replicates`` or ``horizon_mult`` is below 1, or a cell is
+    malformed (``_check_cells``).
     """
     threads = resolve_threads(threads)
     seed = int(cfg.get("seed", 0))
@@ -618,9 +642,7 @@ def simulate_grid(cfg: dict, *, threads: int | None = None, progress=None) -> tu
     cells = cfg["cells"]
     if replicates < 1 or horizon_mult < 1:
         raise ConfigError(f"trial_replicates and horizon_mult must be at least 1, got {replicates} and {horizon_mult}")
-    kappas = [int(c.get("kappa", 0)) for c in cells if isinstance(c, dict) and c.get("ctype", "h0") != "h0"]
-    if not all(0 <= kappa < horizon for kappa in kappas):
-        raise ConfigError(f"every change cell's kappa must lie in [0, horizon = {horizon}), got {kappas}")
+    _check_cells(cells, horizon)
 
     root = np.random.SeedSequence(seed)
     base_ss, detector_root = root.spawn(2)

@@ -12,27 +12,27 @@ of the last l+1 raw observations (oldest first); the first l raw steps
 cannot be monitored and trace times refer to raw monitoring time.
 
 A ``Monitor`` takes rows one at a time (``step``, on the one-step scan)
-or in blocks (``feed``, on the resumable trace scan). Both run on one
-state, the ``_kernel.ScanState`` its ``StreamStats`` holds, and give the
-same results bit for bit. ``feed`` builds its ``StepResult``s from the
-arrays of ``_feed_arrays``, which the ``monitor`` command writes its
-JSONL from directly; it is the library's one-stream scan, and with
-``stop_on_alarm`` it stops at the first alarm. The state keeps, next to
-its window, the running sums before each window time, so each candidate's
-pre-change sums are the training plus the running sums at it.
-Calibration builds a batch of bootstrap replicas with the same projector,
-training-sum and row-check arithmetic, on stacks (``_projectors``,
-``_training_sums``, ``_checked_stack``), and then scans the batch
-side by side in one stacked trace scan (``_stacked_maxima``). Simulated
-trials check and project each stream alone a stretch at a time
-(``_checked_projections``), and scan a group of them side by side from
-the state the last stretch left, each stream stopping at its first
-alarm (``_stacked_crossings``). One row check serves all of them
-(``_checked_stack``): a row is rejected when a raw value is NaN or
-squares to infinity, else when a projection does, else when the running
-sums of squares with it are too large to scan. A block is tested whole,
-and one that fails raises the error ``step`` raises at its first
-rejected row, before any state changes.
+or in blocks (``feed``, on the resumable trace scan). It holds its own
+``_kernel.ScanState`` and reads the training sums from its model, and
+``step`` and ``feed`` give the same results bit for bit. ``feed`` builds
+its ``StepResult``s from the arrays of ``_feed_arrays``, from which the
+``monitor`` command writes its JSONL; with ``stop_on_alarm`` it stops at
+the first alarm. The state keeps the running sums before each window
+time, so each candidate's pre-change sums are the training plus the
+running sums at it. Every scan takes its rows through one stacked intake
+(``_checked_projections``), which checks, lag-extends and projects G
+blocks of raw rows in one call, each after the raw rows its stream holds
+(``_held_rows``): a monitor's one block; the stretch of each running
+trial of a simulated group, which is then scanned side by side, each
+stream stopping at its first alarm (``_stacked_crossings``); or the rows
+of a calibration batch's bootstrap replicas, each with its own model
+built on stacks (``_projectors``, ``_training_sums``), which is then
+scanned side by side (``_stacked_maxima``). It is the one row check: a
+row is rejected when a raw value is NaN or squares to infinity, else
+when a projection does, else when the running sums of squares with it
+are too large to scan. A stack is tested whole, and one that fails
+raises the error ``step`` raises at the first rejected row of its first
+rejected block, before any state changes.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import digamma
 
 from . import _kernel
+from ._kernel._scan_py import _h
 from .corrcore import PD_FLOOR, TrainingSummary, _fault_codes, _raise_first, raw_dimension
 from .errors import (
     DegenerateSegment,
@@ -54,12 +54,6 @@ from .errors import (
 from .tailor import ProjectionSelection
 
 VAR_FLOOR = 1e-12
-
-
-def _h(a: np.ndarray) -> np.ndarray:
-    """a * log(a) - a * digamma((a - 1) / 2), the per-segment term of the correction."""
-    a = np.asarray(a, dtype=float)
-    return a * np.log(a) - a * digamma((a - 1.0) / 2.0)
 
 
 def bartlett_correction(m: int, k: int, t: int) -> float:
@@ -86,32 +80,16 @@ def bartlett_correction(m: int, k: int, t: int) -> float:
 
 
 class _BartlettTable:
-    """Lazy table of _h(a) for integer segment lengths a >= 2."""
-
-    def __init__(self):
-        self._values = np.full(2, np.nan)
-
-    def _ensure(self, amax: int):
-        n = self._values.shape[0]
-        if amax < n:
-            return
-        new_n = max(amax + 1, 2 * n, 512)
-        grown = np.empty(new_n)
-        grown[:n] = self._values
-        grown[n:] = _h(np.arange(n, new_n))
-        self._values = grown
-
-    def upto(self, amax: int) -> np.ndarray:
-        """The table, valid for segment lengths 2..amax."""
-        self._ensure(amax)
-        return self._values
+    """Bartlett factors C(k, t) read off the kernel's one table of ``_h`` (``_kernel.h_table``); every monitor shares ``_BARTLETT``."""
 
     def cvals(self, m: int, t: int, kmin: int) -> np.ndarray:
         """C(k, t) for k = kmin..t-2."""
-        self._ensure(m + t)
+        h = _kernel.h_table(m + t)
         ks = np.arange(kmin, t - 1)
-        h = self._values
         return 0.5 * (h[m + ks] + h[t - ks] - h[m + t])
+
+
+_BARTLETT = _BartlettTable()
 
 
 def mixture_statistic(llrs, correction: float, p0: float) -> float:
@@ -147,16 +125,16 @@ def _lag_extend_stack(x: np.ndarray, lag: int) -> np.ndarray:
 
 @dataclass
 class StreamStats:
-    """Mutable per-stream state of a monitoring run.
+    """Training sufficient statistics and a running state, as the per-candidate reference (``stream_llr``) reads them.
 
-    Holds the frozen training sufficient statistics and the running
+    Holds the frozen training sufficient statistics and a running
     ``_kernel.ScanState``: compensated running totals over all monitoring
     values so far (Kahan summation keeps them drift-free on long streams),
     the last ``window + 1`` monitored vectors, from which window segment
-    sums are recomputed at every step, and the running totals before each
-    of them, from which each candidate's pre-change sums are taken.
-    ``Monitor.step`` advances the state one row at a time;
-    ``Monitor.feed`` replaces it with the one its trace scan returns.
+    sums are recomputed, and the running totals before each of them, from
+    which each candidate's pre-change sums are taken. ``append`` advances
+    the state one row at a time. A ``Monitor`` holds its state itself;
+    ``Monitor.stats`` gives it in this form, with the model's sums.
     """
 
     train_sum: np.ndarray
@@ -299,8 +277,8 @@ class MonitorModel:
 
     Built once from a training summary, a projection selection and the
     (lag-extended) training rows; estimates are never updated while
-    monitoring. Immutable and safe to share across threads; each run
-    keeps its state in a separate ``StreamStats``.
+    monitoring. Immutable and safe to share across threads; each
+    ``Monitor`` keeps its own running state.
     """
 
     training: TrainingSummary
@@ -309,7 +287,6 @@ class MonitorModel:
     window: int
     lag: int
     threshold: float
-    training_projections: np.ndarray | None
     projector: np.ndarray
     train_sum: np.ndarray
     train_sumsq: np.ndarray
@@ -393,10 +370,10 @@ def build_monitor_model(
     x = np.asarray(training_data, dtype=float)
     if x.shape != (training.m, training.dim):
         raise DimensionMismatch("training data shape does not match the training summary")
-    # the sums need the model's projector, so they are added after it
-    model = restore_monitor_model(training, selection, (), (), p0=p0, window=window, lag=lag, threshold=threshold)
-    z, train_sum, train_sumsq = _training_sums(x - training.mean, model.projector)
-    return replace(model, training_projections=z, train_sum=train_sum, train_sumsq=train_sumsq)
+    projector = _projector(training, selection)
+    _, train_sum, train_sumsq = _training_sums(x - training.mean, projector)
+    return MonitorModel(training=training, selection=selection, p0=float(p0), window=int(window), lag=int(lag),
+                        threshold=float(threshold), projector=projector, train_sum=train_sum, train_sumsq=train_sumsq)
 
 
 def restore_monitor_model(
@@ -418,7 +395,6 @@ def restore_monitor_model(
         window=int(window),
         lag=int(lag),
         threshold=float(threshold),
-        training_projections=None,
         projector=_projector(training, selection),
         train_sum=np.asarray(train_sum, dtype=float).copy(),
         train_sumsq=np.asarray(train_sumsq, dtype=float).copy(),
@@ -487,43 +463,54 @@ def _sums_unsquarable(sumsq: np.ndarray, n: int):
     return ~(sumsq.max(axis=-1) * (2.0 * n) < math.inf)
 
 
-def _checked_stack(raw, ext, mean, projector, sumsq, n: int) -> np.ndarray:
-    """Standardized projections of blocks of rows, each row checked as ``Monitor.step`` checks a row.
+def _checked_projections(x, held, lag: int, mean, projector, sumsq, n: int):
+    """Check, lag-extend and project stacks of blocks of raw rows, each block following the raw rows its stream holds.
 
-    Stacks of G blocks: raw (G, R, D_raw) holds each block's raw rows and
-    ext (G, T, D) the lag-extended vectors of its last T; mean (G, D) and
-    projector (G, D, J) are each block's model, and sumsq (G, J) its
-    training plus running sums of squares over its n values before the
-    block. Returns z (G, T, J).
+    Stacks of G blocks: x (G, R, D_raw) holds each block's raw rows and
+    held (G, h, D_raw) the last h <= ``lag`` raw rows of its stream before
+    them (``_held_rows``); mean, (D,) or (G, D), and projector, (D, J) or
+    (G, D, J), are the model of every block or of each, and sumsq (G, J)
+    each block's training plus running sums of squares over its n values
+    before it. None is changed. Returns (short, z): the first ``short``
+    rows of each block still lack the lag + 1 rows an extended vector
+    needs, and z (G, R - short, J) holds the projections of the others.
 
     The library's one row check: a row is rejected when a raw value is
     NaN or squares to infinity, else when a projection does, else when
     the running sums of squares with it are too large to scan
-    (``_sums_unsquarable``). A block is tested whole, so one that passes
-    costs no test per row; the first that fails raises the error of its
-    first rejected row (``_first_rejected_row``). Squares are not
+    (``_sums_unsquarable``). A stack is tested whole, so one that passes
+    costs no test per row; the first block that fails raises the error of
+    its first rejected row (``_first_rejected_row``). Squares are not
     negative, so a finite sum of them holds only finite ones: a finite
     bound passes every block at once, and a projection's square that is
     not finite makes its sums so, so two tests decide a block.
     """
+    G, R = x.shape[:2]
+    short = min(R, lag - held.shape[1])
+    if lag == 0:
+        ext = x
+    elif short < R:
+        ext = _lag_extend_stack(np.concatenate([held, x], axis=1) if held.shape[1] else x, lag)
+    else:
+        ext = np.empty((G, 0, projector.shape[-2]))
     n_after = n + ext.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         z = _project_rows(ext, mean, projector)
-        if math.isfinite((sumsq.sum() + np.vdot(z, z)) * (2.0 * n_after) + np.vdot(raw, raw)):
-            return z
+        if math.isfinite((sumsq.sum() + np.vdot(z, z)) * (2.0 * n_after) + np.vdot(x, x)):
+            return short, z
         zz = z * z
-        failed = _unsquarable(raw, (1, 2)) | _sums_unsquarable(sumsq + zz.sum(axis=1), n_after)
+        failed = _unsquarable(x, (1, 2)) | _sums_unsquarable(sumsq + zz.sum(axis=1), n_after)
     if not failed.any():  # only the bound overflowed
-        return z
+        return short, z
     g = int(np.argmax(failed))
-    raise _first_rejected_row(raw[g], zz[g], sumsq[g], n)
+    raise _first_rejected_row(x[g], zz[g], sumsq[g], n)
 
 
 def _first_rejected_row(raw: np.ndarray, zz: np.ndarray, sumsq: np.ndarray, n: int) -> ValueError:
     """The ``ValueError`` of a rejected block's first rejected row, with the row's position in the block as ``row``.
 
     raw, zz and sumsq are a block's rows, squared projections and sums
-    before it (``_checked_stack``); the cumulative sums of zz, the running
+    before it (``_checked_projections``); the cumulative sums of zz, the running
     sums after each row, round apart from the block's one sum, and where
     only that one fails the last row takes the error.
     """
@@ -540,44 +527,22 @@ def _first_rejected_row(raw: np.ndarray, zz: np.ndarray, sumsq: np.ndarray, n: i
     return exc
 
 
-def _checked_projections(model: MonitorModel, x: np.ndarray, state, history: np.ndarray):
-    """Check, lag-extend and project a block of raw rows that follows a running state.
+def _held_rows(held: np.ndarray, x: np.ndarray, lag: int) -> np.ndarray:
+    """The last ``lag`` raw rows of each stream of a stack: those of held (G, h, D_raw) followed by x (G, R, D_raw).
 
-    x (R, raw_dim) holds the rows, ``state`` is the ``_kernel.ScanState``
-    before them and ``history`` the last ``model.lag`` or fewer raw rows
-    before them (``_held_rows``); none is changed. The rows take the one
-    row check, ``_checked_stack`` of a block of one. Returns (short, z):
-    the first ``short`` rows still lack the lag + 1 rows an extended
-    vector needs, and z holds the standardized projections of the others.
+    A new array, so a caller may refill x's buffer.
     """
-    lag = model.lag
-    short = min(x.shape[0], lag - history.shape[0])
-    if lag == 0:
-        ext = x[None]
-    elif short < x.shape[0]:
-        ext = _lag_extend_stack(np.concatenate([history, x])[None], lag)
-    else:
-        ext = np.empty((1, 0, model.dim))
-    z = _checked_stack(
-        x[None], ext, model.training.mean[None], model.projector[None],
-        (model.train_sumsq + state.total[1])[None], model.m + state.t,
-    )
-    return short, z[0]
-
-
-def _held_rows(history: np.ndarray, x: np.ndarray, lag: int) -> np.ndarray:
-    """The last ``lag`` raw rows of ``history`` followed by x, as a new array: a caller may refill x's buffer."""
-    n = x.shape[0]
+    n = x.shape[1]
     if n >= lag:
-        return x[n - lag:].copy()
-    return np.concatenate([history, x])[-lag:]
+        return x[:, n - lag:].copy()
+    return np.concatenate([held, x], axis=1)[:, -lag:]
 
 
 def _stacked_maxima(train_sum, train_sumsq, z, m: int, window: int, p0: float) -> np.ndarray:
     """The largest statistic of each of G streams over its rows, from one stacked trace scan.
 
     The streams' training sums, (G, J) each, and z (G, T, J), the checked
-    projections (``_checked_stack``) of their rows from a fresh
+    projections (``_checked_projections``) of their rows from a fresh
     state; the streams share m, the window and p0. They are scanned side
     by side as one (T, G, J) trace, which gives each stream's maximum bit
     for bit as ``Monitor.feed`` of its rows from a fresh monitor does
@@ -585,13 +550,11 @@ def _stacked_maxima(train_sum, train_sumsq, z, m: int, window: int, p0: float) -
     scans.
     """
     z = np.swapaxes(z, 0, 1)
-    stat, _, _, _ = _kernel.scan_trace(
-        z, train_sum, train_sumsq, m, window, p0, _BartlettTable().upto(m + z.shape[0]), VAR_FLOOR
-    )
+    stat, _, _, _ = _kernel.scan_trace(z, train_sum, train_sumsq, m, window, p0, VAR_FLOOR)
     return stat.max(axis=1, initial=-math.inf)
 
 
-def _stacked_crossings(model: MonitorModel, z, threshold: float, state, table: _BartlettTable):
+def _stacked_crossings(model: MonitorModel, z, threshold: float, state):
     """Per stream of G, the first of its scanned steps whose statistic reaches ``threshold``, or -1 where none does.
 
     z (T, G, J) holds the checked projections (``_checked_projections``)
@@ -610,35 +573,47 @@ def _stacked_crossings(model: MonitorModel, z, threshold: float, state, table: _
         return np.full(G, -1), state
     stat, _, _, state = _kernel.scan_trace(
         z, np.broadcast_to(model.train_sum, (G, J)), np.broadcast_to(model.train_sumsq, (G, J)), model.m,
-        model.window, model.p0, table.upto(model.m + state.t + T), VAR_FLOOR, threshold, state=state,
+        model.window, model.p0, VAR_FLOOR, threshold, state=state,
     )
     hit = stat >= threshold
     return np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1), state
 
 
 class Monitor:
-    """Single-writer streaming monitor over a frozen model."""
+    """Single-writer streaming monitor over a frozen model: its running ``_kernel.ScanState``, last ``lag`` raw rows and raw time."""
 
     def __init__(self, model: MonitorModel):
         self.model = model
-        self._stats = StreamStats(
-            train_sum=model.train_sum.copy(),
-            train_sumsq=model.train_sumsq.copy(),
-            m=model.m,
-            window=model.window,
-        )
+        self._state = _kernel.ScanState.fresh(model.n_streams)
         self._raw_history = np.empty((0, model.raw_dim))  # the last raw rows, up to lag (``_held_rows``)
         self._t_raw = 0
-        self._table = _BartlettTable()  # each monitor owns its correction table
         self.total_warnings = 0
 
     @property
     def stats(self) -> StreamStats:
-        return self._stats
+        """The model's training sums and the monitor's state, as the per-candidate reference ``stream_llr`` reads them."""
+        model = self.model
+        stats = StreamStats(train_sum=model.train_sum, train_sumsq=model.train_sumsq, m=model.m, window=model.window)
+        stats.state = self._state
+        return stats
 
     @property
     def t(self) -> int:
         return self._t_raw
+
+    def _projections(self, x: np.ndarray):
+        """``_checked_projections`` of a block of raw rows x (R, raw_dim) after the monitor's state: (short, z (R - short, J))."""
+        model, state = self.model, self._state
+        short, z = _checked_projections(
+            x[None], self._raw_history[None], model.lag, model.training.mean, model.projector,
+            (model.train_sumsq + state.total[1])[None], model.m + state.t,
+        )
+        return short, z[0]
+
+    def _consume(self, x: np.ndarray):
+        """Count the raw rows x (n, raw_dim) as consumed and hold the last ``lag`` of them."""
+        self._raw_history = _held_rows(self._raw_history[None], x[None], self.model.lag)[0]
+        self._t_raw += x.shape[0]
 
     def step(self, x) -> StepResult:
         """Consume one raw observation and scan all admissible candidates; rejects what ``feed`` rejects."""
@@ -646,29 +621,27 @@ class Monitor:
         x = np.asarray(x, dtype=float)
         if x.shape != (model.raw_dim,):
             raise DimensionMismatch(f"expected a raw vector of dimension {model.raw_dim}, got shape {x.shape}")
-        stats = self._stats
         x = x[None]
-        short, z = _checked_projections(model, x, stats.state, self._raw_history)
-        self._t_raw += 1
-        self._raw_history = _held_rows(self._raw_history, x, model.lag)
+        short, z = self._projections(x)
+        self._consume(x)
         if short:
             return StepResult(t=self._t_raw, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
-        stats.state = state = _kernel.advance_state(stats.state, z, model.window)
+        self._state = state = _kernel.advance_state(self._state, z, model.window)
         t = state.t
         if t < 2:
             return StepResult(t=self._t_raw, stat=-math.inf, argmax_k=None, alarm=False, warnings=0)
         kmin = max(0, t - model.window - 1)
         stat, argmax_k, clamped = _kernel.scan_step(
-            stats.train_sum,
-            stats.train_sumsq,
-            stats.m,
+            model.train_sum,
+            model.train_sumsq,
+            model.m,
             state.total[0],
             state.total[1],
             state.tail,
             t,
             kmin,
             model.p0,
-            self._table.cvals(stats.m, t, kmin),
+            _BARTLETT.cvals(model.m, t, kmin),
             VAR_FLOOR,
             state.prefix,
         )
@@ -724,18 +697,14 @@ class Monitor:
         if not x.shape[0]:
             none = np.empty(0, dtype=np.int64)
             return t_first, 0, np.empty(0), none, none.astype(bool), none
-        state = self._stats.state
-        short, z = _checked_projections(model, x, state, self._raw_history)
+        short, z = self._projections(x)
         stat, k, clamped, state = _kernel.scan_trace(
-            z, model.train_sum, model.train_sumsq, model.m, model.window, model.p0,
-            self._table.upto(model.m + state.t + z.shape[0]), VAR_FLOOR,
-            model.threshold if stop_on_alarm else None, state=state,
+            z, model.train_sum, model.train_sumsq, model.m, model.window, model.p0, VAR_FLOOR,
+            model.threshold if stop_on_alarm else None, state=self._state,
         )
         # the tail is a view into the whole scanned block; a copy lets the block go
-        self._stats.state = state._replace(tail=state.tail.copy())
-        consumed = short + stat.shape[0]
-        self._raw_history = _held_rows(self._raw_history, x[:consumed], model.lag)
-        self._t_raw += consumed
+        self._state = state._replace(tail=state.tail.copy())
+        self._consume(x[:short + stat.shape[0]])
         self.total_warnings += int(clamped.sum())
         argmax_k = np.where(k >= 0, k + model.lag, -1)
         alarm = (argmax_k >= 0) & (stat >= model.threshold)

@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from tailormon import _kernel
-from tailormon.mixmonitor import _BartlettTable
 from tailormon.errors import (
     ConstantColumn,
     DegenerateCorrelation,
@@ -141,6 +140,5 @@ def replicate_maximum(model, train, mon):
     """The largest statistic of one replicate's own trace scan."""
     train_sum, train_sumsq, z = prepare(model, train, mon)
     m = np.asarray(train).shape[0] - model.lag
-    table = _BartlettTable().upto(m + z.shape[0])
-    stat, _, _, _ = _kernel.scan_trace(z, train_sum, train_sumsq, m, model.window, model.p0, table, VAR_FLOOR)
+    stat, _, _, _ = _kernel.scan_trace(z, train_sum, train_sumsq, m, model.window, model.p0, VAR_FLOOR)
     return stat.max(initial=-math.inf)

@@ -37,6 +37,7 @@ from tailormon import (
 )
 from tailormon.changemodel import _hellinger_arrays
 from tailormon.evalharness import build_detector_model, run_prepared_trials, scenario_from_cell
+from tailormon.mixmonitor import _training_sums
 
 
 def report(announce, num, desc, passed, detail=""):
@@ -340,7 +341,7 @@ def test_criterion_10_mixture_reduction_to_sum_glr(announce):
     mon = Monitor(model)
     got = np.array([mon.step(x).stat for x in stream])
 
-    ztr = model.training_projections
+    ztr = _training_sums(train - model.training.mean, model.projector)[0]
     zs = np.array([project_observation(model, x) for x in stream])
     worst = 0.0
     for t in range(2, steps + 1):

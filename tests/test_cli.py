@@ -632,6 +632,30 @@ class TestSimulateCommand:
         assert json.loads(res.stderr.strip().splitlines()[-1])["error"] == "ConfigError"
         assert not out.exists()
 
+    def test_cell_that_is_no_object_exit_2(self, tmp_path):
+        # such a cell once built and calibrated every detector, then failed
+        # each run of it with an AttributeError (exit 3)
+        grid = {
+            "schema": "tailormon/grid@1",
+            "dim": 3,
+            "m": 40,
+            "n": 20,
+            "window": 10,
+            "alpha": 0.05,
+            "confidence": 0.5,
+            "replicates_boot": 100,
+            "trial_replicates": 10,
+            "detectors": [{"kind": "minpca", "n_axes": 1}],
+            "cells": ["h0"],
+        }
+        gpath = tmp_path / "grid.json"
+        gpath.write_text(json.dumps(grid))
+        out = tmp_path / "r.csv"
+        res = invoke("simulate", gpath, "--out", out)
+        assert res.exit_code == 2, res.output
+        assert json.loads(res.stderr.strip().splitlines()[-1])["error"] == "ConfigError"
+        assert not out.exists()
+
     def test_zero_threads_exit_2(self, tmp_path):
         grid = {
             "schema": "tailormon/grid@1",

@@ -449,6 +449,15 @@ class TestSimulateGrid:
             ({"kappa": -5}, False),
             ({"kappa": 199}, True),
             ({"kappa": 0}, True),
+            # a cell that is no object, of an unknown change type, or without a
+            # sparsity or a size once failed every detector's run of it
+            ({"cells": ["h0"]}, False),
+            ({"cells": [{"ctype": "h0"}, "mean"]}, False),
+            ({"cells": [{"ctype": "h0"}, {"ctype": "drift", "sparsity": 1, "size": 2.0}]}, False),
+            ({"cells": [{"ctype": "mean", "size": 2.0}]}, False),
+            ({"cells": [{"ctype": "variance", "sparsity": 1}]}, False),
+            # a sparsity above the dimension fails its cell alone, into the manifest
+            ({"cells": [{"ctype": "h0"}, {"ctype": "mean", "sparsity": 9, "size": 2.0}]}, True),
         ],
     )
     def test_bad_grid_fails_before_any_detector_is_built(self, monkeypatch, change, ok):
@@ -531,6 +540,15 @@ def test_stretch_ends():
         assert evalharness._stretch_ends(horizon) == stretch_ends(horizon)
 
 
+@pytest.mark.parametrize("horizon, sizes", [(100, (81, 54, 16)), (1000, (40, 27, 8))])
+def test_trial_group_sizes_at_the_benchmark_grids_horizons(horizon, sizes):
+    # perfbench's grid: D = 20, w = 200, and 2 or 3 tailored axes or the 20
+    # streams of the mixture detector; the raw rows a group holds while a
+    # stretch is prepared leave these sizes as they were when only its
+    # projections were held
+    assert tuple(evalharness._group_size(J, 200, 20, horizon) for J in (2, 3, 20)) == sizes
+
+
 class TestStretchRunner:
     """``run_prepared_trials`` runs a trial group stretch by stretch; every outcome is the trial's alone."""
 
@@ -556,7 +574,9 @@ class TestStretchRunner:
         assert got == alone
         return got, [drawn.get(r) for r in rngs]
 
-    @pytest.mark.parametrize("lag, p0", [(0, 1.0), (1, 1.0), (0, 0.3), (1, 0.3)])
+    # at lag 2 every live trial holds two raw rows from one stretch to the
+    # next, while the trials leave at different stretches
+    @pytest.mark.parametrize("lag, p0", [(0, 1.0), (1, 1.0), (2, 1.0), (0, 0.3), (1, 0.3), (2, 0.3)])
     def test_alarms_at_and_beside_stretch_edges(self, monkeypatch, lag, p0):
         model, base = stretch_model(lag, p0)
         horizon = 500

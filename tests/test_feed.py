@@ -469,13 +469,12 @@ def test_scan_trace_in_pieces_counts_clamps_per_step(scan_path, cuts, cells):
     ts, tq = rng.standard_normal(3) * 0.2, 60 + rng.standard_normal(3)
     # training sums no data could give clamp the early pre-change and pooled variances
     ts[2], tq[2] = 50.0, 0.0
-    h = _BartlettTable().upto(60 + z.shape[0])
     state = _kernel.ScanState.fresh(3)
     got = []
     for lo, hi in zip((0, *cuts), (*cuts, z.shape[0])):
         # with ``cells``, blocks of a step or a few: a state's prefix sums come from many blocks
         with pinned(scan_path, cells):
-            stat, k, clamped, state = _kernel.scan_trace(z[lo:hi], ts, tq, 60, 25, 0.4, h, VAR_FLOOR, state=state)
+            stat, k, clamped, state = _kernel.scan_trace(z[lo:hi], ts, tq, 60, 25, 0.4, VAR_FLOOR, state=state)
         got += list(zip(stat.tolist(), k.tolist(), clamped.tolist()))
         assert state.t == hi
     ref = step_reference(z, ts, tq, 60, 25, 0.4)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -203,6 +205,56 @@ def test_row_sums_equal_numpys_row_sum_for_every_stream_count(kind):
         # and the sweep's sums over its time-major (cells, G * J) terms
         time_major = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(37, 3 * J)
         assert _set_sums(time_major, 3).tobytes() == x.sum(axis=2).T.tobytes(), f"J = {J}"
+
+
+@pytest.mark.parametrize("growth", [[3000], [5, 600, 513, 2000, 3000], [1100, 40, 3000, 2999]])
+def test_h_table_is_read_only_and_holds_h_of_each_length_however_it_grew(monkeypatch, growth):
+    # the scans and every monitor share one table; it is swapped for a longer
+    # one, never changed, so a table a scan holds stays as it was
+    fresh = np.full(2, np.nan)
+    fresh.flags.writeable = False
+    monkeypatch.setattr(_scan_py, "_H_TABLE", fresh)
+    tables = []
+    for amax in growth:
+        h = _kernel.h_table(amax)
+        assert h.shape[0] > amax and not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[2] = 0.0
+        tables.append((h, h.copy()))
+    assert all(np.array_equal(h, before, equal_nan=True) for h, before in tables)
+    expected = np.array([_scan_py._h(np.array(a)) for a in range(2, 3001)])
+    assert h[2:3001].tobytes() == expected.tobytes()
+    assert h[2:3001].tobytes() == _scan_py._h(np.arange(2, 3001)).tobytes()
+
+
+def test_h_table_shared_by_threads_that_grow_it_at_once(monkeypatch):
+    # two threads that grow the table at once each build a longer one; the
+    # later swap wins, and every table either returns stays valid
+    fresh = np.full(2, np.nan)
+    fresh.flags.writeable = False
+    monkeypatch.setattr(_scan_py, "_H_TABLE", fresh)
+    expected = _scan_py._h(np.arange(2, 6001))
+    bad = []
+
+    def grow(seed):
+        rng = np.random.default_rng(seed)
+        for amax in rng.integers(2, 6000, 40).tolist():
+            h = _kernel.h_table(amax)
+            if h.shape[0] <= amax or h.flags.writeable or h[2:amax + 1].tobytes() != expected[:amax - 1].tobytes():
+                bad.append(amax)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == []
 
 
 @pytest.mark.parametrize("p0", [0.01, 0.1, 0.5])

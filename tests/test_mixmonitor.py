@@ -24,6 +24,7 @@ from tailormon import (
     random_correlation,
     stream_llr,
 )
+from tailormon.mixmonitor import _training_sums
 
 
 def digamma_oracle(x: float) -> float:
@@ -37,6 +38,11 @@ def digamma_oracle(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - inv2 * series
 
 
+def training_projections(model, train):
+    """The standardized projections of a model's training rows."""
+    return _training_sums(train - model.training.mean, model.projector)[0]
+
+
 def bartlett_oracle(m, k, t):
     def g(a):
         return a * math.log(a) - a * digamma_oracle((a - 1) / 2.0)
@@ -44,11 +50,16 @@ def bartlett_oracle(m, k, t):
     return 0.5 * (g(m + k) + g(t - k) - g(m + t))
 
 
-def make_model(dim=5, m=120, n_axes=3, window=50, p0=1.0, seed=0, threshold=math.inf, alpha_d=1.0):
+def make_training(dim, m, seed, alpha_d=1.0):
+    """A random base, its Cholesky factor, the generator and m training rows drawn from it."""
     rng = np.random.default_rng(seed)
     base = random_correlation(dim, alpha_d, rng)
     chol = np.linalg.cholesky(base.values)
-    train = rng.standard_normal((m, dim)) @ chol.T
+    return base, chol, rng, rng.standard_normal((m, dim)) @ chol.T
+
+
+def make_model(dim=5, m=120, n_axes=3, window=50, p0=1.0, seed=0, threshold=math.inf, alpha_d=1.0):
+    base, chol, rng, train = make_training(dim, m, seed, alpha_d)
     summary = estimate_training(train)
     sel = min_variance_selection(eigensystem(summary.corr), n_axes)
     model = build_monitor_model(summary, sel, train, p0=p0, window=window, threshold=threshold)
@@ -229,7 +240,7 @@ class TestProjectObservation:
 
     def test_training_projections_standardized(self):
         model, _, _, _ = make_model(dim=6, m=200, n_axes=6)
-        z = model.training_projections
+        z = training_projections(model, make_training(6, 200, 0)[3])
         assert np.abs(z.var(axis=0, ddof=0) - 1.0).max() < 1e-8
         corr = (z - z.mean(axis=0)).T @ (z - z.mean(axis=0)) / z.shape[0]
         off = corr[~np.eye(6, dtype=bool)]
@@ -347,7 +358,7 @@ class TestConsistencyWithNaiveRecomputation:
                 k = int(check_rng.integers(max(0, t - model.window - 1), t - 1))
                 (n1, s1, q1), (n2, s2, q2), (nt, st_, qt) = mon.stats.segment_stats(k)
                 z = np.asarray(history)
-                ztr = model.training_projections
+                ztr = training_projections(model, make_training(4, 80, 3)[3])
                 seg2 = z[k:t]
                 assert n2 == t - k and nt == model.m + t
                 assert np.abs(s2 - seg2.sum(axis=0)).max() < 1e-9
@@ -364,7 +375,7 @@ class TestConsistencyWithNaiveRecomputation:
         mon = Monitor(model)
         got = [mon.step(x).stat for x in stream]
 
-        ztr = model.training_projections
+        ztr = training_projections(model, make_training(5, 100, 5)[3])
         zs = np.array([project_observation(model, x) for x in stream])
         expected = []
         for t in range(1, steps + 1):

@@ -62,8 +62,7 @@ def step_loop(z, train_sum, train_sumsq, m, window, p0, var_floor=VAR_FLOOR):
 
 
 def trace(z, train_sum, train_sumsq, m, window, p0, threshold=None, var_floor=VAR_FLOOR):
-    h = _BartlettTable().upto(m + z.shape[0])
-    stat, k, _, _ = _kernel.scan_trace(z, train_sum, train_sumsq, m, window, p0, h, var_floor, threshold)
+    stat, k, _, _ = _kernel.scan_trace(z, train_sum, train_sumsq, m, window, p0, var_floor, threshold)
     return stat, k
 
 
@@ -147,8 +146,7 @@ def test_threshold_stops_after_the_crossing_block():
         assert np.array_equal(stat, ref[: stat.shape[0]])
         assert np.array_equal(k, ref_k[: stat.shape[0]])
         # and returns the state there
-        h = _BartlettTable().upto(60 + 600)
-        *_, state = _kernel.scan_trace(z, ts, tq, 60, 25, 1.0, h, VAR_FLOOR, threshold)
+        *_, state = _kernel.scan_trace(z, ts, tq, 60, 25, 1.0, VAR_FLOOR, threshold)
         assert same_state(state, ring_state(z[:first_t], ts, tq, 60, 25))
     # a threshold nothing reaches scans the whole trace
     stat, _ = trace(z, ts, tq, 60, 25, 1.0, math.inf)
@@ -177,9 +175,8 @@ def test_stacked_scan_equals_separate_scans(seed, G, J, p0, window, T, flat):
         z[lo:lo + 2 + rng.integers(15), g, j] = 0.25 + 1e-9 * rng.standard_normal()
     ts = 0.2 * rng.standard_normal((G, J))
     tq = m + rng.standard_normal((G, J))
-    h = _BartlettTable().upto(m + T)
-    alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, h, VAR_FLOOR) for g in range(G)]
-    stat, k, clamped, state = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR)
+    alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, VAR_FLOOR) for g in range(G)]
+    stat, k, clamped, state = _kernel.scan_trace(z, ts, tq, m, window, p0, VAR_FLOOR)
     assert stat.shape == k.shape == clamped.shape == (G, T)
     # no NaN reaches the tie rule: every statistic of a step with a candidate
     # is finite, clamped variances included
@@ -224,8 +221,7 @@ def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(scan_path, 
     z[T // 2:] += rng.uniform(-1.0, 1.0, (G, J))
     ts = 0.2 * rng.standard_normal((G, J))
     tq = m + rng.standard_normal((G, J))
-    h = _BartlettTable().upto(m + T)
-    alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, h, VAR_FLOOR) for g in range(G)]
+    alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, VAR_FLOOR) for g in range(G)]
     stats = np.array([a[0] for a in alone])  # (G, T), -inf at t = 1
     pick = rng.integers(G)
     with pinned(scan_path, cells):
@@ -242,7 +238,7 @@ def test_stacked_thresholded_scan_stops_each_set_at_its_own_crossing(scan_path, 
             threshold = float(stats[pick, t - 1])
         else:
             threshold = math.inf
-        stat, k, clamped, state = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR, threshold)
+        stat, k, clamped, state = _kernel.scan_trace(z, ts, tq, m, window, p0, VAR_FLOOR, threshold)
     hits = stats >= threshold
     # the state is that of the sets that never crossed, after the last step
     running = [g for g in range(G) if not hits[g].any()]
@@ -285,17 +281,16 @@ def test_stacked_thresholded_scan_resumes_stretch_by_stretch(scan_path, seed, G,
     z[T // 2:] += rng.uniform(-1.0, 1.0, (G, J))
     ts = 0.2 * rng.standard_normal((G, J))
     tq = m + rng.standard_normal((G, J))
-    h = _BartlettTable().upto(m + T)
-    alone = np.array([_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, h, VAR_FLOOR)[0] for g in range(G)])
+    alone = np.array([_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, p0, VAR_FLOOR)[0] for g in range(G)])
     threshold = float(np.quantile(alone[:, 1:], q))
     with pinned(scan_path, cells):
-        whole = _kernel.scan_trace(z, ts, tq, m, window, p0, h, VAR_FLOOR, threshold)[0]
+        whole = _kernel.scan_trace(z, ts, tq, m, window, p0, VAR_FLOOR, threshold)[0]
         got = np.full((G, T), -np.inf)
         live, state = np.arange(G), None
         edges = sorted({0, T, *(c for c in cuts if c < T)})
         for a, b in zip(edges, edges[1:]):
             stat, _, _, state = _kernel.scan_trace(
-                z[a:b, live], ts[live], tq[live], m, window, p0, h, VAR_FLOOR, threshold, state=state
+                z[a:b, live], ts[live], tq[live], m, window, p0, VAR_FLOOR, threshold, state=state
             )
             got[live, a:a + stat.shape[1]] = stat
             live = live[~(stat >= threshold).any(axis=1)]
@@ -321,8 +316,7 @@ def test_a_long_stacked_thresholded_scan_keeps_each_sets_own_scan(scan_path):
     z[450:, 1, 1] += 4.0
     ts = 0.2 * rng.standard_normal((G, J))
     tq = m + rng.standard_normal((G, J))
-    h = _BartlettTable().upto(m + T)
-    alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, 0.5, h, VAR_FLOOR) for g in range(G)]
+    alone = [_kernel.scan_trace(z[:, g], ts[g], tq[g], m, window, 0.5, VAR_FLOOR) for g in range(G)]
     stats = np.array([a[0] for a in alone])
     # above every statistic before each set's shift, so only the shifts cross
     threshold = 1.0 + max(stats[0, :100].max(), stats[1, :450].max(), stats[2].max())
@@ -333,7 +327,7 @@ def test_a_long_stacked_thresholded_scan_keeps_each_sets_own_scan(scan_path):
     for end in (T, firsts[1]):
         # a few steps a block, so the sets leave the scan at a block's edge or inside it
         with pinned(scan_path, 300):
-            stat, k, clamped, state = _kernel.scan_trace(z[:end], ts, tq, m, window, 0.5, h, VAR_FLOOR, threshold)
+            stat, k, clamped, state = _kernel.scan_trace(z[:end], ts, tq, m, window, 0.5, VAR_FLOOR, threshold)
         assert stat.shape == (G, end)
         for g, (a_stat, a_k, a_clamped, _) in enumerate(alone):
             n = min(firsts[g] or end, end)
@@ -343,7 +337,10 @@ def test_a_long_stacked_thresholded_scan_keeps_each_sets_own_scan(scan_path):
             assert np.all(stat[g, n:] == -np.inf) and np.all(k[g, n:] == -1) and np.all(clamped[g, n:] == 0)
         # the state is the last set's alone, after the last step
         assert state.total.shape == (2, 1, J)
-        assert same_state(state.pick(0), ring_state(z[:end, 2], ts[2], tq[2], m, window))
+        assert same_state(
+            ScanState(state.total[:, 0], state.comp[:, 0], state.tail[:, 0], state.prefix[:, :, 0], state.t),
+            ring_state(z[:end, 2], ts[2], tq[2], m, window),
+        )
 
 
 def fitted(lag, p0=1.0, window=25, dim=4, m=80, seed=0):
@@ -607,14 +604,14 @@ def test_stacked_crossings_equal_each_streams_trace_stats(seed, G, n_axes, lag, 
     finite = np.concatenate([a[np.isfinite(a)] for a in alone] + [[0.0]])
     # a quantile of all statistics; q = 1 is the largest, crossed at one step at least
     threshold = float(np.quantile(finite, q))
-    fresh = _kernel.ScanState.fresh(model.n_streams)
-    none = np.empty((0, dim))  # no raw row held before a stream
-    short, z = zip(*(mixmonitor._checked_projections(model, rows, fresh, none) for rows in streams))
-    firsts, _ = mixmonitor._stacked_crossings(
-        model, np.stack(z, axis=1), threshold, _kernel.ScanState.fresh(G, n_axes), _BartlettTable()
+    none = np.empty((G, 0, dim))  # no raw row held before a stream
+    short, z = mixmonitor._checked_projections(
+        np.stack(streams), none, lag, model.training.mean, model.projector,
+        np.broadcast_to(model.train_sumsq, (G, n_axes)), model.m,
     )
+    firsts, _ = mixmonitor._stacked_crossings(model, np.swapaxes(z, 0, 1), threshold, _kernel.ScanState.fresh(G, n_axes))
     for g, rows in enumerate(streams):
         stat, _ = trace_stats(model, rows, threshold)
         hits = np.flatnonzero(stat >= threshold)
-        assert firsts[g] == (hits[0] - short[g] if hits.size else -1)
+        assert firsts[g] == (hits[0] - short if hits.size else -1)
         assert stat.tobytes() == alone[g][:stat.shape[0]].tobytes()
